@@ -92,9 +92,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.runner import EXPERIMENTS
 
-    # table4 is excluded from the default sweep: its cost is the actual
-    # 6-epoch NumPy training run, which the analytic fast paths measured
-    # here (batching, memoisation, --jobs) deliberately do not touch
+    # table4 is excluded from the default sweep: its cost is the 6-epoch
+    # NumPy training run, which the analytic fast paths measured here
+    # (batching, memoisation, --jobs) do not reach.  Its measure is
+    # `python3 perfbench/run.py --workload table4` (docs/PERFMODEL.md).
     names = [s.strip() for s in args.only.split(",") if s.strip()] or [
         n for n in EXPERIMENTS if n != "table4"
     ]

@@ -5,7 +5,8 @@ Long-Range-Arena style — token + position embeddings, pre-LayerNorm
 encoder blocks (multi-head self-attention + GELU FFN), mean pooling and
 a linear head.  Forward supports three execution modes:
 
-* ``dense`` float32 — the training path (mask applied additively);
+* ``dense`` float64 — the training path (the mask's dropped scores get
+  zero weight, as an additive ``-1e9`` gives them);
 * ``dense`` float16 — "directly quantize the weights and activations to
   half without finetuning" (Table 4's Dense(half));
 * ``sparse`` float16 — attention through the CVSE kernel pipeline
@@ -18,13 +19,21 @@ gradient check in the tests pins it against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .attention import AttentionTiming, SparseAttention
 
-__all__ = ["TransformerConfig", "TransformerClassifier", "softmax", "layer_norm"]
+__all__ = [
+    "TransformerConfig",
+    "TransformerClassifier",
+    "softmax",
+    "masked_softmax",
+    "kept_entries",
+    "KeptEntries",
+    "layer_norm",
+]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -42,13 +51,67 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
     return xhat * g + b, (xhat, var, eps)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+class KeptEntries(NamedTuple):
+    """The entries of an ``(L, L)`` attention mask that softmax can make
+    nonzero, from :func:`kept_entries`."""
+
+    index: np.ndarray  # row-major flat indices into the (L, L) tile
+    row: np.ndarray  # the row of each index
+    start: np.ndarray  # where each row's run begins in ``index``
+    fill: np.ndarray  # positions in ``index`` that the mask drops
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(0.7978845608028654 * (x + 0.044715 * x**3))
-    dt = (1 - t**2) * 0.7978845608028654 * (1 + 3 * 0.044715 * x**2)
+def kept_entries(mask: np.ndarray) -> KeptEntries:
+    """Index the kept entries of a boolean ``(L, L)`` mask once.
+
+    A fully-masked row keeps every position: ``softmax`` of a row of
+    ``-1e9`` is uniform, not zero.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    keep = mask | ~mask.any(-1, keepdims=True)
+    index = np.flatnonzero(keep)
+    row = index // mask.shape[-1]
+    start = np.searchsorted(row, np.arange(mask.shape[0]))
+    return KeptEntries(index, row, start, np.flatnonzero(~mask.reshape(-1)[index]))
+
+
+def masked_softmax(scores: np.ndarray, kept: KeptEntries) -> np.ndarray:
+    """``softmax(np.where(mask, scores, -1e9))`` over ``(..., L, L)``
+    scores, bit for bit, with ``exp`` taken only on the kept entries.
+
+    Elsewhere the reference's ``exp(-1e9 - max)`` is exactly ``+0.0``,
+    which is what the output holds there; adding those zeros leaves the
+    row sums unchanged.
+    """
+    tile = scores.shape[-2] * scores.shape[-1]
+    flat = scores.reshape(-1, tile)
+    vals = flat[:, kept.index]
+    vals[:, kept.fill] = -1e9
+    row_max = np.maximum.reduceat(vals, kept.start, axis=1)
+    e = np.zeros_like(flat)
+    e[:, kept.index] = np.exp(vals - row_max[:, kept.row])
+    e = e.reshape(scores.shape)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+_GELU_C = 0.7978845608028654
+
+
+def _gelu(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh form); returns (output, the tanh for :func:`_gelu_grad`).
+
+    The cube is ``x * x * x``: NumPy's SIMD ``power`` takes a slow path
+    on negative bases whose bits differ from its fast path, so ``x**3``
+    would make the result depend on the host CPU.
+    """
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d GELU / dx, given the forward's tanh ``t``."""
+    dt = (1 - t**2) * _GELU_C * (1 + 3 * 0.044715 * x**2)
     return 0.5 * (1 + t) + 0.5 * x * dt
 
 
@@ -99,12 +162,10 @@ class TransformerClassifier:
         self.params = p
 
     # ------------------------------------------------------------------ #
-    def _attend_dense(self, q, k, v, mask, timing: Optional[AttentionTiming]):
+    def _attend_dense(self, q, k, v, kept: Optional[KeptEntries]):
         d = q.shape[-1]
         scores = q @ k.swapaxes(-1, -2) / np.sqrt(d)
-        if mask is not None:
-            scores = np.where(mask, scores, -1e9)
-        att = softmax(scores)
+        att = softmax(scores) if kept is None else masked_softmax(scores, kept)
         return att @ v, att
 
     def forward(
@@ -118,8 +179,9 @@ class TransformerClassifier:
         """Run the classifier.
 
         ``mode``: "dense-float" | "dense-half" | "sparse-half".
-        Returns (logits, cache, timing); cache is populated only in
-        dense-float mode (the training path).
+        Returns (logits, cache, timing).  The cache holds what
+        :meth:`loss_and_grads` reads back; it is filled in every mode but
+        only the dense-float one (the training path) is differentiated.
         """
         cfg = self.cfg
         if mode not in ("dense-float", "dense-half", "sparse-half"):
@@ -140,9 +202,11 @@ class TransformerClassifier:
             tokens = tokens[None]
         B, L = tokens.shape
         timing = AttentionTiming() if collect_timing else None
+        # the mask is fixed across layers, heads and batch rows
+        kept = None if mask is None else kept_entries(mask)
 
         x = q16(p["emb"][tokens] + p["pos"][None, :L])
-        cache: Dict[str, object] = {"tokens": tokens, "x0": x}
+        cache: Dict[str, object] = {"tokens": tokens}
         for i in range(cfg.n_layers):
             h, ln1 = layer_norm(x, p[f"g1_{i}"], p[f"bn1_{i}"])
             h = q16(h)
@@ -166,7 +230,7 @@ class TransformerClassifier:
                             timing.add(t)
                         atts.append(None)
                     else:
-                        o, att = self._attend_dense(q[b, :, sl], k[b, :, sl], v[b, :, sl], mask, timing)
+                        o, att = self._attend_dense(q[b, :, sl], k[b, :, sl], v[b, :, sl], kept)
                         outs[b, :, sl] = q16(o)
                         atts.append(att)
             proj = q16(outs @ p[f"wo{i}"])
@@ -174,13 +238,11 @@ class TransformerClassifier:
             h2, ln2 = layer_norm(x, p[f"g2_{i}"], p[f"bn2_{i}"])
             h2 = q16(h2)
             a1 = h2 @ p[f"w1_{i}"] + p[f"b1_{i}"]
-            f1 = q16(_gelu(a1))
+            gelu1, tanh1 = _gelu(a1)
+            f1 = q16(gelu1)
             ffn = q16(f1 @ p[f"w2_{i}"] + p[f"b2_{i}"])
             x = x + ffn
-            cache[f"layer{i}"] = (h, ln1, q, k, v, outs, atts, h2, ln2, a1, f1)
-            cache[f"x_in{i}"] = cache.get(f"x_out{i-1}", cache["x0"]) if i else cache["x0"]
-            cache[f"x_mid{i}"] = x - ffn
-            cache[f"x_out{i}"] = x
+            cache[f"layer{i}"] = (h, ln1, q, k, v, outs, atts, h2, ln2, a1, tanh1, f1)
         pooled = x.mean(axis=1)
         logits = pooled @ p["w_cls"] + p["b_cls"]
         cache["pooled"] = pooled
@@ -214,13 +276,13 @@ class TransformerClassifier:
         dx = (dlogits @ p["w_cls"].T)[:, None, :] * np.ones((B, L, 1)) / L
 
         for i in reversed(range(cfg.n_layers)):
-            h, ln1, q, k, v, outs, atts, h2, ln2, a1, f1 = cache[f"layer{i}"]
+            h, ln1, q, k, v, outs, atts, h2, ln2, a1, tanh1, f1 = cache[f"layer{i}"]
             # FFN branch
             dffn = dx
             g[f"w2_{i}"] += f1.reshape(-1, cfg.d_ff).T @ dffn.reshape(-1, cfg.d_model)
             g[f"b2_{i}"] += dffn.sum((0, 1))
             df1 = dffn @ p[f"w2_{i}"].T
-            da1 = df1 * _gelu_grad(a1)
+            da1 = df1 * _gelu_grad(a1, tanh1)
             g[f"w1_{i}"] += h2.reshape(-1, cfg.d_model).T @ da1.reshape(-1, cfg.d_ff)
             g[f"b1_{i}"] += da1.sum((0, 1))
             dh2 = da1 @ p[f"w1_{i}"].T

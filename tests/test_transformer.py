@@ -19,6 +19,7 @@ from repro.transformer import (
     sparse_attention_peak,
     train,
 )
+from repro.transformer.model import _gelu, _gelu_grad, kept_entries, masked_softmax, softmax
 
 RNG = np.random.default_rng(23)
 
@@ -118,20 +119,37 @@ class TestMemoryAccounting:
 class TestModelAndTraining:
     CFG = TransformerConfig(seq_len=32, d_model=16, n_heads=2, n_layers=1, d_ff=32)
 
+    @staticmethod
+    def _check_grads(model, tok, lab, keys, mask=None):
+        """Central finite differences against ``loss_and_grads`` at one
+        entry per param; ``emb`` is probed at a token the batch uses."""
+        _, grads = model.loss_and_grads(tok, lab, mask)
+        for key in keys:
+            eps = 1e-6
+            idx = (1, 1) if model.params[key].ndim == 2 else (1,)
+            if key == "emb":
+                idx = (int(tok[0, 0]), 1)
+            model.params[key][idx] += eps
+            lp, _ = model.loss_and_grads(tok, lab, mask)
+            model.params[key][idx] -= 2 * eps
+            lm, _ = model.loss_and_grads(tok, lab, mask)
+            model.params[key][idx] += eps
+            num = (lp - lm) / (2 * eps)
+            assert grads[key][idx] != 0.0, key
+            assert grads[key][idx] == pytest.approx(num, abs=1e-6, rel=1e-4), key
+
     def test_gradient_check(self):
         model = TransformerClassifier(self.CFG, np.random.default_rng(3))
         tok, lab = make_dataset(2, ByteTaskConfig(seq_len=32, markers=4))
-        _, grads = model.loss_and_grads(tok, lab)
-        for key in ("wq0", "wo0", "w2_0", "g2_0", "w_cls"):
-            eps = 1e-6
-            idx = (1, 1) if model.params[key].ndim == 2 else (1,)
-            model.params[key][idx] += eps
-            lp, _ = model.loss_and_grads(tok, lab)
-            model.params[key][idx] -= 2 * eps
-            lm, _ = model.loss_and_grads(tok, lab)
-            model.params[key][idx] += eps
-            num = (lp - lm) / (2 * eps)
-            assert grads[key][idx] == pytest.approx(num, abs=1e-6, rel=1e-4), key
+        self._check_grads(model, tok, lab, ("wq0", "wo0", "w2_0", "g2_0", "w_cls"))
+
+    def test_gradient_check_masked_two_layers(self):
+        cfg = TransformerConfig(seq_len=32, d_model=16, n_heads=2, n_layers=2, d_ff=32)
+        model = TransformerClassifier(cfg, np.random.default_rng(8))
+        tok, lab = make_dataset(2, ByteTaskConfig(seq_len=32, markers=4))
+        mask = band_random_mask(32, 8, 8, 0.6, np.random.default_rng(9))
+        keys = ("wk0", "wv0", "w1_0", "b1_1", "g1_0", "bn2_1", "emb", "pos")
+        self._check_grads(model, tok, lab, keys, mask)
 
     def test_training_reduces_loss(self):
         model = TransformerClassifier(self.CFG, np.random.default_rng(4))
@@ -171,6 +189,48 @@ class TestModelAndTraining:
         model = TransformerClassifier(self.CFG)
         assert model.num_parameters() == sum(v.size for v in model.params.values())
         assert model.parameter_bytes("half") * 2 == model.parameter_bytes("single")
+
+
+def _bits(a):
+    return a.view(np.int64 if a.dtype == np.float64 else np.int32)
+
+
+class TestMaskedSoftmax:
+    """``masked_softmax`` and the reused GELU tanh are bit-exact rewrites."""
+
+    @staticmethod
+    def _masks(l):
+        rng = np.random.default_rng(12)
+        band = band_random_mask(l, 8, 8, 0.7, rng)
+        empty_row = band.copy()
+        empty_row[5] = False
+        return band, np.ones((l, l), dtype=bool), empty_row
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(32, 32), (3, 2, 32, 32)])
+    def test_bits_match_where_softmax(self, dtype, shape):
+        s = np.random.default_rng(13).normal(0, 3, shape).astype(dtype)
+        for mask in self._masks(32):
+            ref = softmax(np.where(mask, s, -1e9))
+            got = masked_softmax(s, kept_entries(mask))
+            assert got.dtype == ref.dtype
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_fully_masked_row_is_uniform(self):
+        _, _, empty_row = self._masks(32)
+        s = np.random.default_rng(14).normal(0, 1, (32, 32))
+        att = masked_softmax(s, kept_entries(empty_row))
+        assert np.all(att[5] == 1.0 / 32)
+
+    def test_gelu_grad_with_forward_tanh_matches_recompute(self):
+        x = np.random.default_rng(15).normal(0, 2, (4, 32, 16))
+        c = 0.7978845608028654
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        dt = (1 - t**2) * c * (1 + 3 * 0.044715 * x**2)
+        ref = 0.5 * (1 + t) + 0.5 * x * dt
+        y, t_fwd = _gelu(x)
+        assert np.array_equal(_bits(y), _bits(0.5 * x * (1.0 + t)))
+        assert np.array_equal(_bits(_gelu_grad(x, t_fwd)), _bits(ref))
 
 
 class TestByteTask:
