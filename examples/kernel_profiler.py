@@ -22,7 +22,31 @@ from repro.kernels import (
     WmmaSddmmKernel,
     WmmaSpmmKernel,
 )
-from repro.perfmodel import format_table, guidelines_table, profile_kernel
+from repro.profiler import derive_profile
+from repro.profiler.report import format_table, guidelines_table
+
+
+def derive_all(kernels):
+    """Profile each ``(name, kernel, stats)``; keep the stats for the
+    raw counters (registers per thread) the profile does not copy."""
+    profiles, stats = [], []
+    for name, kern, st in kernels:
+        p = derive_profile(st, kern._model)
+        p.name = name
+        profiles.append(p)
+        stats.append(st)
+    return profiles, stats
+
+
+def print_detail(profiles, stats):
+    print("\nper-kernel detail:")
+    for p, st in zip(profiles, stats):
+        print(
+            f"  {p.name:12s}: {p.time_us:7.1f} us  limiter={p.limiter:14s} "
+            f"occupancy={p.occupancy_pct:.0f}%  "
+            f"regs/thread={st.resources.registers_per_thread}"
+        )
+
 
 rng = np.random.default_rng(0)
 V, N, K = 4, 256, 256
@@ -32,50 +56,36 @@ topo = generate_topology((2048 // V, 1024), 0.9, rng)
 a = cvse_from_csr_topology(topo, V, rng)
 ell = blocked_ell_matching(a, rng)
 
-reports = []
-for name, kern, mat in (
-    ("MMA (octet)", OctetSpmmKernel(), a),
-    ("WMMA (warp)", WmmaSpmmKernel(), a),
-    ("CUDA (fpu)", FpuSpmmKernel(), a),
-):
-    rep = profile_kernel(kern.stats_for(mat, N), kern._model)
-    rep.name = name
-    reports.append(rep)
-rep = profile_kernel(BlockedEllSpmmKernel().stats_for(ell, N), BlockedEllSpmmKernel()._model)
-rep.name = "Blocked-ELL"
-reports.append(rep)
+profiles, stats = derive_all(
+    (name, kern, kern.stats_for(mat, N))
+    for name, kern, mat in (
+        ("MMA (octet)", OctetSpmmKernel(), a),
+        ("WMMA (warp)", WmmaSpmmKernel(), a),
+        ("CUDA (fpu)", FpuSpmmKernel(), a),
+        ("Blocked-ELL", BlockedEllSpmmKernel(), ell),
+    )
+)
 
 print(f"SpMM guideline profile (V={V}, 2048x1024x{N} @ 90% — Table 2 layout)\n")
-print(format_table(guidelines_table(reports)))
-print("\nper-kernel detail:")
-for rep in reports:
-    print(
-        f"  {rep.name:12s}: {rep.time_us:7.1f} us  limiter={rep.limiter:14s} "
-        f"occupancy={rep.occupancy:.0%}  regs/thread={rep.registers_per_thread}"
-    )
+print(format_table(guidelines_table(profiles)))
+print_detail(profiles, stats)
 
 # --- SDDMM: A[2048x256] x B[256x1024] ∘ C, 90% sparsity ----------------------
 topo = generate_topology((2048 // V, 1024), 0.9, rng)
 cv = cvse_from_csr_topology(topo, V, rng)
 mask = ColumnVectorSparseMatrix(cv.shape, V, cv.row_ptr, cv.col_idx, None)
 
-reports = []
-for name, kern in (
-    ("MMA (reg)", OctetSddmmKernel(variant="reg")),
-    ("MMA (shfl)", OctetSddmmKernel(variant="shfl")),
-    ("MMA (arch)", OctetSddmmKernel(variant="arch")),
-    ("WMMA", WmmaSddmmKernel()),
-    ("CUDA (fpu)", FpuSddmmKernel()),
-):
-    rep = profile_kernel(kern.stats_for(mask, K), kern._model)
-    rep.name = name
-    reports.append(rep)
+profiles, stats = derive_all(
+    (name, kern, kern.stats_for(mask, K))
+    for name, kern in (
+        ("MMA (reg)", OctetSddmmKernel(variant="reg")),
+        ("MMA (shfl)", OctetSddmmKernel(variant="shfl")),
+        ("MMA (arch)", OctetSddmmKernel(variant="arch")),
+        ("WMMA", WmmaSddmmKernel()),
+        ("CUDA (fpu)", FpuSddmmKernel()),
+    )
+)
 
 print(f"\n\nSDDMM guideline profile (V={V}, 2048x{K}x1024 @ 90% — Table 3 layout)\n")
-print(format_table(guidelines_table(reports)))
-print("\nper-kernel detail:")
-for rep in reports:
-    print(
-        f"  {rep.name:12s}: {rep.time_us:7.1f} us  limiter={rep.limiter:14s} "
-        f"occupancy={rep.occupancy:.0%}  regs/thread={rep.registers_per_thread}"
-    )
+print(format_table(guidelines_table(profiles)))
+print_detail(profiles, stats)

@@ -33,7 +33,8 @@ from .kernels import (
     sparse_softmax,
     spmm,
 )
-from .perfmodel import LatencyEstimate, LatencyModel, profile_kernel
+from .perfmodel import LatencyEstimate, LatencyModel
+from .profiler import KernelProfile, derive_profile
 
 __version__ = "1.0.0"
 
@@ -45,6 +46,7 @@ __all__ = [
     "RowVectorSparseMatrix",
     "GPUSpec",
     "VOLTA_V100",
+    "KernelProfile",
     "KernelResult",
     "LatencyEstimate",
     "LatencyModel",
@@ -52,7 +54,7 @@ __all__ = [
     "cvse_from_csr_topology",
     "default_spec",
     "dense_gemm",
-    "profile_kernel",
+    "derive_profile",
     "sddmm",
     "sparse_softmax",
     "spmm",

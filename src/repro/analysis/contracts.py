@@ -1,10 +1,8 @@
-"""The five PR-3 contract lints, migrated into registry rules.
+"""The five contract lints, as registry rules.
 
-These started life as standalone AST walks in ``tools/lint_contracts.py``;
-that tool is now a thin shim delegating here.  The checks are unchanged in
-substance — same patterns, same discounts, same messages — they just run
-on the shared :class:`~repro.analysis.core.AnalysisContext` so one parse
-of the repo feeds all ten rules.
+They are AST walks over the shared
+:class:`~repro.analysis.core.AnalysisContext`, so one parse of the repo
+feeds all ten rules.
 """
 
 from __future__ import annotations

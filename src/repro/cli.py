@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -72,7 +72,8 @@ from .kernels.sddmm_wmma import WmmaSddmmKernel
 from .kernels.spmm_fpu import FpuSpmmKernel
 from .kernels.spmm_octet import OctetSpmmKernel
 from .kernels.spmm_wmma import WmmaSpmmKernel
-from .perfmodel.profiler import format_table, guidelines_table, profile_kernel
+from .profiler import KernelProfile, derive_profile
+from .profiler.report import format_table, guidelines_table
 
 __all__ = ["main", "build_parser", "build_sanitize_parser", "build_faults_parser",
            "build_obs_parser", "build_plans_parser", "build_memo_parser",
@@ -845,7 +846,8 @@ def _topology(args):
     return generate_topology((args.rows, args.cols), args.sparsity, rng)
 
 
-def bench_spmm(csr, v: int, n: int, profile: bool = False, only=None) -> List[Dict[str, object]]:
+def bench_spmm(csr, v: int, n: int,
+               only=None) -> Tuple[List[Dict[str, object]], List[KernelProfile]]:
     """SpMM comparison rows + guideline reports for one topology.
 
     ``only`` restricts the table to the named kernels (see
@@ -876,7 +878,7 @@ def bench_spmm(csr, v: int, n: int, profile: bool = False, only=None) -> List[Di
         est = kern._model.estimate(st)
         rows.append({"kernel": name, "time_us": round(est.time_us, 2),
                      "speedup": round(t_dense / est.time_us, 3)})
-        rep = profile_kernel(st, kern._model)
+        rep = derive_profile(st, kern._model)
         rep.name = name
         reports.append(rep)
     if only is None or "blocked-ell" in only:
@@ -885,15 +887,14 @@ def bench_spmm(csr, v: int, n: int, profile: bool = False, only=None) -> List[Di
         est = bk._model.estimate(st)
         rows.append({"kernel": "blocked-ELL", "time_us": round(est.time_us, 2),
                      "speedup": round(t_dense / est.time_us, 3)})
-        rep = profile_kernel(st, bk._model)
+        rep = derive_profile(st, bk._model)
         rep.name = "blocked-ELL"
         reports.append(rep)
-    if profile:
-        rows.append({"kernel": "", "time_us": "", "speedup": ""})
     return rows, reports
 
 
-def bench_sddmm(csr, v: int, k: int, profile: bool = False, only=None):
+def bench_sddmm(csr, v: int, k: int,
+                only=None) -> Tuple[List[Dict[str, object]], List[KernelProfile]]:
     """SDDMM comparison rows + guideline reports for one topology.
 
     ``only`` restricts the table to the named kernels (see
@@ -923,7 +924,7 @@ def bench_sddmm(csr, v: int, k: int, profile: bool = False, only=None):
         est = kern._model.estimate(st)
         rows.append({"kernel": name, "time_us": round(est.time_us, 2),
                      "speedup": round(t_dense / est.time_us, 3)})
-        rep = profile_kernel(st, kern._model)
+        rep = derive_profile(st, kern._model)
         rep.name = name
         reports.append(rep)
     return rows, reports
@@ -1053,18 +1054,15 @@ def main(argv=None) -> int:
         print(f"error reading matrix: {exc}", file=sys.stderr)
         return 2
     v = args.vector_length
-    if csr.shape[0] * v % v:
-        print("rows must divide by V", file=sys.stderr)
-        return 2
     print(
         f"matrix: {csr.shape[0]}x{csr.shape[1]} topology, sparsity {csr.sparsity:.1%}, "
         f"V={v} -> logical {csr.shape[0] * v}x{csr.shape[1]}"
     )
     try:
         if args.op == "spmm":
-            rows, reports = bench_spmm(csr, v, args.N, args.profile, only=args.kernel)
+            rows, reports = bench_spmm(csr, v, args.N, only=args.kernel)
         else:
-            rows, reports = bench_sddmm(csr, v, args.K, args.profile, only=args.kernel)
+            rows, reports = bench_sddmm(csr, v, args.K, only=args.kernel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1072,7 +1070,7 @@ def main(argv=None) -> int:
         print(f"\nSpMM, N={args.N} (times on the simulated V100):\n")
     else:
         print(f"\nSDDMM, K={args.K} (times on the simulated V100):\n")
-    print(format_table([r for r in rows if r["kernel"]]))
+    print(format_table(rows))
     if args.profile:
         print("\nfive-guideline profile (Table 2/3 layout):\n")
         print(format_table(guidelines_table(reports)))

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 from ..datasets.dlmc import RESNET50_SHAPES, SPARSITIES, DlmcEntry, dlmc_suite
-from ..perfmodel.profiler import format_table
+from ..profiler.report import format_table
 
 __all__ = [
     "ExperimentResult",

@@ -12,9 +12,7 @@ matrices, following Gale et al. (the solid lines of the figure).
 Each (entry, V) pair seeds its own child generator, so (a) the same
 CVSE/Blocked-ELL build recurs across the N loop and is served from the
 format cache, and (b) grid cells are self-contained and can be fanned
-out over a process pool (``jobs``) without changing any value.  Passing
-an explicit ``rng`` keeps the legacy serially-threaded draws (and
-forces a serial run).
+out over a process pool (``jobs``) without changing any value.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ def run(
     vector_lengths: Sequence[int] = VECTOR_LENGTHS,
     n_sizes: Sequence[int] = N_SIZES,
     sparsities: Sequence[float] = SPARSITIES,
-    rng: Optional[np.random.Generator] = None,
     jobs: int = 1,
     shard: Optional[Tuple[int, int]] = None,
 ) -> ExperimentResult:
@@ -91,34 +88,29 @@ def run(
     run); the headline notes are deferred to the merge, which sees the
     whole grid.
     """
-    if shard is not None and rng is not None:
-        raise ValueError("shard requires the self-contained cell path (rng=None)")
     suite = suite_for(quick, sparsities)
     res = ExperimentResult(
         name="fig17",
         paper_artifact="Figure 17",
         description="SpMM speedup over cublasHgemm (geomean across the DLMC suite)",
     )
-    if rng is not None:
-        res.rows.extend(_run_threaded(suite, vector_lengths, n_sizes, sparsities, rng))
-    else:
-        by_sparsity = {
-            s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
-            for s in sparsities
-        }
-        cells = [
-            (v, n, s, by_sparsity[s])
-            for v in vector_lengths
-            for n in n_sizes
-            for s in sparsities
-        ]
-        if shard is not None:
-            indices = shard_indices(len(cells), shard)
-            res.meta["cell_total"] = len(cells)
-            res.meta["cell_indices"] = indices
-            res.meta["shard"] = {"index": shard[0], "total": shard[1]}
-            cells = [cells[i] for i in indices]
-        res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
+    by_sparsity = {
+        s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
+        for s in sparsities
+    }
+    cells = [
+        (v, n, s, by_sparsity[s])
+        for v in vector_lengths
+        for n in n_sizes
+        for s in sparsities
+    ]
+    if shard is not None:
+        indices = shard_indices(len(cells), shard)
+        res.meta["cell_total"] = len(cells)
+        res.meta["cell_indices"] = indices
+        res.meta["shard"] = {"index": shard[0], "total": shard[1]}
+        cells = [cells[i] for i in indices]
+    res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
 
     if shard is None:
         res.notes.update(finalise(res.rows))
@@ -143,45 +135,3 @@ def finalise(rows: Sequence[Dict[str, object]]) -> Dict[str, str]:
             f"{min(ratios_fpu):.2f}-{max(ratios_fpu):.2f} (paper: 1.34-4.51)"
         ),
     }
-
-
-def _run_threaded(
-    suite: List[DlmcEntry],
-    vector_lengths: Sequence[int],
-    n_sizes: Sequence[int],
-    sparsities: Sequence[float],
-    rng: np.random.Generator,
-) -> List[Dict[str, object]]:
-    """Legacy path: one generator threaded through every cell in order."""
-    rows: List[Dict[str, object]] = []
-    for v in vector_lengths:
-        for n in n_sizes:
-            for s in sparsities:
-                entries = [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
-                hgemm = DenseGemmKernel()
-                fpu = FpuSpmmKernel()
-                octet = OctetSpmmKernel()
-                bell = BlockedEllSpmmKernel()
-                sp_f, sp_b, sp_m = [], [], []
-                for _, entry in entries:
-                    prob = build_spmm_problem(entry, v, n, rng)
-                    t_dense = hgemm._model.estimate(
-                        hgemm.stats_for_shape(prob.m, prob.k, n)
-                    ).time_us
-                    t_f = fpu._model.estimate(fpu.stats_for(prob.a_cvse, n)).time_us
-                    t_b = bell._model.estimate(bell.stats_for(prob.a_ell, n)).time_us
-                    sp_f.append(t_dense / t_f)
-                    sp_b.append(t_dense / t_b)
-                    if v >= 2:
-                        t_m = octet._model.estimate(octet.stats_for(prob.a_cvse, n)).time_us
-                        sp_m.append(t_dense / t_m)
-                row: Dict[str, object] = {
-                    "V": v,
-                    "N": n,
-                    "sparsity": s,
-                    "fpu": round(geomean(sp_f), 3),
-                    "blocked-ELL": round(geomean(sp_b), 3),
-                }
-                row["mma"] = round(geomean(sp_m), 3) if sp_m else None
-                rows.append(row)
-    return rows

@@ -9,8 +9,6 @@ behaviour there) but remain runnable.
 As in fig17, each (entry, V) pair seeds its own child generator so the
 mask build recurs — and caches — across the K loop, and the grid cells
 can fan out over a process pool (``jobs``) without changing any value.
-Passing an explicit ``rng`` keeps the legacy serially-threaded draws
-(and forces a serial run).
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ def run(
     vector_lengths: Sequence[int] = VECTOR_LENGTHS,
     k_sizes: Sequence[int] = K_SIZES,
     sparsities: Sequence[float] = SPARSITIES,
-    rng: Optional[np.random.Generator] = None,
     jobs: int = 1,
     shard: Optional[Tuple[int, int]] = None,
 ) -> ExperimentResult:
@@ -83,34 +80,29 @@ def run(
     satisfies ``index % n == i`` (bit-identical to the corresponding
     slice of a full run); the headline notes are deferred to the merge.
     """
-    if shard is not None and rng is not None:
-        raise ValueError("shard requires the self-contained cell path (rng=None)")
     suite = suite_for(quick, sparsities)
     res = ExperimentResult(
         name="fig19",
         paper_artifact="Figure 19",
         description="SDDMM speedup over cublasHgemm (geomean across the DLMC suite)",
     )
-    if rng is not None:
-        res.rows.extend(_run_threaded(suite, vector_lengths, k_sizes, sparsities, rng))
-    else:
-        by_sparsity = {
-            s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
-            for s in sparsities
-        }
-        cells = [
-            (v, k, s, by_sparsity[s])
-            for v in vector_lengths
-            for k in k_sizes
-            for s in sparsities
-        ]
-        if shard is not None:
-            indices = shard_indices(len(cells), shard)
-            res.meta["cell_total"] = len(cells)
-            res.meta["cell_indices"] = indices
-            res.meta["shard"] = {"index": shard[0], "total": shard[1]}
-            cells = [cells[i] for i in indices]
-        res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
+    by_sparsity = {
+        s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
+        for s in sparsities
+    }
+    cells = [
+        (v, k, s, by_sparsity[s])
+        for v in vector_lengths
+        for k in k_sizes
+        for s in sparsities
+    ]
+    if shard is not None:
+        indices = shard_indices(len(cells), shard)
+        res.meta["cell_total"] = len(cells)
+        res.meta["cell_indices"] = indices
+        res.meta["shard"] = {"index": shard[0], "total": shard[1]}
+        cells = [cells[i] for i in indices]
+    res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
 
     if shard is None:
         res.notes.update(finalise(res.rows))
@@ -133,32 +125,3 @@ def finalise(rows: Sequence[Dict[str, object]]) -> Dict[str, str]:
             f"{min(ratios_wmma):.2f}-{max(ratios_wmma):.2f} (paper: 0.93-1.44)"
         ),
     }
-
-
-def _run_threaded(
-    suite: List[DlmcEntry],
-    vector_lengths: Sequence[int],
-    k_sizes: Sequence[int],
-    sparsities: Sequence[float],
-    rng: np.random.Generator,
-) -> List[Dict[str, object]]:
-    """Legacy path: one generator threaded through every cell in order."""
-    rows: List[Dict[str, object]] = []
-    hgemm = DenseGemmKernel()
-    kernels = _kernels()
-    for v in vector_lengths:
-        for k in k_sizes:
-            for s in sparsities:
-                speedups: Dict[str, list] = {name: [] for name in kernels}
-                for entry in (e for e in suite if abs(e.sparsity - s) < 1e-9):
-                    prob = build_sddmm_problem(entry, v, k, rng)
-                    t_dense = hgemm._model.estimate(
-                        hgemm.stats_for_shape(prob.m, k, prob.n)
-                    ).time_us
-                    for name, kern in kernels.items():
-                        t = kern._model.estimate(kern.stats_for(prob.mask, k)).time_us
-                        speedups[name].append(t_dense / t)
-                row: Dict[str, object] = {"V": v, "K": k, "sparsity": s}
-                row.update({name: round(geomean(vals), 3) for name, vals in speedups.items()})
-                rows.append(row)
-    return rows

@@ -11,7 +11,7 @@ Profile on A[2048x1024] x B[1024x256] with 90% sparsity (§3.1):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,14 +20,24 @@ from ..formats.conversions import cvse_from_csr_topology
 from ..kernels.base import elem_bytes
 from ..kernels.gemm import DenseGemmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
-from ..perfmodel.profiler import profile_kernel
 from ..perfmodel.trace import trace_gemm, trace_octet_spmm
+from ..profiler import KernelProfile, derive_profile
+from ..profiler.roofline import MATH_PIPES
 from .common import ExperimentResult
 
 __all__ = ["run", "REFERENCE_SHAPE"]
 
 REFERENCE_SHAPE = (2048, 1024, 256)  # M, K, N of §3.1's profile
 REFERENCE_SPARSITY = 0.9
+
+
+def _max_compute_pipe(profile: KernelProfile) -> Tuple[str, float]:
+    """The busiest math pipe and its utilization (``"-"`` if none)."""
+    compute = {k: v for k, v in profile.pipe_utilization.items() if k in MATH_PIPES}
+    if not compute:
+        return "-", 0.0
+    pipe = max(compute, key=compute.get)
+    return pipe, compute[pipe]
 
 
 def run(rng: Optional[np.random.Generator] = None, trace: bool = False) -> ExperimentResult:
@@ -47,21 +57,24 @@ def run(rng: Optional[np.random.Generator] = None, trace: bool = False) -> Exper
         paper_artifact="Figure 5",
         description="GEMM vs fine-grained SpMM profile, single vs half (2048x1024x256, 90%)",
     )
-    reports = {}
+    stats, profiles = {}, {}
     for prec in ("single", "half"):
         gk = DenseGemmKernel(precision=prec)
         sk = FpuSpmmKernel(precision=prec)
-        reports[("GEMM", prec)] = profile_kernel(gk.stats_for_shape(m, k, n), gk._model)
-        reports[("SpMM", prec)] = profile_kernel(sk.stats_for(a1, n), sk._model)
+        for kind, kern, st in (("GEMM", gk, gk.stats_for_shape(m, k, n)),
+                               ("SpMM", sk, sk.stats_for(a1, n))):
+            stats[(kind, prec)] = st
+            profiles[(kind, prec)] = derive_profile(st, kern._model)
 
-    for (kind, prec), rep in reports.items():
+    for (kind, prec), st in stats.items():
+        pipe, util = _max_compute_pipe(profiles[(kind, prec)])
         row = {
             "kernel": kind,
             "precision": prec,
-            "L1 missed sectors": int(rep.l1_missed_sectors),
-            "max compute pipe": rep.max_compute_pipe,
-            "pipe util %": round(100 * rep.max_compute_pipe_utilization, 1),
-            "math instructions": int(rep.math_instructions),
+            "L1 missed sectors": int(st.global_mem.l1_missed_sectors),
+            "max compute pipe": pipe,
+            "pipe util %": round(100 * util, 1),
+            "math instructions": int(st.instructions.math_instructions),
         }
         if trace:
             eb = elem_bytes(prec)
@@ -79,13 +92,13 @@ def run(rng: Optional[np.random.Generator] = None, trace: bool = False) -> Exper
         )
 
     def reduction(kind: str) -> float:
-        s = reports[(kind, "single")].l1_missed_sectors
-        h = reports[(kind, "half")].l1_missed_sectors
+        s = stats[(kind, "single")].global_mem.l1_missed_sectors
+        h = stats[(kind, "half")].global_mem.l1_missed_sectors
         return 100.0 * (1.0 - h / s)
 
     res.notes["GEMM L1-missed-sector reduction"] = f"{reduction('GEMM'):.1f}% (paper: 77.0%)"
     res.notes["SpMM L1-missed-sector reduction"] = f"{reduction('SpMM'):.1f}% (paper: 48.8%)"
-    g_s = reports[("GEMM", "single")].math_instructions
-    g_h = reports[("GEMM", "half")].math_instructions
+    g_s = stats[("GEMM", "single")].instructions.math_instructions
+    g_h = stats[("GEMM", "half")].instructions.math_instructions
     res.notes["GEMM math-instruction reduction"] = f"{100 * (1 - g_h / g_s):.1f}% (paper: 92.3%)"
     return res

@@ -58,15 +58,13 @@ from ..perfmodel import sharedmemo
 from .charts import render_fig17, render_fig20
 from .claims import verify
 from .common import format_table
-from .pool import INTERRUPTED, OK, TaskOutcome, resilient_map
+from .pool import INTERRUPTED, TaskOutcome, resilient_map
 from .sharding import (
     CELL_SHARDABLE,
-    MANIFEST_NAME,
     SHARD_KEY,
     MergeError,
     merge_shards,
     parse_shard,
-    rows_doc,
     verify_manifest,
 )
 from . import sharding

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..kernels.cusparse import BlockedEllSpmmKernel
-from ..perfmodel.profiler import profile_kernel
+from ..profiler import derive_profile
 from .common import ExperimentResult
 
 __all__ = ["run"]
@@ -25,7 +25,7 @@ def run(rng: Optional[np.random.Generator] = None) -> ExperimentResult:
     rng = rng or np.random.default_rng(1)
     ell = BlockedEllMatrix.random((2048, 1024), 4, 0.9, rng)
     kern = BlockedEllSpmmKernel()
-    rep = profile_kernel(kern.stats_for(ell, 256), kern._model)
+    rep = derive_profile(kern.stats_for(ell, 256), kern._model)
 
     res = ExperimentResult(
         name="table1",

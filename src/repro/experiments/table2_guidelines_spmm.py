@@ -17,7 +17,8 @@ from ..formats.conversions import blocked_ell_matching, cvse_from_csr_topology
 from ..kernels.cusparse import BlockedEllSpmmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
 from ..kernels.spmm_octet import OctetSpmmKernel
-from ..perfmodel.profiler import guidelines_table, profile_kernel
+from ..profiler import derive_profile
+from ..profiler.report import guidelines_table
 from .common import ExperimentResult
 
 __all__ = ["run"]
@@ -52,11 +53,11 @@ def run(rng: Optional[np.random.Generator] = None) -> ExperimentResult:
         }
         reports = []
         for name, (kern, mat) in kernels.items():
-            rep = profile_kernel(kern.stats_for(mat, n), kern._model)
+            rep = derive_profile(kern.stats_for(mat, n), kern._model)
             rep.name = f"{name} (V={v})"
             reports.append(rep)
         bk = BlockedEllSpmmKernel()
-        rep = profile_kernel(bk.stats_for(ell, n), bk._model)
+        rep = derive_profile(bk.stats_for(ell, n), bk._model)
         rep.name = f"Blocked-ELL (V={v})"
         reports.append(rep)
         res.rows.extend(guidelines_table(reports))

@@ -17,7 +17,8 @@ from ..formats.conversions import cvse_from_csr_topology
 from ..kernels.sddmm_fpu import FpuSddmmKernel
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.sddmm_wmma import WmmaSddmmKernel
-from ..perfmodel.profiler import guidelines_table, profile_kernel
+from ..profiler import derive_profile
+from ..profiler.report import guidelines_table
 from .common import ExperimentResult
 
 __all__ = ["run"]
@@ -51,7 +52,7 @@ def run(rng: Optional[np.random.Generator] = None) -> ExperimentResult:
             ("CUDA", FpuSddmmKernel()),
             ("WMMA", WmmaSddmmKernel()),
         ):
-            rep = profile_kernel(kern.stats_for(mask, k), kern._model)
+            rep = derive_profile(kern.stats_for(mask, k), kern._model)
             rep.name = f"{name} (V={v})"
             reports.append(rep)
         res.rows.extend(guidelines_table(reports))

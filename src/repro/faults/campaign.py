@@ -45,7 +45,7 @@ from ..obs import tracing as obs_tracing
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.spmm_octet import OctetSpmmKernel
 from ..perfmodel import memo, sharedmemo, trace
-from ..perfmodel.profiler import format_table
+from ..profiler.report import format_table
 from ..sanitizer import memcheck, racecheck, statcheck
 from .injector import FaultInjector
 

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..formats.cvse import ColumnVectorSparseMatrix
-from ..perfmodel.events import KernelStats, scale_batch
+from ..perfmodel.events import KernelStats
 from ..perfmodel.latency import LatencyEstimate
 from .base import Kernel
 from .sddmm_octet import OctetSddmmKernel

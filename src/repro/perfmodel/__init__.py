@@ -1,9 +1,8 @@
-"""Performance model: kernel statistics -> stalls -> latency -> profiles."""
+"""Performance model: kernel statistics -> stalls -> latency."""
 
 from .events import GlobalTraffic, KernelStats, estimate_dram_bytes, scale_batch
 from .pipeline import StallProfile, compute_stalls
 from .latency import LatencyEstimate, LatencyModel
-from .profiler import ProfileReport, format_table, guidelines_table, profile_kernel
 
 __all__ = [
     "GlobalTraffic",
@@ -14,8 +13,4 @@ __all__ = [
     "compute_stalls",
     "LatencyEstimate",
     "LatencyModel",
-    "ProfileReport",
-    "format_table",
-    "guidelines_table",
-    "profile_kernel",
 ]

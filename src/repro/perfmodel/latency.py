@@ -19,7 +19,7 @@ kernels stop scaling (visible at the 0.98-sparsity end of Figs 17/19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..hardware.config import GPUSpec, default_spec

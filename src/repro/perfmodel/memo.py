@@ -591,7 +591,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                     return val
     if _tracing.enabled():
         # span inside the memo boundary: misses time the real compute,
-        # hits record nothing (enforced by tools/lint_contracts.py)
+        # hits record nothing (enforced by the span-outside-memo rule
+        # of repro.analysis)
         with _tracing.span(f"memo.miss.{region}"):
             val = compute()
     else:

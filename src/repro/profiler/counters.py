@@ -15,8 +15,10 @@ intensity, achieved vs peak FLOP/s and DRAM/L2 bandwidth against the
 :mod:`repro.hardware` V100 ceilings, sector hit rates, HMMA issue
 efficiency, roofline classification, and ranked bottleneck
 attribution.  Counters a kernel genuinely lacks are ``None`` (rendered
-``n/a``), never a misleading zero — the same convention as
-:mod:`repro.perfmodel.profiler`.
+``n/a``), never a misleading zero.
+
+The same profile is the paper's Nsight view: Tables 1-3 read its stall
+percentages, grid size and Sectors/Req, Figure 5 its pipe utilization.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class KernelProfile:
     kernels without a registered sector stream; ``hmma_issue_efficiency``
     is ``None`` for kernels that issue no tensor-core instructions;
     ``sectors_per_request`` is ``None`` when no global requests exist.
+
+    The stall percentages and ``pipe_utilization`` (busy fraction of
+    each pipe, unrounded) feed the paper's Tables 1-3 and Figure 5;
+    they stay out of :meth:`counters`.
     """
 
     name: str
@@ -77,6 +83,11 @@ class KernelProfile:
     hmma_issue_efficiency: Optional[float]
     occupancy_pct: float
     thread_blocks: int
+    no_instruction_pct: float
+    wait_pct: float
+    short_scoreboard_pct: float
+    long_scoreboard_pct: float
+    pipe_utilization: Dict[str, float]
     bottlenecks: List[Dict[str, object]] = field(default_factory=list)
 
     def counters(self) -> Dict[str, object]:
@@ -148,17 +159,21 @@ def derive_profile(
     achieved_tflops = stats.flops / time_s / 1e12 if time_s > 0 else 0.0
 
     cycles = max(1e-9, est.cycles_per_sm)
+    pipe_util = {key.split(":", 1)[1]: min(1.0, b / cycles)
+                 for key, b in est.bounds.items()
+                 if key.startswith("pipe:") and not key.endswith("family")}
     hmma = stats.instructions.counts.get(InstrClass.HMMA, 0.0)
     hmma_eff: Optional[float] = None
     if hmma > 0:
         # fraction of the kernel's cycles the tensor pipe is actually
         # issuing HMMA steps: the Nsight "tensor pipe utilization" analog
-        hmma_eff = _round(min(1.0, est.bounds.get("pipe:tensor", 0.0) / cycles))
+        hmma_eff = _round(pipe_util.get("tensor", 0.0))
 
     l2_hit: Optional[float] = None
     if l2_bytes > 0:
         l2_hit = _round(max(0.0, min(1.0, 1.0 - dram_bytes / l2_bytes)))
 
+    fr = est.stall_fractions
     return KernelProfile(
         name=stats.name,
         config=config,
@@ -189,5 +204,10 @@ def derive_profile(
         hmma_issue_efficiency=hmma_eff,
         occupancy_pct=_round(100.0 * est.occupancy.occupancy_fraction, 2),
         thread_blocks=int(stats.launch.num_ctas),
+        no_instruction_pct=100.0 * fr.get("no_instruction", 0.0),
+        wait_pct=100.0 * fr.get("wait", 0.0),
+        short_scoreboard_pct=100.0 * fr.get("short_scoreboard", 0.0),
+        long_scoreboard_pct=100.0 * fr.get("long_scoreboard", 0.0),
+        pipe_utilization=pipe_util,
         bottlenecks=attribution(est, model, top=top),
     )

@@ -1,19 +1,22 @@
 """Rendering: profile tables, roofline summaries, and diff views.
 
-Everything renders through the plain-text table helper the experiment
-scripts already use (:func:`repro.perfmodel.profiler.format_table`),
-with ``None`` counters shown as ``n/a`` — the profiler never invents a
-zero for a counter a kernel does not have.
+Everything renders through :func:`format_table`, the plain-text table
+helper the experiment scripts also use, with ``None`` counters shown as
+``n/a`` — the profiler never invents a zero for a counter a kernel does
+not have.  :func:`guidelines_table` is the paper's Table 2/3 view of a
+:class:`KernelProfile`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..perfmodel.profiler import fmt_counter, format_table
 from .counters import KernelProfile
 
 __all__ = [
+    "format_table",
+    "fmt_counter",
+    "guidelines_table",
     "profile_table",
     "bottleneck_lines",
     "roofline_summary",
@@ -21,6 +24,40 @@ __all__ = [
     "diff_records",
     "render_diff",
 ]
+
+
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
+    """Plain-text table renderer used by the experiment scripts."""
+    if not rows:
+        return "(empty)"
+    cols = list(rows[0].keys())
+    widths = {c: max(len(str(c)), max(len(str(r.get(c, ""))) for r in rows)) for c in cols}
+    lines = [" | ".join(str(c).ljust(widths[c]) for c in cols)]
+    lines.append("-+-".join("-" * widths[c] for c in cols))
+    for r in rows:
+        lines.append(" | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
+    return "\n".join(lines)
+
+
+def fmt_counter(value: Optional[float], spec: str = ".2f") -> str:
+    """Render a profile counter; ``None`` (counter not applicable to
+    this kernel) becomes ``n/a`` rather than a misleading ``0.0``."""
+    return "n/a" if value is None else format(value, spec)
+
+
+def guidelines_table(profiles: Sequence[KernelProfile]) -> List[Dict[str, object]]:
+    """Rows of the Table 2/3 layout: the five guidelines per kernel."""
+    return [
+        {
+            "Kernel": p.name,
+            "No Instruction": f"{p.no_instruction_pct:.1f}%",
+            "# Thread Block": p.thread_blocks,
+            "Wait": f"{p.wait_pct:.1f}%",
+            "Short Scoreboard": f"{p.short_scoreboard_pct:.1f}%",
+            "Sectors/Req": fmt_counter(p.sectors_per_request),
+        }
+        for p in profiles
+    ]
 
 
 def profile_table(profiles: Dict[str, KernelProfile]) -> str:

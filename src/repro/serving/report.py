@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import envgates
-from ..perfmodel.profiler import format_table
+from ..profiler.report import format_table
 from .simulator import COMPLETED, OUTCOMES, ServingResult
 
 __all__ = [

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np

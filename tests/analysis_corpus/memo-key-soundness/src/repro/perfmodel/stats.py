@@ -9,4 +9,4 @@ def build_stats(spec):
 
 
 def _stamp(spec):
-    return (spec, time.time())
+    return (spec, time.time())  # finding

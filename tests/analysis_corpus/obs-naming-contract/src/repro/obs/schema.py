@@ -1,6 +1,6 @@
 SPANS = []
 
-COUNTERS = [
+COUNTERS = [  # finding
     "fixture.used.hits",
     "fixture.orphan.count",
 ]

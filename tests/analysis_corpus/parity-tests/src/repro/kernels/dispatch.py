@@ -1,4 +1,4 @@
-from .simulated import GoodKernel, LonelyKernel
+from .simulated import GoodKernel, LonelyKernel  # finding
 
 SPMM_KERNELS = {"good": GoodKernel, "lonely": LonelyKernel}
 SDDMM_KERNELS = {}

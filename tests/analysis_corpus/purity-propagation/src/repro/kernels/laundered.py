@@ -1,6 +1,6 @@
 class LaunderedKernel:
     def _execute(self, a):
-        _scale_in_place(a)
+        _scale_in_place(a)  # finding
         return a
 
 

@@ -2,7 +2,7 @@
 
 The injected-violation corpus under ``tests/analysis_corpus/`` has one
 minimal repo per rule; running *all* ten rules over a fixture must trip
-exactly that fixture's rule.  The real tree must stay clean for every
+exactly that fixture's rule, on exactly the lines marked ``# finding``.  The real tree must stay clean for every
 semantic pass, and the acceptance mutations (deleting a declared env
 gate, renaming a declared obs counter) must fail analysis with exit 1.
 """
@@ -57,11 +57,24 @@ def test_registry_has_all_ten_rules():
     ] + SEMANTIC_PASSES)
 
 
+def _marked_lines(fixture: Path) -> set:
+    """``(path, line)`` of every fixture line tagged ``# finding``."""
+    return {
+        (path.relative_to(fixture).as_posix(), lineno)
+        for path in fixture.rglob("*.py")
+        for lineno, text in enumerate(path.read_text().splitlines(), 1)
+        if text.endswith("# finding")
+    }
+
+
 @pytest.mark.parametrize("rule_id", ALL_RULES)
 def test_corpus_fixture_trips_exactly_its_rule(rule_id):
     findings = run_analysis(CORPUS / rule_id)
     assert findings, f"{rule_id} fixture produced no findings"
     assert {f.rule for f in findings} == {rule_id}
+    # unmarked near-misses in the fixture (rebound inputs, inner spans,
+    # seeded generators, helper imports) must stay clean
+    assert {(f.path, f.line) for f in findings} == _marked_lines(CORPUS / rule_id)
 
 
 def test_unknown_rule_id_raises():

@@ -1,18 +1,35 @@
-"""Tests for tools/lint_contracts.py: clean on the repo, fires on violations."""
+"""Tests for the five contract rules of ``repro.analysis`` on small inline trees.
 
-import sys
+Each test writes a minimal repo under ``tmp_path`` and runs one rule over
+it with :func:`repro.analysis.run_analysis`; the corpus fixtures under
+``tests/analysis_corpus/`` cover the same cases line by line.
+"""
+
 from pathlib import Path
+from typing import List
+
+from repro import cli
+from repro.analysis import run_analysis
 
 REPO = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO / "tools"))
 
-import lint_contracts  # noqa: E402
+CONTRACT_RULES = [
+    "parity-tests",
+    "no-input-mutation",
+    "seeded-rng",
+    "span-outside-memo",
+    "plan-reference-twins",
+]
 
 
 def _write(root: Path, rel: str, text: str) -> None:
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _findings(repo: Path, rule: str) -> List[str]:
+    return [f.render() for f in run_analysis(repo, [rule])]
 
 
 def _bad_repo(tmp_path: Path) -> Path:
@@ -42,31 +59,24 @@ def _bad_repo(tmp_path: Path) -> Path:
 
 
 def test_real_repo_is_clean():
-    assert lint_contracts.run_lints(REPO) == []
-
-
-def test_registered_kernel_classes_found():
-    classes = lint_contracts.registered_kernel_classes(REPO)
-    assert "OctetSpmmKernel" in classes
-    assert "OctetSddmmKernel" in classes
-    assert len(classes) >= 6
+    assert run_analysis(REPO, CONTRACT_RULES) == []
 
 
 def test_parity_lint_flags_untested_kernel(tmp_path):
-    findings = lint_contracts.lint_parity_tests(_bad_repo(tmp_path))
+    findings = _findings(_bad_repo(tmp_path), "parity-tests")
     assert any("UntestedKernel" in f for f in findings)
     assert not any("BadKernel" in f for f in findings)
 
 
 def test_mutation_lint_flags_input_stores(tmp_path):
-    findings = lint_contracts.lint_no_input_mutation(_bad_repo(tmp_path))
+    findings = _findings(_bad_repo(tmp_path), "no-input-mutation")
     assert any("parameter 'a'" in f for f in findings)
     assert any("parameter 'b'" in f for f in findings)
     assert not any("'out'" in f for f in findings)
 
 
 def test_rng_lint_flags_unseeded_calls(tmp_path):
-    findings = lint_contracts.lint_seeded_rng(_bad_repo(tmp_path))
+    findings = _findings(_bad_repo(tmp_path), "seeded-rng")
     assert any("default_rng() without a seed" in f for f in findings)
     assert any("np.random.rand()" in f for f in findings)
 
@@ -80,7 +90,7 @@ def test_mutation_lint_allows_rebinding(tmp_path):
         "        a[0] = 1.0\n"
         "        return a\n"
     ))
-    assert lint_contracts.lint_no_input_mutation(tmp_path) == []
+    assert _findings(tmp_path, "no-input-mutation") == []
 
 
 def test_span_outside_memo_flags_wrapped_builder(tmp_path):
@@ -103,7 +113,7 @@ def test_span_outside_memo_flags_wrapped_builder(tmp_path):
         "def plain_memo_ok(spec, rng):\n"
         "    return spec\n"
     ))
-    findings = lint_contracts.lint_span_outside_memo(tmp_path)
+    findings = _findings(tmp_path, "span-outside-memo")
     assert len(findings) == 1
     assert "bad_builder" in findings[0]
     assert "span-outside-memo" in findings[0]
@@ -119,7 +129,7 @@ def test_span_outside_memo_sees_attribute_decorators(tmp_path):
         "def also_bad(spec, rng):\n"
         "    return spec\n"
     ))
-    findings = lint_contracts.lint_span_outside_memo(tmp_path)
+    findings = _findings(tmp_path, "span-outside-memo")
     assert len(findings) == 1
     assert "also_bad" in findings[0]
 
@@ -133,7 +143,7 @@ def test_plan_twins_flags_missing_reference(tmp_path):
         "        return _plans.execute_spmm_octet(_plans.spmm_octet_plan(self, a), a, b)\n"
     ))
     _write(tmp_path, "tests/test_planned.py", "")
-    findings = lint_contracts.lint_plan_reference_twins(tmp_path)
+    findings = _findings(tmp_path, "plan-reference-twins")
     assert len(findings) == 1
     assert "no interpreted _execute_simulated_reference()" in findings[0]
 
@@ -149,15 +159,15 @@ def test_plan_twins_flags_untested_reference(tmp_path):
         "        return a @ b\n"
     ))
     _write(tmp_path, "tests/test_planned.py", "")
-    findings = lint_contracts.lint_plan_reference_twins(tmp_path)
+    findings = _findings(tmp_path, "plan-reference-twins")
     assert len(findings) == 1
     assert "never referenced under tests/" in findings[0]
-    # with a parity test naming the twin, the lint is satisfied
+    # with a parity test naming the twin, the rule is satisfied
     _write(tmp_path, "tests/test_planned.py",
            "def test_parity(k, a, b):\n"
            "    assert (k._execute_simulated(a, b)\n"
            "            == k._execute_simulated_reference(a, b)).all()\n")
-    assert lint_contracts.lint_plan_reference_twins(tmp_path) == []
+    assert _findings(tmp_path, "plan-reference-twins") == []
 
 
 def test_plan_twins_ignores_helper_imports(tmp_path):
@@ -169,11 +179,12 @@ def test_plan_twins_ignores_helper_imports(tmp_path):
         "    rows, cols = expand_vector_rows(a)\n"
         "    return rows, cols\n"
     ))
-    assert lint_contracts.lint_plan_reference_twins(tmp_path) == []
+    assert _findings(tmp_path, "plan-reference-twins") == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    assert lint_contracts.main(["--repo", str(REPO)]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-    assert lint_contracts.main(["--repo", str(_bad_repo(tmp_path))]) == 1
-    assert lint_contracts.main(["--repo", str(tmp_path / "nowhere")]) == 2
+    argv = ["analyze", *[arg for r in CONTRACT_RULES for arg in ("--rule", r)]]
+    assert cli.main(argv + ["--repo", str(REPO)]) == cli.EXIT_CLEAN
+    assert "0 new finding(s)" in capsys.readouterr().out
+    assert cli.main(argv + ["--repo", str(_bad_repo(tmp_path))]) == cli.EXIT_FINDINGS
+    assert cli.main(argv + ["--repo", str(tmp_path / "nowhere")]) == cli.EXIT_USAGE

@@ -9,7 +9,6 @@ from repro.perfmodel import (
     LatencyModel,
     compute_stalls,
     estimate_dram_bytes,
-    profile_kernel,
     scale_batch,
 )
 from repro.perfmodel.reuse import compulsory_ratio, coresident_reuse_bytes
@@ -182,11 +181,3 @@ class TestScaleBatch:
         batched = model.estimate(scale_batch(st, 32)).time_us
         assert batched < serial
 
-
-class TestProfiler:
-    def test_report_fields(self):
-        rep = profile_kernel(simple_stats(hmma=1e5, ldg=1e4, imad=1e4))
-        assert rep.thread_blocks == 2048
-        assert rep.sectors_per_request == pytest.approx(16.0)
-        assert 0 <= rep.no_instruction_pct <= 100
-        assert rep.max_compute_pipe in ("tensor", "fma32", "fma16", "alu")

@@ -10,12 +10,13 @@ from repro import profiler
 from repro.cli import main as cli_main
 from repro.experiments import runner
 from repro.obs import metrics, tracing
-from repro.profiler import baseline as baseline_mod
 from repro.profiler import history as history_mod
 from repro.profiler.registry import CONFIGS
-from repro.profiler.roofline import ROOFLINE_APPLICABLE, classify
+from repro.profiler.roofline import MATH_PIPES, ROOFLINE_APPLICABLE, classify
 from repro.sanitizer.harness import KERNEL_CASES
 from repro.serving import get_scenario, profile_summary, simulate
+
+from .test_perfmodel import simple_stats
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +52,18 @@ class TestDerivation:
             assert p.roofline_bound in ("compute", "memory")
             assert p.time_us > 0
             assert p.arithmetic_intensity > 0
+
+    def test_report_fields(self):
+        # the paper's Table 1-3 view: stalls, grid size, Sectors/Req
+        p = profiler.derive_profile(simple_stats(hmma=1e5, ldg=1e4, imad=1e4))
+        assert p.thread_blocks == 2048
+        assert p.sectors_per_request == pytest.approx(16.0)
+        for pct in (p.no_instruction_pct, p.wait_pct,
+                    p.short_scoreboard_pct, p.long_scoreboard_pct):
+            assert 0 <= pct <= 100
+        assert p.compute_pipe in MATH_PIPES
+        assert p.hmma_issue_efficiency == round(p.pipe_utilization["tensor"], 4)
+        assert "pipe_utilization" not in p.counters()
 
     def test_counters_record_is_flat_and_sorted(self, smoke_profiles):
         rec = smoke_profiles["spmm-octet"].counters()

@@ -26,7 +26,8 @@ from repro.experiments.pool import (
     resilient_map,
     retry_delay,
 )
-from repro.experiments.runner import MANIFEST_NAME, SweepFailure, main, run_all
+from repro.experiments.runner import SweepFailure, main, run_all
+from repro.experiments.sharding import MANIFEST_NAME
 from repro.obs import metrics, tracing
 
 
