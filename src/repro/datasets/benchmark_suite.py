@@ -36,13 +36,16 @@ K_SIZES: Tuple[int, ...] = (64, 128, 256)
 
 @dataclass
 class SpmmProblem:
-    """One Figure-17 data point: sparse A, matched Blocked-ELL, dense B."""
+    """One Figure-17 data point: sparse A, matched Blocked-ELL, dense B.
+
+    ``a_ell`` and ``b`` are None when built with ``operands=False``.
+    """
 
     entry: DlmcEntry
     vector_length: int
     n: int
     a_cvse: ColumnVectorSparseMatrix
-    a_ell: BlockedEllMatrix
+    a_ell: Optional[BlockedEllMatrix]
     b: Optional[np.ndarray]
 
     @property
@@ -87,14 +90,17 @@ def build_spmm_problem(
 ) -> SpmmProblem:
     """§7.1.1 SpMM benchmark: CVSE + matched Blocked-ELL + dense B.
 
-    ``operands=False`` skips the dense-B draw (``b`` is None) for
-    analytic sweeps that only consume the sparse structures.
+    ``operands=False`` builds only the CVSE matrix (``a_ell`` and ``b``
+    are None) for analytic sweeps: the Blocked-ELL model reads nothing
+    but the matched shape (``BlockedEllMatrix.matched_shape``), and the
+    dense B is never read.  The CVSE values are still drawn, because
+    the SpMM models count their bytes.
     """
     rng = rng or np.random.default_rng(7)
     a = cvse_from_csr_topology(entry.csr, vector_length, rng)
-    ell = blocked_ell_matching(a, rng)
-    b = None
+    ell = b = None
     if operands:
+        ell = blocked_ell_matching(a, rng)
         b = rng.uniform(-1.0, 1.0, size=(a.shape[1], n)).astype(np.float16)
     return SpmmProblem(entry, vector_length, n, a, ell, b)
 
@@ -109,17 +115,21 @@ def build_sddmm_problem(
 ) -> SddmmProblem:
     """§7.1.1 SDDMM benchmark: CVSE output mask + dense A/B.
 
-    ``operands=False`` skips the dense-A/B draws (both None) for
+    The mask is built on ``entry.csr``'s own index arrays.
+    ``operands=False`` draws nothing (``a`` and ``b`` are None) for
     analytic sweeps that only consume the output mask.
     """
     rng = rng or np.random.default_rng(7)
-    mask_vals = cvse_from_csr_topology(entry.csr, vector_length, rng)
+    csr = entry.csr
     mask = ColumnVectorSparseMatrix(
-        mask_vals.shape, vector_length, mask_vals.row_ptr, mask_vals.col_idx, None
+        (csr.shape[0] * vector_length, csr.shape[1]), vector_length, csr.row_ptr, csr.col_idx
     )
     m, n = mask.shape
     a = b = None
     if operands:
+        # the §7.1.1 construction draws a V-vector per mask position
+        # before A and B; the mask drops them, the generator keeps them
+        rng.uniform(-1.0, 1.0, size=(mask.nnz_vectors, vector_length))
         a = rng.uniform(-1.0, 1.0, size=(m, k)).astype(np.float16)
         b = rng.uniform(-1.0, 1.0, size=(k, n)).astype(np.float16)
     return SddmmProblem(entry, vector_length, k, mask, a, b)

@@ -136,4 +136,8 @@ def dlmc_suite(
                     csr=csr,
                 )
             )
+    # hash each topology before the suite region pickles the list, so
+    # every copy it hands out carries the digest instead of rehashing
+    for entry in out:
+        memo.signature(entry.csr)
     return out

@@ -10,9 +10,10 @@ Each cell is the geometric mean of the speedup over the suite's
 matrices, following Gale et al. (the solid lines of the figure).
 
 Each (entry, V) pair seeds its own child generator, so (a) the same
-CVSE/Blocked-ELL build recurs across the N loop and is served from the
-format cache, and (b) grid cells are self-contained and can be fanned
-out over a process pool (``jobs``) without changing any value.
+CVSE build recurs across the N loop and is served from the format
+cache, and (b) grid cells are self-contained and can be fanned out over
+a process pool (``jobs``) without changing any value.  The Blocked-ELL
+baseline is priced from its matched shape alone; no matrix is built.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from ..datasets.benchmark_suite import N_SIZES, build_spmm_problem
 from ..datasets.dlmc import SPARSITIES, DlmcEntry
+from ..formats.blocked_ell import BlockedEllMatrix
 from ..kernels.cusparse import BlockedEllSpmmKernel
 from ..kernels.gemm import DenseGemmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
@@ -49,13 +51,15 @@ def _cell(
     for ei, entry in entries:
         # child generator per (entry, V): N deliberately excluded so the
         # format builds repeat — and cache — across the N loop; the
-        # analytic sweep never touches dense B, so skip drawing it
+        # analytic sweep never reads Blocked-ELL operands or dense B,
+        # so skip building them
         prob = build_spmm_problem(
             entry, v, n, np.random.default_rng([17, ei, v]), operands=False
         )
+        _, k_ell, width = BlockedEllMatrix.matched_shape(prob.a_cvse.shape, v, prob.a_cvse.sparsity)
         t_dense = hgemm._model.estimate(hgemm.stats_for_shape(prob.m, prob.k, n)).time_us
         t_f = fpu._model.estimate(fpu.stats_for(prob.a_cvse, n)).time_us
-        t_b = bell._model.estimate(bell.stats_for(prob.a_ell, n)).time_us
+        t_b = bell._model.estimate(bell.stats_for_shape(prob.m, k_ell, v, width, n)).time_us
         sp_f.append(t_dense / t_f)
         sp_b.append(t_dense / t_b)
         if v >= 2:

@@ -83,6 +83,23 @@ class BlockedEllMatrix:
         return 1.0 - self.nnz / (m * k)
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def matched_shape(
+        shape: Tuple[int, int], block_size: int, sparsity: float
+    ) -> Tuple[int, int, int]:
+        """``(M, K, ell_width)`` of the §7.1.1 matched construction.
+
+        ``K`` is padded up to a multiple of ``block_size`` (padding
+        columns stay zero) and ``ell_width = round(K/B * (1 - S))``
+        blocks per block row, clamped to ``[0, K/B]``.
+        """
+        m, k = shape
+        b = block_size
+        k = -(-k // b) * b
+        kb = k // b
+        width = max(0, min(kb, int(round(kb * (1.0 - sparsity)))))
+        return m, k, width
+
     @classmethod
     def random(
         cls,
@@ -98,9 +115,8 @@ class BlockedEllMatrix:
         b = block_size
         if m % b or k % b:
             raise ValueError(f"shape {shape} not divisible by block size {b}")
+        _, _, width = cls.matched_shape(shape, b, sparsity)
         kb = k // b
-        width = int(round(kb * (1.0 - sparsity)))
-        width = max(0, min(kb, width))
         rows_b = m // b
         col_blocks = np.empty((rows_b, width), dtype=np.int64)
         for r in range(rows_b):  # sample w/o replacement per block row

@@ -67,11 +67,8 @@ def blocked_ell_matching(
     Block size = V; blocks per block-row chosen so the two formats have
     the same sparsity and problem size; block columns uniform at random.
     """
-    m, k = cvse.shape
     v = cvse.vector_length
-    if k % v:
-        # pad K up so the block grid exists; padding columns stay zero.
-        k = ((k + v - 1) // v) * v
+    m, k, _ = BlockedEllMatrix.matched_shape(cvse.shape, v, cvse.sparsity)
     return BlockedEllMatrix.random(
         (m, k), block_size=v, sparsity=cvse.sparsity, rng=rng or np.random.default_rng(1)
     )

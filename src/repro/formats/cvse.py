@@ -190,7 +190,7 @@ class ColumnVectorSparseMatrix:
     @classmethod
     def mask_from_dense(cls, mask: np.ndarray, vector_length: int) -> "ColumnVectorSparseMatrix":
         """Topology-only encoding of a boolean mask (SDDMM output pattern)."""
-        enc = cls.from_dense(np.asarray(mask, dtype=np.float32), vector_length)
+        enc = cls.from_dense(np.asarray(mask, dtype=bool), vector_length)
         return cls(enc.shape, enc.vector_length, enc.row_ptr, enc.col_idx, None)
 
     # ------------------------------------------------------------------ #

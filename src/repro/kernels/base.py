@@ -23,7 +23,7 @@ from ..hardware.config import GPUSpec, default_spec
 from ..perfmodel.events import KernelStats
 from ..perfmodel.latency import LatencyEstimate, LatencyModel
 
-__all__ = ["KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute"]
+__all__ = ["KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute", "require_values"]
 
 Precision = str  # "half" | "single"
 
@@ -46,6 +46,17 @@ def as_compute(x: np.ndarray, precision: Precision) -> np.ndarray:
     if precision == "half":
         return x.astype(np.float16).astype(np.float32)
     return x.astype(np.float32)
+
+
+def require_values(a: Any, kernel: str) -> None:
+    """Reject a mask-only sparse operand where a kernel's model counts
+    the operand's value bytes (SpMM's A): a mask would be under-priced.
+    """
+    if a.values is None:
+        raise ValueError(
+            f"{kernel} needs a sparse A with values; got a mask-only matrix "
+            "(attach values with with_values())"
+        )
 
 
 @dataclass

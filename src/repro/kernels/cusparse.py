@@ -73,17 +73,37 @@ class BlockedEllSpmmKernel(Kernel):
     def _stats(self, a: BlockedEllMatrix, b: np.ndarray) -> KernelStats:
         return self.stats_for(a, np.asarray(b).shape[1])
 
-    @memo.memoised_stats
     def stats_for(self, a: BlockedEllMatrix, n: int) -> KernelStats:
+        """Analytic device statistics for ``A[Blocked-ELL] @ B[K x n]``.
+
+        The model reads only A's shape, block size and ELL width (see
+        :meth:`stats_for_shape`); the §3.2 kernel is half-only, so A
+        must hold fp16 values.
+        """
+        if a.values.dtype != np.float16:
+            raise ValueError(
+                f"the Blocked-ELL SpMM of §3.2 reads fp16 blocks, got {a.values.dtype} values"
+            )
+        return self.stats_for_shape(a.shape[0], a.shape[1], a.block_size, a.ell_width, n)
+
+    @memo.memoised_stats
+    def stats_for_shape(self, m: int, k: int, block_size: int, ell_width: int,
+                        n: int) -> KernelStats:
+        """Statistics for an ``(m, k)`` fp16 Blocked-ELL A with ``ell_width``
+        stored ``block_size``-square blocks per block row, times ``B[k x n]``.
+
+        Equal to :meth:`stats_for` on any such matrix, without building
+        one: the column choices and values never enter the model.
+        """
         spec = self.spec
         eb = 2
-        bsz = a.block_size
-        m, k = a.shape
+        bsz = block_size
+        rows_b = m // bsz
         n_tiles = ceil_div(n, self.TILE_N)
-        launch = LaunchConfig(grid_x=a.num_block_rows, grid_y=n_tiles, cta_size=self.CTA_SIZE)
+        launch = LaunchConfig(grid_x=rows_b, grid_y=n_tiles, cta_size=self.CTA_SIZE)
         warps = launch.total_warps
 
-        blocks_total = float(a.col_blocks.shape[0] * a.ell_width) * n_tiles  # incl. padding
+        blocks_total = float(rows_b * ell_width) * n_tiles  # incl. padding
         nnz_scalars = blocks_total * bsz * bsz
 
         mix = InstructionMix()
@@ -96,7 +116,7 @@ class BlockedEllSpmmKernel(Kernel):
         mix.add(InstrClass.LDG128, ldg)
         mix.add(InstrClass.STS, ldg)
         mix.add(InstrClass.LDS, ldg * 0.87)  # the measured reuse-starved ratio
-        mix.add(InstrClass.BAR, blocks_total / max(1.0, a.ell_width) * 2.0 + blocks_total * 0.5)
+        mix.add(InstrClass.BAR, blocks_total / max(1.0, ell_width) * 2.0 + blocks_total * 0.5)
         # tile-address arithmetic: the IMAD/IADD3-heavy SASS (27.4% of
         # executed instructions at block 4, §3.2)
         addr = (mix.total) * 0.38
@@ -121,7 +141,7 @@ class BlockedEllSpmmKernel(Kernel):
         # leaves little L1 for implicit reuse (§3.2's last point).
         coresident = 4
         l1_eff = max(16 * 1024, spec.l1_bytes_per_sm - coresident * 24 * 1024)
-        density = min(1.0, a.ell_width / max(1, k // bsz))
+        density = min(1.0, ell_width / max(1, k // bsz))
         b_fetched = coresident_reuse_bytes(
             b_bytes,
             num_groups=max(1, launch.num_ctas // coresident),
@@ -130,7 +150,9 @@ class BlockedEllSpmmKernel(Kernel):
             l1_effective_bytes=l1_eff,
         )
         gm.bytes_l2_to_l1 = a_bytes + b_fetched + out_bytes
-        unique = a.memory_bytes() + k * n * eb + out_bytes
+        # encoded A (int64 block columns + fp16 blocks, as memory_bytes())
+        a_encoded = rows_b * ell_width * (8 + bsz * bsz * eb)
+        unique = a_encoded + k * n * eb + out_bytes
         gm.bytes_dram_to_l2 = estimate_dram_bytes(unique, gm.bytes_l2_to_l1, spec.l2_bytes)
 
         stats = KernelStats(

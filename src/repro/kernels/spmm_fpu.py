@@ -33,7 +33,7 @@ from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
-from .base import Kernel, Precision, elem_bytes
+from .base import Kernel, Precision, elem_bytes, require_values
 from .counting import sputnik_sass_lines
 from .functional import spmm_functional
 
@@ -64,6 +64,7 @@ class FpuSpmmKernel(Kernel):
 
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
+        require_values(a, self.name)
         spec = self.spec
         eb = elem_bytes(self.precision)
         v = a.vector_length

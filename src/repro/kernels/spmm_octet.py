@@ -44,7 +44,7 @@ from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
 from .. import plans as _plans
-from .base import Kernel, Precision
+from .base import Kernel, Precision, require_values
 from .functional import spmm_functional
 
 __all__ = ["OctetSpmmKernel"]
@@ -194,6 +194,7 @@ class OctetSpmmKernel(Kernel):
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
         """Analytic device statistics for ``A[CVSE] @ B[K x n]``."""
+        require_values(a, self.name)
         spec = self.spec
         eb = 2  # half precision
         v = a.vector_length

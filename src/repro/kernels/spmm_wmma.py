@@ -26,7 +26,7 @@ from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
 from .. import plans as _plans
-from .base import Kernel, Precision
+from .base import Kernel, Precision, require_values
 from .functional import spmm_functional
 
 __all__ = ["WmmaSpmmKernel"]
@@ -121,6 +121,7 @@ class WmmaSpmmKernel(Kernel):
 
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
+        require_values(a, self.name)
         spec = self.spec
         eb = 2
         v = a.vector_length

@@ -71,6 +71,7 @@ import functools
 import hashlib
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -342,21 +343,108 @@ def _array_signature(a: np.ndarray) -> tuple:
     return ("nd", a.shape, a.dtype.str, _digest(a))
 
 
-def _topology_digest(obj: Any, *arrays) -> str:
-    """Digest of a format object's index arrays, cached on the instance.
+#: buffer key of sealed index arrays -> (weak references to the arrays
+#: owning their memory, digest): every format object built on the same
+#: sealed memory (a CVSE on a DLMC entry's CSR arrays, the per-K SDDMM
+#: masks of one topology) shares one digest
+_carried: Dict[tuple, tuple] = {}
 
-    The index arrays of the format objects are frozen after
-    construction, so the digest is computed once and pinned to the
-    object — the sweeps hash the same matrix for many (kernel, size)
-    keys.
+
+def _sealed_owner(arr: np.ndarray) -> Optional[np.ndarray]:
+    """The array owning ``arr``'s memory if no write can reach it, else
+    None.  ``arr`` is sealed when it and every array it views are
+    read-only, down to the owner of the memory (or immutable ``bytes``,
+    which an array unpickled read-only views)."""
+    while not arr.flags.writeable:
+        base = arr.base
+        if not isinstance(base, np.ndarray):
+            return arr if base is None or isinstance(base, bytes) else None
+        arr = base
+    return None
+
+
+def _forget(key: tuple) -> Callable:
+    return lambda _ref: _carried.pop(key, None)
+
+
+def _memory_key(arrays: tuple) -> Optional[Tuple[tuple, list]]:
+    """``(key, owners)`` for sealed ``arrays``, else None: the key (address,
+    shape, strides, dtype of each) names their bytes while the owners live."""
+    owners = [_sealed_owner(arr) for arr in arrays]
+    if any(owner is None for owner in owners):
+        return None
+    key = tuple((arr.__array_interface__["data"][0], arr.shape, arr.strides, arr.dtype.str)
+                for arr in arrays)
+    return key, owners
+
+
+def _carry(arrays: tuple, digest: str) -> bool:
+    """Key ``digest`` on the memory of ``arrays`` if they are sealed."""
+    sealed = _memory_key(arrays)
+    if sealed is None:
+        return False
+    key, owners = sealed
+    _carried[key] = (tuple(weakref.ref(o, _forget(key)) for o in owners), digest)
+    return True
+
+
+class _Pin:
+    """A digest pinned to a format object, with the arrays it covers.
+
+    It pickles with the object; loading it carries the digest to the
+    loaded arrays' memory, so objects built on them find it too."""
+
+    __slots__ = ("digest", "arrays")
+
+    def __init__(self, digest: str, arrays: tuple) -> None:
+        self.digest, self.arrays = digest, arrays
+
+    def __reduce__(self):
+        return _load_pin, (self.digest, self.arrays)
+
+
+def _load_pin(digest: str, arrays: tuple) -> _Pin:
+    _carry(arrays, digest)
+    return _Pin(digest, arrays)
+
+
+def _topology_digest(obj: Any, *arrays) -> str:
+    """Digest of a format object's index arrays, hashed once per content.
+
+    Hashing seals each array that owns its memory (read-only), and a
+    digest is trusted only while its arrays stay sealed, so it cannot
+    outlive a write: a sealed array cannot be written, and one made
+    writable again is rehashed for as long as it stays writable (code
+    that writes and then seals it again itself is not caught).  Arrays
+    that view a writable buffer are hashed on every call.  A sealed
+    digest is carried two ways:
+
+    * pinned to the object (:class:`_Pin`), so it rides in the object's
+      pickled state (the ``suite`` region hands out unpickled copies,
+      whose arrays load read-only);
+    * keyed on the arrays' memory, so any object built on the same
+      arrays, or on read-only views of them, reuses it.
     """
-    d = getattr(obj, "_memo_digest", None)
-    if d is None:
+    pin = getattr(obj, "_memo_digest", None)
+    if isinstance(pin, _Pin) and all(
+        p is arr and _sealed_owner(arr) is not None for p, arr in zip(pin.arrays, arrays)
+    ):
+        return pin.digest
+    sealed = _memory_key(arrays)
+    hit = _carried.get(sealed[0]) if sealed is not None else None
+    if hit is not None and all(ref() is o for ref, o in zip(hit[0], sealed[1])):
+        d = hit[1]
+    else:
         d = _digest(*arrays)
-        try:
-            object.__setattr__(obj, "_memo_digest", d)
-        except (AttributeError, TypeError):
-            pass  # slotted/immutable instance: recompute next time
+        for arr in arrays:
+            if arr.base is None:
+                arr.flags.writeable = False
+        if not _carry(arrays, d):
+            return d
+    try:
+        object.__setattr__(obj, "_memo_digest", _Pin(d, arrays))
+    except (AttributeError, TypeError):
+        pass  # slotted/immutable instance: the memory key still carries it
     return d
 
 

@@ -84,6 +84,18 @@ class TestBenchmarkConstruction:
         prob = build_spmm_problem(e, 2, 64)
         assert np.array_equal(prob.a_cvse.col_idx, e.csr.col_idx)
 
+    def test_sddmm_without_operands_draws_nothing(self):
+        entry = self._entry()
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        bare = build_sddmm_problem(entry, 4, 64, rng, operands=False)
+        assert rng.bit_generator.state == state
+        assert bare.a is None and bare.b is None
+        full = build_sddmm_problem(entry, 4, 64, np.random.default_rng(3))
+        assert bare.mask.shape == full.mask.shape
+        assert np.array_equal(bare.mask.row_ptr, full.mask.row_ptr)
+        assert np.array_equal(bare.mask.col_idx, full.mask.col_idx)
+
     def test_sddmm_problem(self):
         prob = build_sddmm_problem(self._entry(), 8, 64)
         assert prob.mask.is_mask

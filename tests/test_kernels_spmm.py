@@ -6,7 +6,10 @@ import pytest
 from repro.formats import BlockedEllMatrix, ColumnVectorSparseMatrix, CSRMatrix
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.kernels import BlockedEllSpmmKernel, CusparseCsrSpmmKernel, FpuSpmmKernel, OctetSpmmKernel, spmm
+from repro.kernels.spmm_wmma import WmmaSpmmKernel
 from repro.hardware.instructions import InstrClass
+from repro.perfmodel import memo
+from repro.perfmodel.events import estimate_dram_bytes
 
 RNG = np.random.default_rng(11)
 
@@ -155,3 +158,48 @@ class TestStats:
         ell = BlockedEllMatrix.random((2048, 1024), 4, 0.9, np.random.default_rng(0))
         st = BlockedEllSpmmKernel().stats_for(ell, 256)
         assert st.launch.num_ctas == 1024  # Table 2's Blocked-ELL row
+
+
+class TestBlockedEllFromShape:
+    """The Blocked-ELL model is a function of the matched shape alone."""
+
+    @pytest.mark.parametrize("b", [4, 8, 16])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("k", [96, 100])  # 100: not a multiple of any B
+    def test_matrix_equals_shape(self, b, sparsity, k):
+        m, k_pad, width = BlockedEllMatrix.matched_shape((4 * b, k), b, sparsity)
+        assert k_pad % b == 0 and k <= k_pad < k + b
+        ell = BlockedEllMatrix.random((m, k_pad), b, sparsity, np.random.default_rng(b))
+        assert ell.ell_width == width
+        assert ell.memory_bytes() == (m // b) * width * (8 + b * b * 2)
+        kern = BlockedEllSpmmKernel()
+        for n in (64, 256):
+            st = kern.stats_for_shape(m, k_pad, b, width, n)
+            assert kern.stats_for(ell, n) == st
+            # the DRAM term prices A at exactly its encoded bytes
+            unique = ell.memory_bytes() + k_pad * n * 2 + m * n * 2
+            assert st.global_mem.bytes_dram_to_l2 == estimate_dram_bytes(
+                unique, st.global_mem.bytes_l2_to_l1, kern.spec.l2_bytes)
+
+    def test_fp32_values_rejected(self):
+        ell = BlockedEllMatrix.random((32, 64), 4, 0.5, np.random.default_rng(0),
+                                      dtype=np.float32)
+        with pytest.raises(ValueError, match="fp16"):
+            BlockedEllSpmmKernel().stats_for(ell, 64)
+
+
+class TestMaskOnlyOperand:
+    """A mask-only A would drop its value bytes from the SpMM cost model."""
+
+    @pytest.mark.parametrize("memo_on", [True, False])
+    @pytest.mark.parametrize("kernel", [OctetSpmmKernel, WmmaSpmmKernel, FpuSpmmKernel])
+    def test_rejected_at_stats_for(self, kernel, memo_on):
+        a, _, _ = make_problem()
+        mask = ColumnVectorSparseMatrix(a.shape, a.vector_length, a.row_ptr, a.col_idx)
+        memo.set_enabled(memo_on)
+        try:
+            with pytest.raises(ValueError, match="mask-only"):
+                kernel().stats_for(mask, 64)
+            kernel().stats_for(a, 64)  # the same topology with values is priced
+        finally:
+            memo.set_enabled(None)

@@ -4,12 +4,14 @@ key, and the rng-keyed builders leave generator state exactly as an
 uncached call would."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.datasets.benchmark_suite import build_sddmm_problem, build_spmm_problem
 from repro.datasets.dlmc import dlmc_suite
+from repro.formats import ColumnVectorSparseMatrix
 from repro.hardware.config import GPUSpec
 from repro.kernels.spmm_fpu import FpuSpmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
@@ -95,8 +97,9 @@ class TestMemoisedRng:
         entry = _entry()
         full = build_spmm_problem(entry, 4, 64, np.random.default_rng(5))
         bare = build_spmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
-        assert full.b is not None
-        assert bare.b is None  # not served from the operands=True entry
+        assert full.b is not None and full.a_ell is not None
+        assert bare.b is None and bare.a_ell is None  # not served from the operands=True entry
+        assert bare.a_cvse.values is not None  # the SpMM models count them
         sd = build_sddmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
         assert sd.a is None and sd.b is None
 
@@ -104,6 +107,68 @@ class TestMemoisedRng:
         entry = _entry()
         build_spmm_problem(entry, 4, 64)
         assert "problem" not in memo.counters()
+
+
+class TestTopologyDigest:
+    def _cvse(self):
+        rng = np.random.default_rng(4)
+        dense = np.repeat(rng.random((8, 32)) < 0.3, 4, axis=0) * rng.uniform(1, 2, (32, 32))
+        return ColumnVectorSparseMatrix.from_dense(dense.astype(np.float16), 4)
+
+    def test_fig17_twice_hashes_each_topology_once(self, monkeypatch):
+        from repro.experiments import fig17_spmm_speedup
+
+        computed = []
+        digest = memo._digest
+
+        def counting(*bufs):
+            computed.append(digest(*bufs))
+            return computed[-1]
+
+        monkeypatch.setattr(memo, "_digest", counting)
+        for _ in range(2):
+            fig17_spmm_speedup.run(quick=True, vector_lengths=(2, 4), n_sizes=(64,),
+                                   sparsities=(0.9,))
+            memo.trim()  # as the runner does: the rerun rebuilds on unpickled suite copies
+        assert computed and len(computed) == len(set(computed))
+
+    def test_shared_by_objects_on_the_same_arrays(self, monkeypatch):
+        a = self._cvse()
+        first = memo.signature(a)[3]
+        monkeypatch.setattr(memo, "_digest", None)  # any rehash would fail
+        mask = ColumnVectorSparseMatrix(a.shape, a.vector_length, a.row_ptr, a.col_idx)
+        assert memo.signature(mask)[3] == first
+
+    def test_carried_through_pickling(self, monkeypatch):
+        a = self._cvse()
+        first = memo.signature(a)[3]
+        copy = pickle.loads(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.setattr(memo, "_digest", None)
+        assert memo.signature(copy)[3] == first
+
+    def test_hashing_seals_the_arrays(self):
+        a = self._cvse()
+        memo.signature(a)
+        with pytest.raises(ValueError, match="read-only"):
+            a.col_idx[0] = a.col_idx[0]
+
+    def test_never_outlives_a_write(self):
+        a = self._cvse()
+        first = memo.signature(a)[3]
+        a.col_idx.flags.writeable = True
+        a.col_idx[-1] = (a.col_idx[-1] + 1) % a.shape[1]
+        assert memo.signature(a)[3] != first
+        twin = ColumnVectorSparseMatrix(a.shape, a.vector_length, a.row_ptr, a.col_idx)
+        assert memo.signature(twin)[3] == memo.signature(a)[3]
+
+    def test_view_of_writable_memory_is_rehashed(self):
+        a = self._cvse()
+        buf = np.concatenate([a.col_idx, [0]])
+        view = ColumnVectorSparseMatrix(a.shape, a.vector_length, a.row_ptr, buf[:-1])
+        first = memo.signature(view)[3]
+        assert buf.flags.writeable  # not ours to seal
+        buf[0] = (buf[0] + 1) % a.shape[1]
+        assert memo.signature(view)[3] != first
 
 
 class TestControlSurface:
