@@ -17,7 +17,6 @@ Public API highlights:
 """
 
 from .formats import (
-    BlockSparseMatrix,
     BlockedEllMatrix,
     CSRMatrix,
     ColumnVectorSparseMatrix,
@@ -39,7 +38,6 @@ from .profiler import KernelProfile, derive_profile
 __version__ = "1.0.0"
 
 __all__ = [
-    "BlockSparseMatrix",
     "BlockedEllMatrix",
     "CSRMatrix",
     "ColumnVectorSparseMatrix",

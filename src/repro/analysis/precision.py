@@ -16,10 +16,6 @@ and ``src/repro/hardware/tensor_core.py`` and reports three violations:
   into arithmetic instead of being returned/stored: a silent mid-pipeline
   down-cast.
 
-``src/repro/numerics/`` is deliberately out of scope: its fp16-accumulation
-helpers exist to *measure* reduced-precision error and are the ground truth
-the kernels are compared against.
-
 The lattice is {F16, F32, F64, UNKNOWN}; inference covers dtype-literal
 constructors (``np.zeros(..., dtype=...)``), ``astype``, module-level
 aliases (``_F16 = np.float16``), dtype-preserving ops (transpose, reshape,

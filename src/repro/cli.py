@@ -1025,28 +1025,27 @@ def _analyze_main(argv) -> int:
     return EXIT_FINDINGS if diff.new else EXIT_CLEAN
 
 
+#: ``repro-bench <name> ...`` -> the handler of the remaining arguments
+_SUBCOMMANDS = {
+    "analyze": _analyze_main,
+    "sanitize": _sanitize_main,
+    "faults": _faults_main,
+    "obs": _obs_main,
+    "plans": _plans_main,
+    "memo": _memo_main,
+    "merge": _merge_main,
+    "serve": _serve_main,
+    "profile": _profile_main,
+}
+
+
 def main(argv=None) -> int:
-    """``repro-bench`` entry point (``sanitize`` dispatches the sanitizer)."""
+    """``repro-bench`` entry point: a subcommand name dispatches to its
+    handler, anything else runs the kernel table."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "analyze":
-        return _analyze_main(argv[1:])
-    if argv and argv[0] == "sanitize":
-        return _sanitize_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
-    if argv and argv[0] == "plans":
-        return _plans_main(argv[1:])
-    if argv and argv[0] == "memo":
-        return _memo_main(argv[1:])
-    if argv and argv[0] == "merge":
-        return _merge_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     try:
         csr = _topology(args)

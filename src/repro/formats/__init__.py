@@ -5,15 +5,12 @@
   column-vector sparse encoding (§4), plus its transposed
   :class:`~repro.formats.cvse.RowVectorSparseMatrix` view (§8);
 * :class:`~repro.formats.blocked_ell.BlockedEllMatrix` — cuSPARSE's
-  Blocked-ELL input (§3.2);
-* :class:`~repro.formats.block_sparse.BlockSparseMatrix` — general
-  block sparsity with per-column CVSE expansion (§4.2, §8 Case 1).
+  Blocked-ELL input (§3.2).
 """
 
 from .csr import CSRMatrix
 from .cvse import ColumnVectorSparseMatrix, RowVectorSparseMatrix
 from .blocked_ell import BlockedEllMatrix
-from .block_sparse import BlockSparseMatrix
 from .io import load_cvse, read_smtx, save_cvse, write_smtx
 from .conversions import (
     blocked_ell_matching,
@@ -28,7 +25,6 @@ __all__ = [
     "ColumnVectorSparseMatrix",
     "RowVectorSparseMatrix",
     "BlockedEllMatrix",
-    "BlockSparseMatrix",
     "blocked_ell_matching",
     "csr_from_cvse",
     "cvse_from_csr_topology",

@@ -6,9 +6,8 @@ hardware with a functional + performance model:
 * :mod:`~repro.hardware.config` — the device description (V100);
 * :mod:`~repro.hardware.thread_hierarchy` — grid/CTA/warp/group/octet
   arithmetic (paper §2.1);
-* :mod:`~repro.hardware.memory` — coalescing, sectors, 128B transactions;
-* :mod:`~repro.hardware.cache` — L1/L2 sector-cache simulator;
-* :mod:`~repro.hardware.shared_memory` — banked shared memory;
+* :mod:`~repro.hardware.cache` — L1/L2 sector caches for trace replay;
+* :mod:`~repro.hardware.shared_memory` — shared-memory traffic counters;
 * :mod:`~repro.hardware.register_file` — occupancy calculator;
 * :mod:`~repro.hardware.icache` — L0 instruction-cache stall model;
 * :mod:`~repro.hardware.instructions` — warp-level instruction mixes;
@@ -26,13 +25,11 @@ from .thread_hierarchy import (
     lane_to_octet,
     octet_lanes,
 )
-from .memory import AccessSummary, WarpAccess, coalesce, ldg_width, sectors_touched, transactions_128b
-from .cache import CacheHierarchy, CacheStats, SectorCache, VectorSectorCache
-from .shared_memory import SharedMemoryModel, SharedMemoryStats, bank_conflicts
+from .cache import CacheStats, SectorCache, VectorSectorCache
+from .shared_memory import SharedMemoryStats
 from .register_file import KernelResources, Occupancy, compute_occupancy
 from .icache import ICacheModel, icache_stall_fraction
 from .instructions import InstrClass, InstructionMix, PIPE_OF
-from .work_distributor import ScheduleResult, simulate_schedule
 from .tensor_core import (
     OctetFragments,
     TensorCoreStats,
@@ -53,19 +50,10 @@ __all__ = [
     "lane_to_group",
     "lane_to_octet",
     "octet_lanes",
-    "AccessSummary",
-    "WarpAccess",
-    "coalesce",
-    "ldg_width",
-    "sectors_touched",
-    "transactions_128b",
-    "CacheHierarchy",
     "CacheStats",
     "SectorCache",
     "VectorSectorCache",
-    "SharedMemoryModel",
     "SharedMemoryStats",
-    "bank_conflicts",
     "KernelResources",
     "Occupancy",
     "compute_occupancy",
@@ -74,8 +62,6 @@ __all__ = [
     "InstrClass",
     "InstructionMix",
     "PIPE_OF",
-    "ScheduleResult",
-    "simulate_schedule",
     "OctetFragments",
     "TensorCoreStats",
     "hmma_step",

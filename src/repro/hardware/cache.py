@@ -30,30 +30,27 @@ dirty; evicting a line with dirty sectors counts them in
 into the next level — the kernels in the paper stream their outputs,
 so store behaviour barely affects the reported load-side metrics.
 
-:class:`CacheHierarchy` puts an L1 (per-SM) in front of a shared L2
-and returns a :class:`CacheStats` per level; ``engine`` selects the
-cache class ("vector" by default, "scalar" for the reference).
+:func:`repro.perfmodel.trace.replay_l1` puts these caches together: one
+L1 per sampled SM in front of a shared L2, with ``engine`` selecting
+the cache class ("vector" by default, "scalar" for the reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from ..obs import metrics as _metrics
-from .config import GPUSpec, default_spec
 
-__all__ = ["CacheStats", "SectorCache", "VectorSectorCache", "CacheHierarchy",
-           "record_metrics"]
+__all__ = ["CacheStats", "SectorCache", "VectorSectorCache", "record_metrics"]
 
 
 def record_metrics(level: str, stats: "CacheStats") -> None:
     """Fold one cache's counters into the observability registry.
 
     ``level`` is the metric namespace ("l1"/"l2"); callers invoke this
-    once per finished simulation (trace replay, hierarchy runs) — never
+    once per finished simulation (trace replay) — never
     per access — so the disabled path costs one boolean check.  The
     registry derives ``cache.<level>.hit_rate`` from these at snapshot
     time (``repro.obs.metrics.cache_table``).
@@ -343,72 +340,6 @@ class VectorSectorCache(_SectorCacheBase):
         return ids[~sector_hit]
 
 
-#: engine name -> cache class, for :class:`CacheHierarchy` and the replay
+#: engine name -> cache class, for the trace replay
 ENGINES = {"scalar": SectorCache, "vector": VectorSectorCache}
 
-
-class CacheHierarchy:
-    """An L1 sector cache in front of a shared L2.
-
-    ``access`` feeds a warp's sector footprint through L1; L1 misses
-    propagate to L2 *as one batch*; L2 misses count as DRAM sectors.
-    The three levels' stats reproduce the Figure 5 ("L1$ Missed
-    Sectors") and Figure 18 ("Bytes L2$ -> L1$") measurements.
-    ``engine`` selects :class:`VectorSectorCache` (default) or the
-    scalar reference for both levels.
-    """
-
-    def __init__(
-        self,
-        spec: GPUSpec | None = None,
-        l1_data_bytes: int | None = None,
-        engine: str = "vector",
-    ) -> None:
-        spec = spec or default_spec()
-        self.spec = spec
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
-        self.engine = engine
-        cache_cls = ENGINES[engine]
-        l1_bytes = l1_data_bytes if l1_data_bytes is not None else spec.l1_bytes_per_sm
-        self.l1 = cache_cls(l1_bytes, spec.line_bytes, spec.sector_bytes, spec.l1_ways)
-        self.l2 = cache_cls(spec.l2_bytes, spec.line_bytes, spec.sector_bytes, ways=16)
-        self.dram_sectors = 0
-
-    def reset(self) -> None:
-        self.l1.reset()
-        self.l2.reset()
-        self.dram_sectors = 0
-
-    def access(self, sector_ids: np.ndarray, is_store: bool = False) -> np.ndarray:
-        """Run a batch through L1 and propagate; returns the L1 misses."""
-        l1_misses = self.l1.access_sectors(sector_ids, is_store)
-        if l1_misses.size:
-            l2_misses = self.l2.access_sectors(l1_misses, is_store)
-            self.dram_sectors += int(l2_misses.size)
-        return l1_misses
-
-    @property
-    def bytes_l2_to_l1(self) -> int:
-        return self.l1.stats.bytes_filled
-
-    @property
-    def bytes_dram_to_l2(self) -> int:
-        return self.dram_sectors * self.spec.sector_bytes
-
-    def record_metrics(self) -> None:
-        """Fold both levels' counters into the observability registry."""
-        record_metrics("l1", self.l1.stats)
-        record_metrics("l2", self.l2.stats)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "l1_sector_accesses": self.l1.stats.sector_accesses,
-            "l1_missed_sectors": self.l1.stats.sector_misses,
-            "l1_hit_rate": self.l1.stats.hit_rate,
-            "l2_missed_sectors": self.l2.stats.sector_misses,
-            "bytes_l2_to_l1": self.bytes_l2_to_l1,
-            "bytes_dram_to_l2": self.bytes_dram_to_l2,
-            "bytes_l1_writeback": self.l1.stats.bytes_written_back,
-            "bytes_l2_writeback": self.l2.stats.bytes_written_back,
-        }

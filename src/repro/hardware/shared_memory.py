@@ -1,4 +1,4 @@
-"""Banked shared-memory model.
+"""Shared-memory traffic counters.
 
 Shared memory on Volta has 32 banks of 4 bytes.  A warp-level LDS/STS is
 serviced in as many conflict-free *wavefronts* as the worst per-bank
@@ -6,50 +6,15 @@ collision count; each wavefront moves up to 128 B.  The "Short
 Scoreboard" stall reason the paper profiles (Table 1) is the warp
 waiting on shared-memory returns, so the latency model needs both the
 wavefront count (bandwidth) and the request count (latency events).
+The kernels derive both analytically and record them through
+:meth:`SharedMemoryStats.bulk`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import GPUSpec, default_spec
-
-__all__ = ["SharedMemoryStats", "bank_conflicts", "SharedMemoryModel"]
-
-
-def bank_conflicts(
-    lane_addresses: np.ndarray,
-    bytes_per_lane: int = 4,
-    spec: GPUSpec | None = None,
-) -> int:
-    """Wavefronts needed to service one warp shared-memory access.
-
-    Wide accesses are issued the way the hardware does it: LDS.64
-    serves half-warps and LDS.128 quarter-warps, each phase moving up
-    to 128 B.  Within a phase the conflict degree is the worst per-bank
-    count of *distinct* 4-byte words (lanes reading the same word
-    broadcast for free).
-    """
-    spec = spec or default_spec()
-    lane_addresses = np.asarray(lane_addresses, dtype=np.int64).ravel()
-    if lane_addresses.size == 0:
-        return 0
-    words_per_lane = max(1, bytes_per_lane // spec.shared_bank_bytes)
-    lanes_per_phase = max(1, 32 // words_per_lane)
-    total = 0
-    for lo in range(0, lane_addresses.size, lanes_per_phase):
-        lanes = lane_addresses[lo : lo + lanes_per_phase]
-        # expand each lane to its consecutive 4B words
-        words = (
-            lanes[:, None] // spec.shared_bank_bytes + np.arange(words_per_lane)[None, :]
-        ).ravel()
-        banks = words % spec.shared_banks
-        uniq = np.unique(np.stack([banks, words], axis=1), axis=0)
-        counts = np.bincount(uniq[:, 0].astype(np.int64), minlength=spec.shared_banks)
-        total += int(counts.max()) if counts.size else 1
-    return total
+__all__ = ["SharedMemoryStats"]
 
 
 @dataclass
@@ -97,43 +62,3 @@ class SharedMemoryStats:
             self.load_requests += requests
             self.load_wavefronts += waves
             self.bytes_loaded += nbytes
-
-
-class SharedMemoryModel:
-    """Counts warp-level shared-memory traffic for the latency model."""
-
-    def __init__(self, spec: GPUSpec | None = None) -> None:
-        self.spec = spec or default_spec()
-        self.stats = SharedMemoryStats()
-
-    def request(
-        self,
-        lane_addresses: np.ndarray,
-        bytes_per_lane: int,
-        is_store: bool = False,
-    ) -> int:
-        """Record one warp access; returns its wavefront count."""
-        waves = bank_conflicts(lane_addresses, bytes_per_lane, self.spec)
-        nbytes = int(np.asarray(lane_addresses).size) * bytes_per_lane
-        if is_store:
-            self.stats.store_requests += 1
-            self.stats.store_wavefronts += waves
-            self.stats.bytes_stored += nbytes
-        else:
-            self.stats.load_requests += 1
-            self.stats.load_wavefronts += waves
-            self.stats.bytes_loaded += nbytes
-        return waves
-
-    def bulk(self, requests: int, wavefronts_per_request: float, bytes_per_request: int, is_store: bool = False) -> None:
-        """Record many identical accesses at once (analytic path)."""
-        waves = int(round(requests * wavefronts_per_request))
-        nbytes = requests * bytes_per_request
-        if is_store:
-            self.stats.store_requests += requests
-            self.stats.store_wavefronts += waves
-            self.stats.bytes_stored += nbytes
-        else:
-            self.stats.load_requests += requests
-            self.stats.load_wavefronts += waves
-            self.stats.bytes_loaded += nbytes

@@ -23,7 +23,6 @@ Plus :class:`DenseGemmKernel` (cublasHgemm/Sgemm analogs) and
 """
 
 from .base import Kernel, KernelResult, Precision
-from .batched import batched_sddmm, batched_spmm
 from .cusparse import BlockedEllSpmmKernel, CusparseCsrSpmmKernel, CusparseSddmmKernel
 from .dispatch import SDDMM_KERNELS, SPMM_KERNELS, dense_gemm, sddmm, sparse_softmax, spmm
 from .functional import sddmm_functional, spmm_functional
@@ -57,8 +56,6 @@ __all__ = [
     "WmmaSddmmKernel",
     "WmmaSpmmKernel",
     "analyze_windows",
-    "batched_sddmm",
-    "batched_spmm",
     "dense_gemm",
     "sddmm",
     "sddmm_functional",

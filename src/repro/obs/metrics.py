@@ -163,16 +163,20 @@ def reset() -> None:
 
 
 def counters() -> Dict[str, float]:
+    """A copy of every counter's running total, by name."""
     with _lock:
         return dict(_counters)
 
 
 def gauges() -> Dict[str, float]:
+    """A copy of every gauge's last set value, by name."""
     with _lock:
         return dict(_gauges)
 
 
 def histograms() -> Dict[str, Dict[str, Any]]:
+    """Every histogram's count/sum/min/max/mean, plus its bucket bounds
+    and counts when it was configured with buckets."""
     with _lock:
         out: Dict[str, Dict[str, Any]] = {}
         for name, h in _hists.items():

@@ -354,6 +354,8 @@ def replay_l1(
     """
     spec = spec or default_spec()
     l1_bytes = l1_data_bytes if l1_data_bytes is not None else spec.l1_bytes_per_sm
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
     cache_cls = ENGINES[engine]
     l1s = [cache_cls(l1_bytes, spec.line_bytes, spec.sector_bytes, spec.l1_ways)
            for _ in range(sample_sms)]

@@ -12,7 +12,7 @@
 
 from .attention import AttentionTiming, DenseAttention, SparseAttention
 from .lra import ByteTaskConfig, make_dataset
-from .masks import band_random_mask, bigbird_mask, global_row_mask, longformer_mask, mask_to_cvse
+from .masks import band_random_mask, mask_to_cvse
 from .memory import MemoryBreakdown, dense_attention_peak, sparse_attention_peak
 from .model import TransformerClassifier, TransformerConfig
 from .training import TrainConfig, evaluate, train
@@ -24,9 +24,6 @@ __all__ = [
     "ByteTaskConfig",
     "make_dataset",
     "band_random_mask",
-    "bigbird_mask",
-    "longformer_mask",
-    "global_row_mask",
     "mask_to_cvse",
     "MemoryBreakdown",
     "dense_attention_peak",

@@ -16,8 +16,7 @@ import numpy as np
 
 from ..formats.cvse import ColumnVectorSparseMatrix
 
-__all__ = ["band_random_mask", "mask_to_cvse", "global_row_mask",
-           "longformer_mask", "bigbird_mask"]
+__all__ = ["band_random_mask", "mask_to_cvse"]
 
 
 def band_random_mask(
@@ -57,61 +56,7 @@ def band_random_mask(
     return np.repeat(grp, vector_length, axis=0)
 
 
-def global_row_mask(seq_len: int, num_global: int) -> np.ndarray:
-    """§8 Case 2: rows fully nonzero (global attention tokens)."""
-    mask = np.zeros((seq_len, seq_len), dtype=bool)
-    mask[:num_global, :] = True
-    mask[:, :num_global] = True
-    return mask
-
-
 def mask_to_cvse(mask: np.ndarray, vector_length: int = 8) -> ColumnVectorSparseMatrix:
     """Encode a boolean mask as a topology-only CVSE matrix."""
     return ColumnVectorSparseMatrix.mask_from_dense(mask, vector_length)
 
-
-def longformer_mask(
-    seq_len: int,
-    vector_length: int = 8,
-    window: int = 128,
-    num_global: int = 0,
-) -> np.ndarray:
-    """Longformer-style pattern: sliding window + optional global tokens.
-
-    Deterministic (no random component); the window is evaluated at
-    vector-row granularity so the result is CVSE-encodable.
-    """
-    m = band_random_mask(seq_len, vector_length, band=window, sparsity=1.0,
-                         rng=np.random.default_rng(0))
-    if num_global:
-        if num_global % vector_length:
-            raise ValueError("num_global must align to the vector length")
-        m = m | global_row_mask(seq_len, num_global)
-        # re-impose the vector constraint on the global *columns*
-        grp = m.reshape(seq_len // vector_length, vector_length, seq_len)
-        m = np.repeat(grp.any(axis=1), vector_length, axis=0)
-    return m
-
-
-def bigbird_mask(
-    seq_len: int,
-    vector_length: int = 8,
-    window: int = 64,
-    num_global: int = 0,
-    random_per_row: int = 3,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """BigBird-style pattern: window + global + per-row random blocks.
-
-    ``random_per_row`` random V-column blocks are added per vector row
-    (the paper's citation [30] uses exactly this family).
-    """
-    rng = rng or np.random.default_rng(0)
-    m = longformer_mask(seq_len, vector_length, window, num_global)
-    n_vr = seq_len // vector_length
-    grp = m.reshape(n_vr, vector_length, seq_len).any(axis=1)
-    for r in range(n_vr):
-        cols = rng.choice(seq_len // vector_length, size=random_per_row, replace=False)
-        for c in cols:
-            grp[r, c * vector_length : (c + 1) * vector_length] = True
-    return np.repeat(grp, vector_length, axis=0)

@@ -4,32 +4,14 @@ import importlib
 import inspect
 import pkgutil
 
-
 import repro
-
-PACKAGES = [
-    "repro",
-    "repro.formats",
-    "repro.hardware",
-    "repro.perfmodel",
-    "repro.kernels",
-    "repro.datasets",
-    "repro.transformer",
-    "repro.autograd",
-    "repro.numerics",
-    "repro.experiments",
-    "repro.serving",
-    "repro.profiler",
-]
 
 
 def iter_modules():
-    for pkg_name in PACKAGES:
-        pkg = importlib.import_module(pkg_name)
-        yield pkg
-        if hasattr(pkg, "__path__"):
-            for info in pkgutil.iter_modules(pkg.__path__):
-                yield importlib.import_module(f"{pkg_name}.{info.name}")
+    """``repro`` and every module under it, found by walking the package."""
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        yield importlib.import_module(info.name)
 
 
 class TestDocstrings:

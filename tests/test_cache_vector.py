@@ -13,8 +13,9 @@ across batches, and empty/singleton batches.
 import numpy as np
 import pytest
 
-from repro.hardware import CacheHierarchy, SectorCache, VectorSectorCache
+from repro.hardware import SectorCache, VectorSectorCache
 from repro.hardware.config import VOLTA_V100
+from repro.perfmodel.trace import replay_l1
 
 GEOM = dict(line_bytes=128, sector_bytes=32, ways=2)
 
@@ -141,17 +142,17 @@ class TestFuzzParity:
 
 
 class TestHierarchyEngineParity:
+    """``replay_l1``'s L1 -> L2 walk gives the same result on both engines."""
+
     def test_summary_identical_across_engines(self):
-        spec = VOLTA_V100
+        # one CTA per window on SM 0, so cache state carries across batches
         streams = [np.arange(512), np.arange(256, 768), np.arange(512)]
-        h_ref = CacheHierarchy(spec, l1_data_bytes=4096, engine="scalar")
-        h_vec = CacheHierarchy(spec, l1_data_bytes=4096, engine="vector")
-        for ids in streams:
-            m_ref = h_ref.access(ids)
-            m_vec = h_vec.access(ids)
-            np.testing.assert_array_equal(m_ref, m_vec)
-        assert h_ref.summary() == h_vec.summary()
+        ctas = [(i * VOLTA_V100.num_sms, [ids]) for i, ids in enumerate(streams)]
+        kw = dict(l1_data_bytes=4096, coresident=1)
+        ref = replay_l1(iter(ctas), engine="scalar", **kw)
+        assert ref == replay_l1(iter(ctas), engine="vector", **kw)
+        assert ref.sampled_ctas == 3 and ref.sampled_l2_fill_bytes > 0
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            CacheHierarchy(engine="simd")
+            replay_l1(iter([]), engine="simd")

@@ -6,9 +6,10 @@ import pytest
 from repro.cli import bench_sddmm, bench_spmm, build_parser, main
 from repro.datasets import generate_topology
 from repro.formats.io import write_smtx
-from repro.hardware import simulate_schedule
 from repro.hardware.config import VOLTA_V100
 from repro.perfmodel.reuse import work_imbalance
+
+from .work_distributor import simulate_schedule
 
 
 class TestScheduler:

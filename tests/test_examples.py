@@ -7,12 +7,9 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
-FAST = {"quickstart.py", "pruned_resnet_layer.py", "kernel_profiler.py",
-        "design_space_sweep.py", "sparse_training.py"}
 
 
-@pytest.mark.parametrize("script", [e for e in EXAMPLES if e.name in FAST],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=600
@@ -22,6 +19,5 @@ def test_example_runs(script):
 
 
 def test_all_examples_enumerated():
-    names = {e.name for e in EXAMPLES}
-    # the two slower ones are exercised by the experiment tests instead
-    assert names >= FAST | {"sparse_transformer_inference.py", "gcn_layer.py"}
+    # an empty glob would parametrize no runs and pass silently
+    assert {e.name for e in EXAMPLES} >= {"quickstart.py", "gcn_layer.py"}

@@ -1,10 +1,9 @@
-"""Tests for CSR, Blocked-ELL, block-sparse formats and conversions."""
+"""Tests for CSR, Blocked-ELL formats and conversions."""
 
 import numpy as np
 import pytest
 
 from repro.formats import (
-    BlockSparseMatrix,
     BlockedEllMatrix,
     CSRMatrix,
     blocked_ell_matching,
@@ -91,40 +90,6 @@ class TestBlockedEll:
     def test_memory_bytes(self):
         m = BlockedEllMatrix.random((32, 32), 4, 0.5, RNG)
         assert m.memory_bytes() == m.col_blocks.nbytes + m.values.nbytes
-
-
-class TestBlockSparse:
-    def test_round_trip(self):
-        m = BlockSparseMatrix.random((32, 48), (4, 4), 0.6, RNG)
-        d = m.to_dense()
-        m2 = BlockSparseMatrix.from_dense(d, (4, 4))
-        assert np.array_equal(m2.to_dense(), d)
-
-    def test_to_cvse_equivalence(self):
-        """§4.2: encoding each block column separately preserves values."""
-        m = BlockSparseMatrix.random((32, 48), (4, 8), 0.5, RNG)
-        cv = m.to_cvse()
-        assert cv.vector_length == 4
-        assert np.allclose(cv.to_dense(np.float32), m.to_dense(np.float32))
-
-    def test_to_cvse_vector_count(self):
-        m = BlockSparseMatrix.random((16, 32), (4, 4), 0.5, RNG)
-        assert m.to_cvse().nnz_vectors == m.nnz_blocks * 4
-
-    def test_transpose(self):
-        m = BlockSparseMatrix.random((16, 24), (4, 8), 0.5, RNG)
-        t = m.transpose()
-        assert t.block_shape == (8, 4)
-        assert np.allclose(t.to_dense(np.float32), m.to_dense(np.float32).T)
-
-    def test_square_blocks_both_encodable(self):
-        """§8 Case 1: with square blocks both W and W^T are CVSE-encodable."""
-        m = BlockSparseMatrix.random((32, 32), (4, 4), 0.6, RNG)
-        w = m.to_cvse()
-        wt = m.transpose().to_cvse()
-        assert np.allclose(
-            w.to_dense(np.float32).T, wt.to_dense(np.float32), atol=1e-3
-        )
 
 
 class TestConversions:

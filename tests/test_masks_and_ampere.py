@@ -1,53 +1,9 @@
-"""Tests for the mask zoo and the Ampere extrapolation spec."""
+"""Tests for the Ampere extrapolation spec."""
 
 import numpy as np
-import pytest
 
 from repro.hardware import AMPERE_A100, VOLTA_V100
 from repro.kernels import DenseGemmKernel, OctetSpmmKernel
-from repro.transformer import bigbird_mask, longformer_mask, mask_to_cvse
-from repro.transformer.attention import SparseAttention
-
-
-class TestLongformer:
-    def test_window_structure(self):
-        m = longformer_mask(128, 8, window=32)
-        assert m[64, 64]                       # diagonal
-        assert m[64, 55] and not m[64, 20]     # inside vs outside the window
-
-    def test_global_tokens(self):
-        m = longformer_mask(128, 8, window=16, num_global=8)
-        assert m[:8].all() and m[:, :8].all()
-
-    def test_cvse_encodable(self):
-        m = longformer_mask(64, 8, window=16, num_global=8)
-        cv = mask_to_cvse(m, 8)
-        assert np.array_equal(cv.mask_dense(), m)
-
-    def test_deterministic(self):
-        assert np.array_equal(longformer_mask(64, 8, 16), longformer_mask(64, 8, 16))
-
-    def test_alignment_check(self):
-        with pytest.raises(ValueError):
-            longformer_mask(64, 8, 16, num_global=5)
-
-
-class TestBigBird:
-    def test_adds_random_blocks(self):
-        rng = np.random.default_rng(1)
-        lf = longformer_mask(128, 8, window=16)
-        bb = bigbird_mask(128, 8, window=16, random_per_row=4, rng=rng)
-        assert bb.sum() > lf.sum()
-        assert np.all(bb[lf])  # superset of the window pattern
-
-    def test_cvse_encodable_and_runnable(self):
-        rng = np.random.default_rng(2)
-        bb = bigbird_mask(64, 8, window=16, num_global=8, random_per_row=2, rng=rng)
-        cv = mask_to_cvse(bb, 8)
-        assert np.array_equal(cv.mask_dense(), bb)
-        q = rng.uniform(-1, 1, (64, 16)).astype(np.float16)
-        out, t = SparseAttention(cv)(q, q, q)
-        assert out.shape == (64, 16) and t.total > 0
 
 
 class TestAmpereSpec:

@@ -1,18 +1,16 @@
 """Property-based tests (hypothesis) on core invariants.
 
-Covers: format round-trips for arbitrary vector-aligned patterns, the
-block-to-CVSE expansion, tensor-core identities, softmax normalisation,
-reuse-model bounds, and cost-model monotonicity.
+Covers: format round-trips for arbitrary vector-aligned patterns,
+tensor-core identities, softmax normalisation, reuse-model bounds, and
+cost-model monotonicity.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.formats import BlockSparseMatrix, ColumnVectorSparseMatrix
+from repro.formats import ColumnVectorSparseMatrix
 from repro.hardware import mma_m8n8k4
-from repro.hardware.shared_memory import bank_conflicts
 from repro.kernels import OctetSpmmKernel, SparseSoftmaxKernel, spmm_functional
 from repro.perfmodel.events import estimate_dram_bytes
 from repro.perfmodel.reuse import compulsory_ratio
@@ -58,18 +56,6 @@ class TestFormatProperties:
         dense, v = pattern
         m = ColumnVectorSparseMatrix.from_dense(dense, v)
         assert np.array_equal(m.transpose().transpose().to_dense(), dense)
-
-    @SETTINGS
-    @given(
-        st.integers(1, 4), st.integers(1, 4),
-        st.floats(0.0, 1.0), st.integers(0, 2**31),
-    )
-    def test_block_to_cvse_preserves_values(self, bm_i, rows_b, sparsity, seed):
-        bm = 2 ** bm_i  # 2..16
-        shape = (rows_b * bm, 4 * bm)
-        m = BlockSparseMatrix.random(shape, (bm, bm), sparsity, np.random.default_rng(seed))
-        cv = m.to_cvse()
-        assert np.allclose(cv.to_dense(np.float32), m.to_dense(np.float32))
 
 
 class TestTensorCoreProperties:
@@ -154,9 +140,3 @@ class TestModelProperties:
         cap = 6 * 2**20
         out = estimate_dram_bytes(unique, stream, cap)
         assert unique - 1e-6 <= out <= stream + 1e-6
-
-    @SETTINGS
-    @given(hnp.arrays(np.int64, 32, elements=st.integers(0, 4096)))
-    def test_bank_conflicts_bounds(self, addrs):
-        w = bank_conflicts(addrs * 4, 4)
-        assert 1 <= w <= 32

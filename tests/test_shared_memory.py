@@ -1,52 +1,10 @@
-"""Tests for the banked shared-memory model."""
+"""Tests for the shared-memory traffic counters."""
 
-import numpy as np
-
-from repro.hardware import SharedMemoryModel, bank_conflicts
-from repro.hardware.shared_memory import SharedMemoryStats
-
-
-class TestBankConflicts:
-    def test_conflict_free_sequential(self):
-        addrs = np.arange(32) * 4  # one word per bank
-        assert bank_conflicts(addrs, 4) == 1
-
-    def test_broadcast_is_free(self):
-        addrs = np.zeros(32, dtype=np.int64)
-        assert bank_conflicts(addrs, 4) == 1
-
-    def test_two_way_conflict(self):
-        # stride 2 words: lanes pair up on 16 banks
-        addrs = np.arange(32) * 8
-        assert bank_conflicts(addrs, 4) == 2
-
-    def test_worst_case_32_way(self):
-        # stride 32 words: all lanes hit bank 0 with distinct words
-        addrs = np.arange(32) * 128
-        assert bank_conflicts(addrs, 4) == 32
-
-    def test_wide_access_multiple_phases(self):
-        # 8B per lane = 2 conflict-free phases
-        addrs = np.arange(32) * 8
-        assert bank_conflicts(addrs, 8) == 2
-
-    def test_empty(self):
-        assert bank_conflicts(np.array([]), 4) == 0
+from repro.hardware import SharedMemoryStats
 
 
 class TestSharedMemoryModel:
-    def test_request_accounting(self):
-        m = SharedMemoryModel()
-        waves = m.request(np.arange(32) * 4, 4)
-        assert waves == 1
-        assert m.stats.load_requests == 1
-        assert m.stats.bytes_loaded == 128
-
-    def test_store_accounting(self):
-        m = SharedMemoryModel()
-        m.request(np.arange(32) * 4, 4, is_store=True)
-        assert m.stats.store_requests == 1
-        assert m.stats.load_requests == 0
+    """``SharedMemoryStats``, the shared-memory model the kernels fill."""
 
     def test_bulk(self):
         s = SharedMemoryStats()

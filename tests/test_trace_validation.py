@@ -211,3 +211,4 @@ class TestTraceMachinery:
                           sampled_l2_fill_bytes=320)
         assert res.bytes_dram_to_l2 == 3200
         assert res.l1_missed_sectors == res.bytes_l2_to_l1 / 32
+

@@ -13,7 +13,6 @@ from repro.transformer import (
     band_random_mask,
     dense_attention_peak,
     evaluate,
-    global_row_mask,
     make_dataset,
     mask_to_cvse,
     sparse_attention_peak,
@@ -46,11 +45,6 @@ class TestMasks:
     def test_seq_must_divide(self):
         with pytest.raises(ValueError):
             band_random_mask(65, 8)
-
-    def test_global_rows(self):
-        m = global_row_mask(32, 4)
-        assert m[:4].all() and m[:, :4].all()
-        assert not m[10, 10]
 
 
 class TestAttention:
