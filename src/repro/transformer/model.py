@@ -5,8 +5,12 @@ Long-Range-Arena style — token + position embeddings, pre-LayerNorm
 encoder blocks (multi-head self-attention + GELU FFN), mean pooling and
 a linear head.  Forward supports three execution modes:
 
-* ``dense`` float64 — the training path (the mask's dropped scores get
-  zero weight, as an additive ``-1e9`` gives them);
+* ``dense`` float64 — the training path.  Attention runs on the mask's
+  row groups (runs of rows that keep the same columns, 8 rows for the
+  paper's 8x1 column vectors), for every batch row and head at once;
+  scores, softmax and the cached attention cover only the kept columns,
+  and the dropped ones get zero weight, as an additive ``-1e9`` gives
+  them;
 * ``dense`` float16 — "directly quantize the weights and activations to
   half without finetuning" (Table 4's Dense(half));
 * ``sparse`` float16 — attention through the CVSE kernel pipeline
@@ -19,7 +23,7 @@ gradient check in the tests pins it against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +33,6 @@ __all__ = [
     "TransformerConfig",
     "TransformerClassifier",
     "softmax",
-    "masked_softmax",
-    "kept_entries",
-    "KeptEntries",
     "layer_norm",
 ]
 
@@ -51,48 +52,36 @@ def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
     return xhat * g + b, (xhat, var, eps)
 
 
-class KeptEntries(NamedTuple):
-    """The entries of an ``(L, L)`` attention mask that softmax can make
-    nonzero, from :func:`kept_entries`."""
-
-    index: np.ndarray  # row-major flat indices into the (L, L) tile
-    row: np.ndarray  # the row of each index
-    start: np.ndarray  # where each row's run begins in ``index``
-    fill: np.ndarray  # positions in ``index`` that the mask drops
+#: one row group of an attention mask: its rows, the columns they keep,
+#: and the factor on their scores (``0`` for a fully-masked group)
+RowGroup = Tuple[slice, np.ndarray, float]
 
 
-def kept_entries(mask: np.ndarray) -> KeptEntries:
-    """Index the kept entries of a boolean ``(L, L)`` mask once.
+def _row_groups(mask: Optional[np.ndarray], L: int, head_dim: int) -> List[RowGroup]:
+    """Split an ``(L, L)`` mask into runs of consecutive rows that keep
+    the same columns; ``None`` is one group keeping everything.
 
-    A fully-masked row keeps every position: ``softmax`` of a row of
-    ``-1e9`` is uniform, not zero.
+    Band+random masks built from 8x1 column vectors split into groups
+    of 8 rows.  Scores are scaled by ``1/sqrt(head_dim)``; a
+    fully-masked group keeps every column with its scores scaled by 0:
+    its softmax is uniform, as the additive ``-1e9`` reference gives,
+    and no gradient reaches its q or k.
     """
-    mask = np.asarray(mask, dtype=bool)
-    keep = mask | ~mask.any(-1, keepdims=True)
-    index = np.flatnonzero(keep)
-    row = index // mask.shape[-1]
-    start = np.searchsorted(row, np.arange(mask.shape[0]))
-    return KeptEntries(index, row, start, np.flatnonzero(~mask.reshape(-1)[index]))
+    if mask is None:
+        mask = np.ones((L, L), dtype=bool)
+    bounds = [0, *(np.flatnonzero((mask[1:] != mask[:-1]).any(-1)) + 1), L]
+    groups = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cols = np.flatnonzero(mask[lo])
+        live = cols.size > 0
+        groups.append((slice(lo, hi), cols if live else np.arange(L), live / np.sqrt(head_dim)))
+    return groups
 
 
-def masked_softmax(scores: np.ndarray, kept: KeptEntries) -> np.ndarray:
-    """``softmax(np.where(mask, scores, -1e9))`` over ``(..., L, L)``
-    scores, bit for bit, with ``exp`` taken only on the kept entries.
-
-    Elsewhere the reference's ``exp(-1e9 - max)`` is exactly ``+0.0``,
-    which is what the output holds there; adding those zeros leaves the
-    row sums unchanged.
-    """
-    tile = scores.shape[-2] * scores.shape[-1]
-    flat = scores.reshape(-1, tile)
-    vals = flat[:, kept.index]
-    vals[:, kept.fill] = -1e9
-    row_max = np.maximum.reduceat(vals, kept.start, axis=1)
-    e = np.zeros_like(flat)
-    e[:, kept.index] = np.exp(vals - row_max[:, kept.row])
-    e = e.reshape(scores.shape)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """A ``(B, H, L, head_dim)`` view of ``(B, L, d_model)`` activations."""
+    B, L, d = x.shape
+    return x.reshape(B, L, n_heads, d // n_heads).swapaxes(1, 2)
 
 
 _GELU_C = 0.7978845608028654
@@ -162,12 +151,6 @@ class TransformerClassifier:
         self.params = p
 
     # ------------------------------------------------------------------ #
-    def _attend_dense(self, q, k, v, kept: Optional[KeptEntries]):
-        d = q.shape[-1]
-        scores = q @ k.swapaxes(-1, -2) / np.sqrt(d)
-        att = softmax(scores) if kept is None else masked_softmax(scores, kept)
-        return att @ v, att
-
     def forward(
         self,
         tokens: np.ndarray,
@@ -182,12 +165,31 @@ class TransformerClassifier:
         Returns (logits, cache, timing).  The cache holds what
         :meth:`loss_and_grads` reads back; it is filled in every mode but
         only the dense-float one (the training path) is differentiated.
+        The dense modes attend one row group of the mask at a time
+        (:func:`_row_groups`), for every batch row and head at once, and
+        the cache keeps each group's compact ``(B, H, rows, cols)``
+        attention instead of dense ``(L, L)`` tiles.
         """
         cfg = self.cfg
         if mode not in ("dense-float", "dense-half", "sparse-half"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "sparse-half" and sparse_attention is None:
             raise ValueError("sparse-half mode needs a SparseAttention instance")
+        if mode == "sparse-half" and mask is not None:
+            raise ValueError("sparse-half takes its mask from sparse_attention, not mask")
+        tokens = np.asarray(tokens)
+        single = tokens.ndim == 1
+        if single:
+            tokens = tokens[None]
+        B, L = tokens.shape
+        if L > cfg.seq_len:
+            raise ValueError(f"tokens of shape {tokens.shape} exceed seq_len {cfg.seq_len}")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (L, L):
+                raise ValueError(
+                    f"mask of shape {mask.shape} does not fit tokens of shape {tokens.shape}"
+                )
         half = mode != "dense-float"
 
         def q16(x):
@@ -196,30 +198,25 @@ class TransformerClassifier:
         # dense-float keeps float64 end to end (training/grad-check
         # path); the half modes round every operand through fp16.
         p = {k: (q16(v.astype(np.float32)) if half else v) for k, v in self.params.items()}
-        tokens = np.asarray(tokens)
-        single = tokens.ndim == 1
-        if single:
-            tokens = tokens[None]
-        B, L = tokens.shape
         timing = AttentionTiming() if collect_timing else None
+        H, hd = cfg.n_heads, cfg.head_dim
         # the mask is fixed across layers, heads and batch rows
-        kept = None if mask is None else kept_entries(mask)
+        groups = _row_groups(mask, L, hd)
 
         x = q16(p["emb"][tokens] + p["pos"][None, :L])
-        cache: Dict[str, object] = {"tokens": tokens}
+        cache: Dict[str, object] = {"tokens": tokens, "groups": groups}
         for i in range(cfg.n_layers):
             h, ln1 = layer_norm(x, p[f"g1_{i}"], p[f"bn1_{i}"])
             h = q16(h)
             q = q16(h @ p[f"wq{i}"])
             k = q16(h @ p[f"wk{i}"])
             v = q16(h @ p[f"wv{i}"])
-            hd = cfg.head_dim
             outs = np.empty_like(q)
             atts = []
-            for hh in range(cfg.n_heads):
-                sl = slice(hh * hd, (hh + 1) * hd)
-                for b in range(B):
-                    if mode == "sparse-half":
+            if mode == "sparse-half":
+                for hh in range(H):
+                    sl = slice(hh * hd, (hh + 1) * hd)
+                    for b in range(B):
                         o, t = sparse_attention(
                             q[b, :, sl].astype(np.float16),
                             k[b, :, sl].astype(np.float16),
@@ -228,11 +225,14 @@ class TransformerClassifier:
                         outs[b, :, sl] = o.astype(np.float32)
                         if timing is not None:
                             timing.add(t)
-                        atts.append(None)
-                    else:
-                        o, att = self._attend_dense(q[b, :, sl], k[b, :, sl], v[b, :, sl], kept)
-                        outs[b, :, sl] = q16(o)
-                        atts.append(att)
+            else:
+                qh, kh, vh, oh = (_heads(a, H) for a in (q, k, v, outs))
+                # the groups partition the rows, so each row of outs is
+                # written once
+                for rows, cols, scale in groups:
+                    att = softmax((qh[:, :, rows] @ kh[:, :, cols].swapaxes(-1, -2)) * scale)
+                    oh[:, :, rows] = q16(att @ vh[:, :, cols])
+                    atts.append(att)
             proj = q16(outs @ p[f"wo{i}"])
             x = x + proj
             h2, ln2 = layer_norm(x, p[f"g2_{i}"], p[f"bn2_{i}"])
@@ -246,7 +246,6 @@ class TransformerClassifier:
         pooled = x.mean(axis=1)
         logits = pooled @ p["w_cls"] + p["b_cls"]
         cache["pooled"] = pooled
-        cache["mask"] = mask
         if single:
             logits = logits[0]
         return logits, cache, timing
@@ -291,21 +290,17 @@ class TransformerClassifier:
             dproj = dx_mid
             g[f"wo{i}"] += outs.reshape(-1, cfg.d_model).T @ dproj.reshape(-1, cfg.d_model)
             douts = dproj @ p[f"wo{i}"].T
-            dq = np.zeros_like(q)
-            dk = np.zeros_like(k)
-            dv = np.zeros_like(v)
-            hd = cfg.head_dim
-            for hh in range(cfg.n_heads):
-                sl = slice(hh * hd, (hh + 1) * hd)
-                for b in range(B):
-                    att = atts[hh * B + b]
-                    do = douts[b, :, sl]
-                    dv[b, :, sl] += att.T @ do
-                    datt = do @ v[b, :, sl].T
-                    ds = att * (datt - (datt * att).sum(-1, keepdims=True))
-                    ds /= np.sqrt(hd)
-                    dq[b, :, sl] += ds @ k[b, :, sl]
-                    dk[b, :, sl] += ds.T @ q[b, :, sl]
+            # the groups partition the rows, so dq needs no zeroing
+            dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+            qh, kh, vh, doh = (_heads(a, cfg.n_heads) for a in (q, k, v, douts))
+            dqh, dkh, dvh = (_heads(a, cfg.n_heads) for a in (dq, dk, dv))
+            for (rows, cols, scale), att in zip(cache["groups"], atts):
+                do = doh[:, :, rows]
+                dvh[:, :, cols] += att.swapaxes(-1, -2) @ do
+                datt = do @ vh[:, :, cols].swapaxes(-1, -2)
+                ds = att * (datt - (datt * att).sum(-1, keepdims=True)) * scale
+                dqh[:, :, rows] = ds @ kh[:, :, cols]
+                dkh[:, :, cols] += ds.swapaxes(-1, -2) @ qh[:, :, rows]
             dh = dq @ p[f"wq{i}"].T + dk @ p[f"wk{i}"].T + dv @ p[f"wv{i}"].T
             g[f"wq{i}"] += h.reshape(-1, cfg.d_model).T @ dq.reshape(-1, cfg.d_model)
             g[f"wk{i}"] += h.reshape(-1, cfg.d_model).T @ dk.reshape(-1, cfg.d_model)

@@ -1,5 +1,7 @@
 """Tests for the transformer substrate: masks, attention, model, training."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.transformer import (
     sparse_attention_peak,
     train,
 )
-from repro.transformer.model import _gelu, _gelu_grad, kept_entries, masked_softmax, softmax
+from repro.transformer.model import _gelu, _gelu_grad, layer_norm, softmax
 
 RNG = np.random.default_rng(23)
 
@@ -110,8 +112,56 @@ class TestMemoryAccounting:
         assert 5 < h.total / s.total < 25
 
 
+def _tile_reference_logits(model, tokens, mask, half):
+    """Logits from one dense ``(L, L)`` score tile per batch row and head,
+    the mask applied as ``softmax(np.where(mask, s, -1e9))``: the forward
+    that the model's row-group attention replaces."""
+    cfg = model.cfg
+
+    def q16(a):
+        return a.astype(np.float16).astype(np.float32) if half else a
+
+    p = {k: (q16(w.astype(np.float32)) if half else w) for k, w in model.params.items()}
+    B, L = tokens.shape
+    hd = cfg.head_dim
+    x = q16(p["emb"][tokens] + p["pos"][None, :L])
+    for i in range(cfg.n_layers):
+        h = q16(layer_norm(x, p[f"g1_{i}"], p[f"bn1_{i}"])[0])
+        q, k, v = (q16(h @ p[f"w{n}{i}"]) for n in "qkv")
+        outs = np.empty_like(q)
+        for b in range(B):
+            for hh in range(cfg.n_heads):
+                sl = slice(hh * hd, (hh + 1) * hd)
+                s = q[b, :, sl] @ k[b, :, sl].T / np.sqrt(hd)
+                if mask is not None:
+                    s = np.where(mask, s, -1e9)
+                outs[b, :, sl] = q16(softmax(s) @ v[b, :, sl])
+        x = x + q16(outs @ p[f"wo{i}"])
+        h2 = q16(layer_norm(x, p[f"g2_{i}"], p[f"bn2_{i}"])[0])
+        f1 = q16(_gelu(h2 @ p[f"w1_{i}"] + p[f"b1_{i}"])[0])
+        x = x + q16(f1 @ p[f"w2_{i}"] + p[f"b2_{i}"])
+    return x.mean(axis=1) @ p["w_cls"] + p["b_cls"]
+
+
+def _masks():
+    """``(32, 32)`` masks that split into different row groups: 8-row
+    groups (band), one-row groups (unstructured), fully-masked rows, and
+    no mask."""
+    rng = np.random.default_rng(12)
+    unstructured = rng.random((32, 32)) < 0.3
+    empty_rows = unstructured.copy()
+    empty_rows[5:7] = False
+    return {
+        "band": band_random_mask(32, 8, 8, 0.7, rng),
+        "unstructured": unstructured,
+        "empty_rows": empty_rows,
+        "none": None,
+    }
+
+
 class TestModelAndTraining:
     CFG = TransformerConfig(seq_len=32, d_model=16, n_heads=2, n_layers=1, d_ff=32)
+    CFG2 = TransformerConfig(seq_len=32, d_model=16, n_heads=2, n_layers=2, d_ff=32)
 
     @staticmethod
     def _check_grads(model, tok, lab, keys, mask=None):
@@ -138,12 +188,33 @@ class TestModelAndTraining:
         self._check_grads(model, tok, lab, ("wq0", "wo0", "w2_0", "g2_0", "w_cls"))
 
     def test_gradient_check_masked_two_layers(self):
-        cfg = TransformerConfig(seq_len=32, d_model=16, n_heads=2, n_layers=2, d_ff=32)
-        model = TransformerClassifier(cfg, np.random.default_rng(8))
+        model = TransformerClassifier(self.CFG2, np.random.default_rng(8))
         tok, lab = make_dataset(2, ByteTaskConfig(seq_len=32, markers=4))
         mask = band_random_mask(32, 8, 8, 0.6, np.random.default_rng(9))
         keys = ("wk0", "wv0", "w1_0", "b1_1", "g1_0", "bn2_1", "emb", "pos")
         self._check_grads(model, tok, lab, keys, mask)
+
+    def test_gradient_check_unstructured_mask_with_empty_rows(self):
+        model = TransformerClassifier(self.CFG2, np.random.default_rng(8))
+        tok, lab = make_dataset(2, ByteTaskConfig(seq_len=32, markers=4))
+        keys = ("wq0", "wk0", "wv0", "wo1", "wq1", "g1_1", "emb", "pos")
+        self._check_grads(model, tok, lab, keys, _masks()["empty_rows"])
+
+    # Row-group attention sums each row's kept entries in another order
+    # than the dense tile's L, and multiplies by 1/sqrt(head_dim) where
+    # the tile divides: float64 logits move at ulp level (1e-12 covers
+    # it).  In the half modes such a move can flip the fp16 rounding of
+    # an activation by one ulp, at most 2^-10 of its magnitude; with
+    # O(1) logits, 2e-3 allows about two such flips to reach them.
+    @pytest.mark.parametrize("mode, atol", [("dense-float", 1e-12), ("dense-half", 2e-3)])
+    @pytest.mark.parametrize("name", ["band", "unstructured", "empty_rows", "none"])
+    def test_logits_match_dense_tile_reference(self, name, mode, atol):
+        model = TransformerClassifier(self.CFG2, np.random.default_rng(10))
+        tok, _ = make_dataset(6, ByteTaskConfig(seq_len=32, markers=4))
+        mask = _masks()[name]
+        got, _, _ = model.forward(tok, mask=mask, mode=mode)
+        ref = _tile_reference_logits(model, tok, mask, half=mode == "dense-half")
+        assert np.allclose(got, ref, rtol=0, atol=atol)
 
     def test_training_reduces_loss(self):
         model = TransformerClassifier(self.CFG, np.random.default_rng(4))
@@ -179,6 +250,25 @@ class TestModelAndTraining:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 32), dtype=np.int64), mode="sparse-half")
 
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 16), (64, 64)])
+    def test_mask_shape_must_match_tokens(self, shape):
+        model = TransformerClassifier(self.CFG)
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + r".*\(1, 32\)"):
+            model.forward(np.zeros((1, 32), dtype=np.int64), mask=np.ones(shape, dtype=bool))
+
+    def test_tokens_longer_than_seq_len_rejected(self):
+        model = TransformerClassifier(self.CFG)
+        with pytest.raises(ValueError, match=r"\(1, 64\).*32"):
+            model.forward(np.zeros((1, 64), dtype=np.int64))
+
+    def test_sparse_mode_rejects_mask(self):
+        model = TransformerClassifier(self.CFG)
+        mask = band_random_mask(32, 8, 8, 0.6, RNG)
+        sa = SparseAttention(mask_to_cvse(mask, 8))
+        with pytest.raises(ValueError, match="sparse_attention"):
+            model.forward(np.zeros((1, 32), dtype=np.int64), mask=mask,
+                          mode="sparse-half", sparse_attention=sa)
+
     def test_num_parameters(self):
         model = TransformerClassifier(self.CFG)
         assert model.num_parameters() == sum(v.size for v in model.params.values())
@@ -190,31 +280,7 @@ def _bits(a):
 
 
 class TestMaskedSoftmax:
-    """``masked_softmax`` and the reused GELU tanh are bit-exact rewrites."""
-
-    @staticmethod
-    def _masks(l):
-        rng = np.random.default_rng(12)
-        band = band_random_mask(l, 8, 8, 0.7, rng)
-        empty_row = band.copy()
-        empty_row[5] = False
-        return band, np.ones((l, l), dtype=bool), empty_row
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", [(32, 32), (3, 2, 32, 32)])
-    def test_bits_match_where_softmax(self, dtype, shape):
-        s = np.random.default_rng(13).normal(0, 3, shape).astype(dtype)
-        for mask in self._masks(32):
-            ref = softmax(np.where(mask, s, -1e9))
-            got = masked_softmax(s, kept_entries(mask))
-            assert got.dtype == ref.dtype
-            assert np.array_equal(_bits(got), _bits(ref))
-
-    def test_fully_masked_row_is_uniform(self):
-        _, _, empty_row = self._masks(32)
-        s = np.random.default_rng(14).normal(0, 1, (32, 32))
-        att = masked_softmax(s, kept_entries(empty_row))
-        assert np.all(att[5] == 1.0 / 32)
+    """The training step's bit-exact rewrites: the reused GELU tanh."""
 
     def test_gelu_grad_with_forward_tanh_matches_recompute(self):
         x = np.random.default_rng(15).normal(0, 2, (4, 32, 16))
