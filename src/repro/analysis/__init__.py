@@ -7,9 +7,9 @@ Ten registered rules over one shared parse: the five PR-3 contract lints
 ``obs-naming-contract``, ``purity-propagation``).
 
 Entry points: :func:`run_analysis` (programmatic),
-``python -m repro.cli analyze`` (CLI, with baseline enforcement and
-JSON/SARIF output).  See ``docs/ANALYSIS.md`` for the rule catalogue and
-the suppression/baseline workflow.
+``python -m repro.cli analyze`` (CLI, with JSON/SARIF output).  See
+``docs/ANALYSIS.md`` for the rule catalogue and the suppression comments
+that waive a finding.
 """
 
 from __future__ import annotations
@@ -31,25 +31,15 @@ from . import obscheck  # noqa: E402,F401
 from . import precision  # noqa: E402,F401
 from . import purity  # noqa: E402,F401
 
-from .baseline import (  # noqa: E402,F401
-    BaselineDiff,
-    diff_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .emit import to_json, to_sarif  # noqa: E402,F401
 
 __all__ = [
     "AnalysisContext",
-    "BaselineDiff",
     "Finding",
     "RULES",
     "Rule",
-    "diff_baseline",
-    "load_baseline",
     "run_analysis",
     "to_json",
     "to_sarif",
     "validate_rule_ids",
-    "write_baseline",
 ]

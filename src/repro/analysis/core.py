@@ -17,10 +17,6 @@ themselves small.
 Suppressions: a finding on line N is suppressed by a trailing comment
 ``# repro: ignore[rule-id]`` on line N or on the line directly above it
 (``# repro: ignore`` with no bracket suppresses every rule on that line).
-
-Fingerprints: a finding's identity for baseline purposes is
-``rule|path|message`` — deliberately line-number free so unrelated churn
-above a grandfathered finding does not resurrect it.
 """
 
 from __future__ import annotations
@@ -58,18 +54,13 @@ _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore(?:\[([A-Za-z0-9_,\- ]+)\])?")
 
 @dataclass
 class Finding:
-    """One diagnostic.  ``message`` must not embed line numbers so that the
-    baseline fingerprint survives unrelated line churn."""
+    """One diagnostic."""
 
     rule: str
     path: str  # repo-relative posix path
     line: int
     message: str
     severity: str = "error"
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}|{self.path}|{self.message}"
 
     def render(self) -> str:
         return f"{self.rule}: {self.path}:{self.line} {self.message}"

@@ -2,23 +2,21 @@
 
 The SARIF output is the minimal valid subset GitHub code scanning and the
 usual viewers accept: one run, one driver with the rule catalogue, one
-result per finding with a physical location.  Grandfathered findings are
-emitted with ``baselineState: "unchanged"`` so a viewer can separate the
-burn-down set from new findings.
+result per finding with a physical location.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from .core import RULES, Finding
 
 _SARIF_LEVEL = {"error": "error", "warning": "warning", "note": "note"}
 
 
-def to_json(findings: List[Finding], grandfathered: Set[str]) -> str:
-    """Findings as a JSON report string (grandfathered flagged per entry)."""
+def to_json(findings: List[Finding]) -> str:
+    """Findings as a JSON report string."""
 
     payload = {
         "findings": [
@@ -28,7 +26,6 @@ def to_json(findings: List[Finding], grandfathered: Set[str]) -> str:
                 "line": f.line,
                 "severity": f.severity,
                 "message": f.message,
-                "grandfathered": f.fingerprint in grandfathered,
             }
             for f in findings
         ]
@@ -36,7 +33,7 @@ def to_json(findings: List[Finding], grandfathered: Set[str]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def to_sarif(findings: List[Finding], grandfathered: Set[str]) -> str:
+def to_sarif(findings: List[Finding]) -> str:
     """Findings as a SARIF 2.1.0 report string (see the module docstring)."""
 
     rule_ids = sorted({f.rule for f in findings} | set(RULES))
@@ -64,9 +61,6 @@ def to_sarif(findings: List[Finding], grandfathered: Set[str]) -> str:
                 "ruleIndex": index[f.rule],
                 "level": _SARIF_LEVEL.get(f.severity, "error"),
                 "message": {"text": f.message},
-                "baselineState": (
-                    "unchanged" if f.fingerprint in grandfathered else "new"
-                ),
                 "locations": [
                     {
                         "physicalLocation": {

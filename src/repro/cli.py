@@ -5,23 +5,29 @@ the §7.1.1 benchmarks at the requested vector length, and prints a
 comparison table of every applicable kernel against the dense cuBLAS
 analog — the per-matrix version of Figures 17/19.
 
-The ``sanitize`` subcommand instead runs the kernel sanitizer
-(:mod:`repro.sanitizer`) over any kernel case x problem suite, the
-``faults`` subcommand runs a seeded SDC fault-injection campaign
-(:mod:`repro.faults`) measuring the sanitizer's detection coverage,
-and the ``plans`` subcommand compiles, validates, and parity-checks
-the execution plans (:mod:`repro.plans`) of every simulated kernel on
-a seeded problem.  The ``memo`` subcommand inspects (and verifies or
-compacts) the shared cross-process memo store
-(:mod:`repro.perfmodel.sharedmemo`), ``merge`` combines ``--shard``
-sweep outputs into one verified result
-(:mod:`repro.experiments.sharding`), and ``serve`` runs the
-multi-tenant serving simulator (:mod:`repro.serving`) over a named
-scenario with admission control, hedged retries and graceful
-degradation, and ``profile`` runs the Nsight-Compute-analog kernel
-profiler (:mod:`repro.profiler`): roofline classification, ranked
-bottleneck attribution, the append-only run-history store and the
-checked-in perf-regression baseline.
+The subcommands live in one table, ``_SUBCOMMANDS``: each name maps to
+its description, the function that adds its arguments, and the handler
+that runs it.  :func:`main` parses once and turns any ``ValueError`` a
+handler raises into ``error: ...`` on stderr and exit 2.
+
+* ``sanitize`` runs the kernel sanitizer (:mod:`repro.sanitizer`) over
+  any kernel case x problem suite;
+* ``faults`` runs a seeded SDC fault-injection campaign
+  (:mod:`repro.faults`) measuring the sanitizer's detection coverage;
+* ``obs`` runs experiments under the observability layer
+  (:mod:`repro.obs`);
+* ``plans`` compiles, validates, and parity-checks the execution plans
+  (:mod:`repro.plans`) of every simulated kernel on a seeded problem;
+* ``memo`` inspects (and verifies or compacts) the shared cross-process
+  memo store (:mod:`repro.perfmodel.sharedmemo`);
+* ``merge`` combines ``--shard`` sweep outputs into one verified result
+  (:mod:`repro.experiments.sharding`);
+* ``serve`` runs the multi-tenant serving simulator
+  (:mod:`repro.serving`) over a named scenario;
+* ``profile`` runs the Nsight-Compute-analog kernel profiler
+  (:mod:`repro.profiler`): roofline classification, ranked bottleneck
+  attribution, the run-history store and the perf-regression baseline;
+* ``analyze`` runs the whole-repo static analysis (:mod:`repro.analysis`).
 
 Examples
 --------
@@ -50,12 +56,14 @@ Examples
     python -m repro.cli profile --config fig20-k256 -v
     python -m repro.cli profile --diff spmm-octet dense-gemm
     python -m repro.cli profile --smoke --check
+    python -m repro.cli analyze --sarif analysis.sarif
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -75,18 +83,15 @@ from .kernels.spmm_wmma import WmmaSpmmKernel
 from .profiler import KernelProfile, derive_profile
 from .profiler.report import format_table, guidelines_table
 
-__all__ = ["main", "build_parser", "build_sanitize_parser", "build_faults_parser",
-           "build_obs_parser", "build_plans_parser", "build_memo_parser",
-           "build_merge_parser", "build_analyze_parser", "build_serve_parser",
-           "build_profile_parser", "bench_spmm", "bench_sddmm", "EXIT_CLEAN",
+__all__ = ["main", "build_parser", "bench_spmm", "bench_sddmm", "EXIT_CLEAN",
            "EXIT_FINDINGS", "EXIT_USAGE"]
 
 #: bench-table kernel names accepted by ``--kernel`` (per op)
 SPMM_BENCH_KERNELS = ("octet", "wmma", "fpu", "blocked-ell")
 SDDMM_BENCH_KERNELS = ("reg", "shfl", "arch", "wmma", "fpu")
 
-#: shared exit-code convention for every checking subcommand
-#: (sanitize / faults / analyze): clean, findings, bad invocation
+#: shared exit-code convention for every subcommand: clean, findings
+#: (or a failed gate), bad invocation
 EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE = 0, 1, 2
 
 
@@ -103,6 +108,18 @@ def _validate_names(names, valid, what: str) -> None:
     unknown = sorted(set(names) - set(valid))
     if unknown:
         raise ValueError(f"unknown {what}: {unknown}; valid choices: {sorted(valid)}")
+
+
+def _smoke_gate(name: str, failures: List[str], ok_line: str) -> int:
+    """The one ``--smoke`` report: ``<name> smoke FAILED:`` plus one
+    ``  - reason`` line per failure on stderr (exit 1), else ``ok_line``."""
+    if failures:
+        print(f"\n{name} smoke FAILED:", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return EXIT_FINDINGS
+    print(ok_line)
+    return EXIT_CLEAN
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,15 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def build_sanitize_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench sanitize``."""
+def _sanitize_args(ap: argparse.ArgumentParser) -> None:
     from .sanitizer import KERNEL_CASES, SUITES
 
-    ap = argparse.ArgumentParser(
-        prog="repro-bench sanitize",
-        description="Run the kernel sanitizer (memcheck/racecheck/synccheck/"
-                    "ownership/statcheck) over kernel cases x problem suites",
-    )
     ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
                     help="kernel case(s) to sanitize (repeatable); "
                          f"choices: {sorted(KERNEL_CASES)}")
@@ -150,36 +161,21 @@ def build_sanitize_parser() -> argparse.ArgumentParser:
                     help="every kernel case on the 'smoke' suite (CI)")
     ap.add_argument("--verbose", action="store_true",
                     help="print per-checker work counters")
-    return ap
 
 
-def _sanitize_main(argv) -> int:
+def _sanitize(args) -> int:
     """``sanitize`` subcommand: exit 0 on a clean sweep, 1 on findings."""
     from .sanitizer import format_reports, sanitize
 
-    args = build_sanitize_parser().parse_args(argv)
-    suite = args.suite
-    if args.all:
-        suite = "full"
-    elif args.smoke:
-        suite = "smoke"
-    try:
-        reports = sanitize(args.kernel, suite=suite)
-    except ValueError as exc:
-        return _usage_error(exc)
+    suite = "full" if args.all else "smoke" if args.smoke else args.suite
+    reports = sanitize(args.kernel, suite=suite)
     print(format_reports(reports, verbose=args.verbose))
     return EXIT_CLEAN if all(r.ok for r in reports) else EXIT_FINDINGS
 
 
-def build_faults_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench faults``."""
+def _faults_args(ap: argparse.ArgumentParser) -> None:
     from .faults.campaign import CAMPAIGNS
 
-    ap = argparse.ArgumentParser(
-        prog="repro-bench faults",
-        description="Run a seeded SDC fault-injection campaign and score the "
-                    "sanitizer's detection coverage against the documented floors",
-    )
     ap.add_argument("--campaign", default="default",
                     help=f"campaign to run; choices: {sorted(CAMPAIGNS)}")
     ap.add_argument("--smoke", action="store_true",
@@ -188,34 +184,21 @@ def build_faults_parser() -> argparse.ArgumentParser:
                     help="campaign seed (same seed => identical findings)")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="print every injection record")
-    return ap
 
 
-def _faults_main(argv) -> int:
+def _faults(args) -> int:
     """``faults`` subcommand: exit 0 when every checker meets its
-    coverage floor, 1 otherwise, 2 on unknown campaign names."""
+    coverage floor, 1 otherwise."""
     from .faults.campaign import run_campaign
 
-    args = build_faults_parser().parse_args(argv)
-    name = "smoke" if args.smoke else args.campaign
-    try:
-        result = run_campaign(name, seed=args.seed)
-    except ValueError as exc:
-        return _usage_error(exc)
+    result = run_campaign("smoke" if args.smoke else args.campaign, seed=args.seed)
     print(result.to_text(verbose=args.verbose))
     return EXIT_CLEAN if result.passed else EXIT_FINDINGS
 
 
-def build_obs_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench obs``."""
+def _obs_args(ap: argparse.ArgumentParser) -> None:
     from .experiments.runner import EXPERIMENTS
 
-    ap = argparse.ArgumentParser(
-        prog="repro-bench obs",
-        description="Run experiments under the observability layer: structured "
-                    "spans, a metrics snapshot, and a Chrome trace-event "
-                    "timeline (see docs/OBSERVABILITY.md)",
-    )
     ap.add_argument("--only", type=str, default="",
                     help=f"comma-separated experiment names; choices: {sorted(EXPERIMENTS)}")
     ap.add_argument("--full", action="store_true", help="use the full DLMC-style suite")
@@ -233,20 +216,18 @@ def build_obs_parser() -> argparse.ArgumentParser:
                     help="CI gate: one fast experiment, then validate the Chrome "
                          "trace schema and require >=95%% span coverage of the "
                          "measured wall-clock")
-    return ap
 
 
-def _obs_main(argv) -> int:
+def _obs(args) -> int:
     """``obs`` subcommand: exit 0 on success, 1 when the smoke gates
-    fail or the sweep degrades, 2 on bad arguments."""
+    fail or the sweep degrades."""
     import time as _time
-    from pathlib import Path
 
     from .experiments.runner import SweepFailure, run_all
     from .obs import metrics as obs_metrics
     from .obs import tracing as obs_tracing
+    from .perfmodel import sharedmemo as _sharedmemo
 
-    args = build_obs_parser().parse_args(argv)
     only = [s.strip() for s in args.only.split(",") if s.strip()] or None
     if args.smoke and only is None:
         only = ["table1"]  # fastest registered experiment
@@ -254,19 +235,15 @@ def _obs_main(argv) -> int:
     obs_tracing.reset()
     obs_metrics.reset()
     obs_tracing.enable()
-    degraded = False
+    rc = EXIT_CLEAN
     t0 = _time.perf_counter()
     try:
         run_all(quick=not args.full, only=only, jobs=args.jobs)
-    except ValueError as exc:
-        return _usage_error(exc)
     except SweepFailure:
-        degraded = True
+        rc = EXIT_FINDINGS
     wall = _time.perf_counter() - t0
 
     spans = obs_tracing.completed_spans()
-    doc = {"traceEvents": obs_tracing.chrome_trace_events(spans),
-           "displayTimeUnit": "ms"}
     # coverage: the root run_all span's share of the measured wall-clock
     root_ns = max((s["dur_ns"] for s in spans if s["name"] == "run_all"), default=0)
     coverage = root_ns / (wall * 1e9) if wall > 0 else 0.0
@@ -284,8 +261,6 @@ def _obs_main(argv) -> int:
     snap = obs_metrics.snapshot()
     # one row per (region, tier): the local process caches always, the
     # shared cross-process tier whenever it is on or saw traffic
-    from .perfmodel import sharedmemo as _sharedmemo
-
     show_shared = _sharedmemo.enabled() or any(
         row["shared_hits"] or row["shared_misses"]
         for row in snap["memo"].values())
@@ -315,32 +290,21 @@ def _obs_main(argv) -> int:
               f"metrics in {metrics_path}")
 
     if args.smoke:
-        problems = obs_tracing.validate_chrome_trace(doc)
-        if problems:
-            print("chrome trace schema FAILED:", file=sys.stderr)
-            for p in problems:
-                print(f"  - {p}", file=sys.stderr)
-            return 1
+        doc = {"traceEvents": obs_tracing.chrome_trace_events(spans),
+               "displayTimeUnit": "ms"}
+        failures = [f"chrome trace schema: {p}"
+                    for p in obs_tracing.validate_chrome_trace(doc)]
         if coverage < 0.95:
-            print(f"span coverage gate FAILED: {100.0 * coverage:.1f}% < 95% "
-                  f"of measured wall-clock", file=sys.stderr)
-            return 1
+            failures.append(f"span coverage: {100.0 * coverage:.1f}% < 95% "
+                            f"of measured wall-clock")
         if not snap["memo"] or not snap["cache"]:
-            print("metrics snapshot gate FAILED: memo/cache tables missing",
-                  file=sys.stderr)
-            return 1
-        print("obs smoke: chrome schema OK, coverage OK, metrics tables OK")
-    return 1 if degraded else 0
+            failures.append("metrics snapshot: memo/cache tables missing")
+        rc = max(rc, _smoke_gate("obs", failures, "obs smoke: chrome schema "
+                                 "OK, coverage OK, metrics tables OK"))
+    return rc
 
 
-def build_plans_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench plans``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench plans",
-        description="Compile the execution plans (repro.plans) of every "
-                    "simulated kernel on a seeded problem, run the ownership "
-                    "validation over them, and report the plan-cache traffic",
-    )
+def _plans_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--rows", type=int, default=64, help="sparse operand rows")
     ap.add_argument("--cols", type=int, default=128, help="sparse operand cols")
     ap.add_argument("--sparsity", type=float, default=0.7, help="vector-level sparsity")
@@ -351,16 +315,14 @@ def build_plans_parser() -> argparse.ArgumentParser:
     ap.add_argument("--parity", action="store_true",
                     help="also execute each plan and require bit-identity "
                          "against the interpreted *_reference twin")
-    return ap
 
 
-def _plans_main(argv) -> int:
+def _plans(args) -> int:
     """``plans`` subcommand: exit 0 when every plan validates (and, with
     ``--parity``, matches its reference bit for bit), 1 otherwise."""
     from . import plans
     from .perfmodel import memo
 
-    args = build_plans_parser().parse_args(argv)
     rng = np.random.default_rng(args.seed)
     v = args.vector_length
     csr = generate_topology((args.rows, args.cols), args.sparsity, rng)
@@ -419,16 +381,10 @@ def _plans_main(argv) -> int:
     hits, misses = h1 - h0, m1 - m0
     print(f"\nplan cache: {hits} hit(s), {misses} miss(es) "
           f"(enabled={plans.enabled()}, memo={memo.enabled()})")
-    return 1 if failed else 0
+    return EXIT_FINDINGS if failed else EXIT_CLEAN
 
 
-def build_memo_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench memo``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench memo",
-        description="Inspect, verify, or compact the shared cross-process "
-                    "memo store (repro.perfmodel.sharedmemo)",
-    )
+def _memo_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--dir", type=str, default="",
                     help="store directory (default: REPRO_MEMO_SHARED_DIR "
                          "or .repro-memo)")
@@ -440,23 +396,23 @@ def build_memo_parser() -> argparse.ArgumentParser:
                          "fresh segment and delete the superseded files (the "
                          "only reclamation path — run while no sweep writes "
                          "the store)")
-    return ap
 
 
-def _memo_main(argv) -> int:
+def _memo(args) -> int:
     """``memo`` subcommand: exit 0, or 1 when ``--verify`` finds
     corruption."""
     from .perfmodel import sharedmemo
 
-    args = build_memo_parser().parse_args(argv)
     if args.dir:
+        if Path(args.dir).exists() and not Path(args.dir).is_dir():
+            raise ValueError(f"--dir {args.dir} is not a directory")
         sharedmemo.set_dir(args.dir)
-    rc = 0
+    rc = EXIT_CLEAN
     if args.verify:
         ok, corrupt = sharedmemo.verify_store()
         print(f"verify: {ok} entr{'y' if ok == 1 else 'ies'} ok, "
               f"{corrupt} corrupt")
-        rc = 1 if corrupt else 0
+        rc = EXIT_FINDINGS if corrupt else EXIT_CLEAN
     if args.compact:
         summary = sharedmemo.compact()
         print(f"compact: kept {summary['kept']}, dropped "
@@ -473,42 +429,36 @@ def _memo_main(argv) -> int:
     return rc
 
 
-def build_merge_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench merge``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench merge",
-        description="Combine N --shard sweep output directories into one "
-                    "verified full-sweep result (exit 2 on mismatched shard "
-                    "configurations)",
-    )
+def _merge_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("shards", nargs="+", metavar="SHARD_DIR",
                     help="output directories written by --shard I/N runs")
     ap.add_argument("--out", type=str, required=True,
                     help="directory for the merged sweep result")
-    return ap
 
 
-def _merge_main(argv) -> int:
-    """``merge`` subcommand: delegates to the runner's merge driver
-    (0 merged+verified, 1 verification bug, 2 unmergeable inputs)."""
-    from pathlib import Path
+def _merge(args) -> int:
+    """``merge`` subcommand: combine, then verify.  Exit 0 merged and
+    every artifact verifies, 1 a merged artifact failed verification (a
+    bug, not an input problem), 2 the shard outputs cannot be merged
+    (mismatched configs, missing or corrupt shards)."""
+    from .experiments.sharding import MergeError, merge_shards, verify_manifest
 
-    from .experiments.runner import _merge_main as _runner_merge
+    out = Path(args.out)
+    try:
+        summary = merge_shards(args.shards, out)
+    except MergeError as exc:
+        return _usage_error(f"merge refused: {exc}")
+    checks = verify_manifest(out)
+    print(f"merged {summary['shards']} shards -> {summary['out']} "
+          f"({len(summary['experiments'])} experiments)")
+    for name, ok in checks.items():
+        print(f"  {name}: {'verified' if ok else 'CHECKSUM MISMATCH'}")
+    return EXIT_CLEAN if checks and all(checks.values()) else EXIT_FINDINGS
 
-    args = build_merge_parser().parse_args(argv)
-    return _runner_merge(args.shards, Path(args.out))
 
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench serve``."""
+def _serve_args(ap: argparse.ArgumentParser) -> None:
     from .serving import SCENARIOS
 
-    ap = argparse.ArgumentParser(
-        prog="repro-bench serve",
-        description="Run the deterministic multi-tenant serving simulator "
-                    "(admission control, hedged retries, graceful "
-                    "degradation) over a named scenario; see docs/SERVING.md",
-    )
     ap.add_argument("--scenario", default="",
                     help="scenario to simulate (default: steady, or overload "
                          f"under --smoke); choices: {sorted(SCENARIOS)}")
@@ -544,15 +494,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
                          "results/profile_history.jsonl)")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="also print the full JSON report document")
-    return ap
 
 
-def _serve_main(argv) -> int:
+def _serve(args) -> int:
     """``serve`` subcommand: exit 0 on a clean run, 1 when the smoke
-    gates fail, 2 on unknown scenarios / bad arguments."""
+    gates fail."""
     import dataclasses
     import json as _json
-    from pathlib import Path
 
     from .obs import tracing as obs_tracing
     from .serving import (
@@ -565,23 +513,18 @@ def _serve_main(argv) -> int:
         timeline_spans,
     )
 
-    args = build_serve_parser().parse_args(argv)
-    name = args.scenario or ("overload" if args.smoke else "steady")
-    try:
-        scenario = get_scenario(name)
-        if args.workers:
-            if args.workers < 0:
-                raise ValueError(f"--workers must be positive, got {args.workers}")
-            scenario = dataclasses.replace(scenario, workers=args.workers)
-        if args.load:
-            if args.load < 0:
-                raise ValueError(f"--load must be positive, got {args.load}")
-            scenario = scenario.with_load(args.load)
-        if args.requests <= 0:
-            raise ValueError(f"--requests must be positive, got {args.requests}")
-        result = simulate(scenario, args.requests, args.seed)
-    except ValueError as exc:
-        return _usage_error(exc)
+    scenario = get_scenario(args.scenario or ("overload" if args.smoke else "steady"))
+    if args.workers:
+        if args.workers < 0:
+            raise ValueError(f"--workers must be positive, got {args.workers}")
+        scenario = dataclasses.replace(scenario, workers=args.workers)
+    if args.load:
+        if not 0 < args.load < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"--load must be positive and finite, got {args.load}")
+        scenario = scenario.with_load(args.load)
+    if args.requests <= 0:
+        raise ValueError(f"--requests must be positive, got {args.requests}")
+    result = simulate(scenario, args.requests, args.seed)
 
     doc = report(result)
     print(format_report(result))
@@ -613,47 +556,35 @@ def _serve_main(argv) -> int:
         print(f"\nhistory: appended serving record {record['digest'][:12]} "
               f"to {args.history}")
 
-    if args.smoke:
-        failures = []
-        rerun = simulate(scenario, args.requests, args.seed)
-        if rerun.ledger_digest() != result.ledger_digest():
-            failures.append("determinism: same-seed rerun produced a "
-                            "different ledger digest")
-        if doc["outcomes"]["corrupt-served"]:
-            failures.append(f"corruption containment: "
-                            f"{doc['outcomes']['corrupt-served']} corrupted "
-                            f"result(s) served to tenants")
-        worst = max((row["p99_slo_ratio"] for row in doc["per_tenant"]
-                     if row["completed"]), default=0.0)
-        if worst > 1.0:
-            failures.append(f"SLO: admitted p99 reached {worst:.2f}x the "
-                            f"tenant SLO (gate 1.0x)")
-        accounted = sum(doc["outcomes"].values())
-        if accounted != args.requests or doc["outcomes"]["pending"]:
-            failures.append(f"accounting: {accounted}/{args.requests} "
-                            f"requests typed, "
-                            f"{doc['outcomes']['pending']} pending")
-        if failures:
-            print("\nserve smoke FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return EXIT_FINDINGS
-        print(f"\nserve smoke: determinism OK, corruption containment OK, "
-              f"SLO OK (worst p99 {worst:.2f}x), accounting OK")
-    return EXIT_CLEAN
+    if not args.smoke:
+        return EXIT_CLEAN
+    failures = []
+    rerun = simulate(scenario, args.requests, args.seed)
+    if rerun.ledger_digest() != result.ledger_digest():
+        failures.append("determinism: same-seed rerun produced a "
+                        "different ledger digest")
+    if doc["outcomes"]["corrupt-served"]:
+        failures.append(f"corruption containment: "
+                        f"{doc['outcomes']['corrupt-served']} corrupted "
+                        f"result(s) served to tenants")
+    worst = max((row["p99_slo_ratio"] for row in doc["per_tenant"]
+                 if row["completed"]), default=0.0)
+    if worst > 1.0:
+        failures.append(f"SLO: admitted p99 reached {worst:.2f}x the "
+                        f"tenant SLO (gate 1.0x)")
+    accounted = sum(doc["outcomes"].values())
+    if accounted != args.requests or doc["outcomes"]["pending"]:
+        failures.append(f"accounting: {accounted}/{args.requests} "
+                        f"requests typed, "
+                        f"{doc['outcomes']['pending']} pending")
+    return _smoke_gate("serve", failures,
+                       f"\nserve smoke: determinism OK, corruption containment "
+                       f"OK, SLO OK (worst p99 {worst:.2f}x), accounting OK")
 
 
-def build_profile_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench profile``."""
+def _profile_args(ap: argparse.ArgumentParser) -> None:
     from .profiler import CONFIGS, DEFAULT_CONFIG, KERNEL_NAMES
 
-    ap = argparse.ArgumentParser(
-        prog="repro-bench profile",
-        description="Nsight-Compute-analog profiler: derive per-kernel "
-                    "counters, roofline classification and ranked bottleneck "
-                    "attribution for the registered kernels; see "
-                    "docs/PROFILER.md",
-    )
     ap.add_argument("--config", default=DEFAULT_CONFIG,
                     help=f"named profile config (default {DEFAULT_CONFIG}); "
                          f"choices: {sorted(CONFIGS)}")
@@ -692,29 +623,20 @@ def build_profile_parser() -> argparse.ArgumentParser:
                          "history digests, baseline check when present")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="also print ranked bottleneck attribution per kernel")
-    return ap
 
 
-def _profile_main(argv) -> int:
+def _profile(args) -> int:
     """``profile`` subcommand: exit 0 clean, 1 on failed gates or
-    regressions, 2 on unknown configs/kernels."""
+    regressions."""
     import json as _json
-    from pathlib import Path
 
     from . import profiler
     from .profiler import CONFIGS, roofline_agreement, roofline_doc
     from .profiler.report import bottleneck_lines, roofline_summary
 
-    args = build_profile_parser().parse_args(argv)
-    try:
-        if args.config not in CONFIGS:
-            raise ValueError(f"unknown config {args.config!r}; valid "
-                             f"choices: {sorted(CONFIGS)}")
-        config = CONFIGS[args.config]
-        profiles = profiler.profile_all(config, kernels=args.kernel,
-                                        top=args.top)
-    except ValueError as exc:
-        return _usage_error(exc)
+    _validate_names([args.config], CONFIGS, "config")
+    config = CONFIGS[args.config]
+    profiles = profiler.profile_all(config, kernels=args.kernel, top=args.top)
 
     print(f"profile config {config.name}: seq={config.seq} head={config.head} "
           f"V={config.v} density={config.density} seed={config.seed}\n")
@@ -729,10 +651,7 @@ def _profile_main(argv) -> int:
 
     if args.diff:
         a, b = args.diff
-        try:
-            _validate_names([a, b], profiles, "kernels")
-        except ValueError as exc:
-            return _usage_error(exc)
+        _validate_names([a, b], profiles, "kernels")
         print(f"\ndiff {a} vs {b}:\n")
         print(profiler.diff_kernels(profiles[a], profiles[b]))
 
@@ -806,44 +725,98 @@ def _profile_main(argv) -> int:
             print(f"\nbaseline check OK ({len(baseline['kernels'])} kernels "
                   f"within {baseline.get('tolerance_pct')}%)")
 
-    if args.smoke:
-        if args.kernel is None and len(profiles) != len(profiler.KERNEL_NAMES):
-            failures.append(f"coverage: {len(profiles)}/"
-                            f"{len(profiler.KERNEL_NAMES)} kernels profiled")
-        unclassified = [n for n, p in profiles.items()
-                        if p.classification not in ("compute", "memory",
-                                                    "latency")]
-        if unclassified:
-            failures.append(f"classification: {unclassified}")
-        mismatched = roofline_agreement(profiles)
-        if mismatched:
-            failures.append(f"roofline agreement: {mismatched} classified "
-                            f"against the two-ceiling prediction")
-        if record is not None:
-            same = profiler.query(profiler.load_history(history_path),
-                                  kind="kernel-profile",
-                                  config_digest=record["config_digest"])
-            bad = profiler.validate_record(same[-1]) if same else ["missing"]
-            if bad:
-                failures.append(f"history: last record invalid: {bad}")
-            if len(same) >= 2 and same[-1]["digest"] != same[-2]["digest"]:
-                failures.append("history: consecutive same-config runs "
-                                "produced different digests (bit-stability)")
-        if failures:
-            print("\nprofile smoke FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return EXIT_FINDINGS
-        print(f"\nprofile smoke: {len(profiles)} kernels classified, "
-              f"roofline agreement OK, history bit-stable")
-    return EXIT_FINDINGS if failures else EXIT_CLEAN
+    if not args.smoke:
+        return EXIT_FINDINGS if failures else EXIT_CLEAN
+    if args.kernel is None and len(profiles) != len(profiler.KERNEL_NAMES):
+        failures.append(f"coverage: {len(profiles)}/"
+                        f"{len(profiler.KERNEL_NAMES)} kernels profiled")
+    unclassified = [n for n, p in profiles.items()
+                    if p.classification not in ("compute", "memory", "latency")]
+    if unclassified:
+        failures.append(f"classification: {unclassified}")
+    mismatched = roofline_agreement(profiles)
+    if mismatched:
+        failures.append(f"roofline agreement: {mismatched} classified "
+                        f"against the two-ceiling prediction")
+    if record is not None:
+        same = profiler.query(profiler.load_history(history_path),
+                              kind="kernel-profile",
+                              config_digest=record["config_digest"])
+        bad = profiler.validate_record(same[-1]) if same else ["missing"]
+        if bad:
+            failures.append(f"history: last record invalid: {bad}")
+        if len(same) >= 2 and same[-1]["digest"] != same[-2]["digest"]:
+            failures.append("history: consecutive same-config runs "
+                            "produced different digests (bit-stability)")
+    return _smoke_gate("profile", failures,
+                       f"\nprofile smoke: {len(profiles)} kernels classified, "
+                       f"roofline agreement OK, history bit-stable")
 
 
-def _topology(args):
-    if args.smtx:
-        return read_smtx(args.smtx)
-    rng = np.random.default_rng(args.seed)
-    return generate_topology((args.rows, args.cols), args.sparsity, rng)
+def _analyze_args(ap: argparse.ArgumentParser) -> None:
+    from .analysis import RULES
+
+    ap.add_argument("--rule", action="append", default=None, metavar="ID",
+                    help="run only this rule (repeatable); "
+                         f"choices: {sorted(RULES)}")
+    ap.add_argument("--repo", type=Path,
+                    default=Path(__file__).resolve().parents[2],
+                    help="repository root (default: this checkout)")
+    ap.add_argument("--json", type=str, default="", metavar="PATH",
+                    help="write the findings as JSON here")
+    ap.add_argument("--sarif", type=str, default="", metavar="PATH",
+                    help="write a SARIF 2.1.0 report here")
+    ap.add_argument("--list-rules", action="store_true",
+                    help="print the rule catalogue and exit")
+
+
+def _analyze(args) -> int:
+    """``analyze`` subcommand: exit 0 clean, 1 on any finding (a
+    ``# repro: ignore[rule-id]`` suppression is the waiver)."""
+    from .analysis import RULES, run_analysis, to_json, to_sarif
+
+    if args.list_rules:
+        width = max(len(rid) for rid in RULES)
+        for rid in sorted(RULES):
+            spec = RULES[rid]
+            print(f"{rid:<{width}}  [{spec.severity}] {spec.description}")
+        return EXIT_CLEAN
+
+    if not (args.repo / "src" / "repro").is_dir():
+        raise ValueError(f"{args.repo} has no src/repro package")
+    findings = run_analysis(args.repo, args.rule)
+    for finding in findings:
+        print(finding.render())
+    if args.json:
+        Path(args.json).write_text(to_json(findings))
+    if args.sarif:
+        Path(args.sarif).write_text(to_sarif(findings))
+
+    ran = len(args.rule) if args.rule else len(RULES)
+    print(f"analyze: {ran} rule(s), {len(findings)} new finding(s)")
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
+
+
+def _compare(cases, extent: int, dense_shape: Tuple[int, int, int],
+             only) -> Tuple[List[Dict[str, object]], List[KernelProfile]]:
+    """Rows + guideline reports for ``(key, label, kernel, operand)``
+    cases against the dense cuBLAS analog of ``dense_shape`` (m, k, n);
+    ``only`` keeps the named keys."""
+    dense = DenseGemmKernel()
+    t_dense = dense._model.estimate(dense.stats_for_shape(*dense_shape)).time_us
+    rows = [{"kernel": "cublasHgemm", "time_us": round(t_dense, 2), "speedup": 1.0}]
+    reports = []
+    for key, label, kern, operand in cases:
+        if only is not None and key not in only:
+            continue
+        st = kern.stats_for(operand, extent)
+        est = kern._model.estimate(st)
+        rows.append({"kernel": label, "time_us": round(est.time_us, 2),
+                     "speedup": round(t_dense / est.time_us, 3)})
+        rep = derive_profile(st, kern._model)
+        rep.name = label
+        reports.append(rep)
+    return rows, reports
 
 
 def bench_spmm(csr, v: int, n: int,
@@ -858,39 +831,12 @@ def bench_spmm(csr, v: int, n: int,
         _validate_names(only, SPMM_BENCH_KERNELS, "kernels")
     rng = np.random.default_rng(1)
     a = cvse_from_csr_topology(csr, v, rng)
-    ell = blocked_ell_matching(a, rng)
-    m, k = a.shape
-    dense = DenseGemmKernel()
-    t_dense = dense._model.estimate(dense.stats_for_shape(m, k, n)).time_us
-
-    kernels = (
-        [("octet", "mma (octet)", OctetSpmmKernel()), ("wmma", "wmma", WmmaSpmmKernel())]
-        if v >= 2
-        else []
-    )
-    kernels.append(("fpu", "fpu (sputnik)", FpuSpmmKernel()))
-    rows = [{"kernel": "cublasHgemm", "time_us": round(t_dense, 2), "speedup": 1.0}]
-    reports = []
-    for key, name, kern in kernels:
-        if only is not None and key not in only:
-            continue
-        st = kern.stats_for(a, n)
-        est = kern._model.estimate(st)
-        rows.append({"kernel": name, "time_us": round(est.time_us, 2),
-                     "speedup": round(t_dense / est.time_us, 3)})
-        rep = derive_profile(st, kern._model)
-        rep.name = name
-        reports.append(rep)
-    if only is None or "blocked-ell" in only:
-        bk = BlockedEllSpmmKernel()
-        st = bk.stats_for(ell, n)
-        est = bk._model.estimate(st)
-        rows.append({"kernel": "blocked-ELL", "time_us": round(est.time_us, 2),
-                     "speedup": round(t_dense / est.time_us, 3)})
-        rep = derive_profile(st, bk._model)
-        rep.name = "blocked-ELL"
-        reports.append(rep)
-    return rows, reports
+    cases = ([("octet", "mma (octet)", OctetSpmmKernel(), a),
+              ("wmma", "wmma", WmmaSpmmKernel(), a)] if v >= 2 else [])
+    cases += [("fpu", "fpu (sputnik)", FpuSpmmKernel(), a),
+              ("blocked-ell", "blocked-ELL", BlockedEllSpmmKernel(),
+               blocked_ell_matching(a, rng))]
+    return _compare(cases, n, (*a.shape, n), only)
 
 
 def bench_sddmm(csr, v: int, k: int,
@@ -902,178 +848,97 @@ def bench_sddmm(csr, v: int, k: int,
     """
     if only is not None:
         _validate_names(only, SDDMM_BENCH_KERNELS, "kernels")
-    rng = np.random.default_rng(1)
-    cv = cvse_from_csr_topology(csr, v, rng)
+    cv = cvse_from_csr_topology(csr, v, np.random.default_rng(1))
     mask = ColumnVectorSparseMatrix(cv.shape, v, cv.row_ptr, cv.col_idx, None)
+    cases = [(variant, f"mma ({variant})", OctetSddmmKernel(variant=variant), mask)
+             for variant in ("reg", "shfl", "arch")]
+    cases += [("wmma", "wmma", WmmaSddmmKernel(), mask),
+              ("fpu", "fpu (sputnik)", FpuSddmmKernel(), mask)]
     m, n = mask.shape
-    dense = DenseGemmKernel()
-    t_dense = dense._model.estimate(dense.stats_for_shape(m, k, n)).time_us
-
-    rows = [{"kernel": "cublasHgemm", "time_us": round(t_dense, 2), "speedup": 1.0}]
-    reports = []
-    for key, name, kern in (
-        ("reg", "mma (reg)", OctetSddmmKernel(variant="reg")),
-        ("shfl", "mma (shfl)", OctetSddmmKernel(variant="shfl")),
-        ("arch", "mma (arch)", OctetSddmmKernel(variant="arch")),
-        ("wmma", "wmma", WmmaSddmmKernel()),
-        ("fpu", "fpu (sputnik)", FpuSddmmKernel()),
-    ):
-        if only is not None and key not in only:
-            continue
-        st = kern.stats_for(mask, k)
-        est = kern._model.estimate(st)
-        rows.append({"kernel": name, "time_us": round(est.time_us, 2),
-                     "speedup": round(t_dense / est.time_us, 3)})
-        rep = derive_profile(st, kern._model)
-        rep.name = name
-        reports.append(rep)
-    return rows, reports
+    return _compare(cases, k, (m, k, n), only)
 
 
-def build_analyze_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench analyze``."""
-    from pathlib import Path
-
-    from .analysis import RULES
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench analyze",
-        description="Run the whole-repo static analysis (contract lints + "
-                    "semantic passes) with baseline enforcement; see "
-                    "docs/ANALYSIS.md",
-    )
-    ap.add_argument("--rule", action="append", default=None, metavar="ID",
-                    help="run only this rule (repeatable); "
-                         f"choices: {sorted(RULES)}")
-    ap.add_argument("--repo", type=Path,
-                    default=Path(__file__).resolve().parents[2],
-                    help="repository root (default: this checkout)")
-    ap.add_argument("--baseline", type=Path, default=None,
-                    help="baseline file (default: <repo>/tools/"
-                         "analysis_baseline.json)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline to exactly the current "
-                         "findings and exit 0")
-    ap.add_argument("--json", type=str, default="", metavar="PATH",
-                    help="write the findings as JSON here")
-    ap.add_argument("--sarif", type=str, default="", metavar="PATH",
-                    help="write a SARIF 2.1.0 report here")
-    ap.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue and exit")
-    return ap
-
-
-def _analyze_main(argv) -> int:
-    """``analyze`` subcommand: exit 0 clean (new findings none), 1 on new
-    findings, 2 on bad invocation."""
-    from pathlib import Path
-
-    from .analysis import (
-        RULES,
-        diff_baseline,
-        load_baseline,
-        run_analysis,
-        to_json,
-        to_sarif,
-        write_baseline,
-    )
-
-    args = build_analyze_parser().parse_args(argv)
-    if args.list_rules:
-        width = max(len(rid) for rid in RULES)
-        for rid in sorted(RULES):
-            spec = RULES[rid]
-            print(f"{rid:<{width}}  [{spec.severity}] {spec.description}")
-        return EXIT_CLEAN
-
-    repo = args.repo
-    if not (repo / "src" / "repro").is_dir():
-        return _usage_error(f"{repo} has no src/repro package")
-    baseline_path = args.baseline or repo / "tools" / "analysis_baseline.json"
-
+def _bench(args) -> int:
+    """The bare ``repro-bench`` kernel table."""
     try:
-        findings = run_analysis(repo, args.rule)
-        fingerprints = load_baseline(Path(baseline_path))
-    except ValueError as exc:
-        return _usage_error(exc)
-
-    if args.update_baseline:
-        write_baseline(Path(baseline_path), findings)
-        print(f"analyze: baseline updated with {len(findings)} finding(s) "
-              f"-> {baseline_path}")
-        return EXIT_CLEAN
-
-    diff = diff_baseline(findings, fingerprints)
-    grandfathered = {f.fingerprint for f in diff.grandfathered}
-    for finding in diff.new:
-        print(finding.render())
-    for finding in diff.grandfathered:
-        print(f"{finding.render()}  [grandfathered]")
-    if diff.stale:
-        print(f"analyze: {len(diff.stale)} stale baseline entr"
-              f"{'y' if len(diff.stale) == 1 else 'ies'} — fixed findings; "
-              "run --update-baseline to burn them down")
-
-    if args.json:
-        Path(args.json).write_text(to_json(findings, grandfathered))
-    if args.sarif:
-        Path(args.sarif).write_text(to_sarif(findings, grandfathered))
-
-    ran = len(args.rule) if args.rule else len(RULES)
-    print(f"analyze: {ran} rule(s), {len(diff.new)} new finding(s), "
-          f"{len(diff.grandfathered)} grandfathered")
-    return EXIT_FINDINGS if diff.new else EXIT_CLEAN
-
-
-#: ``repro-bench <name> ...`` -> the handler of the remaining arguments
-_SUBCOMMANDS = {
-    "analyze": _analyze_main,
-    "sanitize": _sanitize_main,
-    "faults": _faults_main,
-    "obs": _obs_main,
-    "plans": _plans_main,
-    "memo": _memo_main,
-    "merge": _merge_main,
-    "serve": _serve_main,
-    "profile": _profile_main,
-}
-
-
-def main(argv=None) -> int:
-    """``repro-bench`` entry point: a subcommand name dispatches to its
-    handler, anything else runs the kernel table."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
-    args = build_parser().parse_args(argv)
-    try:
-        csr = _topology(args)
+        csr = (read_smtx(args.smtx) if args.smtx else generate_topology(
+            (args.rows, args.cols), args.sparsity, np.random.default_rng(args.seed)))
     except (OSError, ValueError) as exc:
-        print(f"error reading matrix: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"reading matrix: {exc}")
     v = args.vector_length
     print(
         f"matrix: {csr.shape[0]}x{csr.shape[1]} topology, sparsity {csr.sparsity:.1%}, "
         f"V={v} -> logical {csr.shape[0] * v}x{csr.shape[1]}"
     )
-    try:
-        if args.op == "spmm":
-            rows, reports = bench_spmm(csr, v, args.N, only=args.kernel)
-        else:
-            rows, reports = bench_sddmm(csr, v, args.K, only=args.kernel)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.op == "spmm":
+        rows, reports = bench_spmm(csr, v, args.N, only=args.kernel)
         print(f"\nSpMM, N={args.N} (times on the simulated V100):\n")
     else:
+        rows, reports = bench_sddmm(csr, v, args.K, only=args.kernel)
         print(f"\nSDDMM, K={args.K} (times on the simulated V100):\n")
     print(format_table(rows))
     if args.profile:
         print("\nfive-guideline profile (Table 2/3 layout):\n")
         print(format_table(guidelines_table(reports)))
-    return 0
+    return EXIT_CLEAN
+
+
+#: ``repro-bench <name> ...`` -> (description, add_arguments, run)
+_SUBCOMMANDS = {
+    "analyze": ("Run the whole-repo static analysis (contract lints + "
+                "semantic passes); see docs/ANALYSIS.md",
+                _analyze_args, _analyze),
+    "sanitize": ("Run the kernel sanitizer (memcheck/racecheck/synccheck/"
+                 "ownership/statcheck) over kernel cases x problem suites",
+                 _sanitize_args, _sanitize),
+    "faults": ("Run a seeded SDC fault-injection campaign and score the "
+               "sanitizer's detection coverage against the documented floors",
+               _faults_args, _faults),
+    "obs": ("Run experiments under the observability layer: structured "
+            "spans, a metrics snapshot, and a Chrome trace-event "
+            "timeline (see docs/OBSERVABILITY.md)",
+            _obs_args, _obs),
+    "plans": ("Compile the execution plans (repro.plans) of every "
+              "simulated kernel on a seeded problem, run the ownership "
+              "validation over them, and report the plan-cache traffic",
+              _plans_args, _plans),
+    "memo": ("Inspect, verify, or compact the shared cross-process "
+             "memo store (repro.perfmodel.sharedmemo)",
+             _memo_args, _memo),
+    "merge": ("Combine N --shard sweep output directories into one "
+              "verified full-sweep result (exit 2 on mismatched shard "
+              "configurations)",
+              _merge_args, _merge),
+    "serve": ("Run the deterministic multi-tenant serving simulator "
+              "(admission control, hedged retries, graceful "
+              "degradation) over a named scenario; see docs/SERVING.md",
+              _serve_args, _serve),
+    "profile": ("Nsight-Compute-analog profiler: derive per-kernel "
+                "counters, roofline classification and ranked bottleneck "
+                "attribution for the registered kernels; see "
+                "docs/PROFILER.md",
+                _profile_args, _profile),
+}
+
+
+def main(argv=None) -> int:
+    """``repro-bench`` entry point: a subcommand name parses the rest with
+    that subcommand's arguments and runs its handler, anything else runs
+    the kernel table.  A ``ValueError`` from any handler is a usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        description, add_arguments, run = _SUBCOMMANDS[argv[0]]
+        ap = argparse.ArgumentParser(prog=f"repro-bench {argv[0]}",
+                                     description=description)
+        add_arguments(ap)
+        argv = argv[1:]
+    else:
+        ap, run = build_parser(), _bench
+    args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except ValueError as exc:
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

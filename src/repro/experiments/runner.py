@@ -31,10 +31,10 @@ Scale-out (see ``src/repro/experiments/sharding.py``):
   experiments are wholesale-assigned by position.  The manifest gains a
   ``__shard__`` entry and each experiment a ``<name>.rows.json``
   machine artifact.
-* ``--merge DIR_0 .. DIR_N-1 --out DIR`` (or ``python -m repro.cli
-  merge``) verifies and combines N shard outputs into one full sweep
-  result — mismatched shard configurations exit 2, artifact checksums
-  are re-verified before anything is trusted.
+* ``python -m repro.cli merge DIR_0 .. DIR_N-1 --out DIR`` verifies and
+  combines N shard outputs into one full sweep result — mismatched
+  shard configurations exit 2, artifact checksums are re-verified
+  before anything is trusted.
 * With ``REPRO_MEMO_SHARED=1`` all invocations share the file-backed
   memo tier (:mod:`repro.perfmodel.sharedmemo`), so shard workers hit
   entries their siblings already computed.
@@ -59,14 +59,7 @@ from .charts import render_fig17, render_fig20
 from .claims import verify
 from .common import format_table
 from .pool import INTERRUPTED, TaskOutcome, resilient_map
-from .sharding import (
-    CELL_SHARDABLE,
-    SHARD_KEY,
-    MergeError,
-    merge_shards,
-    parse_shard,
-    verify_manifest,
-)
+from .sharding import CELL_SHARDABLE, SHARD_KEY, parse_shard
 from . import sharding
 from . import (
     ablations,
@@ -550,30 +543,6 @@ def _write_obs_outputs(out_dir: Path, manifest: Dict[str, dict]) -> None:
     sharding.write_manifest(out_dir, manifest)
 
 
-def _merge_main(shard_dirs: List[str], out: Optional[Path]) -> int:
-    """``--merge`` / ``cli merge`` driver: combine, then verify.
-
-    Exit codes: 0 merged and every artifact verifies, 1 a merged
-    artifact failed verification (a bug, not an input problem), 2 the
-    shard outputs cannot be merged (mismatched configs, missing or
-    corrupt shards).
-    """
-    if out is None:
-        print("--merge needs --out DIR for the combined sweep result")
-        return 2
-    try:
-        summary = merge_shards(shard_dirs, out)
-    except MergeError as exc:
-        print(f"merge refused: {exc}")
-        return 2
-    checks = verify_manifest(out)
-    print(f"merged {summary['shards']} shards -> {summary['out']} "
-          f"({len(summary['experiments'])} experiments)")
-    for name, ok in checks.items():
-        print(f"  {name}: {'verified' if ok else 'CHECKSUM MISMATCH'}")
-    return 0 if checks and all(checks.values()) else 1
-
-
 def main(argv=None) -> int:
     """``repro-experiments`` entry point."""
     ap = argparse.ArgumentParser(description="Regenerate the paper's tables and figures")
@@ -588,9 +557,6 @@ def main(argv=None) -> int:
                     help="run slice I/N of the sweep (0-based; fig17/fig19 "
                          "partition at grid-cell granularity, other experiments "
                          "are wholesale-assigned); needs --out")
-    ap.add_argument("--merge", nargs="+", metavar="SHARD_DIR", default=None,
-                    help="merge N shard output directories (each written by a "
-                         "--shard run) into --out and verify the result")
     ap.add_argument("--timeout", type=float, default=None,
                     help="per-experiment wall-clock budget in seconds (needs --jobs >= 2)")
     ap.add_argument("--retries", type=int, default=0,
@@ -609,8 +575,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     only = [s.strip() for s in args.only.split(",") if s.strip()] or None
     out = Path(args.out) if args.out else None
-    if args.merge is not None:
-        return _merge_main(args.merge, out)
     if args.trace_out:
         obs_tracing.enable()
     degraded = False

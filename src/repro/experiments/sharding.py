@@ -1,9 +1,9 @@
 """Sharded sweep execution: deterministic partitioning + manifest merge.
 
 ``repro-experiments --shard I/N --out DIR_I`` runs the ``I``-th of ``N``
-deterministic slices of a sweep; ``--merge DIR_0 ... DIR_N-1 --out DIR``
-(or ``python -m repro.cli merge``) combines the shard-scoped manifests
-into one verified sweep result — turning the checkpoint/resume
+deterministic slices of a sweep; ``python -m repro.cli merge DIR_0 ...
+DIR_N-1 --out DIR`` combines the shard-scoped manifests into one
+verified sweep result — turning the checkpoint/resume
 machinery of PR 4 into multi-machine scale-out.
 
 Partitioning is two-level and purely positional (no RNG, no timing):

@@ -1,4 +1,4 @@
-"""Tests for the repro.analysis engine: corpus, suppressions, baseline, CLI.
+"""Tests for the repro.analysis engine: corpus, suppressions, CLI.
 
 The injected-violation corpus under ``tests/analysis_corpus/`` has one
 minimal repo per rule; running *all* ten rules over a fixture must trip
@@ -18,11 +18,7 @@ from repro import cli
 from repro.analysis import (
     RULES,
     AnalysisContext,
-    diff_baseline,
-    load_baseline,
     run_analysis,
-    to_sarif,
-    write_baseline,
 )
 from repro.faults.injector import FaultInjector
 from repro.perfmodel import memo
@@ -91,10 +87,6 @@ def test_real_tree_clean_for_semantic_pass(rule_id):
     assert run_analysis(REPO, [rule_id]) == []
 
 
-def test_shipped_baseline_is_empty():
-    assert load_baseline(REPO / "tools" / "analysis_baseline.json") == []
-
-
 # ---------------------------------------------------------------------------
 # suppression mechanics
 # ---------------------------------------------------------------------------
@@ -130,43 +122,7 @@ def test_suppression_for_other_rule_does_not_apply(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline mechanics
-# ---------------------------------------------------------------------------
-
-def test_baseline_round_trip_and_diff(tmp_path):
-    repo = _rng_repo(tmp_path, "return default_rng()")
-    findings = run_analysis(repo, ["seeded-rng"])
-    assert len(findings) == 1
-
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, findings)
-    fingerprints = load_baseline(baseline)
-    assert fingerprints == [findings[0].fingerprint]
-
-    # grandfathered: the finding is in the baseline, nothing new
-    diff = diff_baseline(findings, fingerprints)
-    assert diff.new == [] and len(diff.grandfathered) == 1 and diff.stale == []
-
-    # a fresh violation is new; the fixed one goes stale
-    diff = diff_baseline([], fingerprints)
-    assert diff.new == [] and diff.grandfathered == [] and len(diff.stale) == 1
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == []
-
-
-def test_baseline_fingerprint_is_line_stable(tmp_path):
-    # shifting the violation down a line must not churn the baseline
-    repo_a = _rng_repo(tmp_path / "a", "return default_rng()")
-    repo_b = _rng_repo(tmp_path / "b", "return default_rng()", above="x = 1")
-    fp_a = run_analysis(repo_a, ["seeded-rng"])[0].fingerprint
-    fp_b = run_analysis(repo_b, ["seeded-rng"])[0].fingerprint
-    assert fp_a == fp_b
-
-
-# ---------------------------------------------------------------------------
-# CLI: exit codes, baseline enforcement, emitters
+# CLI: exit codes, emitters
 # ---------------------------------------------------------------------------
 
 def test_cli_clean_tree_exits_0(capsys):
@@ -180,15 +136,6 @@ def test_cli_findings_exit_1(tmp_path, capsys):
     assert cli.main(["analyze", "--repo", str(repo)]) == cli.EXIT_FINDINGS
     out = capsys.readouterr().out
     assert "seeded-rng" in out
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    repo = _rng_repo(tmp_path, "return default_rng()")
-    baseline = tmp_path / "baseline.json"
-    argv = ["analyze", "--repo", str(repo), "--baseline", str(baseline)]
-    assert cli.main(argv + ["--update-baseline"]) == cli.EXIT_CLEAN
-    assert cli.main(argv) == cli.EXIT_CLEAN
-    assert "grandfathered" in capsys.readouterr().out
 
 
 def test_cli_unknown_rule_exits_2(capsys):
@@ -237,17 +184,9 @@ def test_cli_sarif_and_json_output(tmp_path, capsys):
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-analyze"
     assert {r["ruleId"] for r in run["results"]} == {"seeded-rng"}
-    assert run["results"][0]["baselineState"] == "new"
 
     report = json.loads(json_path.read_text())
     assert report["findings"][0]["rule"] == "seeded-rng"
-
-
-def test_sarif_grandfathered_state(tmp_path):
-    repo = _rng_repo(tmp_path, "return default_rng()")
-    findings = run_analysis(repo, ["seeded-rng"])
-    sarif = json.loads(to_sarif(findings, {findings[0].fingerprint}))
-    assert sarif["runs"][0]["results"][0]["baselineState"] == "unchanged"
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +198,6 @@ def _copy_repo(tmp_path: Path) -> Path:
     ignore = shutil.ignore_patterns("__pycache__", "analysis_corpus")
     shutil.copytree(REPO / "src", dest / "src", ignore=ignore)
     shutil.copytree(REPO / "tests", dest / "tests", ignore=ignore)
-    (dest / "tools").mkdir()
-    shutil.copy(REPO / "tools" / "analysis_baseline.json",
-                dest / "tools" / "analysis_baseline.json")
     return dest
 
 

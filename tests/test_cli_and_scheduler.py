@@ -7,6 +7,7 @@ from repro.cli import bench_sddmm, bench_spmm, build_parser, main
 from repro.datasets import generate_topology
 from repro.formats.io import write_smtx
 from repro.hardware.config import VOLTA_V100
+from repro.obs import metrics, tracing
 from repro.perfmodel.reuse import work_imbalance
 
 from .work_distributor import simulate_schedule
@@ -105,3 +106,43 @@ class TestCli:
         names = [r["kernel"] for r in rows]
         assert "mma (octet)" not in names
         assert "fpu (sputnik)" in names
+
+
+#: every subcommand's exit-code contract: (id, argv, exit code); ``{tmp}``
+#: is a fresh directory holding one regular file, ``{tmp}/file``
+SUBCOMMAND_CASES = [
+    ("sanitize-clean", ["sanitize", "--smoke"], 0),
+    ("sanitize-bad", ["sanitize", "--kernel", "bogus"], 2),
+    ("faults-clean", ["faults", "--smoke"], 0),
+    ("faults-bad", ["faults", "--campaign", "bogus"], 2),
+    ("obs-clean", ["obs", "--smoke"], 0),
+    ("obs-bad", ["obs", "--only", "bogus"], 2),
+    ("plans-clean", ["plans", "--parity"], 0),
+    ("plans-bad", ["plans", "--sparsity", "1.5"], 2),
+    ("memo-clean", ["memo", "--dir", "{tmp}/store"], 0),
+    ("memo-bad", ["memo", "--dir", "{tmp}/file"], 2),
+    ("merge-bad", ["merge", "{tmp}/nowhere", "--out", "{tmp}/merged"], 2),
+    ("serve-bad", ["serve", "--scenario", "bogus"], 2),
+    ("profile-bad", ["profile", "--config", "bogus"], 2),
+    ("analyze-bad", ["analyze", "--rule", "bogus"], 2),
+    ("table-bad", ["--kernel", "bogus"], 2),
+]
+
+
+@pytest.fixture
+def fresh_obs():
+    """``obs`` turns tracing on and records spans; leave no trace behind."""
+    yield
+    tracing.set_enabled(None)
+    tracing.reset()
+    metrics.reset()
+
+
+@pytest.mark.parametrize("argv, code", [c[1:] for c in SUBCOMMAND_CASES],
+                         ids=[c[0] for c in SUBCOMMAND_CASES])
+def test_subcommand_exit_code_contract(argv, code, tmp_path, capsys, fresh_obs):
+    (tmp_path / "file").write_text("")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+

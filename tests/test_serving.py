@@ -212,6 +212,11 @@ class TestServeCli:
     def test_bad_requests_is_usage_error(self):
         assert cli_main(["serve", "--requests", "-5"]) == 2
 
+    @pytest.mark.parametrize("load", ["nan", "inf"])
+    def test_non_finite_load_is_usage_error(self, load, capsys):
+        assert cli_main(["serve", "--requests", "10", "--load", load]) == 2
+        assert capsys.readouterr().err.startswith("error: --load must be")
+
     def test_sweep_and_trace_out(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
         rc = cli_main(["serve", "--scenario", "steady", "--requests", "400",

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.experiments import runner, sharding
 from repro.experiments.sharding import (
     CELL_SHARDABLE,
@@ -116,7 +117,7 @@ class TestMergeEquivalence:
 # refusal paths: a bad merge must never produce an artifact
 # --------------------------------------------------------------------- #
 class TestMergeRefusal:
-    def test_config_mismatch_raises_and_exits_2(self, tmp_path):
+    def test_config_mismatch_raises_and_exits_2(self, tmp_path, capsys):
         s0 = _run(tmp_path, "s0", only=["fig4"], shard="0/2")
         s1 = _run(tmp_path, "s1", only=["fig4"], shard="1/2")
         man = sharding.load_manifest(s1)
@@ -124,8 +125,10 @@ class TestMergeRefusal:
         sharding.write_manifest(s1, man)
         with pytest.raises(MergeError, match="config mismatch"):
             merge_shards([s0, s1], tmp_path / "merged")
-        # the runner CLI maps the refusal to exit code 2
-        assert runner._merge_main([str(s0), str(s1)], tmp_path / "merged2") == 2
+        # the CLI maps the refusal to exit code 2 and an error on stderr
+        assert cli.main(["merge", str(s0), str(s1),
+                         "--out", str(tmp_path / "merged2")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_shard_refused(self, tmp_path):
         s0 = _run(tmp_path, "s0", only=["fig4"], shard="0/2")
