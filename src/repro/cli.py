@@ -110,6 +110,25 @@ def _validate_names(names, valid, what: str) -> None:
         raise ValueError(f"unknown {what}: {unknown}; valid choices: {sorted(valid)}")
 
 
+def _int_at_least(minimum: int, what: str):
+    """argparse ``type=`` for a count flag: an integer >= ``minimum``; any
+    other value is a usage error naming the flag (see :func:`main`)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what} integer, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive")
+_non_negative_int = _int_at_least(0, "a non-negative")
+
+
 def _smoke_gate(name: str, failures: List[str], ok_line: str) -> int:
     """The one ``--smoke`` report: ``<name> smoke FAILED:`` plus one
     ``  - reason`` line per failure on stderr (exit 1), else ``ok_line``."""
@@ -127,18 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro-bench",
         description="Compare the paper's kernels on one sparse matrix (simulated V100)",
+        exit_on_error=False,
     )
     src = ap.add_argument_group("matrix source")
     src.add_argument("--smtx", type=str, default="", help="DLMC .smtx topology file")
-    src.add_argument("--rows", type=int, default=512, help="synthetic topology rows")
-    src.add_argument("--cols", type=int, default=1024, help="synthetic topology cols")
+    src.add_argument("--rows", type=_positive_int, default=512, help="synthetic topology rows")
+    src.add_argument("--cols", type=_positive_int, default=1024, help="synthetic topology cols")
     src.add_argument("--sparsity", type=float, default=0.9, help="synthetic sparsity")
     src.add_argument("--seed", type=int, default=0)
 
     ap.add_argument("--op", choices=("spmm", "sddmm"), default="spmm")
     ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(1, 2, 4, 8))
-    ap.add_argument("-N", type=int, default=256, help="dense columns (SpMM)")
-    ap.add_argument("-K", type=int, default=256, help="inner dimension (SDDMM)")
+    ap.add_argument("-N", type=_positive_int, default=256, help="dense columns (SpMM)")
+    ap.add_argument("-K", type=_positive_int, default=256, help="inner dimension (SDDMM)")
     ap.add_argument("--profile", action="store_true",
                     help="also print the five-guideline profile table")
     ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
@@ -208,7 +228,7 @@ def _obs_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--trace-out", type=str, default="",
                     help="write the Chrome trace-event JSON here (a sibling "
                          "<stem>.metrics.json carries the metrics snapshot)")
-    ap.add_argument("--top", type=int, default=10,
+    ap.add_argument("--top", type=_non_negative_int, default=10,
                     help="rows in the slowest-spans table (0 disables it)")
     ap.add_argument("--tree", action="store_true",
                     help="print the nested span tree after the run")
@@ -305,12 +325,12 @@ def _obs(args) -> int:
 
 
 def _plans_args(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--rows", type=int, default=64, help="sparse operand rows")
-    ap.add_argument("--cols", type=int, default=128, help="sparse operand cols")
+    ap.add_argument("--rows", type=_positive_int, default=64, help="sparse operand rows")
+    ap.add_argument("--cols", type=_positive_int, default=128, help="sparse operand cols")
     ap.add_argument("--sparsity", type=float, default=0.7, help="vector-level sparsity")
     ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(2, 4, 8))
-    ap.add_argument("-N", type=int, default=64, help="dense columns (SpMM)")
-    ap.add_argument("-K", type=int, default=64, help="inner dimension (SDDMM)")
+    ap.add_argument("-N", type=_positive_int, default=64, help="dense columns (SpMM)")
+    ap.add_argument("-K", type=_positive_int, default=64, help="inner dimension (SDDMM)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--parity", action="store_true",
                     help="also execute each plan and require bit-identity "
@@ -321,6 +341,7 @@ def _plans(args) -> int:
     """``plans`` subcommand: exit 0 when every plan validates (and, with
     ``--parity``, matches its reference bit for bit), 1 otherwise."""
     from . import plans
+    from .kernels.cases import KERNEL_CASES
     from .perfmodel import memo
 
     rng = np.random.default_rng(args.seed)
@@ -337,43 +358,29 @@ def _plans(args) -> int:
         yv = np.asarray(y.values if hasattr(y, "values") else y)
         return np.array_equal(xv.view(np.uint16), yv.view(np.uint16))
 
-    cases = [
-        ("spmm-octet", OctetSpmmKernel(simulate=True),
-         lambda k: plans.spmm_octet_plan(k, a), a, None,
-         lambda k: (k._execute_simulated(a, b_spmm),
-                    k._execute_simulated_reference(a, b_spmm))),
-        ("spmm-wmma", WmmaSpmmKernel(simulate=True),
-         lambda k: plans.spmm_wmma_plan(k, a), a, None,
-         lambda k: (k._execute_simulated(a, b_spmm),
-                    k._execute_simulated_reference(a, b_spmm))),
-    ]
-    for variant in ("reg", "shfl", "arch"):
-        cases.append(
-            (f"sddmm-octet-{variant}", OctetSddmmKernel(variant=variant, simulate=True),
-             lambda k: plans.sddmm_octet_plan(k, mask, args.K), mask, args.K,
-             lambda k: (k._execute_simulated(a_dense, b_sddmm, mask),
-                        k._execute_simulated_reference(a_dense, b_sddmm, mask))))
-    cases.append(
-        ("sddmm-wmma", WmmaSddmmKernel(simulate=True),
-         lambda k: plans.sddmm_wmma_plan(k, mask, args.K), mask, args.K,
-         lambda k: (k._execute_simulated(a_dense, b_sddmm, mask),
-                    k._execute_simulated_reference(a_dense, b_sddmm, mask))))
-
+    # operand kind -> (plan structure, SDDMM inner dimension, execute args)
+    operands = {"cvse": (a, None, (a, b_spmm)),
+                "mask": (mask, args.K, (a_dense, b_sddmm, mask))}
     before = memo.counters()
     rows, failed = [], False
-    for name, kern, compile_plan, structure, k, run_pair in cases:
-        plan = compile_plan(kern)
+    for case in KERNEL_CASES.values():
+        if case.plan is None:
+            continue
+        kern = case.kernel(simulate=True)
+        structure, k, run_args = operands[case.operand]
+        plan = case.compile_plan(kern, structure, k)
         findings = plans.validate_plan(plan, structure, k=k)
-        row = {"kernel": name, "plan": type(plan).__name__,
+        row = {"kernel": case.name, "plan": type(plan).__name__,
                "groups": int(plan.layout.num_groups), "findings": len(findings)}
         if args.parity:
-            got, ref = run_pair(kern)
+            got = kern._execute_simulated(*run_args)
+            ref = kern._execute_simulated_reference(*run_args)
             row["parity"] = "ok" if _bits_equal(got, ref) else "FAIL"
             failed |= row["parity"] == "FAIL"
         failed |= bool(findings)
         rows.append(row)
         for msg in findings:
-            print(f"  {name}: {msg}", file=sys.stderr)
+            print(f"  {case.name}: {msg}", file=sys.stderr)
     after = memo.counters()
     print(format_table(rows))
     h0, m0 = before.get("plan", (0, 0))
@@ -591,7 +598,7 @@ def _profile_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--kernel", action="append", default=None,
                     help="restrict to this kernel (repeatable); choices: "
                          f"{sorted(KERNEL_NAMES)}")
-    ap.add_argument("--top", type=int, default=3,
+    ap.add_argument("--top", type=_positive_int, default=3,
                     help="bottlenecks to attribute per kernel (default 3)")
     ap.add_argument("--json", type=str, default="",
                     help="also write the full profile + roofline document "
@@ -929,12 +936,17 @@ def main(argv=None) -> int:
     if argv and argv[0] in _SUBCOMMANDS:
         description, add_arguments, run = _SUBCOMMANDS[argv[0]]
         ap = argparse.ArgumentParser(prog=f"repro-bench {argv[0]}",
-                                     description=description)
+                                     description=description, exit_on_error=False)
         add_arguments(ap)
         argv = argv[1:]
     else:
         ap, run = build_parser(), _bench
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        if not isinstance(exc.__context__, argparse.ArgumentTypeError):
+            ap.error(str(exc))  # argparse's own report for every other bad value
+        return _usage_error(f"{exc.argument_name} {exc.message}")
     try:
         return run(args)
     except ValueError as exc:

@@ -249,12 +249,9 @@ def _write_artifact(out_dir: Path, name: str, text: str) -> None:
 
 
 # --------------------------------------------------------------------- #
-# checkpoint manifest (primitives live in sharding.py; re-exported here
-# because the manifest format is shared with the shard-merge path)
+# checkpoint manifest (primitives live in sharding.py, shared with the
+# shard-merge path)
 # --------------------------------------------------------------------- #
-_text_checksum = sharding.text_checksum
-_load_manifest = sharding.load_manifest
-
 
 def _config_hash(name: str, quick: bool, trace: bool,
                  shard: Optional[Tuple[int, int]] = None) -> str:
@@ -273,7 +270,7 @@ def _checkpoint(out_dir: Path, manifest: Dict[str, dict], name: str,
     manifest, never a torn one)."""
     entry: Dict[str, object] = {
         "config": config,
-        "checksum": _text_checksum(text),
+        "checksum": sharding.text_checksum(text),
         "seconds": round(seconds, 3),
     }
     if extra:
@@ -294,11 +291,10 @@ def _resume_skips(names: List[str], quick: bool, trace: bool,
             continue
         if entry.get("config") != _config_hash(name, quick, trace, shard=shard):
             continue  # stale: quick/trace/shard changed since checkpoint
-        artifact = out_dir / f"{name}.txt"
-        if not artifact.is_file():
-            continue
-        if _text_checksum(artifact.read_text()[:-1]) != entry.get("checksum"):
-            continue  # artifact edited/corrupted on disk: rerun
+        try:
+            sharding.read_artifact(out_dir, name, entry)
+        except sharding.MergeError:
+            continue  # artifact missing, edited or corrupted on disk: rerun
         skips.append(name)
     return skips
 
@@ -385,7 +381,7 @@ def run_all(
     names = list(EXPERIMENTS) if not only else [n for n in EXPERIMENTS if n in set(only)]
     requested = list(names)
 
-    manifest: Dict[str, dict] = _load_manifest(out_dir) if out_dir is not None else {}
+    manifest: Dict[str, dict] = sharding.load_manifest(out_dir) if out_dir is not None else {}
     if shard_t is not None:
         # this shard: its wholesale assignment + every cell-shardable
         # experiment (those partition their own grid)
@@ -447,7 +443,7 @@ def run_all(
                 # order, and json round-trips it
                 doc = json.dumps(sharding.rows_doc(res))
                 (out_dir / f"{name}.rows.json").write_text(doc)
-                extra = {"rows_checksum": _text_checksum(doc)}
+                extra = {"rows_checksum": sharding.text_checksum(doc)}
             _checkpoint(out_dir, manifest, name,
                         _config_hash(name, quick, trace, shard=shard_t),
                         text, dt, extra=extra)

@@ -54,6 +54,7 @@ __all__ = [
     "text_checksum",
     "load_manifest",
     "write_manifest",
+    "read_artifact",
     "rows_doc",
     "merge_shards",
     "verify_manifest",
@@ -225,8 +226,11 @@ def _shard_infos(shard_dirs: Sequence[Path]) -> List[Tuple[Path, dict, dict]]:
     return infos
 
 
-def _read_artifact(d: Path, name: str, entry: dict) -> str:
-    """A shard artifact's text, verified against its recorded checksum."""
+def read_artifact(d: Path, name: str, entry: dict) -> str:
+    """``<name>.txt`` in ``d``, verified against its manifest ``entry``'s
+    checksum.  A missing or mismatching artifact raises
+    :class:`MergeError`; resume and :func:`verify_manifest` read that as
+    "not checkpointed"."""
     artifact = Path(d) / f"{name}.txt"
     if not artifact.is_file():
         raise MergeError(f"{name}: artifact {artifact} is missing")
@@ -264,7 +268,7 @@ def _merge_cell_shardable(name: str, infos, quick: bool, trace_eff: bool,
                 f"{name}: shard {shard[0]}/{shard[1]} checkpoint was written "
                 f"under a different configuration — refusing to mix sweeps"
             )
-        _read_artifact(d, name, entry)  # verify before trusting the shard
+        read_artifact(d, name, entry)  # verify before trusting the shard
         rows_path = Path(d) / f"{name}.rows.json"
         try:
             doc = json.loads(rows_path.read_text())
@@ -353,7 +357,7 @@ def merge_shards(shard_dirs: Sequence[Path], out_dir: Path) -> Dict[str, object]
                 f"configuration than its {SHARD_KEY} entry claims — "
                 f"refusing to mix sweeps"
             )
-        text = _read_artifact(d, name, entry)
+        text = read_artifact(d, name, entry)
         (out_dir / f"{name}.txt").write_text(text + "\n")
         merged[name] = {
             "config": entry["config"],
@@ -382,8 +386,9 @@ def verify_manifest(out_dir: Path) -> Dict[str, bool]:
             continue
         if "config" not in entry:
             continue
-        artifact = out_dir / f"{name}.txt"
-        ok = artifact.is_file() and text_checksum(
-            artifact.read_text()[:-1]) == entry.get("checksum")
-        results[name] = bool(ok)
+        try:
+            read_artifact(out_dir, name, entry)
+            results[name] = True
+        except MergeError:
+            results[name] = False
     return results

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..formats.cvse import ColumnVectorSparseMatrix
+from ..kernels.cases import cvse_operand, mask_operand
 from ..kernels.functional import spmm_functional
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -65,10 +65,8 @@ def _spmm_problem(seed: int, v: int = 4, m: int = 32, k: int = 64, n: int = 128)
     rng = np.random.default_rng(seed)
     keep = rng.random((m // v, k)) < 0.4
     keep[:, 0] = True  # every vector row live: no all-zero output rows
-    d = (rng.uniform(-1, 1, (m // v, v, k)) * keep[:, None, :]).reshape(m, k)
-    a = ColumnVectorSparseMatrix.from_dense(d.astype(np.float16), v)
-    b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
-    return a, b, n
+    a = cvse_operand(keep, v, rng)
+    return a, rng.uniform(-1, 1, (k, n)).astype(np.float16), n
 
 
 def _sddmm_problem(seed: int, v: int = 4, m: int = 32, k: int = 64, n: int = 96):
@@ -77,8 +75,7 @@ def _sddmm_problem(seed: int, v: int = 4, m: int = 32, k: int = 64, n: int = 96)
     b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
     grp = rng.random((m // v, n)) < 0.3
     grp[:, 0] = True
-    mask = ColumnVectorSparseMatrix.mask_from_dense(np.repeat(grp, v, axis=0), v)
-    return a, b, mask
+    return a, b, mask_operand(grp, v)
 
 
 # --------------------------------------------------------------------- #

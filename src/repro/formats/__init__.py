@@ -14,9 +14,7 @@ from .blocked_ell import BlockedEllMatrix
 from .io import load_cvse, read_smtx, save_cvse, write_smtx
 from .conversions import (
     blocked_ell_matching,
-    csr_from_cvse,
     cvse_from_csr_topology,
-    effective_sparsity,
     pad_rows,
 )
 
@@ -26,9 +24,7 @@ __all__ = [
     "RowVectorSparseMatrix",
     "BlockedEllMatrix",
     "blocked_ell_matching",
-    "csr_from_cvse",
     "cvse_from_csr_topology",
-    "effective_sparsity",
     "pad_rows",
     "load_cvse",
     "read_smtx",

@@ -21,9 +21,7 @@ from ..perfmodel import memo
 __all__ = [
     "cvse_from_csr_topology",
     "blocked_ell_matching",
-    "csr_from_cvse",
     "pad_rows",
-    "effective_sparsity",
 ]
 
 
@@ -72,13 +70,3 @@ def blocked_ell_matching(
     return BlockedEllMatrix.random(
         (m, k), block_size=v, sparsity=cvse.sparsity, rng=rng or np.random.default_rng(1)
     )
-
-
-def csr_from_cvse(cvse: ColumnVectorSparseMatrix) -> CSRMatrix:
-    """Scalar-CSR expansion, keeping explicit in-vector zeros out."""
-    return cvse.to_csr()
-
-
-def effective_sparsity(mat) -> float:
-    """Uniform accessor for the ``sparsity`` of any format object."""
-    return float(mat.sparsity)

@@ -8,8 +8,7 @@ Conventions
 -----------
 * All instruction counts are *warp-level issued* instructions (what
   Nsight's ``inst_executed`` reports divided by warp).
-* ``ldg128_count(bytes)`` — warp instructions needed to move ``bytes``
-  with 16 B per lane: one LDG.128 covers 512 B per warp.
+* One LDG.128 (16 B per lane) moves 512 B per warp.
 * A perfectly 128B-coalesced LDG.128 touches 16 sectors in 4
   transactions (Sectors/Req = 16); an LDG.32 over 32 consecutive
   4-byte lanes touches 4 sectors (Sectors/Req = 4) — exactly the two
@@ -20,39 +19,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 __all__ = [
-    "ldg_instructions",
-    "sectors_for",
-    "segment_lengths",
     "sputnik_sass_lines",
     "warp_reduce_steps",
 ]
-
-
-def ldg_instructions(bytes_per_warp_op: float, lane_bytes: int) -> float:
-    """Warp-level load instructions to move ``bytes`` at ``lane_bytes``/lane."""
-    per_instr = 32 * lane_bytes
-    return bytes_per_warp_op / per_instr
-
-
-def sectors_for(nbytes: float, contiguous: bool = True, lane_bytes: int = 4) -> float:
-    """Sectors requested when loading ``nbytes``.
-
-    ``contiguous`` — the warp's lanes cover a dense byte range: sectors
-    = bytes / 32.  Non-contiguous per-lane strided accesses touch one
-    sector per lane chunk (worst case used for scattered index loads).
-    """
-    if contiguous:
-        return nbytes / 32.0
-    return nbytes / lane_bytes  # one sector per lane element
-
-
-def segment_lengths(row_ptr: np.ndarray) -> np.ndarray:
-    """Per-row nonzero counts from a CSR row pointer."""
-    return np.diff(np.asarray(row_ptr, dtype=np.int64))
 
 
 def sputnik_sass_lines(vector_length: int) -> int:

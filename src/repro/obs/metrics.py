@@ -14,10 +14,7 @@ Instruments are no-ops while observability is disabled (one boolean
 check per call — safe on hot paths).  Enabled, they accumulate into a
 process-wide store that :func:`snapshot` renders as plain JSON:
 counters and gauges as scalars, histograms as
-``{count, sum, min, max, mean}`` summaries.  A histogram can opt into
-explicit bucket boundaries with :func:`configure_buckets`; bucketed
-histograms additionally report per-bucket counts (last bucket =
-overflow above the top bound).
+``{count, sum, min, max, mean}`` summaries.
 
 Naming convention (``docs/OBSERVABILITY.md``): dotted lowercase
 ``<subsystem>.<thing>``; counters count events, gauges hold last
@@ -27,10 +24,7 @@ Pool stitching mirrors the tracer: a worker :func:`drain`\\ s its
 registry after each task, the plain-dict payload rides home in the
 task result, and the parent :func:`merge`\\ s it — counters add,
 histograms combine, gauges last-write-wins — so ``metrics.json`` is
-one registry no matter how many processes contributed.  Bucketed
-histograms travel with their boundaries, and :func:`merge` refuses to
-fold counts binned against *different* boundaries — that raises
-:class:`HistogramBucketMismatchError` instead of silently misbinning.
+one registry no matter how many processes contributed.
 
 :func:`snapshot` also emits a ``derived`` section with the headline
 rates the acceptance dashboards read (memo hit rate per region,
@@ -40,7 +34,6 @@ never touched the subsystem, so consumers need no existence checks.
 
 from __future__ import annotations
 
-import bisect
 import json
 import threading
 from typing import Any, Dict, List, Optional
@@ -52,8 +45,6 @@ __all__ = [
     "counter_add",
     "gauge_set",
     "observe",
-    "configure_buckets",
-    "HistogramBucketMismatchError",
     "reset",
     "drain",
     "merge",
@@ -69,16 +60,6 @@ _counters: Dict[str, float] = {}
 _gauges: Dict[str, float] = {}
 #: name -> [count, sum, min, max]
 _hists: Dict[str, List[float]] = {}
-#: opt-in explicit boundaries: name -> ascending upper bounds
-_bucket_bounds: Dict[str, List[float]] = {}
-#: name -> per-bucket counts, len(bounds) + 1 (last = overflow)
-_bucket_counts: Dict[str, List[float]] = {}
-
-
-class HistogramBucketMismatchError(ValueError):
-    """Two registries tried to combine a histogram binned against
-    different bucket boundaries — adding the counts would silently
-    misbin, so the merge refuses instead."""
 
 
 def enabled() -> bool:
@@ -103,8 +84,7 @@ def gauge_set(name: str, value: float) -> None:
 
 
 def observe(name: str, value: float) -> None:
-    """Record one observation into a histogram summary (and, when the
-    histogram has configured boundaries, into its bucket counts)."""
+    """Record one observation into a histogram summary."""
     if not tracing.enabled():
         return
     v = float(value)
@@ -119,47 +99,14 @@ def observe(name: str, value: float) -> None:
                 h[2] = v
             if v > h[3]:
                 h[3] = v
-        bounds = _bucket_bounds.get(name)
-        if bounds is not None:
-            _bucket_counts[name][bisect.bisect_left(bounds, v)] += 1.0
-
-
-def configure_buckets(name: str, bounds) -> None:
-    """Opt a histogram into explicit bucket boundaries.
-
-    ``bounds`` are ascending upper bounds; a value lands in the first
-    bucket whose bound is >= the value, values above the last bound land
-    in the overflow bucket (so counts have ``len(bounds) + 1`` slots).
-    Reconfiguring with identical boundaries is a no-op; *different*
-    boundaries raise :class:`HistogramBucketMismatchError` — two binnings
-    of the same name cannot coexist.  Unlike the instruments this is
-    registry *configuration*, so it applies regardless of the enabled
-    switch.
-    """
-    bl = [float(b) for b in bounds]
-    if not bl or any(b2 <= b1 for b1, b2 in zip(bl, bl[1:])):
-        raise ValueError(f"bucket bounds must be non-empty and strictly "
-                         f"ascending, got {bl}")
-    with _lock:
-        existing = _bucket_bounds.get(name)
-        if existing is not None:
-            if existing != bl:
-                raise HistogramBucketMismatchError(
-                    f"histogram {name!r} already configured with bounds "
-                    f"{existing}, refusing to reconfigure with {bl}")
-            return
-        _bucket_bounds[name] = bl
-        _bucket_counts[name] = [0.0] * (len(bl) + 1)
 
 
 def reset() -> None:
-    """Drop every instrument (bucket configurations included)."""
+    """Drop every instrument."""
     with _lock:
         _counters.clear()
         _gauges.clear()
         _hists.clear()
-        _bucket_bounds.clear()
-        _bucket_counts.clear()
 
 
 def counters() -> Dict[str, float]:
@@ -175,73 +122,35 @@ def gauges() -> Dict[str, float]:
 
 
 def histograms() -> Dict[str, Dict[str, Any]]:
-    """Every histogram's count/sum/min/max/mean, plus its bucket bounds
-    and counts when it was configured with buckets."""
+    """Every histogram's count/sum/min/max/mean."""
     with _lock:
-        out: Dict[str, Dict[str, Any]] = {}
-        for name, h in _hists.items():
-            entry: Dict[str, Any] = {
-                "count": h[0],
-                "sum": h[1],
-                "min": h[2],
-                "max": h[3],
-                "mean": h[1] / h[0] if h[0] else 0.0,
-            }
-            if name in _bucket_bounds:
-                entry["buckets"] = {
-                    "bounds": list(_bucket_bounds[name]),
-                    "counts": list(_bucket_counts[name]),
-                }
-            out[name] = entry
-        return out
+        return {
+            name: {"count": h[0], "sum": h[1], "min": h[2], "max": h[3],
+                   "mean": h[1] / h[0] if h[0] else 0.0}
+            for name, h in _hists.items()
+        }
 
 
 def drain() -> Dict[str, Any]:
-    """Pop the registry into a plain-dict payload (worker -> parent).
-
-    Bucketed histograms ship their boundaries alongside the counts so
-    the receiving registry can verify the binning matches before
-    folding anything in; the local bucket *configuration* survives the
-    drain (only the data is popped).
-    """
+    """Pop the registry into a plain-dict payload (worker -> parent)."""
     with _lock:
         out = {
             "counters": dict(_counters),
             "gauges": dict(_gauges),
             "hists": {k: list(v) for k, v in _hists.items()},
-            "buckets": {
-                k: {"bounds": list(_bucket_bounds[k]), "counts": list(c)}
-                for k, c in _bucket_counts.items()
-            },
         }
         _counters.clear()
         _gauges.clear()
         _hists.clear()
-        for k in _bucket_counts:
-            _bucket_counts[k] = [0.0] * (len(_bucket_bounds[k]) + 1)
     return out
 
 
 def merge(payload: Optional[Dict[str, Any]]) -> None:
     """Fold a drained payload in: counters add, histograms combine,
-    gauges last-write-wins.
-
-    Bucket counts only combine against identical boundaries; a payload
-    binned with different bounds raises
-    :class:`HistogramBucketMismatchError` (folding it would misbin every
-    count), and nothing from that payload is applied.  A histogram this
-    registry never configured adopts the payload's boundaries.
-    """
+    gauges last-write-wins."""
     if not payload:
         return
     with _lock:
-        for k, b in payload.get("buckets", {}).items():
-            mine = _bucket_bounds.get(k)
-            if mine is not None and mine != list(b["bounds"]):
-                raise HistogramBucketMismatchError(
-                    f"histogram {k!r}: cannot merge counts binned with "
-                    f"bounds {b['bounds']} into a registry configured "
-                    f"with {mine}")
         for k, v in payload.get("counters", {}).items():
             _counters[k] = _counters.get(k, 0.0) + v
         for k, v in payload.get("gauges", {}).items():
@@ -255,14 +164,6 @@ def merge(payload: Optional[Dict[str, Any]]) -> None:
                 mine[1] += h[1]
                 mine[2] = min(mine[2], h[2])
                 mine[3] = max(mine[3], h[3])
-        for k, b in payload.get("buckets", {}).items():
-            if k not in _bucket_bounds:
-                _bucket_bounds[k] = [float(x) for x in b["bounds"]]
-                _bucket_counts[k] = [float(x) for x in b["counts"]]
-            else:
-                counts = _bucket_counts[k]
-                for i, x in enumerate(b["counts"]):
-                    counts[i] += x
 
 
 # --------------------------------------------------------------------- #

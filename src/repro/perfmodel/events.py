@@ -201,14 +201,6 @@ class KernelStats:
         out.extend(self.global_mem.violations())
         return out
 
-    @property
-    def warp_instructions(self) -> float:
-        return self.instructions.total
-
-    def instructions_per_warp(self) -> float:
-        w = self.launch.total_warps
-        return self.instructions.total / w if w else 0.0
-
 
 def scale_batch(stats: KernelStats, copies: int) -> KernelStats:
     """Stats for a *batched* launch of ``copies`` identical problems.

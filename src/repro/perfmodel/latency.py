@@ -44,10 +44,6 @@ class LatencyEstimate:
     stalls: StallProfile
     stall_fractions: Dict[str, float]
 
-    @property
-    def time_ms(self) -> float:
-        return self.time_us / 1e3
-
     def speedup_over(self, other: "LatencyEstimate") -> float:
         return other.time_us / self.time_us
 

@@ -50,10 +50,6 @@ class StallProfile:
     per_warp_instructions: float
     stall_correlation: float
 
-    @property
-    def per_warp_stall_cycles(self) -> float:
-        return self.wait + self.short_scoreboard + self.long_scoreboard + self.barrier
-
     def visible(self, warps_per_scheduler: float) -> Dict[str, float]:
         """Stall cycles *not hidden* by interleaving other warps.
 

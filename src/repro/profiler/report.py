@@ -22,7 +22,6 @@ __all__ = [
     "roofline_summary",
     "diff_kernels",
     "diff_records",
-    "render_diff",
 ]
 
 
@@ -168,11 +167,3 @@ def diff_records(a: Dict[str, object], b: Dict[str, object]) -> str:
         if rows:
             blocks.append(f"{name}\n{format_table(rows)}")
     return "\n\n".join(blocks) if blocks else "(runs identical)"
-
-
-def render_diff(profiles: Dict[str, KernelProfile],
-                a: str, b: str) -> Optional[str]:
-    """Diff two kernels out of one profile sweep (None = unknown name)."""
-    if a not in profiles or b not in profiles:
-        return None
-    return diff_kernels(profiles[a], profiles[b])

@@ -1,8 +1,10 @@
 """Sanitizer harness: kernel cases x problem suites.
 
-Every kernel shipped in :mod:`repro.kernels` is registered here as a
-:class:`KernelCase` — a recipe that materialises a seeded problem,
-runs the checkers that apply to that kernel's design, and returns a
+The kernels, their seeded operand builders and their plan compilers
+come from the one case table, :data:`repro.kernels.cases.KERNEL_CASES`,
+which the profiler shares.  This module pairs each kernel class with
+its check body, which materialises a seeded problem, runs the
+checkers that apply to that kernel's design, and returns a
 :class:`~repro.sanitizer.findings.SanitizerReport`:
 
 * **statcheck** runs for every case (all kernels author ``KernelStats``);
@@ -27,10 +29,16 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..formats.blocked_ell import BlockedEllMatrix
-from ..formats.csr import CSRMatrix
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware.thread_hierarchy import ceil_div
+from ..kernels.cases import (
+    KERNEL_CASES,
+    KernelCase,
+    csr_operand,
+    cvse_operand,
+    ell_operand,
+    mask_operand,
+)
 from ..kernels.cusparse import (
     BlockedEllSpmmKernel,
     CusparseCsrSpmmKernel,
@@ -97,99 +105,63 @@ SUITES: Dict[str, Tuple[ProblemSpec, ...]] = {
 # --------------------------------------------------------------------- #
 def _spmm_problem(p: ProblemSpec) -> Tuple[ColumnVectorSparseMatrix, np.ndarray]:
     rng = p.rng()
-    keep = rng.random((p.m // p.v, p.k)) < p.density
-    d = (rng.uniform(-1, 1, (p.m // p.v, p.v, p.k)) * keep[:, None, :]).reshape(p.m, p.k)
-    a = ColumnVectorSparseMatrix.from_dense(d.astype(np.float16), p.v)
-    b = rng.uniform(-1, 1, (p.k, p.n)).astype(np.float16)
-    return a, b
+    a = cvse_operand(rng.random((p.m // p.v, p.k)) < p.density, p.v, rng)
+    return a, rng.uniform(-1, 1, (p.k, p.n)).astype(np.float16)
 
 
 def _sddmm_problem(p: ProblemSpec) -> Tuple[np.ndarray, np.ndarray, ColumnVectorSparseMatrix]:
     rng = p.rng()
     a = rng.uniform(-1, 1, (p.m, p.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (p.k, p.n)).astype(np.float16)
-    mask_grp = rng.random((p.m // p.v, p.n)) < p.density
-    mask = ColumnVectorSparseMatrix.mask_from_dense(np.repeat(mask_grp, p.v, axis=0), p.v)
-    return a, b, mask
-
-
-def _ell_problem(p: ProblemSpec) -> Tuple[BlockedEllMatrix, np.ndarray]:
-    rng = p.rng()
-    block = 16
-    m = ceil_div(p.m, block) * block
-    k = ceil_div(p.k, block) * block
-    ell = BlockedEllMatrix.random((m, k), block, sparsity=1.0 - p.density, rng=rng)
-    b = rng.uniform(-1, 1, (k, p.n)).astype(np.float16)
-    return ell, b
-
-
-def _csr_problem(p: ProblemSpec) -> CSRMatrix:
-    rng = p.rng()
-    d = rng.uniform(-1, 1, (p.m, p.k)) * (rng.random((p.m, p.k)) < p.density)
-    return CSRMatrix.from_dense(d.astype(np.float16))
+    return a, b, mask_operand(rng.random((p.m // p.v, p.n)) < p.density, p.v)
 
 
 # --------------------------------------------------------------------- #
-# shared-memory plans from the kernels' staging constants
+# checker passes: each returns (findings, counters) for the report
 # --------------------------------------------------------------------- #
-def _staging_plan_checks(report: SanitizerReport, plan: racecheck.SharedPlan) -> None:
-    report.ran(Checker.RACECHECK)
-    report.ran(Checker.SYNCCHECK)
-    findings, counters = racecheck.check_shared_plan(plan)
-    report.extend(findings)
-    for key, n in counters.items():
-        report.count(key, n)
-
-
-def _statcheck(report: SanitizerReport, stats) -> None:
-    report.ran(Checker.STATCHECK)
-    findings, counters = statcheck.check_stats(stats)
-    report.extend(findings)
-    for key, n in counters.items():
-        report.count(key, n)
-
-
-def _memcheck(report: SanitizerReport, stream, amap) -> None:
-    report.ran(Checker.MEMCHECK)
-    findings, counters = memcheck.check_stream(stream, amap)
-    report.extend(findings)
-    for key, n in counters.items():
-        report.count(key, n)
-
-
-def _plancheck(report: SanitizerReport, result) -> None:
-    report.ran(Checker.OWNERSHIP)
+def _record(report: SanitizerReport, result, *checkers: Checker) -> None:
+    """Mark ``checkers`` as run and fold one pass's findings and counters in."""
+    for chk in checkers:
+        report.ran(chk)
     findings, counters = result
     report.extend(findings)
     for key, n in counters.items():
         report.count(key, n)
 
 
+def _statcheck(report: SanitizerReport, stats) -> None:
+    _record(report, statcheck.check_stats(stats), Checker.STATCHECK)
+
+
+def _memcheck(report: SanitizerReport, stream, amap) -> None:
+    _record(report, memcheck.check_stream(stream, amap), Checker.MEMCHECK)
+
+
+def _staging_plan_checks(report: SanitizerReport, plan: racecheck.SharedPlan) -> None:
+    """Shared-memory plans from the kernels' staging constants."""
+    _record(report, racecheck.check_shared_plan(plan), Checker.RACECHECK,
+            Checker.SYNCCHECK)
+
+
 # --------------------------------------------------------------------- #
-# kernel cases
+# check bodies, one per kernel class: (table row, problem) -> report
 # --------------------------------------------------------------------- #
-def _case_spmm_octet(p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     a, b = _spmm_problem(p)
     report = SanitizerReport(kernel="spmm-mma-octet")
-    _statcheck(report, OctetSpmmKernel().stats_for(a, p.n))
+    _statcheck(report, c.kernel().stats_for(a, p.n))
     _memcheck(
         report,
         trace.octet_spmm_cta_sectors(a, p.n),
         memcheck.spmm_octet_address_map(a, p.n),
     )
-    report.ran(Checker.OWNERSHIP)
-    findings, counters = racecheck.check_spmm_octet_ownership(
-        OctetSpmmKernel(simulate=True), a, b
-    )
-    report.extend(findings)
-    for key, n in counters.items():
-        report.count(key, n)
-    _plancheck(report, plancheck.check_spmm_octet_plan(OctetSpmmKernel(simulate=True), a))
+    _record(report, racecheck.check_spmm_octet_ownership(c.kernel(simulate=True), a, b),
+            Checker.OWNERSHIP)
+    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
     # single-warp CTA: the LHS stage is race-free by construction, but
     # its accesses must stay inside the declared allocation
-    kern = OctetSpmmKernel
-    stage = kern.TILE_K * a.vector_length * _EB
-    strides = int(np.ceil(a.vector_row_nnz().max() / kern.TILE_K)) if a.nnz_vectors else 1
+    stage = c.factory.TILE_K * a.vector_length * _EB
+    strides = int(np.ceil(a.vector_row_nnz().max() / c.factory.TILE_K)) if a.nnz_vectors else 1
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
@@ -200,46 +172,46 @@ def _case_spmm_octet(p: ProblemSpec) -> SanitizerReport:
     return report
 
 
-def _case_spmm_wmma(p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     a, _ = _spmm_problem(p)
     report = SanitizerReport(kernel="spmm-mma-wmma")
-    stats = WmmaSpmmKernel().stats_for(a, p.n)
+    stats = c.kernel().stats_for(a, p.n)
     _statcheck(report, stats)
-    _plancheck(report, plancheck.check_spmm_wmma_plan(WmmaSpmmKernel(simulate=True), a))
+    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
     stage = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
             "spmm-mma-wmma", warps=1, shared_bytes=stage, stage_bytes=stage,
-            k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), WmmaSpmmKernel.TILE_K)),
+            k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), c.factory.TILE_K)),
         ),
     )
     return report
 
 
-def _case_spmm_fpu(p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_fpu(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     a, _ = _spmm_problem(p)
     report = SanitizerReport(kernel="spmm-fpu")
-    stats = FpuSpmmKernel().stats_for(a, p.n)
+    stats = c.kernel().stats_for(a, p.n)
     _statcheck(report, stats)
     # the FPU kernels execute through the shared functional layer, so
     # their compiled plans are the functional expansion/CSR skeletons
-    _plancheck(report, plancheck.check_functional_plans("spmm-fpu", a))
+    _record(report, plancheck.check_functional_plans("spmm-fpu", a), Checker.OWNERSHIP)
     stage = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
             "spmm-fpu", warps=1, shared_bytes=stage, stage_bytes=stage,
-            k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), FpuSpmmKernel.TILE_K)),
+            k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), c.factory.TILE_K)),
         ),
     )
     return report
 
 
-def _case_blocked_ell(p: ProblemSpec) -> SanitizerReport:
-    ell, _ = _ell_problem(p)
+def _check_blocked_ell(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+    ell = ell_operand((p.m, p.k), p.density, p.rng())
     report = SanitizerReport(kernel="cusparse-blocked-ell")
-    stats = BlockedEllSpmmKernel().stats_for(ell, p.n)
+    stats = c.kernel().stats_for(ell, p.n)
     _statcheck(report, stats)
     _memcheck(
         report,
@@ -248,21 +220,20 @@ def _case_blocked_ell(p: ProblemSpec) -> SanitizerReport:
     )
     # 4-warp CTA staging A blocks + B tiles behind barriers (§3.2's
     # barrier-heavy pattern — the synccheck surface)
-    warps = BlockedEllSpmmKernel.CTA_SIZE // 32
     shared = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "cusparse-blocked-ell", warps=warps, shared_bytes=shared,
+            "cusparse-blocked-ell", warps=c.factory.CTA_SIZE // 32, shared_bytes=shared,
             stage_bytes=shared, k_steps=max(1, ell.ell_width),
         ),
     )
     return report
 
 
-def _case_gemm(p: ProblemSpec) -> SanitizerReport:
+def _check_gemm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     report = SanitizerReport(kernel="dense-gemm")
-    kern = DenseGemmKernel()
+    kern = c.kernel()
     stats = kern.stats_for_shape(p.m, p.k, p.n)
     _statcheck(report, stats)
     tile_m, tile_n, cta = kern._pick_tile(p.m, p.n)
@@ -284,34 +255,29 @@ def _case_gemm(p: ProblemSpec) -> SanitizerReport:
     return report
 
 
-def _sddmm_octet_case(variant: str) -> Callable[[ProblemSpec], SanitizerReport]:
-    def run(p: ProblemSpec) -> SanitizerReport:
-        a, b, mask = _sddmm_problem(p)
-        kern = OctetSddmmKernel(variant=variant, simulate=True)
-        report = SanitizerReport(kernel=kern.name)
-        _statcheck(report, OctetSddmmKernel(variant=variant).stats_for(mask, p.k))
-        _memcheck(
-            report,
-            trace.octet_sddmm_cta_sectors(mask, p.k),
-            memcheck.sddmm_address_map(mask, p.k),
-        )
-        report.ran(Checker.OWNERSHIP)
-        findings, counters = racecheck.check_sddmm_octet_ownership(kern, a, b, mask)
-        report.extend(findings)
-        for key, n in counters.items():
-            report.count(key, n)
-        _plancheck(report, plancheck.check_sddmm_octet_plan(kern, mask, p.k))
-        return report
-
-    return run
+def _check_sddmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+    a, b, mask = _sddmm_problem(p)
+    kern = c.kernel(simulate=True)
+    report = SanitizerReport(kernel=kern.name)
+    _statcheck(report, c.kernel().stats_for(mask, p.k))
+    _memcheck(
+        report,
+        trace.octet_sddmm_cta_sectors(mask, p.k),
+        memcheck.sddmm_address_map(mask, p.k),
+    )
+    _record(report, racecheck.check_sddmm_octet_ownership(kern, a, b, mask),
+            Checker.OWNERSHIP)
+    _record(report, plancheck.check_plan(c, kern, mask, p.k), Checker.OWNERSHIP)
+    return report
 
 
-def _case_sddmm_wmma(p: ProblemSpec) -> SanitizerReport:
+def _check_sddmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _, _, mask = _sddmm_problem(p)
     report = SanitizerReport(kernel="sddmm-mma-wmma")
-    stats = WmmaSddmmKernel().stats_for(mask, p.k)
+    stats = c.kernel().stats_for(mask, p.k)
     _statcheck(report, stats)
-    _plancheck(report, plancheck.check_sddmm_wmma_plan(WmmaSddmmKernel(simulate=True), mask, p.k))
+    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), mask, p.k),
+            Checker.OWNERSHIP)
     _memcheck(
         report,
         trace.wmma_sddmm_cta_sectors(mask, p.k),
@@ -322,68 +288,54 @@ def _case_sddmm_wmma(p: ProblemSpec) -> SanitizerReport:
         report,
         racecheck.staged_plan(
             "sddmm-mma-wmma", warps=1, shared_bytes=stage, stage_bytes=stage,
-            k_steps=max(1, ceil_div(p.k, WmmaSddmmKernel.TILE_K)),
+            k_steps=max(1, ceil_div(p.k, c.factory.TILE_K)),
         ),
     )
     return report
 
 
-def _case_sddmm_fpu(p: ProblemSpec) -> SanitizerReport:
+def _check_sddmm_fpu(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _, _, mask = _sddmm_problem(p)
     report = SanitizerReport(kernel="sddmm-fpu")
-    _statcheck(report, FpuSddmmKernel().stats_for(mask, p.k))
+    _statcheck(report, c.kernel().stats_for(mask, p.k))
     # the FPU kernels execute through the shared functional layer, so
     # their compiled plans are the functional expansion/CSR skeletons
-    _plancheck(report, plancheck.check_functional_plans("sddmm-fpu", mask))
+    _record(report, plancheck.check_functional_plans("sddmm-fpu", mask), Checker.OWNERSHIP)
     return report
 
 
-def _case_softmax(p: ProblemSpec) -> SanitizerReport:
+def _check_softmax(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     a, _ = _spmm_problem(p)
     report = SanitizerReport(kernel="softmax-cvse")
-    _statcheck(report, SparseSoftmaxKernel().stats_for(a))
+    _statcheck(report, c.kernel().stats_for(a))
     return report
 
 
-def _case_csr_spmm(p: ProblemSpec) -> SanitizerReport:
-    csr = _csr_problem(p)
+def _check_csr_spmm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     report = SanitizerReport(kernel="cusparse-csr-spmm-sp")
-    _statcheck(report, CusparseCsrSpmmKernel().stats_for(csr, p.n))
+    _statcheck(report, c.kernel().stats_for(csr_operand((p.m, p.k), p.density, p.rng()), p.n))
     return report
 
 
-def _case_csr_sddmm(p: ProblemSpec) -> SanitizerReport:
-    csr = _csr_problem(p)
+def _check_csr_sddmm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     report = SanitizerReport(kernel="cusparse-sddmm-sp")
-    _statcheck(report, CusparseSddmmKernel().stats_for(csr, p.k))
+    _statcheck(report, c.kernel().stats_for(csr_operand((p.m, p.k), p.density, p.rng()), p.k))
     return report
 
 
-@dataclass(frozen=True)
-class KernelCase:
-    """One sanitizable kernel: a name and its per-problem runner."""
-
-    name: str
-    run: Callable[[ProblemSpec], SanitizerReport]
-
-
-KERNEL_CASES: Dict[str, KernelCase] = {
-    c.name: c
-    for c in (
-        KernelCase("spmm-octet", _case_spmm_octet),
-        KernelCase("spmm-wmma", _case_spmm_wmma),
-        KernelCase("spmm-fpu", _case_spmm_fpu),
-        KernelCase("spmm-blocked-ell", _case_blocked_ell),
-        KernelCase("dense-gemm", _case_gemm),
-        KernelCase("sddmm-octet-reg", _sddmm_octet_case("reg")),
-        KernelCase("sddmm-octet-shfl", _sddmm_octet_case("shfl")),
-        KernelCase("sddmm-octet-arch", _sddmm_octet_case("arch")),
-        KernelCase("sddmm-wmma", _case_sddmm_wmma),
-        KernelCase("sddmm-fpu", _case_sddmm_fpu),
-        KernelCase("softmax", _case_softmax),
-        KernelCase("cusparse-csr-spmm", _case_csr_spmm),
-        KernelCase("cusparse-sddmm", _case_csr_sddmm),
-    )
+#: kernel class -> its check body
+_CHECKS: Dict[type, Callable[[KernelCase, ProblemSpec], SanitizerReport]] = {
+    OctetSpmmKernel: _check_spmm_octet,
+    WmmaSpmmKernel: _check_spmm_wmma,
+    FpuSpmmKernel: _check_spmm_fpu,
+    BlockedEllSpmmKernel: _check_blocked_ell,
+    DenseGemmKernel: _check_gemm,
+    OctetSddmmKernel: _check_sddmm_octet,
+    WmmaSddmmKernel: _check_sddmm_wmma,
+    FpuSddmmKernel: _check_sddmm_fpu,
+    SparseSoftmaxKernel: _check_softmax,
+    CusparseCsrSpmmKernel: _check_csr_spmm,
+    CusparseSddmmKernel: _check_csr_sddmm,
 }
 
 
@@ -416,16 +368,13 @@ def sanitize(
             merged: SanitizerReport | None = None
             with obs_tracing.span(f"sanitize.{case.name}", suite=suite) as sp:
                 for problem in SUITES[suite]:
-                    rep = case.run(problem)
+                    rep = _CHECKS[case.factory](case, problem)
                     if merged is None:
                         merged = rep
                     else:
-                        merged.extend(rep.findings)
-                        for chk in rep.checks_run:
-                            if chk not in merged.checks_run:
-                                merged.checks_run.append(chk)
-                        for key, n in rep.counters.items():
-                            merged.count(key, n)
+                        merged.checks_run += [c for c in rep.checks_run
+                                              if c not in merged.checks_run]
+                        _record(merged, (rep.findings, rep.counters))
                 assert merged is not None
                 sp.set(findings=len(merged.findings))
             if obs_metrics.enabled():

@@ -126,6 +126,18 @@ SUBCOMMAND_CASES = [
     ("profile-bad", ["profile", "--config", "bogus"], 2),
     ("analyze-bad", ["analyze", "--rule", "bogus"], 2),
     ("table-bad", ["--kernel", "bogus"], 2),
+    # size flags: a bad value is a usage error naming the flag
+    ("table-rows-zero", ["--rows", "0"], 2),
+    ("table-cols-zero", ["--cols", "0"], 2),
+    ("table-n-zero", ["-N", "0"], 2),
+    ("table-k-negative", ["--op", "sddmm", "-K", "-3"], 2),
+    ("plans-rows-zero", ["plans", "--rows", "0"], 2),
+    ("plans-cols-zero", ["plans", "--cols", "0"], 2),
+    ("plans-n-negative", ["plans", "-N", "-2"], 2),
+    ("plans-k-negative", ["plans", "-K", "-1"], 2),
+    ("profile-top-negative", ["profile", "--top", "-1"], 2),
+    ("profile-top-zero", ["profile", "--top", "0"], 2),
+    ("obs-top-negative", ["obs", "--top", "-1"], 2),
 ]
 
 
@@ -145,4 +157,14 @@ def test_subcommand_exit_code_contract(argv, code, tmp_path, capsys, fresh_obs):
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-N", "0"], "error: -N must be a positive integer, got 0\n"),
+    (["plans", "--rows", "x"], "error: --rows must be a positive integer, got x\n"),
+    (["obs", "--top", "-1"], "error: --top must be a non-negative integer, got -1\n"),
+])
+def test_size_flag_error_names_the_flag(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
 

@@ -379,63 +379,7 @@ class TestChromeTraceEdgeCases:
 
 
 class TestHistogramBuckets:
-    def test_observe_bins_into_configured_buckets(self):
-        tracing.enable()
-        metrics.configure_buckets("h", [10, 100])
-        for v in (1, 10, 11, 1000):
-            metrics.observe("h", v)
-        h = metrics.histograms()["h"]
-        assert h["buckets"]["bounds"] == [10, 100]
-        assert h["buckets"]["counts"] == [2.0, 1.0, 1.0]
-        assert h["count"] == 4.0
-
     def test_unbucketed_histogram_has_no_buckets_key(self):
         tracing.enable()
         metrics.observe("plain", 1.0)
         assert "buckets" not in metrics.histograms()["plain"]
-
-    def test_pool_stitching_merges_matching_buckets(self):
-        tracing.enable()
-        metrics.configure_buckets("h", [10, 100])
-        metrics.observe("h", 5)
-        worker = metrics.drain()
-        # registry keeps its configuration after the drain
-        metrics.observe("h", 50)
-        metrics.merge(worker)
-        counts = metrics.histograms()["h"]["buckets"]["counts"]
-        assert counts == [1.0, 1.0, 0.0]
-
-    def test_mismatched_worker_bounds_raise_typed_error(self):
-        tracing.enable()
-        metrics.configure_buckets("h", [10, 100])
-        metrics.observe("h", 5)
-        payload = {"counters": {"c": 1.0}, "gauges": {}, "hists": {},
-                   "buckets": {"h": {"bounds": [1, 2, 3],
-                                     "counts": [0.0, 0.0, 0.0, 4.0]}}}
-        with pytest.raises(metrics.HistogramBucketMismatchError):
-            metrics.merge(payload)
-        # refused payload applied nothing, not even its counters
-        assert metrics.counters().get("c") is None
-        assert metrics.histograms()["h"]["buckets"]["counts"] == [1.0, 0.0, 0.0]
-
-    def test_parent_without_config_adopts_worker_bounds(self):
-        tracing.enable()
-        payload = {"counters": {}, "gauges": {},
-                   "hists": {"h": [2.0, 30.0, 10.0, 20.0]},
-                   "buckets": {"h": {"bounds": [15.0],
-                                     "counts": [1.0, 1.0]}}}
-        metrics.merge(payload)
-        h = metrics.histograms()["h"]
-        assert h["buckets"] == {"bounds": [15.0], "counts": [1.0, 1.0]}
-
-    def test_reconfigure_same_bounds_is_noop_different_raises(self):
-        metrics.configure_buckets("h", [1, 2])
-        metrics.configure_buckets("h", [1, 2])
-        with pytest.raises(metrics.HistogramBucketMismatchError):
-            metrics.configure_buckets("h", [1, 3])
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.configure_buckets("h", [])
-        with pytest.raises(ValueError):
-            metrics.configure_buckets("h", [5, 5])

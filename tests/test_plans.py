@@ -26,6 +26,7 @@ from repro.faults import FaultInjector, run_campaign
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
+from repro.kernels.cases import KERNEL_CASES
 from repro.kernels.functional import (
     sddmm_functional,
     sddmm_functional_reference,
@@ -312,8 +313,8 @@ class TestPlanValidation:
     def test_plancheck_wraps_findings_and_counters(self):
         rng = np.random.default_rng(12)
         a = _random_cvse(rng, 16, 48, 4)
-        findings, counters = plancheck.check_spmm_octet_plan(
-            OctetSpmmKernel(simulate=True), a
+        findings, counters = plancheck.check_plan(
+            KERNEL_CASES["spmm-octet"], OctetSpmmKernel(simulate=True), a
         )
         assert findings == []
         assert counters["plan.groups"] > 0

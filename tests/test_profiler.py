@@ -9,10 +9,12 @@ import pytest
 from repro import profiler
 from repro.cli import main as cli_main
 from repro.experiments import runner
+from repro.kernels.cases import KERNEL_CASES as TABLE
 from repro.obs import metrics, tracing
 from repro.profiler import history as history_mod
 from repro.profiler.registry import CONFIGS
 from repro.profiler.roofline import MATH_PIPES, ROOFLINE_APPLICABLE, classify
+from repro.sanitizer import sanitize
 from repro.sanitizer.harness import KERNEL_CASES
 from repro.serving import get_scenario, profile_summary, simulate
 
@@ -43,6 +45,18 @@ def smoke_profiles():
 class TestDerivation:
     def test_registry_mirrors_sanitizer_kernel_cases(self):
         assert set(profiler.KERNEL_NAMES) == set(KERNEL_CASES)
+
+    def test_every_case_table_row_reaches_every_consumer(self, smoke_profiles, capsys):
+        assert cli_main(["plans"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        planned = [line.split("|")[0].strip() for line in out[2:] if "|" in line]
+        assert profiler.KERNEL_NAMES == tuple(TABLE)
+        for name, case in TABLE.items():
+            assert smoke_profiles[name].time_us > 0
+            [report] = sanitize([name], suite="smoke")
+            assert report.ok and report.checks_run
+            assert (name in planned) == (case.plan is not None)
+        assert len(planned) == 6
 
     def test_all_kernels_profiled_and_classified(self, smoke_profiles):
         assert len(smoke_profiles) == 13
