@@ -1,10 +1,10 @@
 """Whole-repo static analysis for the repro system.
 
-Ten registered rules over one shared parse: the five PR-3 contract lints
-(``parity-tests``, ``no-input-mutation``, ``seeded-rng``,
-``span-outside-memo``, ``plan-reference-twins``) and five semantic passes
+Six registered rules over one shared parse: two contract lints
+(``seeded-rng``, ``span-outside-memo``) and four semantic passes
 (``memo-key-soundness``, ``precision-flow``, ``env-gate-registry``,
-``obs-naming-contract``, ``purity-propagation``).
+``obs-naming-contract``).  The kernel contracts are checked by running
+the kernels instead (``tests/test_lint_contracts.py``).
 
 Entry points: :func:`run_analysis` (programmatic),
 ``python -m repro.cli analyze`` (CLI, with JSON/SARIF output).  See
@@ -29,7 +29,6 @@ from . import envcheck  # noqa: E402,F401
 from . import memokey  # noqa: E402,F401
 from . import obscheck  # noqa: E402,F401
 from . import precision  # noqa: E402,F401
-from . import purity  # noqa: E402,F401
 
 from .emit import to_json, to_sarif  # noqa: E402,F401
 

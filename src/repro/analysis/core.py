@@ -8,11 +8,10 @@ graph.  Rules are registered in a global registry with an ID, a severity
 and a description; each rule is a function ``check(ctx) -> [Finding]``.
 
 Interprocedural passes follow the classic summary-then-propagate shape:
-compute an intraprocedural summary per function (what it mutates, what
-dtype it returns, what it reads), then propagate summaries over the call
+compute an intraprocedural summary per function (what dtype it
+returns, what it reads), then propagate summaries over the call
 graph to a fixpoint.  The helpers here (:class:`AnalysisContext`,
-:func:`reachable_from`, :func:`direct_param_mutations`) keep the passes
-themselves small.
+:func:`reachable_from`) keep the passes themselves small.
 
 Suppressions: a finding on line N is suppressed by a trailing comment
 ``# repro: ignore[rule-id]`` on line N or on the line directly above it
@@ -35,7 +34,6 @@ __all__ = [
     "RULES",
     "Rule",
     "decorator_name",
-    "direct_param_mutations",
     "dotted_call_name",
     "reachable_from",
     "rule",
@@ -182,10 +180,8 @@ def _module_name(rel: str) -> str:
 class AnalysisContext:
     """Parsed view of one repository checkout.
 
-    Loads ``src/repro/**/*.py`` eagerly (the analysed surface) and the
-    ``tests/`` corpus lazily as raw text (for reference lookups like the
-    parity-tests rule).  Works on the real repo and on the mini-repos the
-    test corpus checks in.
+    Loads ``src/repro/**/*.py`` (the analysed surface).  Works on the
+    real repo and on the mini-repos the test corpus checks in.
     """
 
     def __init__(self, repo: Path):
@@ -197,7 +193,6 @@ class AnalysisContext:
         self.classes: Dict[str, Dict[str, ast.ClassDef]] = {}
         # caller qualname -> [(callee qualname, lineno)]
         self.callees: Dict[str, List[Tuple[str, int]]] = {}
-        self._tests_corpus: Optional[str] = None
         self._load()
         self._index()
         self._build_call_graph()
@@ -380,19 +375,6 @@ class AnalysisContext:
 
     # -- convenience --------------------------------------------------------
 
-    @property
-    def tests_corpus(self) -> str:
-        if self._tests_corpus is None:
-            chunks: List[str] = []
-            tests = self.repo / "tests"
-            if tests.is_dir():
-                for path in sorted(tests.rglob("*.py")):
-                    if "__pycache__" in path.parts:
-                        continue
-                    chunks.append(path.read_text())
-            self._tests_corpus = "\n".join(chunks)
-        return self._tests_corpus
-
     def files_under(self, *prefixes: str) -> List[FileInfo]:
         return [
             info
@@ -441,77 +423,6 @@ def reachable_from(ctx: AnalysisContext, roots: Iterable[str]) -> Dict[str, str]
                 origin[callee] = origin[current]
                 queue.append(callee)
     return origin
-
-
-_NDARRAY_MUTATORS = {"fill", "sort", "put", "setfield", "partition", "itemset"}
-
-
-def store_base_name(target: ast.expr) -> Optional[str]:
-    """Root ``Name`` of a subscript/attribute store target, else None."""
-
-    node = target
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def direct_param_mutations(
-    node: ast.AST, params: Sequence[str], *, include_methods: bool = False
-) -> List[Tuple[str, int, str]]:
-    """Direct in-place mutations of ``params`` inside one function body.
-
-    Returns ``(param, lineno, kind)`` for subscript/attribute stores rooted
-    at a parameter.  A parameter rebound by a plain ``name = ...`` assignment
-    anywhere in the function is discounted entirely (later stores hit the
-    local copy, not the caller's array) — the same discount the original
-    contract lint applied.  With ``include_methods`` the known in-place
-    ndarray methods (``fill``/``sort``/...) count as mutations too.
-    """
-
-    live = set(params)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                if isinstance(target, ast.Name):
-                    live.discard(target.id)
-
-    out: List[Tuple[str, int, str]] = []
-
-    def check_target(stmt: ast.AST, target: ast.expr) -> None:
-        if isinstance(target, (ast.Subscript, ast.Attribute)):
-            name = store_base_name(target)
-            if name in live:
-                kind = "subscript" if isinstance(target, ast.Subscript) else "attribute"
-                out.append((name, stmt.lineno, kind))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                check_target(stmt, elt)
-
-    def visit(stmt: ast.AST) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs get their own summaries
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                check_target(stmt, target)
-        elif isinstance(stmt, ast.AugAssign):
-            check_target(stmt, stmt.target)
-        elif (
-            include_methods
-            and isinstance(stmt, ast.Call)
-            and isinstance(stmt.func, ast.Attribute)
-            and stmt.func.attr in _NDARRAY_MUTATORS
-            and isinstance(stmt.func.value, ast.Name)
-            and stmt.func.value.id in live
-        ):
-            out.append((stmt.func.value.id, stmt.lineno, f".{stmt.func.attr}()"))
-        for child in ast.iter_child_nodes(stmt):
-            visit(child)
-
-    for stmt in getattr(node, "body", []):
-        visit(stmt)
-    return out
 
 
 # ---------------------------------------------------------------------------

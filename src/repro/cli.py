@@ -179,7 +179,7 @@ def _sanitize_args(ap: argparse.ArgumentParser) -> None:
                     help="every kernel case on the 'full' suite")
     ap.add_argument("--smoke", action="store_true",
                     help="every kernel case on the 'smoke' suite (CI)")
-    ap.add_argument("--verbose", action="store_true",
+    ap.add_argument("-v", "--verbose", action="store_true",
                     help="print per-checker work counters")
 
 

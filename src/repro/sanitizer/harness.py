@@ -4,8 +4,9 @@ The kernels, their seeded operand builders and their plan compilers
 come from the one case table, :data:`repro.kernels.cases.KERNEL_CASES`,
 which the profiler shares.  This module pairs each kernel class with
 its check body, which materialises a seeded problem, runs the
-checkers that apply to that kernel's design, and returns a
-:class:`~repro.sanitizer.findings.SanitizerReport`:
+checkers that apply to that kernel's design, and records them in the
+kernel's :class:`~repro.sanitizer.findings.SanitizerReport`, labelled
+with the kernel's own ``.name``:
 
 * **statcheck** runs for every case (all kernels author ``KernelStats``);
 * **memcheck** runs where a trace generator exists
@@ -144,11 +145,10 @@ def _staging_plan_checks(report: SanitizerReport, plan: racecheck.SharedPlan) ->
 
 
 # --------------------------------------------------------------------- #
-# check bodies, one per kernel class: (table row, problem) -> report
+# check bodies, one per kernel class: (table row, problem, report)
 # --------------------------------------------------------------------- #
-def _check_spmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_octet(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     a, b = _spmm_problem(p)
-    report = SanitizerReport(kernel="spmm-mma-octet")
     _statcheck(report, c.kernel().stats_for(a, p.n))
     _memcheck(
         report,
@@ -165,16 +165,14 @@ def _check_spmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "spmm-mma-octet", warps=1, shared_bytes=stage, stage_bytes=stage,
+            report.kernel, warps=1, shared_bytes=stage, stage_bytes=stage,
             k_steps=max(1, strides),
         ),
     )
-    return report
 
 
-def _check_spmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_wmma(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     a, _ = _spmm_problem(p)
-    report = SanitizerReport(kernel="spmm-mma-wmma")
     stats = c.kernel().stats_for(a, p.n)
     _statcheck(report, stats)
     _record(report, plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
@@ -182,16 +180,14 @@ def _check_spmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "spmm-mma-wmma", warps=1, shared_bytes=stage, stage_bytes=stage,
+            report.kernel, warps=1, shared_bytes=stage, stage_bytes=stage,
             k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), c.factory.TILE_K)),
         ),
     )
-    return report
 
 
-def _check_spmm_fpu(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_spmm_fpu(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     a, _ = _spmm_problem(p)
-    report = SanitizerReport(kernel="spmm-fpu")
     stats = c.kernel().stats_for(a, p.n)
     _statcheck(report, stats)
     # the FPU kernels execute through the shared functional layer, so
@@ -201,16 +197,14 @@ def _check_spmm_fpu(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "spmm-fpu", warps=1, shared_bytes=stage, stage_bytes=stage,
+            report.kernel, warps=1, shared_bytes=stage, stage_bytes=stage,
             k_steps=max(1, ceil_div(int(a.vector_row_nnz().max() or 1), c.factory.TILE_K)),
         ),
     )
-    return report
 
 
-def _check_blocked_ell(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_blocked_ell(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     ell = ell_operand((p.m, p.k), p.density, p.rng())
-    report = SanitizerReport(kernel="cusparse-blocked-ell")
     stats = c.kernel().stats_for(ell, p.n)
     _statcheck(report, stats)
     _memcheck(
@@ -224,15 +218,13 @@ def _check_blocked_ell(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "cusparse-blocked-ell", warps=c.factory.CTA_SIZE // 32, shared_bytes=shared,
+            report.kernel, warps=c.factory.CTA_SIZE // 32, shared_bytes=shared,
             stage_bytes=shared, k_steps=max(1, ell.ell_width),
         ),
     )
-    return report
 
 
-def _check_gemm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
-    report = SanitizerReport(kernel="dense-gemm")
+def _check_gemm(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     kern = c.kernel()
     stats = kern.stats_for_shape(p.m, p.k, p.n)
     _statcheck(report, stats)
@@ -248,17 +240,15 @@ def _check_gemm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "dense-gemm", warps=cta // 32, shared_bytes=shared,
+            report.kernel, warps=cta // 32, shared_bytes=shared,
             stage_bytes=shared // 2, k_steps=ceil_div(p.k, kern.TILE_K),
         ),
     )
-    return report
 
 
-def _check_sddmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_sddmm_octet(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     a, b, mask = _sddmm_problem(p)
     kern = c.kernel(simulate=True)
-    report = SanitizerReport(kernel=kern.name)
     _statcheck(report, c.kernel().stats_for(mask, p.k))
     _memcheck(
         report,
@@ -268,12 +258,10 @@ def _check_sddmm_octet(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _record(report, racecheck.check_sddmm_octet_ownership(kern, a, b, mask),
             Checker.OWNERSHIP)
     _record(report, plancheck.check_plan(c, kern, mask, p.k), Checker.OWNERSHIP)
-    return report
 
 
-def _check_sddmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_sddmm_wmma(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     _, _, mask = _sddmm_problem(p)
-    report = SanitizerReport(kernel="sddmm-mma-wmma")
     stats = c.kernel().stats_for(mask, p.k)
     _statcheck(report, stats)
     _record(report, plancheck.check_plan(c, c.kernel(simulate=True), mask, p.k),
@@ -287,44 +275,35 @@ def _check_sddmm_wmma(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
     _staging_plan_checks(
         report,
         racecheck.staged_plan(
-            "sddmm-mma-wmma", warps=1, shared_bytes=stage, stage_bytes=stage,
+            report.kernel, warps=1, shared_bytes=stage, stage_bytes=stage,
             k_steps=max(1, ceil_div(p.k, c.factory.TILE_K)),
         ),
     )
-    return report
 
 
-def _check_sddmm_fpu(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_sddmm_fpu(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     _, _, mask = _sddmm_problem(p)
-    report = SanitizerReport(kernel="sddmm-fpu")
     _statcheck(report, c.kernel().stats_for(mask, p.k))
     # the FPU kernels execute through the shared functional layer, so
     # their compiled plans are the functional expansion/CSR skeletons
     _record(report, plancheck.check_functional_plans("sddmm-fpu", mask), Checker.OWNERSHIP)
-    return report
 
 
-def _check_softmax(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
+def _check_softmax(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     a, _ = _spmm_problem(p)
-    report = SanitizerReport(kernel="softmax-cvse")
     _statcheck(report, c.kernel().stats_for(a))
-    return report
 
 
-def _check_csr_spmm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
-    report = SanitizerReport(kernel="cusparse-csr-spmm-sp")
+def _check_csr_spmm(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     _statcheck(report, c.kernel().stats_for(csr_operand((p.m, p.k), p.density, p.rng()), p.n))
-    return report
 
 
-def _check_csr_sddmm(c: KernelCase, p: ProblemSpec) -> SanitizerReport:
-    report = SanitizerReport(kernel="cusparse-sddmm-sp")
+def _check_csr_sddmm(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     _statcheck(report, c.kernel().stats_for(csr_operand((p.m, p.k), p.density, p.rng()), p.k))
-    return report
 
 
 #: kernel class -> its check body
-_CHECKS: Dict[type, Callable[[KernelCase, ProblemSpec], SanitizerReport]] = {
+_CHECKS: Dict[type, Callable[[KernelCase, ProblemSpec, SanitizerReport], None]] = {
     OctetSpmmKernel: _check_spmm_octet,
     WmmaSpmmKernel: _check_spmm_wmma,
     FpuSpmmKernel: _check_spmm_fpu,
@@ -346,9 +325,8 @@ def sanitize(
 
     Unknown kernel or suite names raise ``ValueError`` listing the
     valid choices (mirroring ``run_all --only``).  One report is
-    returned per (kernel, problem) pair, problems merged per kernel:
-    a kernel's report aggregates the findings over every problem of
-    the suite.
+    returned per kernel, labelled with the kernel's own name; it
+    aggregates the findings over every problem of the suite.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; valid choices: {sorted(SUITES)}")
@@ -365,20 +343,13 @@ def sanitize(
     reports: List[SanitizerReport] = []
     with obs_tracing.span("sanitize", suite=suite, cases=len(selected)):
         for case in selected:
-            merged: SanitizerReport | None = None
+            report = SanitizerReport(kernel=case.kernel().name)
             with obs_tracing.span(f"sanitize.{case.name}", suite=suite) as sp:
                 for problem in SUITES[suite]:
-                    rep = _CHECKS[case.factory](case, problem)
-                    if merged is None:
-                        merged = rep
-                    else:
-                        merged.checks_run += [c for c in rep.checks_run
-                                              if c not in merged.checks_run]
-                        _record(merged, (rep.findings, rep.counters))
-                assert merged is not None
-                sp.set(findings=len(merged.findings))
+                    _CHECKS[case.factory](case, problem, report)
+                sp.set(findings=len(report.findings))
             if obs_metrics.enabled():
                 obs_metrics.counter_add("sanitizer.cases")
-                obs_metrics.counter_add("sanitizer.findings", len(merged.findings))
-            reports.append(merged)
+                obs_metrics.counter_add("sanitizer.findings", len(report.findings))
+            reports.append(report)
     return reports

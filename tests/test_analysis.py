@@ -1,7 +1,7 @@
 """Tests for the repro.analysis engine: corpus, suppressions, CLI.
 
 The injected-violation corpus under ``tests/analysis_corpus/`` has one
-minimal repo per rule; running *all* ten rules over a fixture must trip
+minimal repo per rule; running *all* six rules over a fixture must trip
 exactly that fixture's rule, on exactly the lines marked ``# finding``.  The real tree must stay clean for every
 semantic pass, and the acceptance mutations (deleting a declared env
 gate, renaming a declared obs counter) must fail analysis with exit 1.
@@ -32,7 +32,6 @@ SEMANTIC_PASSES = [
     "precision-flow",
     "env-gate-registry",
     "obs-naming-contract",
-    "purity-propagation",
 ]
 
 
@@ -46,11 +45,11 @@ def _write(root: Path, rel: str, text: str) -> None:
 # registry and corpus
 # ---------------------------------------------------------------------------
 
-def test_registry_has_all_ten_rules():
-    assert ALL_RULES == sorted([
-        "parity-tests", "no-input-mutation", "seeded-rng",
-        "span-outside-memo", "plan-reference-twins",
-    ] + SEMANTIC_PASSES)
+def test_registry_has_the_six_rules():
+    assert ALL_RULES == [
+        "env-gate-registry", "memo-key-soundness", "obs-naming-contract",
+        "precision-flow", "seeded-rng", "span-outside-memo",
+    ]
 
 
 def _marked_lines(fixture: Path) -> set:
@@ -68,8 +67,8 @@ def test_corpus_fixture_trips_exactly_its_rule(rule_id):
     findings = run_analysis(CORPUS / rule_id)
     assert findings, f"{rule_id} fixture produced no findings"
     assert {f.rule for f in findings} == {rule_id}
-    # unmarked near-misses in the fixture (rebound inputs, inner spans,
-    # seeded generators, helper imports) must stay clean
+    # unmarked near-misses in the fixture (inner spans, seeded
+    # generators) must stay clean
     assert {(f.path, f.line) for f in findings} == _marked_lines(CORPUS / rule_id)
 
 
@@ -116,7 +115,7 @@ def test_bare_suppression_covers_any_rule(tmp_path):
 
 
 def test_suppression_for_other_rule_does_not_apply(tmp_path):
-    repo = _rng_repo(tmp_path, "return default_rng()  # repro: ignore[parity-tests]")
+    repo = _rng_repo(tmp_path, "return default_rng()  # repro: ignore[span-outside-memo]")
     findings = run_analysis(repo, ["seeded-rng"])
     assert len(findings) == 1
 
@@ -197,7 +196,6 @@ def _copy_repo(tmp_path: Path) -> Path:
     dest = tmp_path / "repo"
     ignore = shutil.ignore_patterns("__pycache__", "analysis_corpus")
     shutil.copytree(REPO / "src", dest / "src", ignore=ignore)
-    shutil.copytree(REPO / "tests", dest / "tests", ignore=ignore)
     return dest
 
 

@@ -112,6 +112,7 @@ class TestCli:
 #: is a fresh directory holding one regular file, ``{tmp}/file``
 SUBCOMMAND_CASES = [
     ("sanitize-clean", ["sanitize", "--smoke"], 0),
+    ("sanitize-verbose-short", ["sanitize", "--smoke", "-v"], 0),
     ("sanitize-bad", ["sanitize", "--kernel", "bogus"], 2),
     ("faults-clean", ["faults", "--smoke"], 0),
     ("faults-bad", ["faults", "--campaign", "bogus"], 2),

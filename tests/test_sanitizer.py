@@ -53,6 +53,11 @@ class TestCleanSweep:
             assert "statcheck" in r.checks_run
             assert sum(r.counters.values()) > 0
 
+    def test_reports_are_labelled_with_kernel_names(self):
+        reports = sanitize(suite="smoke")
+        assert [r.kernel for r in reports] == [
+            case.kernel().name for case in KERNEL_CASES.values()]
+
     def test_octet_kernels_get_ownership_checked(self):
         reports = {r.kernel: r for r in sanitize(
             ["spmm-octet", "sddmm-octet-arch"], suite="smoke")}
