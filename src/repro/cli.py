@@ -18,8 +18,8 @@ handler raises into ``error: ...`` on stderr and exit 2.
   (:mod:`repro.obs`);
 * ``plans`` compiles, validates, and parity-checks the execution plans
   (:mod:`repro.plans`) of every simulated kernel on a seeded problem;
-* ``memo`` inspects (and verifies or compacts) the shared cross-process
-  memo store (:mod:`repro.perfmodel.sharedmemo`);
+* ``memo`` inspects (and verifies) the shared cross-process memo
+  store (:mod:`repro.perfmodel.sharedmemo`), one file per entry;
 * ``merge`` combines ``--shard`` sweep outputs into one verified result
   (:mod:`repro.experiments.sharding`);
 * ``serve`` runs the multi-tenant serving simulator
@@ -47,7 +47,6 @@ Examples
     python -m repro.cli plans --parity
     python -m repro.cli plans -V 8 --rows 128 --cols 256 -N 128 -K 128
     python -m repro.cli memo --dir .repro-memo --verify
-    python -m repro.cli memo --compact
     python -m repro.cli merge out-shard0 out-shard1 --out out-merged
     python -m repro.cli serve --scenario overload --requests 8000 -v
     python -m repro.cli serve --scenario steady --sweep
@@ -398,11 +397,6 @@ def _memo_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--verify", action="store_true",
                     help="re-read and re-hash every live entry; exit 1 when "
                          "any is corrupt")
-    ap.add_argument("--compact", action="store_true",
-                    help="rewrite the live, checksum-valid entries into one "
-                         "fresh segment and delete the superseded files (the "
-                         "only reclamation path — run while no sweep writes "
-                         "the store)")
 
 
 def _memo(args) -> int:
@@ -420,16 +414,9 @@ def _memo(args) -> int:
         print(f"verify: {ok} entr{'y' if ok == 1 else 'ies'} ok, "
               f"{corrupt} corrupt")
         rc = EXIT_FINDINGS if corrupt else EXIT_CLEAN
-    if args.compact:
-        summary = sharedmemo.compact()
-        print(f"compact: kept {summary['kept']}, dropped "
-              f"{summary['dropped_corrupt']} corrupt, removed "
-              f"{summary['removed_segments']} superseded segment(s)")
     st = sharedmemo.stats()
     print(f"shared memo store: {st['dir']}")
-    print(f"  segments: {st['segments']} ({st['segment_bytes']} bytes on disk)"
-          f"  writers: {st['writers']}  live entries: {st['live_entries']} "
-          f"({st['live_bytes']} bytes)")
+    print(f"  live entries: {st['live_entries']} ({st['live_bytes']} bytes)")
     rows = [{"region": r, "entries": row["entries"], "bytes": row["bytes"]}
             for r, row in st["regions"].items()]
     print(format_table(rows) if rows else "  (no live entries)")
@@ -909,8 +896,8 @@ _SUBCOMMANDS = {
               "simulated kernel on a seeded problem, run the ownership "
               "validation over them, and report the plan-cache traffic",
               _plans_args, _plans),
-    "memo": ("Inspect, verify, or compact the shared cross-process "
-             "memo store (repro.perfmodel.sharedmemo)",
+    "memo": ("Inspect or verify the shared cross-process memo store "
+             "(repro.perfmodel.sharedmemo)",
              _memo_args, _memo),
     "merge": ("Combine N --shard sweep output directories into one "
               "verified full-sweep result (exit 2 on mismatched shard "

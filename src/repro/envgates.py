@@ -60,8 +60,8 @@ GATES: Dict[str, EnvGate] = _registry(
             "blake2b integrity checksums on memo blobs; corrupt entries are "
             "recomputed, never served. Default on."),
     EnvGate("REPRO_MEMO_SHARED", "0", "flag",
-            "Cross-process shared memo tier (append-only segment store "
-            "layered as L2 under the in-process regions). Default off."),
+            "Cross-process shared memo tier (one checksummed file per "
+            "entry, layered as L2 under the in-process regions). Default off."),
     EnvGate("REPRO_MEMO_SHARED_DIR", "", "value",
             "Directory backing the shared memo store; blank means the "
             "default .repro-memo next to the working directory."),

@@ -32,7 +32,6 @@ from . import (
 from .claims import PAPER_CLAIMS, Claim, ClaimVerdict, verify
 from .charts import bar_chart, line_chart, render_fig17, render_fig20
 from .common import ExperimentResult, geomean
-from .runner import EXPERIMENTS, run_all
 
 __all__ = [
     "ExperimentResult",
@@ -47,8 +46,6 @@ __all__ = [
     "line_chart",
     "render_fig17",
     "render_fig20",
-    "EXPERIMENTS",
-    "run_all",
     "fig4_fine_grained",
     "fig5_gemm_vs_spmm",
     "fig6_blocked_ell",

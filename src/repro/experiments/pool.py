@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import metrics as obs_metrics
-from ..perfmodel import sharedmemo as _sharedmemo
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -108,22 +107,6 @@ def retry_delay(attempt: int, backoff: float) -> float:
 def effective_workers(jobs: int, n_tasks: int) -> int:
     """Worker count actually used: never more processes than tasks."""
     return max(1, min(jobs, n_tasks))
-
-
-def _call_and_flush(fn: Callable[[T], R], item: T) -> R:
-    """Run one task, then publish this process's shared-memo index.
-
-    Pool workers each hold their own single-writer segment; flushing at
-    task granularity makes freshly computed entries visible to sibling
-    workers (and concurrent shard invocations) without waiting for the
-    publish batch or process exit.  A cheap no-op when the shared tier
-    never wrote anything.  Module-level so the pooled path can pickle
-    it.
-    """
-    try:
-        return fn(item)
-    finally:
-        _sharedmemo.flush()
 
 
 #: failure-status -> observability counter (scheduler-side accounting
@@ -292,7 +275,7 @@ def resilient_map(
 
     def submit(i: int, attempt: int) -> None:
         t0 = time.monotonic()
-        fut = ex.submit(_call_and_flush, fn, work[i])
+        fut = ex.submit(fn, work[i])
         deadline = t0 + timeout if timeout is not None else float("inf")
         running[fut] = (i, attempt, t0, deadline)
         outcomes[i].attempts = attempt + 1

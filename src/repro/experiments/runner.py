@@ -447,9 +447,6 @@ def run_all(
             _checkpoint(out_dir, manifest, name,
                         _config_hash(name, quick, trace, shard=shard_t),
                         text, dt, extra=extra)
-        # make this experiment's shared-memo entries visible to sibling
-        # shard/runner invocations immediately (no-op when tier is off)
-        sharedmemo.flush()
 
     with obs_tracing.span("run_all", jobs=jobs, quick=bool(quick),
                           experiments=len(tasks)):

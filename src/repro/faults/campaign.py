@@ -167,7 +167,7 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
 
 
 def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
-    """Corrupt a shared-tier segment record on disk and require the
+    """Corrupt a shared-tier entry file on disk and require the
     cross-process store to (a) fail the blob checksum on the next
     lookup, (b) fall through to a recompute, and (c) serve the
     bit-identical recomputed stats — the corrupt bytes must never
@@ -192,14 +192,14 @@ def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
         if not sharedmemo.tamper_entry("stats", index=0, flip_byte=flip):
             return False, "tamper_entry found no shared entry"
         # drop the local tier so the next call must go through the
-        # shared segment (whose bytes no longer match their digest)
+        # shared entry (whose bytes no longer match their digest)
         memo.clear()
         before = sharedmemo.integrity_failures()
         served = kern.stats_for(a, n)
         caught = sharedmemo.integrity_failures() - before == 1
         never_served = memo.stats_signature(served) == ref_sig
         return (caught and never_served,
-                f"shared segment byte {flip} flipped; caught={caught}")
+                f"shared entry byte {flip} flipped; caught={caught}")
     finally:
         memo.set_enabled(None)
         memo.set_checksum(None)
@@ -336,7 +336,7 @@ _TARGETS: Tuple[Target, ...] = (
            _stats_statcheck("stats-subtle"), subtle=True),
     Target("memo-blob-corrupt", "memo[stats]", "byteflip", "memocheck",
            _memo_integrity),
-    Target("sharedmemo-segment-corrupt", "sharedmemo[stats]", "byteflip",
+    Target("sharedmemo-entry-corrupt", "sharedmemo[stats]", "byteflip",
            "memocheck", _shared_integrity),
 )
 

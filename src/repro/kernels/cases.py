@@ -83,7 +83,7 @@ KERNEL_CASES: Dict[str, KernelCase] = {
         KernelCase("sddmm-wmma", "mask", WmmaSddmmKernel, plan=plans.sddmm_wmma_plan),
         KernelCase("sddmm-fpu", "mask", FpuSddmmKernel),
         KernelCase("softmax", "cvse", SparseSoftmaxKernel),
-        KernelCase("cusparse-csr-spmm", "csr", CusparseCsrSpmmKernel),
+        KernelCase("cusparse-csr-spmm", "csr", CusparseCsrSpmmKernel, {"precision": "half"}),
         KernelCase("cusparse-sddmm", "csr", CusparseSddmmKernel),
     )
 }

@@ -40,27 +40,29 @@ useful for subprocess benchmarks), and :func:`counters`/
 :func:`snapshot`/:func:`delta` for hit-rate reporting.
 
 Integrity: the object-valued regions (``stats``/``latency``/``trace``/
-``suite``/``plan``) store each value as a pickled blob plus a BLAKE2b
-digest of the bytes.  Every hit re-hashes the stored bytes before unpickling, so
-a corrupted entry (bit rot, a buggy in-place mutation, or the fault
-injector's ``tamper_entry``) is *detected and recomputed, never
-served* — the failure lands in :func:`integrity_counters` and the
-fresh value replaces the bad entry.  The RNG-keyed operand regions
-(``problem``/``format``) keep raw references (their values are
-hundreds of MB of arrays; re-hashing them per hit would erase the
-point of the cache) — that boundary is documented in
-``docs/ROBUSTNESS.md``.  ``REPRO_MEMO_CHECKSUM=0`` reverts the object
+``suite``/``plan``, :data:`sharedmemo.SHAREABLE_REGIONS`) store each
+value as a sealed record: a BLAKE2b digest followed by the pickled
+bytes, the format the shared tier writes to disk
+(:func:`sharedmemo.seal`).  Every hit re-hashes the stored bytes
+before unpickling them, so a corrupted entry (bit rot, a buggy
+in-place mutation, or the fault injector's ``tamper_entry``) is
+*detected and recomputed, never served* — the failure lands in
+:func:`integrity_counters` and the fresh value replaces the bad entry.
+The RNG-keyed operand regions (``problem``/``format``) keep raw
+references (their values are hundreds of MB of arrays; re-hashing them
+per hit would erase the point of the cache) — that boundary is
+documented in ``docs/ROBUSTNESS.md``.  ``REPRO_MEMO_CHECKSUM=0`` reverts the object
 regions to raw storage for A/B benchmarking.
 
 Shared tier: when ``REPRO_MEMO_SHARED=1`` the blob regions are layered
 over :mod:`~repro.perfmodel.sharedmemo` — a file-backed, cross-process
 L2.  A local miss falls through to the shared store (the blob is
-verified, unpickled, and adopted locally); a computed miss publishes
-its blob to both tiers, so hit rates survive process boundaries
-(``--jobs`` workers, ``--shard`` invocations, repeated runs).  The
-operand regions (:data:`ARRAY_REGIONS`) never reach the shared tier,
-and :func:`trim`/FIFO eviction only ever drop *local* entries — shared
-segments are reclaimed exclusively by ``sharedmemo.compact()``.
+verified, unpickled, and its record adopted locally); a computed miss
+publishes its record to both tiers, so hit rates survive process
+boundaries (``--jobs`` workers, ``--shard`` invocations, repeated
+runs).  The operand regions (:data:`ARRAY_REGIONS`) never reach the
+shared tier, and :func:`trim`/FIFO eviction only ever drop *local*
+entries.
 """
 
 from __future__ import annotations
@@ -107,11 +109,6 @@ __all__ = [
     "integrity_failures",
     "tamper_entry",
 ]
-
-#: regions whose entries are stored as checksummed pickle blobs; the
-#: complement ("problem"/"format") holds raw operand arrays where a
-#: per-hit re-hash would cost more than the miss it avoids.
-_BLOB_REGIONS = frozenset({"stats", "latency", "trace", "suite", "plan"})
 
 #: per-region entry limits (FIFO eviction); generous for the metadata
 #: regions, tight for the ones that hold real operand arrays.
@@ -209,8 +206,7 @@ def trim(regions=ARRAY_REGIONS) -> None:
     runner calls this between experiments so the cache's heap footprint
     stays bounded by one experiment's working set (``None`` trims every
     region).  Trimming (and the per-region FIFO eviction) is strictly
-    local: shared-tier segments are never invalidated or orphaned here —
-    reclaiming those is :func:`sharedmemo.compact`'s job alone."""
+    local: shared-tier entries are never touched here."""
     with _lock:
         for name, reg in _regions.items():
             if regions is None or name in regions:
@@ -318,10 +314,10 @@ def tamper_entry(region: str, index: int = 0, flip_byte: int = 0) -> bool:
                 continue
             if not (isinstance(entry, tuple) and entry and entry[0] == "blob"):
                 return False
-            _, blob, digest = entry
-            mutated = bytearray(blob)
-            mutated[flip_byte % len(mutated)] ^= 0xFF
-            reg.store[key] = ("blob", bytes(mutated), digest)
+            mutated = bytearray(entry[1])
+            head = _sharedmemo.DIGEST_BYTES
+            mutated[head + flip_byte % (len(mutated) - head)] ^= 0xFF
+            reg.store[key] = ("blob", bytes(mutated))
             return True
     return False
 
@@ -586,20 +582,22 @@ def _freeze(obj: Any) -> Any:
 # --------------------------------------------------------------------- #
 # cache core
 # --------------------------------------------------------------------- #
-def _blob_digest(blob: bytes) -> str:
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+def _sealed(val: Any) -> Optional[bytes]:
+    """The sealed record of ``val``, or None when it cannot be pickled."""
+    try:
+        return _sharedmemo.seal(val)
+    except Exception:
+        return None
 
 
 def _pack(region: str, val: Any, copy_result: bool) -> tuple:
-    """Build the stored entry: a checksummed pickle blob for the object
-    regions, a raw (possibly deep-copied) reference otherwise."""
-    if region in _BLOB_REGIONS and checksum_enabled():
-        try:
-            blob = pickle.dumps(val, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            pass  # unpicklable value: degrade to raw storage
-        else:
-            return ("blob", blob, _blob_digest(blob))
+    """Build the stored entry: a sealed record for the object regions,
+    a raw (possibly deep-copied) reference otherwise or when ``val``
+    cannot be pickled."""
+    if region in _sharedmemo.SHAREABLE_REGIONS and checksum_enabled():
+        record = _sealed(val)
+        if record is not None:
+            return ("blob", record)
     return ("raw", copy.deepcopy(val) if copy_result else val)
 
 
@@ -647,8 +645,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
         entry = reg.store.get(key)
         if entry is not None:
             if entry[0] == "blob":
-                _, blob, digest = entry
-                if _blob_digest(blob) == digest:
+                blob = _sharedmemo.unseal(entry[1])
+                if blob is not None:
                     reg.hits += 1
                     return pickle.loads(blob)
                 reg.integrity += 1
@@ -662,7 +660,7 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
             reg.misses += 1
     # local miss: fall through to the shared (cross-process) tier
     shared_key = None
-    if region in _BLOB_REGIONS and _sharedmemo.enabled():
+    if region in _sharedmemo.SHAREABLE_REGIONS and _sharedmemo.enabled():
         shared_key = _sharedmemo.key_digest(region, key)
         if shared_key is not None:
             blob = _sharedmemo.lookup(region, shared_key)
@@ -673,7 +671,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                     pass  # undecodable despite checksum: recompute
                 else:
                     with _lock:
-                        reg.store[key] = ("blob", blob, _blob_digest(blob))
+                        # adopt the verified record as read: no second hash
+                        reg.store[key] = ("blob", blob.obj)
                         while len(reg.store) > reg.limit:
                             reg.store.popitem(last=False)
                     return val
@@ -691,17 +690,10 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
         while len(reg.store) > reg.limit:
             reg.store.popitem(last=False)
     if shared_key is not None:
-        if entry[0] == "blob":
-            _sharedmemo.publish(region, shared_key, entry[1])
-        else:
-            # checksum disabled locally: publish a pickled blob anyway —
-            # the shared record carries its own digest
-            try:
-                blob = pickle.dumps(val, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                pass
-            else:
-                _sharedmemo.publish(region, shared_key, blob)
+        # a raw local entry (checksum off) still publishes a sealed record
+        record = entry[1] if entry[0] == "blob" else _sealed(val)
+        if record is not None:
+            _sharedmemo.publish(region, shared_key, record)
     return val
 
 

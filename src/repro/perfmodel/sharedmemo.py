@@ -1,64 +1,56 @@
 """Shared cross-process memo tier: a file-backed L2 under :mod:`memo`.
 
-The in-process memo regions die with their process, so every ``--jobs``
-worker and every separate runner invocation recomputes entries its
-siblings already paid for.  This module keeps a second, *shared* tier
-on disk so hit rates survive process boundaries: lookups in the blob
-regions fall through process-local -> shared, and misses publish the
-freshly computed blob to both.
+The in-process memo regions die with their process.  This tier keeps
+the blob regions' entries on disk, so ``--jobs`` workers, ``--shard``
+invocations and repeated runs hit what a sibling already computed:
+lookups fall through process-local -> shared, and misses publish the
+computed record to both.
 
-Store layout (one directory, any number of concurrent processes)::
+Both tiers hold the same **sealed record**: the 16-byte BLAKE2b digest
+of a pickled value followed by the pickle (:func:`seal` builds one,
+:func:`unseal` verifies one).  The store keeps one file per entry::
 
-    <dir>/segments/<writer>.seg   append-only value blobs, one writer
-                                  per process (never rewritten in place)
-    <dir>/index/<writer>.json     that writer's entry catalogue,
-                                  republished atomically via
-                                  write-tmp-then-rename
+    <dir>/<region>/<key digest hex>      digest ‖ pickled blob
 
-* **Single-writer segments** — each process appends only to its own
-  segment file, so there is no cross-process write contention and no
-  file locking anywhere.
-* **Lock-free readers** — a reader lists ``index/``, loads whatever
-  catalogues exist, and reads blobs at the recorded offsets.  An index
-  is only ever replaced by rename, so a reader sees the old complete
-  catalogue or the new complete catalogue, never a torn one.
-* **Checksummed entries** — every record carries a BLAKE2b digest of
-  its pickled bytes; a read re-hashes before unpickling.  A corrupted
-  or truncated segment entry is *detected and dropped, never served* —
-  the failure lands in :func:`integrity_counters` and the caller
-  recomputes (and republishes) the value.
-* **Canonical keys** — entries are addressed by
-  :func:`key_digest`: the in-process memo key is normalised
-  (numpy scalars to Python scalars, sequences to tuples) and pickled
-  with a *pinned* protocol, so the same problem hashes identically in
-  every worker regardless of interpreter defaults.
+* **Atomic writers** — a writer writes the record under a unique temp
+  name (``<key>.<pid>-<nonce>.tmp``) and moves it into place with
+  :func:`os.replace`, so a reader sees a whole record or no file.  Two
+  processes publishing the same key write the same bytes; the last
+  rename wins.  There is no file locking anywhere.
+* **Checksummed entries** — a read re-hashes the pickle before handing
+  it out.  A corrupt or truncated entry is *detected, never served*:
+  the failure lands in :func:`integrity_counters`, the caller
+  recomputes, and its publish replaces the bad file.
+* **Canonical keys** — :func:`key_digest` normalises the in-process
+  memo key (numpy scalars to Python scalars, sequences to tuples) and
+  pickles it with a *pinned* protocol, so the same problem hashes
+  identically in every worker regardless of interpreter defaults.
 
 The operand-array regions (``memo.ARRAY_REGIONS`` — ``problem`` /
 ``format``) never reach this tier: their values are hundreds of MB and
 their keys embed RNG state, so sharing them would trade a cheap local
-rebuild for massive segment churn.  :func:`memo.trim` and the local
-FIFO eviction only touch the in-process stores — shared segments are
-reclaimed exclusively by the explicit :func:`compact`.
+rebuild for massive disk churn.  :func:`memo.trim` and the local FIFO
+eviction only touch the in-process stores; nothing deletes shared
+entries (remove the directory to reclaim it).  Leftover ``*.tmp`` files
+of a killed writer are ignored, and so are the ``segments/`` and
+``index/`` directories of the earlier segment-store layout.
 
 Control surface: ``REPRO_MEMO_SHARED`` (default **off**; ``1`` enables),
 ``REPRO_MEMO_SHARED_DIR`` (default ``.repro-memo`` under the working
 directory), :func:`set_enabled` / :func:`set_dir` overrides, and
-``python -m repro.cli memo`` for inspection/verify/compact.  Outputs
+``python -m repro.cli memo`` for inspection and verification.  Outputs
 are bit-identical with the tier on or off: the shared tier serves only
 pickled blobs of values the local tier would have recomputed.
 """
 
 from __future__ import annotations
 
-import atexit
+import contextlib
+import hashlib
 import io
-import json
 import os
 import pickle
-import struct
 import threading
-import time
-import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -73,9 +65,10 @@ __all__ = [
     "store_dir",
     "set_dir",
     "key_digest",
+    "seal",
+    "unseal",
     "lookup",
     "publish",
-    "flush",
     "reset",
     "counters",
     "snapshot",
@@ -84,9 +77,9 @@ __all__ = [
     "integrity_failures",
     "stats",
     "verify_store",
-    "compact",
     "tamper_entry",
     "SHAREABLE_REGIONS",
+    "DIGEST_BYTES",
 ]
 
 _DEFAULT_DIR = ".repro-memo"
@@ -95,23 +88,13 @@ _DEFAULT_DIR = ".repro-memo"
 #: therefore the digest) must not depend on the interpreter's default
 _KEY_PROTOCOL = 4
 
-#: regions eligible for the shared tier (the checksummed blob regions;
-#: the RNG-keyed operand regions are excluded by design — see module
+#: the regions stored as sealed records, in-process and shared (the
+#: RNG-keyed operand regions are excluded by design — see module
 #: docstring and docs/ROBUSTNESS.md)
 SHAREABLE_REGIONS = frozenset({"stats", "latency", "trace", "suite", "plan"})
 
-#: per-record header: magic, key digest (16 raw bytes), value digest
-#: (16 raw bytes), value length
-_RECORD_MAGIC = b"RMS1"
-_HEADER = struct.Struct("<4s16s16sI")
-
-#: publish the index after this many unpublished records (plus on
-#: :func:`flush` and at interpreter exit)
-_PUBLISH_BATCH = 32
-
-#: minimum seconds between on-miss index rescans (concurrent producers
-#: become visible at this granularity; a fresh process always scans)
-_REFRESH_S = 0.25
+#: length of the BLAKE2b digest that opens every sealed record
+DIGEST_BYTES = 16
 
 _lock = threading.Lock()
 _enabled_override: Optional[bool] = None
@@ -139,19 +122,13 @@ def store_dir() -> Path:
 
 
 def set_dir(path: Optional[os.PathLike]) -> None:
-    """Point the tier at ``path`` (None defers to the env/default).
-
-    Also drops the in-memory view and writer so the next operation
-    binds to the new directory.
-    """
+    """Point the tier at ``path`` (None defers to the env/default)."""
     global _dir_override
-    with _lock:
-        _dir_override = Path(path) if path is not None else None
-        _teardown_locked()
+    _dir_override = Path(path) if path is not None else None
 
 
 # --------------------------------------------------------------------- #
-# canonical keys
+# canonical keys and sealed records
 # --------------------------------------------------------------------- #
 def _normalise(obj: Any) -> Any:
     """Reduce a memo key to pickle-stable primitives.
@@ -173,130 +150,62 @@ def _normalise(obj: Any) -> Any:
     raise TypeError(f"no canonical shared-memo key for {type(obj).__qualname__}")
 
 
+def _hash(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=DIGEST_BYTES).digest()
+
+
 def key_digest(region: str, key: Any) -> Optional[bytes]:
     """16-byte canonical digest of ``(region, key)``; ``None`` when the
     key cannot be normalised (the entry then stays process-local)."""
-    import hashlib
-
     try:
         norm = _normalise(key)
     except TypeError:
         return None
-    blob = pickle.dumps((region, norm), protocol=_KEY_PROTOCOL)
-    return hashlib.blake2b(blob, digest_size=16).digest()
+    return _hash(pickle.dumps((region, norm), protocol=_KEY_PROTOCOL))
 
 
-def _blob_digest(blob: bytes) -> bytes:
-    import hashlib
+def seal(value: Any) -> bytes:
+    """The sealed record of ``value``: the digest of its pickle, then the
+    pickle, built in one buffer so a large pickle is never held twice."""
+    buf = io.BytesIO()
+    buf.write(bytes(DIGEST_BYTES))
+    pickle.dump(value, buf, protocol=pickle.HIGHEST_PROTOCOL)
+    with buf.getbuffer() as view:
+        view[:DIGEST_BYTES] = _hash(view[DIGEST_BYTES:])
+    return buf.getvalue()
 
-    return hashlib.blake2b(blob, digest_size=16).digest()
+
+def unseal(record) -> Optional[memoryview]:
+    """The verified pickle inside ``record``, as a view (no copy);
+    ``None`` when the record is truncated or its bytes no longer match
+    the digest."""
+    view = memoryview(record)
+    blob = view[DIGEST_BYTES:]
+    if len(view) <= DIGEST_BYTES or _hash(blob) != view[:DIGEST_BYTES]:
+        return None
+    return blob
 
 
 # --------------------------------------------------------------------- #
-# state: per-process writer + read view + counters
+# counters
 # --------------------------------------------------------------------- #
-class _Entry:
-    __slots__ = ("region", "segment", "offset", "length", "digest")
-
-    def __init__(self, region: str, segment: str, offset: int, length: int,
-                 digest: bytes) -> None:
-        self.region = region
-        self.segment = segment
-        self.offset = offset
-        self.length = length
-        self.digest = digest
-
-
-class _Writer:
-    """This process's single-writer segment + index publisher."""
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-        self.writer_id = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        self.segment_name = f"{self.writer_id}.seg"
-        self.path = root / "segments" / self.segment_name
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        (root / "index").mkdir(parents=True, exist_ok=True)
-        self._fh: Optional[io.BufferedWriter] = None
-        self._offset = 0
-        #: [key_hex, region, offset, length, value_digest_hex] rows, in
-        #: publish order (the on-disk index is exactly this list)
-        self.entries: List[List[object]] = []
-        self._unpublished = 0
-
-    def append(self, region: str, key: bytes, blob: bytes) -> _Entry:
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-            self._offset = self._fh.tell()
-        vdigest = _blob_digest(blob)
-        header = _HEADER.pack(_RECORD_MAGIC, key, vdigest, len(blob))
-        self._fh.write(header)
-        self._fh.write(blob)
-        self._fh.flush()
-        offset = self._offset + _HEADER.size
-        self._offset += _HEADER.size + len(blob)
-        self.entries.append(
-            [key.hex(), region, offset, len(blob), vdigest.hex()])
-        self._unpublished += 1
-        if self._unpublished >= _PUBLISH_BATCH:
-            self.publish_index()
-        return _Entry(region, self.segment_name, offset, len(blob), vdigest)
-
-    def publish_index(self) -> None:
-        """Atomically replace this writer's catalogue (tmp + rename)."""
-        if not self._unpublished:
-            return
-        doc = {"writer": self.writer_id, "segment": self.segment_name,
-               "entries": self.entries}
-        final = self.root / "index" / f"{self.writer_id}.json"
-        tmp = final.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc))
-        tmp.replace(final)
-        self._unpublished = 0
-
-    def close(self) -> None:
-        self.publish_index()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-_writer: Optional[_Writer] = None
-#: key digest (bytes) -> _Entry, built from the published indexes plus
-#: this process's own (possibly unpublished) appends
-_view: Dict[bytes, _Entry] = {}
-_view_loaded = False
-_last_refresh = 0.0
 #: region -> [hits, misses, integrity]
 _counters: Dict[str, List[int]] = {}
-_atexit_registered = False
-
-
-def _teardown_locked() -> None:
-    global _writer, _view_loaded, _last_refresh
-    if _writer is not None:
-        _writer.close()
-        _writer = None
-    _view.clear()
-    _view_loaded = False
-    _last_refresh = 0.0
 
 
 def reset() -> None:
-    """Close the writer, drop the read view and zero every counter.
-
-    In-memory only — the on-disk store is untouched (tests point
-    :func:`set_dir` at a fresh directory instead)."""
+    """Zero every counter (the on-disk store is untouched)."""
     with _lock:
-        _teardown_locked()
         _counters.clear()
 
 
-def _counter(region: str) -> List[int]:
-    c = _counters.get(region)
-    if c is None:
-        c = _counters[region] = [0, 0, 0]
-    return c
+def _count(region: str, hit: bool, corrupt: bool = False) -> None:
+    with _lock:
+        c = _counters.get(region)
+        if c is None:
+            c = _counters[region] = [0, 0, 0]
+        c[0 if hit else 1] += 1
+        c[2] += corrupt
 
 
 def counters() -> Dict[str, Tuple[int, int]]:
@@ -331,259 +240,110 @@ def integrity_failures() -> int:
 
 
 # --------------------------------------------------------------------- #
-# read view
-# --------------------------------------------------------------------- #
-def _load_indexes_locked(root: Path) -> None:
-    """Rebuild the key -> entry view from every published catalogue.
-
-    Later catalogue rows win on digest collision (a republished entry —
-    e.g. after a detected corruption — supersedes the stale one); this
-    process's own appends are layered last since they are newest.
-    """
-    global _view_loaded, _last_refresh
-    _view.clear()
-    index_dir = root / "index"
-    if index_dir.is_dir():
-        for path in sorted(index_dir.glob("*.json")):
-            try:
-                doc = json.loads(path.read_text())
-                segment = doc["segment"]
-                for key_hex, region, offset, length, vdigest_hex in doc["entries"]:
-                    _view[bytes.fromhex(key_hex)] = _Entry(
-                        region, segment, int(offset), int(length),
-                        bytes.fromhex(vdigest_hex))
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # unreadable catalogue: skip, never crash a reader
-    if _writer is not None:
-        for key_hex, region, offset, length, vdigest_hex in _writer.entries:
-            _view[bytes.fromhex(key_hex)] = _Entry(
-                region, _writer.segment_name, int(offset), int(length),
-                bytes.fromhex(vdigest_hex))
-    _view_loaded = True
-    _last_refresh = time.monotonic()
-
-
-def _read_blob(root: Path, entry: _Entry) -> Optional[bytes]:
-    """Read and verify one record's bytes; ``None`` on any mismatch."""
-    try:
-        with open(root / "segments" / entry.segment, "rb") as fh:
-            fh.seek(entry.offset)
-            blob = fh.read(entry.length)
-    except OSError:
-        return None
-    if len(blob) != entry.length or _blob_digest(blob) != entry.digest:
-        return None
-    return blob
-
-
-# --------------------------------------------------------------------- #
 # the lookup / publish surface (called by memo.memoise)
 # --------------------------------------------------------------------- #
-def lookup(region: str, key: bytes) -> Optional[bytes]:
+def _read(path) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def lookup(region: str, key: bytes) -> Optional[memoryview]:
     """Fetch the verified blob for ``key``, or ``None`` on miss.
 
-    Counts a shared hit/miss per call; a checksum mismatch counts as an
-    integrity failure *and* a miss (the caller recomputes — a corrupt
-    entry is never served) and evicts the bad entry from the view so a
-    republished value can take its place.
+    The blob is a view into the sealed record read from disk
+    (``blob.obj``), so a caller can keep the record without hashing it
+    again.  A checksum mismatch or a truncated file counts as an
+    integrity failure *and* a miss: the caller recomputes and
+    republishes, and a corrupt entry is never served.
     """
     if region not in SHAREABLE_REGIONS:
         return None
-    root = store_dir()
-    with _lock:
-        if not _view_loaded:
-            _load_indexes_locked(root)
-        entry = _view.get(key)
-        if entry is None and time.monotonic() - _last_refresh > _REFRESH_S:
-            _load_indexes_locked(root)
-            entry = _view.get(key)
-        c = _counter(region)
-        if entry is None or entry.region != region:
-            c[1] += 1
-            return None
-    if _tracing.enabled():
-        with _tracing.span(f"memo.shared.read.{region}", bytes=entry.length):
-            blob = _read_blob(root, entry)
-    else:
-        blob = _read_blob(root, entry)
-    with _lock:
-        c = _counter(region)
-        if blob is None:
-            c[2] += 1  # corrupt/truncated: detected, never served
-            c[1] += 1
-            _view.pop(key, None)
-            return None
-        c[0] += 1
+    with _tracing.span(f"memo.shared.read.{region}"):
+        record = _read(os.path.join(store_dir(), region, key.hex()))
+    blob = None if record is None else unseal(record)
+    _count(region, hit=blob is not None,
+           corrupt=record is not None and blob is None)
     return blob
 
 
-def publish(region: str, key: bytes, blob: bytes) -> bool:
-    """Append one pickled value to this process's segment.
+def publish(region: str, key: bytes, record: bytes) -> bool:
+    """Store one sealed record (:func:`seal`) under ``key``.
 
     Returns ``False`` (and writes nothing) for non-shareable regions or
-    when the tier is unreachable; I/O errors never propagate into the
+    when the store is unwritable; I/O errors never propagate into the
     compute path.
     """
     if region not in SHAREABLE_REGIONS:
         return False
-    with _lock:
-        global _writer, _atexit_registered
-        try:
-            if _writer is None:
-                _writer = _Writer(store_dir())
-                if not _atexit_registered:
-                    atexit.register(flush)
-                    _atexit_registered = True
-            if _tracing.enabled():
-                with _tracing.span(f"memo.shared.publish.{region}",
-                                   bytes=len(blob)):
-                    entry = _writer.append(region, key, blob)
-            else:
-                entry = _writer.append(region, key, blob)
-            _view[key] = entry
-            return True
-        except OSError:
-            return False
-
-
-def flush() -> None:
-    """Publish any unpublished index rows (cheap no-op otherwise).
-
-    The runner calls this as each experiment finishes and the pool
-    calls it after each worker task, so sibling processes see fresh
-    entries without waiting for the batch threshold or process exit.
-    """
-    with _lock:
-        if _writer is not None:
-            try:
-                _writer.publish_index()
-            except OSError:
-                pass
+    final = os.path.join(store_dir(), region, key.hex())
+    tmp = f"{final}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with _tracing.span(f"memo.shared.publish.{region}", bytes=len(record)):
+            os.makedirs(os.path.dirname(final), exist_ok=True)
+            with open(tmp, "wb") as fh:
+                fh.write(record)
+            os.replace(tmp, final)
+        return True
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return False
 
 
 # --------------------------------------------------------------------- #
-# maintenance: stats / verify / compact / tamper
+# maintenance: stats / verify / tamper
 # --------------------------------------------------------------------- #
+def _entries(region: str) -> List[Path]:
+    """The region's entry files in name order (``*.tmp`` skipped)."""
+    return sorted(p for p in (store_dir() / region).glob("*") if p.suffix != ".tmp")
+
+
 def stats() -> Dict[str, Any]:
-    """Store-wide inventory for ``cli memo``: per-region entry counts
-    and bytes (live entries only), segment/writer counts and the bytes
-    segments hold on disk (dead entries included until :func:`compact`)."""
-    root = store_dir()
-    with _lock:
-        _load_indexes_locked(root)  # fresh inventory, not the cached view
-        regions: Dict[str, Dict[str, int]] = {}
-        for entry in _view.values():
-            row = regions.setdefault(entry.region, {"entries": 0, "bytes": 0})
-            row["entries"] += 1
-            row["bytes"] += entry.length
-    seg_dir = root / "segments"
-    segments = sorted(seg_dir.glob("*.seg")) if seg_dir.is_dir() else []
-    index_dir = root / "index"
-    writers = len(list(index_dir.glob("*.json"))) if index_dir.is_dir() else 0
+    """Per-region entry counts and blob bytes, and their totals."""
+    regions: Dict[str, Dict[str, int]] = {}
+    for region in sorted(SHAREABLE_REGIONS):
+        sizes = [e.stat().st_size - DIGEST_BYTES for e in _entries(region)]
+        if sizes:
+            regions[region] = {"entries": len(sizes), "bytes": sum(sizes)}
     return {
-        "dir": str(root),
-        "regions": {r: regions[r] for r in sorted(regions)},
-        "live_entries": len(_view),
-        "live_bytes": sum(e.length for e in _view.values()),
-        "segments": len(segments),
-        "segment_bytes": sum(p.stat().st_size for p in segments),
-        "writers": writers,
+        "dir": str(store_dir()),
+        "regions": regions,
+        "live_entries": sum(r["entries"] for r in regions.values()),
+        "live_bytes": sum(r["bytes"] for r in regions.values()),
     }
 
 
 def verify_store() -> Tuple[int, int]:
-    """Re-read and re-hash every live entry; ``(ok, corrupt)`` counts."""
-    root = store_dir()
-    with _lock:
-        _load_indexes_locked(root)
-        entries = list(_view.items())
+    """Re-read and re-hash every entry; ``(ok, corrupt)`` counts."""
     ok = corrupt = 0
-    for _key, entry in entries:
-        if _read_blob(root, entry) is None:
-            corrupt += 1
-        else:
-            ok += 1
+    for region in sorted(SHAREABLE_REGIONS):
+        for entry in _entries(region):
+            record = _read(entry)
+            if record is None or unseal(record) is None:
+                corrupt += 1
+            else:
+                ok += 1
     return ok, corrupt
-
-
-def compact() -> Dict[str, int]:
-    """Rewrite every live, checksum-valid entry into this process's
-    fresh segment and delete the superseded segment/index files.
-
-    This is the *only* reclamation path for shared segments —
-    :func:`memo.trim` and the local FIFO eviction never touch them.
-    Offline maintenance: run it while no sweep is writing the store
-    (``python -m repro.cli memo --compact``).
-    """
-    root = store_dir()
-    with _lock:
-        _teardown_locked()
-        _load_indexes_locked(root)
-        live = list(_view.items())
-    old_segments = {e.segment for _k, e in live}
-    kept = dropped = 0
-    for key, entry in live:
-        blob = _read_blob(root, entry)
-        if blob is None:
-            dropped += 1  # corrupt on disk: compaction discards it
-            continue
-        publish(entry.region, key, blob)
-        kept += 1
-    flush()
-    with _lock:
-        own = _writer.segment_name if _writer is not None else None
-        own_index = _writer.writer_id if _writer is not None else None
-    removed = 0
-    for seg in old_segments:
-        if seg == own:
-            continue
-        try:
-            (root / "segments" / seg).unlink(missing_ok=True)
-            removed += 1
-        except OSError:
-            pass
-    index_dir = root / "index"
-    if index_dir.is_dir():
-        for path in index_dir.glob("*.json"):
-            if own_index is not None and path.stem == own_index:
-                continue
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-    # rebuild the view from what survived
-    with _lock:
-        _load_indexes_locked(root)
-    return {"kept": kept, "dropped_corrupt": dropped,
-            "removed_segments": removed}
 
 
 def tamper_entry(region: str, index: int = 0, flip_byte: int = 0) -> bool:
     """Corrupt one stored blob *on disk*, leaving its digest stale.
 
     Fault-injection/test hook (the shared-tier analog of
-    :func:`memo.tamper_entry`): flips every bit of one byte of the
-    ``index``-th live entry of ``region`` inside its segment file.
+    :func:`memo.tamper_entry`): flips every bit of one byte of the blob
+    of the ``index``-th entry of ``region`` (in file-name order).
     Returns ``False`` when the region has no such entry.
     """
-    root = store_dir()
-    flush()
-    with _lock:
-        _load_indexes_locked(root)
-        candidates = [e for e in _view.values() if e.region == region]
-    if index >= len(candidates):
+    entries = _entries(region)
+    if index >= len(entries):
         return False
-    entry = candidates[index]
-    path = root / "segments" / entry.segment
-    try:
-        with open(path, "r+b") as fh:
-            pos = entry.offset + (flip_byte % entry.length)
-            fh.seek(pos)
-            byte = fh.read(1)
-            if not byte:
-                return False
-            fh.seek(pos)
-            fh.write(bytes([byte[0] ^ 0xFF]))
-    except OSError:
+    data = bytearray(_read(entries[index]) or b"")
+    if len(data) <= DIGEST_BYTES:
         return False
+    data[DIGEST_BYTES + flip_byte % (len(data) - DIGEST_BYTES)] ^= 0xFF
+    with open(entries[index], "wb") as fh:
+        fh.write(data)
     return True

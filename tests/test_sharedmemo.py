@@ -1,8 +1,9 @@
 """The shared cross-process memo tier must be *safe* before it is
-fast: concurrent writers never corrupt each other's segments, a
-corrupt or truncated segment is detected and recomputed (never
-served), keys digest identically in every process, and the local
-store's trimming can never invalidate a shared segment."""
+fast: concurrent writers never corrupt each other's entries, a
+corrupt or truncated entry is detected and recomputed (never served),
+a killed writer's temp file is ignored, keys digest identically in
+every process, and the local store's trimming never touches a shared
+entry."""
 
 import os
 import pickle
@@ -57,15 +58,16 @@ def _problem():
 class TestTier:
     def test_publish_then_lookup_roundtrip(self):
         key = sharedmemo.key_digest("stats", ("roundtrip", 1))
-        blob = pickle.dumps({"x": 1})
-        assert sharedmemo.publish("stats", key, blob)
-        assert sharedmemo.lookup("stats", key) == blob
+        record = sharedmemo.seal({"x": 1})
+        assert sharedmemo.publish("stats", key, record)
+        assert sharedmemo.lookup("stats", key) == record[sharedmemo.DIGEST_BYTES:]
+        assert pickle.loads(sharedmemo.lookup("stats", key)) == {"x": 1}
 
     def test_miss_counts_and_hit_counts(self):
         key = sharedmemo.key_digest("stats", ("counts", 1))
         assert sharedmemo.lookup("stats", key) is None
-        sharedmemo.publish("stats", key, b"blob")
-        assert sharedmemo.lookup("stats", key) == b"blob"
+        sharedmemo.publish("stats", key, sharedmemo.seal(b"blob"))
+        assert pickle.loads(sharedmemo.lookup("stats", key)) == b"blob"
         assert sharedmemo.counters()["stats"] == (1, 1)
 
     def test_array_regions_opt_out(self):
@@ -93,8 +95,7 @@ class TestTier:
         sharedmemo.set_enabled(False)
         prob = _problem()
         OctetSpmmKernel().stats_for(prob.a_cvse, 64)
-        sharedmemo.flush()
-        assert not (_store() / "segments").exists()
+        assert not _store().exists()
 
 
 # --------------------------------------------------------------------- #
@@ -129,67 +130,65 @@ class TestCorruption:
         kern = OctetSpmmKernel()
         clean_sig = memo.stats_signature(kern.stats_for(prob.a_cvse, 64))
         assert sharedmemo.tamper_entry("stats", index=0, flip_byte=3)
-        memo.clear()  # force the lookup through the tampered segment
+        memo.clear()  # force the lookup through the tampered entry file
         before = sharedmemo.integrity_failures()
         served = kern.stats_for(prob.a_cvse, 64)
         assert sharedmemo.integrity_failures() == before + 1
         assert memo.stats_signature(served) == clean_sig
         assert sharedmemo.integrity_counters() == {"stats": 1}
 
-    def test_truncated_segment_is_detected_not_fatal(self):
-        for i in range(4):
-            key = sharedmemo.key_digest("stats", ("trunc", i))
-            sharedmemo.publish("stats", key, pickle.dumps(("v", i)))
-        sharedmemo.flush()
-        seg = next((_store() / "segments").glob("*.seg"))
-        data = seg.read_bytes()
-        seg.write_bytes(data[: len(data) // 2])
-        sharedmemo.reset()
-        sharedmemo.set_dir(_store())
-        sharedmemo.set_enabled(True)
-        served = [
-            sharedmemo.lookup("stats", sharedmemo.key_digest("stats", ("trunc", i)))
-            for i in range(4)
-        ]
-        # truncated tail entries miss; any survivor must decode cleanly
-        for i, blob in enumerate(served):
-            assert blob is None or pickle.loads(blob) == ("v", i)
-        assert None in served
-        ok, corrupt = sharedmemo.verify_store()
-        assert corrupt > 0
+    def test_truncated_entry_is_recomputed_and_republished(self):
+        prob = _problem()
+        kern = OctetSpmmKernel()
+        clean_sig = memo.stats_signature(kern.stats_for(prob.a_cvse, 64))
+        files = list((_store() / "stats").iterdir())
+        assert files
+        for path in files:
+            path.write_bytes(path.read_bytes()[:-7])
+        assert sharedmemo.verify_store()[1] == len(files)
+        # detected and counted, never served: the value is recomputed
+        memo.clear()
+        before = sharedmemo.integrity_failures()
+        served = kern.stats_for(prob.a_cvse, 64)
+        assert sharedmemo.integrity_failures() == before + len(files)
+        assert memo.stats_signature(served) == clean_sig
+        # ... and the recompute's publish replaced the truncated file
+        assert sharedmemo.verify_store()[1] == 0
+        memo.clear()
+        hits = sharedmemo.snapshot()[0]
+        again = kern.stats_for(prob.a_cvse, 64)
+        assert sharedmemo.snapshot()[0] == hits + len(files)
+        assert memo.stats_signature(again) == clean_sig
 
-    def test_compact_drops_corrupt_keeps_live(self):
-        keys = []
-        for i in range(6):
-            key = sharedmemo.key_digest("stats", ("compact", i))
-            keys.append(key)
-            sharedmemo.publish("stats", key, pickle.dumps(("v", i)))
-        assert sharedmemo.tamper_entry("stats", index=2, flip_byte=1)
-        summary = sharedmemo.compact()
-        assert summary["kept"] == 5
-        assert summary["dropped_corrupt"] == 1
-        assert summary["removed_segments"] >= 1
-        assert sharedmemo.verify_store() == (5, 0)
-        survivors = [sharedmemo.lookup("stats", k) for k in keys]
-        assert sum(b is not None for b in survivors) == 5
+    def test_leftover_tmp_file_is_ignored(self):
+        kept = sharedmemo.key_digest("stats", ("kept", 0))
+        torn = sharedmemo.key_digest("stats", ("torn", 0))
+        sharedmemo.publish("stats", kept, sharedmemo.seal(b"kept"))
+        # a writer killed between write and rename leaves only its temp
+        partial = sharedmemo.seal(("torn", 0))[:-3]
+        (_store() / "stats" / f"{torn.hex()}.99999-0badf00d.tmp").write_bytes(partial)
+        assert sharedmemo.lookup("stats", torn) is None
+        assert pickle.loads(sharedmemo.lookup("stats", kept)) == b"kept"
+        assert sharedmemo.integrity_failures() == 0
+        assert sharedmemo.verify_store() == (1, 0)
+        assert sharedmemo.stats()["live_entries"] == 1
 
 
 # --------------------------------------------------------------------- #
-# local trimming never touches shared segments
+# local trimming never touches shared entries
 # --------------------------------------------------------------------- #
 class TestTrimIsolation:
-    def test_trim_and_eviction_leave_segments_intact(self):
+    def test_trim_and_eviction_leave_entries_intact(self):
         prob = _problem()
         kern = OctetSpmmKernel()
         first = kern.stats_for(prob.a_cvse, 64)
-        sharedmemo.flush()
         before = sharedmemo.stats()
+        assert before["live_entries"] > 0
         # local reclamation: operand trim plus a full blob-region purge
         memo.trim()
         memo.trim(regions=("stats", "latency", "suite"))
         memo.clear()
         after = sharedmemo.stats()
-        assert after["segments"] == before["segments"]
         assert after["live_entries"] == before["live_entries"]
         assert sharedmemo.verify_store()[1] == 0
         # and the evicted value is still served from the shared tier
@@ -210,9 +209,9 @@ for i in range(25):
     # every worker publishes a private run plus a contended shared run
     for key_tuple in (("private", wid, i), ("contended", i)):
         key = sharedmemo.key_digest("stats", key_tuple)
-        sharedmemo.publish("stats", key, pickle.dumps(("payload",) + key_tuple))
-        sharedmemo.lookup("stats", key)
-    sharedmemo.flush()
+        sharedmemo.publish("stats", key, sharedmemo.seal(("payload",) + key_tuple))
+        # a reader racing the other writers' renames sees a whole record
+        assert pickle.loads(sharedmemo.lookup("stats", key)) == ("payload",) + key_tuple
 print("done", wid)
 """
 
@@ -229,14 +228,12 @@ class TestConcurrentWriters:
         for p in procs:
             assert p.wait(timeout=120) == 0
         sharedmemo.reset()
-        sharedmemo.set_dir(_store())
-        sharedmemo.set_enabled(True)
-        ok, corrupt = sharedmemo.verify_store()
-        assert corrupt == 0
-        # one segment and one index per writer process
-        assert sharedmemo.stats()["writers"] == n
+        # one file per private entry plus one per contended key, no
+        # temp file left behind, and every one intact
+        assert sharedmemo.verify_store() == (n * 25 + 25, 0)
+        assert not list((_store() / "stats").glob("*.tmp"))
         # every private entry and every contended entry is retrievable,
-        # bit-exact, no matter which writer's segment won the key
+        # bit-exact, no matter which writer's rename won the key
         for w in range(n):
             for i in range(25):
                 key = sharedmemo.key_digest("stats", ("private", w, i))
