@@ -899,9 +899,10 @@ _SUBCOMMANDS = {
     "memo": ("Inspect or verify the shared cross-process memo store "
              "(repro.perfmodel.sharedmemo)",
              _memo_args, _memo),
-    "merge": ("Combine N --shard sweep output directories into one "
-              "verified full-sweep result (exit 2 on mismatched shard "
-              "configurations)",
+    "merge": ("Combine N --shard sweep output directories, each holding "
+              "whole experiments, into one verified full-sweep result "
+              "(exit 2 on mismatched shard configurations or an "
+              "experiment missing from every shard or present in two)",
               _merge_args, _merge),
     "serve": ("Run the deterministic multi-tenant serving simulator "
               "(admission control, hedged retries, graceful "

@@ -37,9 +37,6 @@ class ExperimentResult:
     description: str
     rows: List[Dict[str, object]] = field(default_factory=list)
     notes: Dict[str, object] = field(default_factory=dict)
-    #: machine-readable bookkeeping that never renders into the text
-    #: artifact (e.g. shard cell indices — see experiments/sharding.py)
-    meta: Dict[str, object] = field(default_factory=dict)
 
     def to_text(self) -> str:
         head = f"== {self.name} — {self.paper_artifact} ==\n{self.description}\n"

@@ -9,16 +9,15 @@ at V = 1, matching the paper's figure which omits it there).
 Each cell is the geometric mean of the speedup over the suite's
 matrices, following Gale et al. (the solid lines of the figure).
 
-Each (entry, V) pair seeds its own child generator, so (a) the same
-CVSE build recurs across the N loop and is served from the format
-cache, and (b) grid cells are self-contained and can be fanned out over
-a process pool (``jobs``) without changing any value.  The Blocked-ELL
-baseline is priced from its matched shape alone; no matrix is built.
+Each (entry, V) pair seeds its own child generator, so the same CVSE
+build recurs across the N loop and is served from the format cache.
+The Blocked-ELL baseline is priced from its matched shape alone; no
+matrix is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,19 +29,16 @@ from ..kernels.gemm import DenseGemmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
 from ..kernels.spmm_octet import OctetSpmmKernel
 from .common import ExperimentResult, geomean, suite_for
-from .pool import parallel_map
-from .sharding import shard_indices
 
-__all__ = ["run", "finalise"]
+__all__ = ["run"]
 
 VECTOR_LENGTHS = (1, 2, 4, 8)
 
 
 def _cell(
-    args: Tuple[int, int, float, List[Tuple[int, DlmcEntry]]],
+    v: int, n: int, s: float, entries: List[Tuple[int, DlmcEntry]],
 ) -> Dict[str, object]:
-    """One (V, N, sparsity) grid cell (module-level so pools can pickle it)."""
-    v, n, s, entries = args
+    """One (V, N, sparsity) grid cell."""
     hgemm = DenseGemmKernel()
     fpu = FpuSpmmKernel()
     octet = OctetSpmmKernel()
@@ -81,17 +77,10 @@ def run(
     vector_lengths: Sequence[int] = VECTOR_LENGTHS,
     n_sizes: Sequence[int] = N_SIZES,
     sparsities: Sequence[float] = SPARSITIES,
-    jobs: int = 1,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> ExperimentResult:
-    """Regenerate Figure 17 (SpMM speedup grid, geomean per cell).
-
-    ``shard=(i, n)`` computes only the grid cells whose flattened index
-    satisfies ``index % n == i`` (each cell seeds its own generator, so
-    the subset is bit-identical to the corresponding slice of a full
-    run); the headline notes are deferred to the merge, which sees the
-    whole grid.
-    """
+    """Regenerate Figure 17 (SpMM speedup grid, geomean per cell) and
+    its headline geomean ratios (the abstract's 1.71-7.19x /
+    1.34-4.51x)."""
     suite = suite_for(quick, sparsities)
     res = ExperimentResult(
         name="fig17",
@@ -102,40 +91,22 @@ def run(
         s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
         for s in sparsities
     }
-    cells = [
-        (v, n, s, by_sparsity[s])
+    res.rows.extend(
+        _cell(v, n, s, by_sparsity[s])
         for v in vector_lengths
         for n in n_sizes
         for s in sparsities
-    ]
-    if shard is not None:
-        indices = shard_indices(len(cells), shard)
-        res.meta["cell_total"] = len(cells)
-        res.meta["cell_indices"] = indices
-        res.meta["shard"] = {"index": shard[0], "total": shard[1]}
-        cells = [cells[i] for i in indices]
-    res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
+    )
 
-    if shard is None:
-        res.notes.update(finalise(res.rows))
-    return res
-
-
-def finalise(rows: Sequence[Dict[str, object]]) -> Dict[str, str]:
-    """Headline geomean ratios (the abstract's 1.71-7.19x / 1.34-4.51x).
-
-    Needs the *complete* grid — sharded runs skip it and the merge
-    applies it to the reassembled rows."""
     ratios_bell, ratios_fpu = [], []
-    for r in rows:
+    for r in res.rows:
         if r["mma"]:
             ratios_bell.append(r["mma"] / r["blocked-ELL"])
             ratios_fpu.append(r["mma"] / r["fpu"])
-    return {
-        "mma/blocked-ELL range": (
-            f"{min(ratios_bell):.2f}-{max(ratios_bell):.2f} (paper: 1.71-7.19)"
-        ),
-        "mma/fpu range": (
-            f"{min(ratios_fpu):.2f}-{max(ratios_fpu):.2f} (paper: 1.34-4.51)"
-        ),
-    }
+    res.notes["mma/blocked-ELL range"] = (
+        f"{min(ratios_bell):.2f}-{max(ratios_bell):.2f} (paper: 1.71-7.19)"
+    )
+    res.notes["mma/fpu range"] = (
+        f"{min(ratios_fpu):.2f}-{max(ratios_fpu):.2f} (paper: 1.34-4.51)"
+    )
+    return res

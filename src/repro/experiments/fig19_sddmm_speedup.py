@@ -7,13 +7,12 @@ kernels degenerate (the paper's figure shows fpu/wmma-dominated
 behaviour there) but remain runnable.
 
 As in fig17, each (entry, V) pair seeds its own child generator so the
-mask build recurs — and caches — across the K loop, and the grid cells
-can fan out over a process pool (``jobs``) without changing any value.
+mask build recurs — and caches — across the K loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +23,8 @@ from ..kernels.sddmm_fpu import FpuSddmmKernel
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.sddmm_wmma import WmmaSddmmKernel
 from .common import ExperimentResult, geomean, suite_for
-from .pool import parallel_map
-from .sharding import shard_indices
 
-__all__ = ["run", "finalise"]
+__all__ = ["run"]
 
 VECTOR_LENGTHS = (1, 2, 4, 8)
 
@@ -43,10 +40,9 @@ def _kernels() -> Dict[str, object]:
 
 
 def _cell(
-    args: Tuple[int, int, float, List[Tuple[int, DlmcEntry]]],
+    v: int, k: int, s: float, entries: List[Tuple[int, DlmcEntry]],
 ) -> Dict[str, object]:
-    """One (V, K, sparsity) grid cell (module-level so pools can pickle it)."""
-    v, k, s, entries = args
+    """One (V, K, sparsity) grid cell."""
     hgemm = DenseGemmKernel()
     kernels = _kernels()
     speedups: Dict[str, list] = {name: [] for name in kernels}
@@ -71,15 +67,9 @@ def run(
     vector_lengths: Sequence[int] = VECTOR_LENGTHS,
     k_sizes: Sequence[int] = K_SIZES,
     sparsities: Sequence[float] = SPARSITIES,
-    jobs: int = 1,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> ExperimentResult:
-    """Regenerate Figure 19 (SDDMM speedup grid, geomean per cell).
-
-    ``shard=(i, n)`` computes only the grid cells whose flattened index
-    satisfies ``index % n == i`` (bit-identical to the corresponding
-    slice of a full run); the headline notes are deferred to the merge.
-    """
+    """Regenerate Figure 19 (SDDMM speedup grid, geomean per cell) and
+    its headline geomean ratios."""
     suite = suite_for(quick, sparsities)
     res = ExperimentResult(
         name="fig19",
@@ -90,38 +80,22 @@ def run(
         s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
         for s in sparsities
     }
-    cells = [
-        (v, k, s, by_sparsity[s])
+    res.rows.extend(
+        _cell(v, k, s, by_sparsity[s])
         for v in vector_lengths
         for k in k_sizes
         for s in sparsities
-    ]
-    if shard is not None:
-        indices = shard_indices(len(cells), shard)
-        res.meta["cell_total"] = len(cells)
-        res.meta["cell_indices"] = indices
-        res.meta["shard"] = {"index": shard[0], "total": shard[1]}
-        cells = [cells[i] for i in indices]
-    res.rows.extend(parallel_map(_cell, cells, jobs=jobs))
+    )
 
-    if shard is None:
-        res.notes.update(finalise(res.rows))
-    return res
-
-
-def finalise(rows: Sequence[Dict[str, object]]) -> Dict[str, str]:
-    """Headline geomean ratios; needs the *complete* grid — sharded
-    runs skip it and the merge applies it to the reassembled rows."""
     ratios_fpu, ratios_wmma = [], []
-    for r in rows:
+    for r in res.rows:
         if r["V"] >= 2:
             ratios_fpu.append(r["mma (reg)"] / r["fpu"])
             ratios_wmma.append(r["mma (reg)"] / r["wmma"])
-    return {
-        "mma/fpu range": (
-            f"{min(ratios_fpu):.2f}-{max(ratios_fpu):.2f} (paper: 1.27-3.03)"
-        ),
-        "mma/wmma range": (
-            f"{min(ratios_wmma):.2f}-{max(ratios_wmma):.2f} (paper: 0.93-1.44)"
-        ),
-    }
+    res.notes["mma/fpu range"] = (
+        f"{min(ratios_fpu):.2f}-{max(ratios_fpu):.2f} (paper: 1.27-3.03)"
+    )
+    res.notes["mma/wmma range"] = (
+        f"{min(ratios_wmma):.2f}-{max(ratios_wmma):.2f} (paper: 0.93-1.44)"
+    )
+    return res

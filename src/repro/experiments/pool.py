@@ -1,23 +1,16 @@
 """Fault-tolerant process-pool fan-out for the experiment sweeps.
 
-The sweeps are embarrassingly parallel across their grid cells once the
-cells are self-contained (each cell seeds its own generators — see
-fig17/fig19), so fanning out preserves both determinism and ordering.
-Two surfaces are exposed:
-
-* :func:`parallel_map` — the strict map the inner sweeps use: results
-  in input order, the first failure re-raised (a grid cell that cannot
-  compute is a bug, not an operational fault).
-* :func:`resilient_map` — the scheduler behind ``run_all``: one future
-  per task, per-task wall-clock timeouts, bounded deterministic
-  retries with exponential backoff, and survival of worker crashes
-  (``BrokenProcessPool`` / OOM-killed workers) by respawning the pool
-  and continuing.  Every task resolves to a :class:`TaskOutcome`
-  instead of an exception, so one crashed experiment cannot discard
-  the finished ones.
+:func:`resilient_map` is the scheduler behind ``run_all``, one
+experiment per task: one future per task, per-task wall-clock
+timeouts, bounded deterministic retries with exponential backoff, and
+survival of worker crashes (``BrokenProcessPool`` / OOM-killed
+workers) by respawning the pool and continuing.  Every task resolves
+to a :class:`TaskOutcome` instead of an exception, so one crashed
+experiment cannot discard the finished ones.  Every experiment seeds
+its own generators, so results do not depend on which worker ran them.
 
 ``jobs <= 1`` falls back to an in-process loop, which additionally
-shares the process-wide memo cache across cells (worker processes each
+shares the process-wide memo cache across tasks (worker processes each
 warm their own).  Killing on timeout requires ``jobs > 1``: an
 in-process task cannot be interrupted from the outside, so the serial
 path lets the task finish but reports the overrun the same way the
@@ -40,7 +33,7 @@ import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import metrics as obs_metrics
@@ -50,7 +43,6 @@ R = TypeVar("R")
 
 __all__ = [
     "TaskOutcome",
-    "parallel_map",
     "resilient_map",
     "retry_delay",
     "effective_workers",
@@ -86,9 +78,6 @@ class TaskOutcome:
     #: operational annotations that do not change the status (e.g. a
     #: serial task that finished but overran its wall-clock budget)
     note: str = ""
-    #: the exception object of the final attempt, when one exists
-    #: (re-raised by :func:`parallel_map`; excluded from repr noise)
-    exception: Optional[BaseException] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -124,7 +113,6 @@ def _failure(outcome: TaskOutcome, status: str, exc: Optional[BaseException],
     if metric is not None:
         obs_metrics.counter_add(metric)
     outcome.status = status
-    outcome.exception = exc
     outcome.error = repr(exc) if exc is not None else ""
     outcome.traceback = tb or (
         "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
@@ -169,7 +157,6 @@ def _serial_resilient(
                 continue
             out.seconds = time.perf_counter() - t0
             out.status = OK
-            out.exception = None
             out.error = out.traceback = ""
             break
         # an in-process task cannot be killed mid-flight, but an
@@ -329,7 +316,6 @@ def resilient_map(
                 else:
                     out.status = OK
                     out.result = value
-                    out.exception = None
                     out.error = out.traceback = ""
                     if on_outcome is not None:
                         on_outcome(out)
@@ -381,26 +367,3 @@ def resilient_map(
     finally:
         if ex is not None:
             ex.shutdown(wait=True, cancel_futures=True)
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> List[R]:
-    """Map ``fn`` over ``items`` preserving order (strict).
-
-    ``jobs > 1`` fans out over a process pool (``fn`` and the items must
-    be picklable — use module-level functions); otherwise runs serially
-    in-process.  Results arrive in input order either way, so callers
-    are bit-identical across ``jobs`` settings.  The first task failure
-    is re-raised — the inner sweeps treat a failing grid cell as a bug;
-    use :func:`resilient_map` for fan-outs that must survive failures.
-    """
-    outcomes = resilient_map(fn, items, jobs=jobs)
-    for out in outcomes:
-        if out.status == INTERRUPTED:
-            raise KeyboardInterrupt
-        if not out.ok:
-            if out.exception is not None:
-                raise out.exception
-            raise RuntimeError(
-                f"task {out.index} failed ({out.status}): {out.error}\n{out.traceback}"
-            )
-    return [out.result for out in outcomes]

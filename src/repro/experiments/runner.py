@@ -26,11 +26,8 @@ Resilience (see ``docs/ROBUSTNESS.md``):
 Scale-out (see ``src/repro/experiments/sharding.py``):
 
 * ``--shard I/N --out DIR_I`` runs one deterministic slice of the
-  sweep: the fig17/fig19 grids partition at cell granularity (every
-  shard runs them on its ``index % N == I`` cells), the remaining
-  experiments are wholesale-assigned by position.  The manifest gains a
-  ``__shard__`` entry and each experiment a ``<name>.rows.json``
-  machine artifact.
+  sweep: every ``N``-th requested experiment by position, each run
+  whole.  The manifest gains a ``__shard__`` entry.
 * ``python -m repro.cli merge DIR_0 .. DIR_N-1 --out DIR`` verifies and
   combines N shard outputs into one full sweep result — mismatched
   shard configurations exit 2, artifact checksums are re-verified
@@ -59,7 +56,7 @@ from .charts import render_fig17, render_fig20
 from .claims import verify
 from .common import format_table
 from .pool import INTERRUPTED, TaskOutcome, resilient_map
-from .sharding import CELL_SHARDABLE, SHARD_KEY, parse_shard
+from .sharding import SHARD_KEY, parse_shard
 from . import sharding
 from . import (
     ablations,
@@ -97,9 +94,6 @@ EXPERIMENTS: Dict[str, Callable] = {
 
 #: experiments whose run() accepts the quick flag
 _QUICK_AWARE = {"fig4", "fig6", "fig17", "fig19", "table4", "sensitivity"}
-
-#: experiments whose run() accepts a jobs parameter for cell-level fan-out
-_JOBS_AWARE = {"fig17", "fig19"}
 
 #: experiments whose run() accepts the trace cross-check flag
 _TRACE_AWARE = {"fig5", "fig18"}
@@ -178,7 +172,7 @@ def _obs_payload(name: str, dt: float,
     }
 
 
-def _run_one(task: Tuple[str, bool, int, bool, bool, Optional[Tuple[int, int]]]):
+def _run_one(task: Tuple[str, bool, bool, bool]):
     """Run one experiment (module-level so process pools can pickle it).
 
     Returns ``(name, result, seconds, obs_payload)``; the payload's
@@ -187,7 +181,7 @@ def _run_one(task: Tuple[str, bool, int, bool, bool, Optional[Tuple[int, int]]])
     see :func:`memo.scope_begin`), and its spans/metrics are the
     worker's drained observability state when tracing is enabled.
     """
-    name, quick, jobs, trace, obs_on, shard = task
+    name, quick, trace, obs_on = task
     if obs_on:
         obs_tracing.enable()
     _chaos(name)
@@ -195,12 +189,8 @@ def _run_one(task: Tuple[str, bool, int, bool, bool, Optional[Tuple[int, int]]])
     kwargs = {}
     if name in _QUICK_AWARE:
         kwargs["quick"] = quick
-    if jobs > 1 and name in _JOBS_AWARE:
-        kwargs["jobs"] = jobs
     if trace and name in _TRACE_AWARE:
         kwargs["trace"] = True
-    if shard is not None and name in CELL_SHARDABLE:
-        kwargs["shard"] = shard
     memo.scope_begin()
     before = memo.counters()
     before_shared = sharedmemo.counters()
@@ -253,35 +243,27 @@ def _write_artifact(out_dir: Path, name: str, text: str) -> None:
 # shard-merge path)
 # --------------------------------------------------------------------- #
 
-def _config_hash(name: str, quick: bool, trace: bool,
-                 shard: Optional[Tuple[int, int]] = None) -> str:
-    """Hash of everything that shapes an experiment's output (``jobs``
-    is excluded: fan-out is bit-transparent, pinned by TestJobsParity;
-    a cell-shard slice is part of the config — see sharding.py)."""
-    return sharding.config_hash(
-        name, quick, bool(trace and name in _TRACE_AWARE), shard=shard)
+def _config_hash(name: str, quick: bool, trace: bool) -> str:
+    """Hash of everything that shapes an experiment's output (see
+    :func:`sharding.config_hash`)."""
+    return sharding.config_hash(name, quick, bool(trace and name in _TRACE_AWARE))
 
 
 def _checkpoint(out_dir: Path, manifest: Dict[str, dict], name: str,
-                config: str, text: str, seconds: float,
-                extra: Optional[Dict[str, object]] = None) -> None:
+                config: str, text: str, seconds: float) -> None:
     """Record one completed experiment and rewrite the manifest
     atomically (write-then-rename, so a kill mid-write leaves the old
     manifest, never a torn one)."""
-    entry: Dict[str, object] = {
+    manifest[name] = {
         "config": config,
         "checksum": sharding.text_checksum(text),
         "seconds": round(seconds, 3),
     }
-    if extra:
-        entry.update(extra)
-    manifest[name] = entry
     sharding.write_manifest(out_dir, manifest)
 
 
 def _resume_skips(names: List[str], quick: bool, trace: bool,
-                  out_dir: Path, manifest: Dict[str, dict],
-                  shard: Optional[Tuple[int, int]] = None) -> List[str]:
+                  out_dir: Path, manifest: Dict[str, dict]) -> List[str]:
     """Names whose checkpoint matches the requested configuration *and*
     whose artifact file still exists with the recorded checksum."""
     skips = []
@@ -289,8 +271,8 @@ def _resume_skips(names: List[str], quick: bool, trace: bool,
         entry = manifest.get(name)
         if not isinstance(entry, dict):
             continue
-        if entry.get("config") != _config_hash(name, quick, trace, shard=shard):
-            continue  # stale: quick/trace/shard changed since checkpoint
+        if entry.get("config") != _config_hash(name, quick, trace):
+            continue  # stale: quick/trace changed since checkpoint
         try:
             sharding.read_artifact(out_dir, name, entry)
         except sharding.MergeError:
@@ -351,11 +333,10 @@ def run_all(
     configuration.
 
     ``shard`` (an ``"I/N"`` string or ``(index, total)`` tuple) runs one
-    deterministic slice of the sweep: the cell-shardable experiments
-    (fig17/fig19) run on every shard with their grid partitioned at
-    cell granularity, everything else is wholesale-assigned by position.
-    A sharded run needs ``out_dir`` (the shard-scoped manifest and
-    ``<name>.rows.json`` artifacts are what the merge consumes).
+    deterministic slice of the sweep: the experiments
+    :func:`sharding.assign_wholesale` gives it, each run whole.  A
+    sharded run needs ``out_dir`` (the shard-scoped manifest is what
+    the merge consumes).
 
     ``profile`` (needs ``out_dir``) writes a ``<name>.profile.json``
     artifact next to the manifest as each experiment settles, and after
@@ -383,12 +364,7 @@ def run_all(
 
     manifest: Dict[str, dict] = sharding.load_manifest(out_dir) if out_dir is not None else {}
     if shard_t is not None:
-        # this shard: its wholesale assignment + every cell-shardable
-        # experiment (those partition their own grid)
-        wholesale = [n for n in names if n not in CELL_SHARDABLE]
-        keep = set(sharding.assign_wholesale(wholesale, shard_t))
-        keep |= set(names) & CELL_SHARDABLE
-        names = [n for n in names if n in keep]
+        names = sharding.assign_wholesale(names, shard_t)
         manifest[SHARD_KEY] = {
             "index": shard_t[0], "total": shard_t[1],
             "quick": bool(quick), "trace": bool(trace),
@@ -400,7 +376,7 @@ def run_all(
         print(f"shard {shard_t[0]}/{shard_t[1]}: "
               f"{', '.join(names) or '(no experiments assigned)'}\n")
     if resume:
-        skips = _resume_skips(names, quick, trace, out_dir, manifest, shard=shard_t)
+        skips = _resume_skips(names, quick, trace, out_dir, manifest)
         for name in skips:
             print(f"{name}: skipped (checkpoint matches, artifact verified)")
         if skips:
@@ -410,10 +386,9 @@ def run_all(
         return {}
 
     # each experiment runs serially inside its worker; the pool
-    # parallelises across experiments (and _run_one skips handing the
-    # inner sweeps a nested pool)
+    # parallelises across experiments
     obs_on = obs_tracing.enabled()
-    tasks = [(name, quick, 1, trace, obs_on, shard_t) for name in names]
+    tasks = [(name, quick, trace, obs_on) for name in names]
     results: Dict[str, object] = {}
     rendered: Dict[str, str] = {}
 
@@ -431,22 +406,10 @@ def run_all(
         text = rendered[name] = _render(name, res)
         if out_dir is not None:
             _write_artifact(out_dir, name, text)
+            config = _config_hash(name, quick, trace)
             if profile:
-                _write_profile_artifact(out_dir, name, dt, payload,
-                                        _config_hash(name, quick, trace,
-                                                     shard=shard_t))
-            extra = None
-            if shard_t is not None:
-                # machine artifact for the merge: rows + cell indices,
-                # checksummed into the checkpoint entry
-                # key order matters: row columns render in insertion
-                # order, and json round-trips it
-                doc = json.dumps(sharding.rows_doc(res))
-                (out_dir / f"{name}.rows.json").write_text(doc)
-                extra = {"rows_checksum": sharding.text_checksum(doc)}
-            _checkpoint(out_dir, manifest, name,
-                        _config_hash(name, quick, trace, shard=shard_t),
-                        text, dt, extra=extra)
+                _write_profile_artifact(out_dir, name, dt, payload, config)
+            _checkpoint(out_dir, manifest, name, config, text, dt)
 
     with obs_tracing.span("run_all", jobs=jobs, quick=bool(quick),
                           experiments=len(tasks)):
@@ -547,9 +510,8 @@ def main(argv=None) -> int:
     ap.add_argument("--resume", action="store_true",
                     help="skip experiments already checkpointed in --out's manifest")
     ap.add_argument("--shard", type=str, default="",
-                    help="run slice I/N of the sweep (0-based; fig17/fig19 "
-                         "partition at grid-cell granularity, other experiments "
-                         "are wholesale-assigned); needs --out")
+                    help="run slice I/N of the sweep (0-based; every N-th "
+                         "experiment by position, each run whole); needs --out")
     ap.add_argument("--timeout", type=float, default=None,
                     help="per-experiment wall-clock budget in seconds (needs --jobs >= 2)")
     ap.add_argument("--retries", type=int, default=0,

@@ -3,36 +3,25 @@
 ``repro-experiments --shard I/N --out DIR_I`` runs the ``I``-th of ``N``
 deterministic slices of a sweep; ``python -m repro.cli merge DIR_0 ...
 DIR_N-1 --out DIR`` combines the shard-scoped manifests into one
-verified sweep result — turning the checkpoint/resume
-machinery of PR 4 into multi-machine scale-out.
+verified sweep result.
 
-Partitioning is two-level and purely positional (no RNG, no timing):
-
-* **Cell-shardable experiments** (:data:`CELL_SHARDABLE` — the fig17 /
-  fig19 grid sweeps) run on *every* shard, each invocation computing
-  the grid cells whose flattened index ``i`` satisfies
-  ``i % N == shard`` (see :func:`shard_indices`).  Their partial
-  results additionally persist as ``<name>.rows.json`` (rows + global
-  cell indices) so the merge can reassemble the full grid and apply
-  the experiment's ``finalise()`` notes exactly as a solo run would.
-* **Every other experiment** is wholesale-assigned to one shard by its
-  position in the requested list (:func:`assign_wholesale`).
+Partitioning is purely positional (no RNG, no timing): every experiment
+is assigned whole to the shard ``position % N`` in the requested list
+(:func:`assign_wholesale`), so a shard's artifacts are complete and
+byte-identical to a solo run's.  A shard may be assigned nothing (more
+shards than experiments); its manifest still records the sweep.
 
 A shard's ``manifest.json`` carries a ``__shard__`` entry (index,
-total, quick/trace flags, the requested experiment list); per-shard
-cell subsets get a shard-aware :func:`config_hash` so ``--resume``
-within a shard can never be satisfied by a different slice's
-checkpoint.  :func:`merge_shards` refuses — with exit code 2 at the
-CLI — to mix shards whose configuration differs, verifies every shard
-artifact against its recorded checksum before trusting it, and writes
-a merged manifest whose entries use the *plain* config hashes, so a
-merged directory is indistinguishable from (and ``--resume``-compatible
-with) a single full run.
-
-Because every cell seeds its own child generator (fig17/fig19 module
-docs), shard outputs are bit-identical to the corresponding slice of a
-solo run, and the merged artifacts are byte-identical to a full run's —
-pinned by ``tests/test_sharding.py``.
+total, quick/trace flags, the requested experiment list) next to
+ordinary per-experiment checkpoints, so ``--resume`` works within a
+shard exactly as in an unsharded sweep.  :func:`merge_shards` refuses
+— with exit code 2 at the CLI — to mix shards whose configuration
+differs or that do not partition one sweep (an experiment missing from
+every shard or present in two), verifies every shard artifact against
+its recorded checksum before trusting it, and copies the artifacts and
+their plain config hashes into one manifest, so a merged directory is
+indistinguishable from (and ``--resume``-compatible with) a single
+full run — pinned by ``tests/test_sharding.py``.
 """
 
 from __future__ import annotations
@@ -40,22 +29,19 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
-    "CELL_SHARDABLE",
     "MANIFEST_NAME",
     "SHARD_KEY",
     "MergeError",
     "parse_shard",
-    "shard_indices",
     "assign_wholesale",
     "config_hash",
     "text_checksum",
     "load_manifest",
     "write_manifest",
     "read_artifact",
-    "rows_doc",
     "merge_shards",
     "verify_manifest",
 ]
@@ -66,11 +52,6 @@ MANIFEST_NAME = "manifest.json"
 #: ignores it (only per-experiment dict entries with a ``config`` key
 #: participate in skip decisions)
 SHARD_KEY = "__shard__"
-
-#: experiments whose ``run()`` accepts ``shard`` and partitions its own
-#: grid-cell fan-out; all other experiments are wholesale-assigned
-CELL_SHARDABLE = frozenset({"fig17", "fig19"})
-
 
 class MergeError(RuntimeError):
     """A shard-manifest merge that must not proceed (mismatched sweep
@@ -97,19 +78,8 @@ def parse_shard(spec: str) -> Tuple[int, int]:
     return index, total
 
 
-def shard_indices(n_cells: int, shard: Tuple[int, int]) -> List[int]:
-    """Global cell indices owned by ``shard``: ``i % total == index``.
-
-    Round-robin (not contiguous blocks) so every shard samples the whole
-    grid — the slices stay balanced whatever order the grid enumerates
-    its axes in.
-    """
-    index, total = shard
-    return [i for i in range(n_cells) if i % total == index]
-
-
 def assign_wholesale(names: Sequence[str], shard: Tuple[int, int]) -> List[str]:
-    """The non-cell-shardable experiments ``shard`` owns (by position).
+    """The experiments ``shard`` owns: every ``N``-th by position.
 
     Every shard invocation must be given the same requested list for
     the assignment to partition — :func:`merge_shards` verifies that.
@@ -121,28 +91,23 @@ def assign_wholesale(names: Sequence[str], shard: Tuple[int, int]) -> List[str]:
 # --------------------------------------------------------------------- #
 # checkpoint-manifest primitives (shared by the runner and the merge)
 # --------------------------------------------------------------------- #
-def config_hash(name: str, quick: bool, trace: bool,
-                shard: Optional[Tuple[int, int]] = None) -> str:
+def config_hash(name: str, quick: bool, trace: bool) -> str:
     """Hash of everything that shapes an experiment's output.
 
     ``trace`` must already be the *effective* flag (requested AND the
-    experiment is trace-aware); ``jobs`` is excluded — fan-out is
-    bit-transparent, pinned by TestJobsParity.  For a cell-shardable
-    experiment running a shard slice the shard is part of the config
-    (a different slice is a different output), while wholesale-assigned
-    experiments keep the plain hash — their artifacts are complete, so
-    the merged manifest is resume-compatible with a solo run.
+    experiment is trace-aware).  Neither ``jobs`` nor ``--shard`` enters
+    it: both only decide which process runs a whole experiment, and
+    ``TestJobsParity`` pins that ``--jobs`` artifacts are byte-identical
+    — so shard checkpoints and merged manifests are resume-compatible
+    with a solo run.
     """
-    payload: list = [name, bool(quick), bool(trace)]
-    if shard is not None and name in CELL_SHARDABLE:
-        payload.append([int(shard[0]), int(shard[1])])
     h = hashlib.blake2b(digest_size=12)
-    h.update(json.dumps(payload).encode())
+    h.update(json.dumps([name, bool(quick), bool(trace)]).encode())
     return h.hexdigest()
 
 
 def text_checksum(text: str) -> str:
-    """Checksum recorded next to every artifact and rows document."""
+    """Checksum recorded next to every artifact."""
     return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
 
 
@@ -167,25 +132,6 @@ def write_manifest(out_dir: Path, manifest: Dict[str, dict]) -> None:
     tmp = out_dir / (MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     tmp.replace(out_dir / MANIFEST_NAME)
-
-
-def rows_doc(res) -> Dict[str, object]:
-    """Machine-readable artifact for one :class:`ExperimentResult`.
-
-    The runner writes this as ``<name>.rows.json`` next to the text
-    artifact during sharded runs; ``res.meta`` contributes the shard
-    bookkeeping (``cell_total`` / ``cell_indices`` / ``shard``) for the
-    cell-shardable experiments.
-    """
-    doc: Dict[str, object] = {
-        "name": res.name,
-        "paper_artifact": res.paper_artifact,
-        "description": res.description,
-        "rows": res.rows,
-        "notes": res.notes,
-    }
-    doc.update(res.meta)
-    return doc
 
 
 # --------------------------------------------------------------------- #
@@ -244,74 +190,6 @@ def read_artifact(d: Path, name: str, entry: dict) -> str:
     return text
 
 
-def _merge_cell_shardable(name: str, infos, quick: bool, trace_eff: bool,
-                          out_dir: Path) -> dict:
-    """Reassemble one grid experiment from every shard's rows.json."""
-    from .common import ExperimentResult
-    from . import fig17_spmm_speedup, fig19_sddmm_speedup, runner
-
-    finalisers = {
-        "fig17": fig17_spmm_speedup.finalise,
-        "fig19": fig19_sddmm_speedup.finalise,
-    }
-    rows_all: Optional[List[Optional[dict]]] = None
-    head: Dict[str, object] = {}
-    seconds = 0.0
-    for d, man, sh in infos:
-        shard = (int(sh["index"]), int(sh["total"]))
-        entry = man.get(name)
-        if not isinstance(entry, dict):
-            raise MergeError(f"{name}: shard {shard[0]}/{shard[1]} ({d}) has no "
-                             f"checkpoint for it — that shard did not finish")
-        if entry.get("config") != config_hash(name, quick, trace_eff, shard=shard):
-            raise MergeError(
-                f"{name}: shard {shard[0]}/{shard[1]} checkpoint was written "
-                f"under a different configuration — refusing to mix sweeps"
-            )
-        read_artifact(d, name, entry)  # verify before trusting the shard
-        rows_path = Path(d) / f"{name}.rows.json"
-        try:
-            doc = json.loads(rows_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MergeError(f"{name}: unreadable {rows_path}: {exc}") from None
-        if entry.get("rows_checksum") != text_checksum(json.dumps(doc)):
-            raise MergeError(
-                f"{name}: {rows_path} does not match its recorded checksum"
-            )
-        cell_total = int(doc["cell_total"])
-        if rows_all is None:
-            rows_all = [None] * cell_total
-            head = doc
-        elif cell_total != len(rows_all):
-            raise MergeError(f"{name}: shards disagree on the grid size "
-                             f"({cell_total} vs {len(rows_all)} cells)")
-        for idx, row in zip(doc["cell_indices"], doc["rows"]):
-            if rows_all[idx] is not None:
-                raise MergeError(f"{name}: cell {idx} appears in two shards")
-            rows_all[idx] = row
-        seconds += float(entry.get("seconds", 0.0))
-    missing = [i for i, r in enumerate(rows_all or []) if r is None]
-    if rows_all is None or missing:
-        raise MergeError(f"{name}: grid incomplete after merge "
-                         f"(missing cells {missing[:8]}...)")
-    res = ExperimentResult(
-        name=name,
-        paper_artifact=str(head["paper_artifact"]),
-        description=str(head["description"]),
-        rows=list(rows_all),
-    )
-    res.notes.update(finalisers[name](res.rows))
-    text = runner._render(name, res)
-    (out_dir / f"{name}.txt").write_text(text + "\n")
-    merged_doc = rows_doc(res)
-    (out_dir / f"{name}.rows.json").write_text(json.dumps(merged_doc))
-    return {
-        "config": config_hash(name, quick, trace_eff),
-        "checksum": text_checksum(text),
-        "seconds": round(seconds, 3),
-    }
-
-
 def merge_shards(shard_dirs: Sequence[Path], out_dir: Path) -> Dict[str, object]:
     """Combine N shard output directories into one verified sweep result.
 
@@ -335,10 +213,6 @@ def merge_shards(shard_dirs: Sequence[Path], out_dir: Path) -> Dict[str, object]
     merged: Dict[str, dict] = {}
     for name in names:
         trace_eff = trace_flag and name in runner._TRACE_AWARE
-        if name in CELL_SHARDABLE:
-            merged[name] = _merge_cell_shardable(
-                name, infos, quick, trace_eff, out_dir)
-            continue
         owners = [(d, man) for d, man, _sh in infos
                   if isinstance(man.get(name), dict)]
         if not owners:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.cvse import ColumnVectorSparseMatrix
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.spmm_octet import OctetSpmmKernel
 from ..perfmodel import trace
 from . import memcheck, racecheck, statcheck
 from .findings import Checker, SanitizerReport
+from .harness import ProblemSpec, _sddmm_problem, _spmm_problem
 
 __all__ = [
     "oob_column_index_report",
@@ -48,32 +48,24 @@ __all__ = [
 ]
 
 
-def _small_spmm(seed: int = 31, v: int = 4, m: int = 32, k: int = 64, n: int = 128):
-    rng = np.random.default_rng(seed)
-    keep = rng.random((m // v, k)) < 0.4
-    d = (rng.uniform(-1, 1, (m // v, v, k)) * keep[:, None, :]).reshape(m, k)
-    a = ColumnVectorSparseMatrix.from_dense(d.astype(np.float16), v)
-    b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
-    return a, b
+def _small_spmm(seed: int):
+    """A 32x64 (V=4, 40% dense) CVSE operand and its 64x128 dense B."""
+    return _spmm_problem(ProblemSpec("corpus", m=32, k=64, n=128, v=4,
+                                     density=0.4, seed=seed))
 
 
 def oob_column_index_report() -> SanitizerReport:
     """A column index pointing past K makes the B gather walk off the
     operand — memcheck must flag the out-of-extent sector."""
-    a, _ = _small_spmm()
+    a, _ = _small_spmm(seed=31)
     n = 128
     amap = memcheck.spmm_octet_address_map(a, n)
     # the format validates indices at construction, so corrupt the
     # payload afterwards — the bug class this checker exists for
     a.col_idx[a.col_idx.size // 2] = a.shape[1] * 4
     report = SanitizerReport(kernel="corpus-oob-column")
-    report.ran(Checker.MEMCHECK)
-    findings, counters = memcheck.check_stream(
-        trace.octet_spmm_cta_sectors(a, n), amap
-    )
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(memcheck.check_stream(trace.octet_spmm_cta_sectors(a, n), amap),
+                  Checker.MEMCHECK)
     return report
 
 
@@ -85,12 +77,7 @@ def missing_barrier_report() -> SanitizerReport:
         stage_bytes=4096, k_steps=2, barrier=False,
     )
     report = SanitizerReport(kernel="corpus-missing-barrier")
-    report.ran(Checker.RACECHECK)
-    report.ran(Checker.SYNCCHECK)
-    findings, counters = racecheck.check_shared_plan(plan)
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(racecheck.check_shared_plan(plan), Checker.RACECHECK, Checker.SYNCCHECK)
     return report
 
 
@@ -102,13 +89,9 @@ def divergent_barrier_report() -> SanitizerReport:
         stage_bytes=4096, k_steps=1, barrier_warps=(0, 1, 2),
     )
     report = SanitizerReport(kernel="corpus-divergent-barrier")
-    report.ran(Checker.SYNCCHECK)
-    findings, counters = racecheck.check_shared_plan(plan)
     # the dropped arrival is a pure synccheck event: the plan's
     # accesses themselves stay disjoint, so racecheck stays quiet
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(racecheck.check_shared_plan(plan), Checker.SYNCCHECK)
     return report
 
 
@@ -130,11 +113,7 @@ def unowned_writeback_report() -> SanitizerReport:
     a, b = _small_spmm(seed=37)
     kern = _UnownedWritebackSpmmKernel(simulate=True)
     report = SanitizerReport(kernel="corpus-unowned-writeback")
-    report.ran(Checker.OWNERSHIP)
-    findings, counters = racecheck.check_spmm_octet_ownership(kern, a, b)
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(racecheck.check_spmm_octet_ownership(kern, a, b), Checker.OWNERSHIP)
     return report
 
 
@@ -152,19 +131,12 @@ class _DroppedSwitchSddmmKernel(OctetSddmmKernel):
 
 def dropped_switch_report() -> SanitizerReport:
     """Partial SWITCH issue breaks the Mat_b mux pairing contract."""
-    rng = np.random.default_rng(41)
-    m, k, n, v = 32, 64, 96, 4
-    a = rng.uniform(-1, 1, (m, k)).astype(np.float16)
-    b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
-    grp = rng.random((m // v, n)) < 0.3
-    mask = ColumnVectorSparseMatrix.mask_from_dense(np.repeat(grp, v, axis=0), v)
+    a, b, mask = _sddmm_problem(ProblemSpec("corpus", m=32, k=64, n=96, v=4,
+                                            density=0.3, seed=41))
     kern = _DroppedSwitchSddmmKernel(variant="arch", simulate=True)
     report = SanitizerReport(kernel="corpus-dropped-switch")
-    report.ran(Checker.OWNERSHIP)
-    findings, counters = racecheck.check_sddmm_octet_ownership(kern, a, b, mask)
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(racecheck.check_sddmm_octet_ownership(kern, a, b, mask),
+                  Checker.OWNERSHIP)
     return report
 
 
@@ -176,11 +148,7 @@ def inflated_flops_report() -> SanitizerReport:
     # the post-construction-mutation window statcheck exists to close
     stats.flops *= 50.0
     report = SanitizerReport(kernel="corpus-inflated-flops")
-    report.ran(Checker.STATCHECK)
-    findings, counters = statcheck.check_stats(stats)
-    report.extend(findings)
-    for key, c in counters.items():
-        report.count(key, c)
+    report.record(statcheck.check_stats(stats), Checker.STATCHECK)
     return report
 
 

@@ -74,6 +74,16 @@ class SanitizerReport:
     def count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
+    def record(self, result, *checkers: Checker) -> None:
+        """Mark ``checkers`` as run and fold one pass's ``(findings,
+        counters)`` result in."""
+        for chk in checkers:
+            self.ran(chk)
+        findings, counters = result
+        self.extend(findings)
+        for key, n in counters.items():
+            self.count(key, n)
+
     def format(self, verbose: bool = False) -> str:
         status = "OK" if self.ok else f"{len(self.findings)} finding(s)"
         head = f"{self.kernel}: {status}  [{', '.join(self.checks_run)}]"

@@ -120,28 +120,18 @@ def _sddmm_problem(p: ProblemSpec) -> Tuple[np.ndarray, np.ndarray, ColumnVector
 # --------------------------------------------------------------------- #
 # checker passes: each returns (findings, counters) for the report
 # --------------------------------------------------------------------- #
-def _record(report: SanitizerReport, result, *checkers: Checker) -> None:
-    """Mark ``checkers`` as run and fold one pass's findings and counters in."""
-    for chk in checkers:
-        report.ran(chk)
-    findings, counters = result
-    report.extend(findings)
-    for key, n in counters.items():
-        report.count(key, n)
-
-
 def _statcheck(report: SanitizerReport, stats) -> None:
-    _record(report, statcheck.check_stats(stats), Checker.STATCHECK)
+    report.record(statcheck.check_stats(stats), Checker.STATCHECK)
 
 
 def _memcheck(report: SanitizerReport, stream, amap) -> None:
-    _record(report, memcheck.check_stream(stream, amap), Checker.MEMCHECK)
+    report.record(memcheck.check_stream(stream, amap), Checker.MEMCHECK)
 
 
 def _staging_plan_checks(report: SanitizerReport, plan: racecheck.SharedPlan) -> None:
     """Shared-memory plans from the kernels' staging constants."""
-    _record(report, racecheck.check_shared_plan(plan), Checker.RACECHECK,
-            Checker.SYNCCHECK)
+    report.record(racecheck.check_shared_plan(plan), Checker.RACECHECK,
+                      Checker.SYNCCHECK)
 
 
 # --------------------------------------------------------------------- #
@@ -155,9 +145,9 @@ def _check_spmm_octet(c: KernelCase, p: ProblemSpec, report: SanitizerReport) ->
         trace.octet_spmm_cta_sectors(a, p.n),
         memcheck.spmm_octet_address_map(a, p.n),
     )
-    _record(report, racecheck.check_spmm_octet_ownership(c.kernel(simulate=True), a, b),
-            Checker.OWNERSHIP)
-    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
+    report.record(racecheck.check_spmm_octet_ownership(c.kernel(simulate=True), a, b),
+                      Checker.OWNERSHIP)
+    report.record(plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
     # single-warp CTA: the LHS stage is race-free by construction, but
     # its accesses must stay inside the declared allocation
     stage = c.factory.TILE_K * a.vector_length * _EB
@@ -175,7 +165,7 @@ def _check_spmm_wmma(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> 
     a, _ = _spmm_problem(p)
     stats = c.kernel().stats_for(a, p.n)
     _statcheck(report, stats)
-    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
+    report.record(plancheck.check_plan(c, c.kernel(simulate=True), a), Checker.OWNERSHIP)
     stage = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
@@ -192,7 +182,7 @@ def _check_spmm_fpu(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> N
     _statcheck(report, stats)
     # the FPU kernels execute through the shared functional layer, so
     # their compiled plans are the functional expansion/CSR skeletons
-    _record(report, plancheck.check_functional_plans("spmm-fpu", a), Checker.OWNERSHIP)
+    report.record(plancheck.check_functional_plans("spmm-fpu", a), Checker.OWNERSHIP)
     stage = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
@@ -255,17 +245,17 @@ def _check_sddmm_octet(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -
         trace.octet_sddmm_cta_sectors(mask, p.k),
         memcheck.sddmm_address_map(mask, p.k),
     )
-    _record(report, racecheck.check_sddmm_octet_ownership(kern, a, b, mask),
-            Checker.OWNERSHIP)
-    _record(report, plancheck.check_plan(c, kern, mask, p.k), Checker.OWNERSHIP)
+    report.record(racecheck.check_sddmm_octet_ownership(kern, a, b, mask),
+                      Checker.OWNERSHIP)
+    report.record(plancheck.check_plan(c, kern, mask, p.k), Checker.OWNERSHIP)
 
 
 def _check_sddmm_wmma(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:
     _, _, mask = _sddmm_problem(p)
     stats = c.kernel().stats_for(mask, p.k)
     _statcheck(report, stats)
-    _record(report, plancheck.check_plan(c, c.kernel(simulate=True), mask, p.k),
-            Checker.OWNERSHIP)
+    report.record(plancheck.check_plan(c, c.kernel(simulate=True), mask, p.k),
+                      Checker.OWNERSHIP)
     _memcheck(
         report,
         trace.wmma_sddmm_cta_sectors(mask, p.k),
@@ -286,7 +276,7 @@ def _check_sddmm_fpu(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> 
     _statcheck(report, c.kernel().stats_for(mask, p.k))
     # the FPU kernels execute through the shared functional layer, so
     # their compiled plans are the functional expansion/CSR skeletons
-    _record(report, plancheck.check_functional_plans("sddmm-fpu", mask), Checker.OWNERSHIP)
+    report.record(plancheck.check_functional_plans("sddmm-fpu", mask), Checker.OWNERSHIP)
 
 
 def _check_softmax(c: KernelCase, p: ProblemSpec, report: SanitizerReport) -> None:

@@ -22,7 +22,6 @@ from repro.experiments.pool import (
     TIMEOUT,
     TaskOutcome,
     effective_workers,
-    parallel_map,
     resilient_map,
     retry_delay,
 )
@@ -211,16 +210,6 @@ class TestTimeoutParity:
 
 
 class TestParallelMapCompat:
-    def test_results_in_input_order_any_jobs(self):
-        expect = [x * x for x in range(8)]
-        assert parallel_map(_square, range(8), jobs=1) == expect
-        assert parallel_map(_square, range(8), jobs=4) == expect
-
-    def test_first_failure_reraised_with_original_type(self):
-        for jobs in (1, 3):
-            with pytest.raises(ValueError, match="boom on 3"):
-                parallel_map(_raise_on_three, range(5), jobs=jobs)
-
     def test_workers_capped_at_task_count(self):
         assert effective_workers(8, 3) == 3
         assert effective_workers(2, 10) == 2

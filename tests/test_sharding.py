@@ -1,23 +1,19 @@
-"""Sharded sweep execution must partition — every cell runs on exactly
-one shard — and the merge must reconstruct the solo run bit for bit,
-refusing (exit 2) to combine shards from different sweeps."""
+"""Sharded sweep execution must partition — every experiment runs whole
+on exactly one shard — and the merge must reconstruct the solo run bit
+for bit, refusing (exit 2) to combine shards from different sweeps."""
 
 import contextlib
 import io
-import json
 
 import pytest
 
 from repro import cli
 from repro.experiments import runner, sharding
 from repro.experiments.sharding import (
-    CELL_SHARDABLE,
     MergeError,
     assign_wholesale,
-    config_hash,
     merge_shards,
     parse_shard,
-    shard_indices,
     verify_manifest,
 )
 
@@ -43,31 +39,11 @@ class TestPartition:
         with pytest.raises(ValueError, match="--shard must"):
             parse_shard(bad)
 
-    def test_shard_indices_partition_the_grid(self):
-        n = 23
-        owned = [shard_indices(n, (i, 3)) for i in range(3)]
-        flat = sorted(i for part in owned for i in part)
-        assert flat == list(range(n))  # disjoint and complete
-        # round-robin: each shard samples the whole range, not a block
-        assert owned[0][:3] == [0, 3, 6]
-
     def test_wholesale_assignment_partitions_names(self):
         names = ["fig4", "fig5", "table1", "table2", "fig20"]
         owned = [assign_wholesale(names, (i, 2)) for i in range(2)]
         assert sorted(owned[0] + owned[1]) == sorted(names)
         assert not set(owned[0]) & set(owned[1])
-
-    def test_config_hash_shard_scoping(self):
-        plain = config_hash("fig17", True, False)
-        sharded = config_hash("fig17", True, False, shard=(0, 2))
-        assert sharded != plain
-        assert config_hash("fig17", True, False, shard=(1, 2)) != sharded
-        # wholesale experiments keep the plain hash: their checkpoint is
-        # the whole artifact, resumable by a solo run
-        for name in ("fig4", "table1"):
-            assert name not in CELL_SHARDABLE
-            assert config_hash(name, True, False, shard=(0, 2)) == \
-                config_hash(name, True, False)
 
 
 # --------------------------------------------------------------------- #
@@ -79,6 +55,8 @@ class TestMergeEquivalence:
         full = _run(tmp_path, "full", only=only)
         s0 = _run(tmp_path, "s0", only=only, shard="0/2")
         s1 = _run(tmp_path, "s1", only=only, shard="1/2")
+        # fig17 runs whole on shard 0; shard 1 is assigned nothing
+        assert not (s1 / "fig17.txt").exists()
         merged = tmp_path / "merged"
         merge_shards([s0, s1], merged)
         assert (merged / "fig17.txt").read_bytes() == \
@@ -103,14 +81,21 @@ class TestMergeEquivalence:
                 (full / f"{name}.txt").read_bytes()
         assert all(verify_manifest(merged).values())
 
-    def test_shard_manifest_records_the_slice(self, tmp_path):
-        s0 = _run(tmp_path, "s0", only=["fig17"], shard="0/2")
-        man = sharding.load_manifest(s0)
-        assert man[sharding.SHARD_KEY]["index"] == 0
-        assert man[sharding.SHARD_KEY]["total"] == 2
-        doc = json.loads((s0 / "fig17.rows.json").read_text())
-        assert doc["cell_indices"] == shard_indices(doc["cell_total"], (0, 2))
-        assert len(doc["rows"]) == len(doc["cell_indices"])
+    def test_more_shards_than_experiments(self, tmp_path):
+        only = ["fig4", "table1"]
+        full = _run(tmp_path, "full", only=only)
+        shards = [_run(tmp_path, f"s{i}", only=only, shard=f"{i}/3")
+                  for i in range(3)]
+        # the empty shard still publishes the sweep it belongs to
+        man = sharding.load_manifest(shards[2])
+        assert list(man) == [sharding.SHARD_KEY]
+        assert man[sharding.SHARD_KEY]["experiments"] == only
+        merged = tmp_path / "merged"
+        merge_shards(shards, merged)
+        for name in only:
+            assert (merged / f"{name}.txt").read_bytes() == \
+                (full / f"{name}.txt").read_bytes()
+        assert verify_manifest(merged) == {"fig4": True, "table1": True}
 
 
 # --------------------------------------------------------------------- #
@@ -144,9 +129,20 @@ class TestMergeRefusal:
         only = ["fig17"]
         s0 = _run(tmp_path, "s0", only=only, shard="0/2")
         s1 = _run(tmp_path, "s1", only=only, shard="1/2")
-        art = s1 / "fig17.txt"
+        art = s0 / "fig17.txt"
         art.write_text(art.read_text().replace("1", "7", 1))
         with pytest.raises(MergeError, match="checksum"):
+            merge_shards([s0, s1], tmp_path / "merged")
+
+    def test_experiment_in_two_shards_refused(self, tmp_path):
+        # e.g. shard directories that each hold a slice of one grid
+        s0 = _run(tmp_path, "s0", only=["fig4"], shard="0/2")
+        s1 = _run(tmp_path, "s1", only=["fig4"], shard="1/2")
+        man = sharding.load_manifest(s1)
+        man["fig4"] = sharding.load_manifest(s0)["fig4"]
+        sharding.write_manifest(s1, man)
+        (s1 / "fig4.txt").write_bytes((s0 / "fig4.txt").read_bytes())
+        with pytest.raises(MergeError, match="appears in 2 shard manifests"):
             merge_shards([s0, s1], tmp_path / "merged")
 
     def test_unsharded_dir_refused(self, tmp_path):
