@@ -5,8 +5,7 @@ default, kind, doc).  This rule enforces the round trip statically:
 
 * no direct ``os.environ`` / ``os.getenv`` read of a ``REPRO_*`` literal
   outside the registry module;
-* every ``envgates.flag(...)`` / ``envgates.raw(...)`` / ``declared(...)``
-  call uses a literal name that the registry declares — so deleting a
+* every ``envgates.flag(...)`` / ``envgates.raw(...)`` call uses a literal name that the registry declares — so deleting a
   registry entry fails the analysis, not a production run;
 * every declared gate is read by at least one accessor call somewhere, so
   the registry cannot drift into documentation fiction.
@@ -21,7 +20,7 @@ from .core import AnalysisContext, Finding, dotted_call_name, rule
 
 _REGISTRY_REL = "src/repro/envgates.py"
 _REGISTRY_MODULE = "repro.envgates"
-_ACCESSORS = {"flag", "raw", "declared"}
+_ACCESSORS = {"flag", "raw"}
 
 
 def _declared_gates(ctx: AnalysisContext) -> Optional[Dict[str, int]]:

@@ -386,7 +386,7 @@ def _plans(args) -> int:
     h1, m1 = after.get("plan", (0, 0))
     hits, misses = h1 - h0, m1 - m0
     print(f"\nplan cache: {hits} hit(s), {misses} miss(es) "
-          f"(enabled={plans.enabled()}, memo={memo.enabled()})")
+          f"(memo={memo.enabled()})")
     return EXIT_FINDINGS if failed else EXIT_CLEAN
 
 

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["EnvGate", "GATES", "declared", "flag", "raw"]
+__all__ = ["EnvGate", "GATES", "flag", "raw"]
 
 _TRUTHY = ("1", "on", "true", "yes")
 _FALSY = ("0", "off", "false", "no")
@@ -65,9 +65,6 @@ GATES: Dict[str, EnvGate] = _registry(
     EnvGate("REPRO_MEMO_SHARED_DIR", "", "value",
             "Directory backing the shared memo store; blank means the "
             "default .repro-memo next to the working directory."),
-    EnvGate("REPRO_PLANS", "1", "flag",
-            "Compiled execution plans for the simulated kernel layer; set 0 "
-            "to fall back to the interpreted *_reference twins. Default on."),
     EnvGate("REPRO_TRACE", "0", "flag",
             "Span tracer master switch (Chrome-trace export, cli obs). "
             "Default off; the disabled path is a no-op check."),
@@ -83,12 +80,6 @@ GATES: Dict[str, EnvGate] = _registry(
             "--trace-out). Blank means the default 20000; the cap keeps "
             "the earliest events and is reported, never silent."),
 )
-
-
-def declared(name: str) -> EnvGate:
-    """The registry entry for ``name`` (KeyError on undeclared gates)."""
-
-    return GATES[name]
 
 
 def raw(name: str) -> str:

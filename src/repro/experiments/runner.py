@@ -18,10 +18,11 @@ Resilience (see ``docs/ROBUSTNESS.md``):
   finishes* (any ``--jobs``), so a crash late in the sweep cannot lose
   early finishers' files.
 * ``--out DIR --resume`` checkpoints into ``DIR/manifest.json`` (per
-  experiment: config hash + artifact checksum) and skips experiments
-  whose checkpoint matches the requested configuration, so a killed
-  ``--full`` sweep restarts where it left off.  ``--verify`` only sees
-  the experiments that actually ran in this invocation.
+  experiment: config hash, artifact checksum, wall time and scoped memo
+  counters) and skips experiments whose checkpoint matches the
+  requested configuration, so a killed ``--full`` sweep restarts where
+  it left off.  ``--verify`` only sees the experiments that actually
+  ran in this invocation.
 
 Scale-out (see ``src/repro/experiments/sharding.py``):
 
@@ -40,7 +41,6 @@ Scale-out (see ``src/repro/experiments/sharding.py``):
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -250,14 +250,18 @@ def _config_hash(name: str, quick: bool, trace: bool) -> str:
 
 
 def _checkpoint(out_dir: Path, manifest: Dict[str, dict], name: str,
-                config: str, text: str, seconds: float) -> None:
-    """Record one completed experiment and rewrite the manifest
-    atomically (write-then-rename, so a kill mid-write leaves the old
-    manifest, never a torn one)."""
+                config: str, text: str, seconds: float,
+                scope: Dict[str, Tuple[int, int]]) -> None:
+    """Record one completed experiment — config hash, artifact
+    checksum, wall time and scoped memo counters — and rewrite the
+    manifest atomically (write-then-rename, so a kill mid-write leaves
+    the old manifest, never a torn one)."""
     manifest[name] = {
         "config": config,
         "checksum": sharding.text_checksum(text),
         "seconds": round(seconds, 3),
+        "memo_scope": {region: {"served": s, "lookups": n}
+                       for region, (s, n) in sorted(scope.items())},
     }
     sharding.write_manifest(out_dir, manifest)
 
@@ -313,7 +317,6 @@ def run_all(
     timeout: Optional[float] = None,
     retries: int = 0,
     shard: Optional[object] = None,
-    profile: bool = False,
 ) -> Dict[str, object]:
     """Run the selected experiments, print (and optionally save) each.
 
@@ -337,12 +340,6 @@ def run_all(
     :func:`sharding.assign_wholesale` gives it, each run whole.  A
     sharded run needs ``out_dir`` (the shard-scoped manifest is what
     the merge consumes).
-
-    ``profile`` (needs ``out_dir``) writes a ``<name>.profile.json``
-    artifact next to the manifest as each experiment settles, and after
-    a clean sweep appends one ``experiment-sweep`` record to
-    ``out_dir/profile_history.jsonl`` — the runner's entry in the
-    profiler's run-history store (:mod:`repro.profiler.history`).
     """
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
@@ -351,8 +348,6 @@ def run_all(
     shard_t = parse_shard(shard) if isinstance(shard, str) else shard
     if shard_t is not None and out_dir is None:
         raise ValueError("--shard needs --out DIR (the merge consumes the shard manifests)")
-    if profile and out_dir is None:
-        raise ValueError("--profile needs --out DIR (profile artifacts live next to the manifest)")
     if only:
         unknown = sorted(set(only) - set(EXPERIMENTS))
         if unknown:
@@ -406,10 +401,8 @@ def run_all(
         text = rendered[name] = _render(name, res)
         if out_dir is not None:
             _write_artifact(out_dir, name, text)
-            config = _config_hash(name, quick, trace)
-            if profile:
-                _write_profile_artifact(out_dir, name, dt, payload, config)
-            _checkpoint(out_dir, manifest, name, config, text, dt)
+            _checkpoint(out_dir, manifest, name, _config_hash(name, quick, trace),
+                        text, dt, payload.get("memo_scope") or {})
 
     with obs_tracing.span("run_all", jobs=jobs, quick=bool(quick),
                           experiments=len(tasks)):
@@ -444,48 +437,7 @@ def run_all(
             print(f"interrupted: {len(results)}/{len(tasks)} experiments completed; "
                   f"pending: {', '.join(pending)}")
         raise SweepFailure(results, failures, interrupted=interrupted)
-    if profile and out_dir is not None:
-        _append_sweep_record(out_dir, manifest, requested, quick, trace, shard_t)
     return results
-
-
-def _write_profile_artifact(out_dir: Path, name: str, dt: float,
-                            payload: Dict[str, object], config: str) -> None:
-    """One ``<name>.profile.json`` next to the manifest: the experiment's
-    config hash, wall time and scoped memo counters."""
-    scope: Dict[str, Tuple[int, int]] = payload.get("memo_scope") or {}
-    doc = {
-        "experiment": name,
-        "config": config,
-        "seconds": round(dt, 3),
-        "memo_scope": {region: {"served": s, "lookups": n}
-                       for region, (s, n) in sorted(scope.items())},
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.profile.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _append_sweep_record(out_dir: Path, manifest: Dict[str, dict],
-                         requested: List[str], quick: bool, trace: bool,
-                         shard_t: Optional[Tuple[int, int]]) -> None:
-    """Append this sweep's ``experiment-sweep`` record to the profiler
-    history store colocated with the artifacts."""
-    from ..profiler import history as profile_history
-
-    experiments = {
-        name: {"config": entry.get("config"), "seconds": entry.get("seconds")}
-        for name, entry in sorted(manifest.items())
-        if isinstance(entry, dict) and "config" in entry
-    }
-    record = profile_history.make_record(
-        "experiment-sweep",
-        {"experiments": requested, "quick": bool(quick), "trace": bool(trace),
-         "shard": list(shard_t) if shard_t else None},
-        {"experiments": experiments})
-    profile_history.append_record(out_dir / "profile_history.jsonl", record)
-    print(f"profile: appended sweep record {record['digest'][:12]} to "
-          f"{out_dir / 'profile_history.jsonl'}")
 
 
 def _write_obs_outputs(out_dir: Path, manifest: Dict[str, dict]) -> None:
@@ -518,10 +470,6 @@ def main(argv=None) -> int:
                     help="re-run a failed experiment up to N times (deterministic backoff)")
     ap.add_argument("--trace", action="store_true",
                     help="add the cache-simulator trace cross-check columns (fig5, fig18)")
-    ap.add_argument("--profile", action="store_true",
-                    help="write <name>.profile.json artifacts next to the "
-                         "manifest and append a sweep record to the profiler "
-                         "history store (needs --out)")
     ap.add_argument("--trace-out", type=str, default="",
                     help="enable observability and write a Chrome trace-event "
                          "timeline (plus a sibling metrics.json) to PATH")
@@ -537,7 +485,7 @@ def main(argv=None) -> int:
         results = run_all(quick=not args.full, only=only, out_dir=out, jobs=args.jobs,
                           trace=args.trace, resume=args.resume,
                           timeout=args.timeout, retries=args.retries,
-                          shard=args.shard or None, profile=args.profile)
+                          shard=args.shard or None)
     except ValueError as exc:
         print(exc)
         return 2

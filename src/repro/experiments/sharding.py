@@ -237,6 +237,7 @@ def merge_shards(shard_dirs: Sequence[Path], out_dir: Path) -> Dict[str, object]
             "config": entry["config"],
             "checksum": entry["checksum"],
             "seconds": entry.get("seconds", 0.0),
+            "memo_scope": entry.get("memo_scope", {}),
         }
     write_manifest(out_dir, merged)
     return {

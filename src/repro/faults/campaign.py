@@ -147,7 +147,6 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
     rng = np.random.default_rng(seed)
     memo.set_enabled(True)
     memo.set_checksum(True)
-    state = memo.snapshot()  # noqa: F841 — forces region init before clear
     memo.clear()
     try:
         clean = kern.stats_for(a, n)

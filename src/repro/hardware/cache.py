@@ -8,9 +8,11 @@ both line residency and per-sector validity.
 
 Two engines implement the same contract:
 
-* :class:`SectorCache` — the pinned scalar reference: one Python-loop
-  iteration per sector access.  Slow, obviously correct; the parity
-  tests and the trace benchmark baseline run against it.
+* :class:`SectorCache` — the scalar reference: one Python-loop
+  iteration per sector access.  Slow, obviously correct; a test
+  oracle that production never calls.  The parity tests and the trace
+  benchmark baseline (via
+  :func:`repro.perfmodel.trace.replay_l1_reference`) run against it.
 * :class:`VectorSectorCache` — the batch engine the experiments use.
   Each ``access_sectors`` batch is partitioned by cache set (sets are
   independent), consecutive same-line accesses within a set are
@@ -30,9 +32,8 @@ dirty; evicting a line with dirty sectors counts them in
 into the next level — the kernels in the paper stream their outputs,
 so store behaviour barely affects the reported load-side metrics.
 
-:func:`repro.perfmodel.trace.replay_l1` puts these caches together: one
-L1 per sampled SM in front of a shared L2, with ``engine`` selecting
-the cache class ("vector" by default, "scalar" for the reference).
+:func:`repro.perfmodel.trace.replay_l1` puts the vector caches together:
+one L1 per sampled SM in front of a shared L2.
 """
 
 from __future__ import annotations
@@ -338,8 +339,4 @@ class VectorSectorCache(_SectorCacheBase):
         if is_store:
             self.stats.store_accesses += n
         return ids[~sector_hit]
-
-
-#: engine name -> cache class, for the trace replay
-ENGINES = {"scalar": SectorCache, "vector": VectorSectorCache}
 

@@ -9,13 +9,13 @@ path (:mod:`repro.hardware.tensor_core`) is exercised by the slow
 tests; its outputs agree with these fast paths to fp32-reassociation
 tolerance.
 
-Both entry points run a compiled-plan path by default — the topology
-expansion and CSR skeleton come from the cached plans of
-:mod:`repro.plans.functional` — with the interpreted expansion kept as
-pinned ``*_reference`` twins.  The plan path is bit-for-bit the
-reference: the CSR skeleton's stable permutation reproduces the COO
-round trip entry for entry, and the SDDMM gather pairs are the same
-arrays the reference recomputes.
+Both entry points run a compiled-plan path — the topology expansion
+and CSR skeleton come from the cached plans of
+:mod:`repro.plans.functional`.  The interpreted expansion is kept as
+the ``*_reference`` twins, test oracles that production never calls.
+The plan path is bit-for-bit the reference: the CSR skeleton's stable
+permutation reproduces the COO round trip entry for entry, and the
+SDDMM gather pairs are the same arrays the reference recomputes.
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ def spmm_functional(
 ) -> np.ndarray:
     """``C = A @ B`` with fp32 accumulation; A in CVSE.
 
-    Uses the cached CSR-skeleton plan when plans are enabled; the
-    interpreted expansion is :func:`spmm_functional_reference`.
+    Runs the cached CSR-skeleton plan; the interpreted expansion is
+    the test oracle :func:`spmm_functional_reference`.
     """
-    if not _plans.enabled():
-        return spmm_functional_reference(a, b, precision, out_dtype)
     _check_spmm_args(a, np.asarray(b))
     b32 = as_compute(np.asarray(b), precision)
     plan = _plans.functional_spmm_plan(a)
@@ -85,8 +83,7 @@ def spmm_functional_reference(
     vals = as_compute(a.values, precision).reshape(-1)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=a.shape, dtype=np.float32)
     out = mat @ b32
-    # declared fault-injection site: functional output SDC
-    return fault_site("functional.spmm.out", out.astype(out_dtype))
+    return out.astype(out_dtype)
 
 
 def _check_sddmm_args(
@@ -128,11 +125,9 @@ def sddmm_functional(
 
     ``A`` is (M, K) row-major; ``B`` is (K, N) (the paper stores it
     column-major to stand in for B^T — a layout, not a math, choice).
-    Uses the cached expansion plan when plans are enabled; the
-    interpreted expansion is :func:`sddmm_functional_reference`.
+    Runs the cached expansion plan; the interpreted expansion is the
+    test oracle :func:`sddmm_functional_reference`.
     """
-    if not _plans.enabled():
-        return sddmm_functional_reference(a, b, mask, precision, out_dtype, chunk)
     a = np.asarray(a)
     b = np.asarray(b)
     _check_sddmm_args(a, b, mask)
@@ -163,5 +158,4 @@ def sddmm_functional_reference(
     rows, cols = expand_vector_rows(mask)
     out = _sddmm_gathered_dot(a32, bt32, rows, cols, chunk)
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
-    # declared fault-injection site: functional output SDC
-    return mask.with_values(fault_site("functional.sddmm.out", values))
+    return mask.with_values(values)

@@ -34,10 +34,11 @@ Keys never include floating-point *values* of matrices — only shapes,
 dtypes and topology digests — except through the RNG state, which pins
 them exactly.
 
-Control surface: :func:`enable`/:func:`disable`/:func:`clear`, the
+Control surface: :func:`set_enabled`/:func:`clear`, the
 ``REPRO_MEMO`` environment variable (``0``/``off``/``false`` disables,
-useful for subprocess benchmarks), and :func:`counters`/
-:func:`snapshot`/:func:`delta` for hit-rate reporting.
+useful for subprocess benchmarks), and :func:`counters` and the
+per-experiment scope (:func:`scope_begin`/:func:`scope_end`) for
+hit-rate reporting.
 
 Integrity: the object-valued regions (``stats``/``latency``/``trace``/
 ``suite``/``plan``, :data:`sharedmemo.SHAREABLE_REGIONS`) store each
@@ -85,16 +86,12 @@ from . import sharedmemo as _sharedmemo
 
 __all__ = [
     "enabled",
-    "enable",
-    "disable",
     "set_enabled",
     "clear",
     "trim",
     "counters",
     "scope_begin",
     "scope_end",
-    "snapshot",
-    "delta",
     "hit_rate",
     "memoise",
     "memoised",
@@ -164,16 +161,6 @@ def set_enabled(flag: Optional[bool]) -> None:
     _enabled_override = flag
 
 
-def enable() -> None:
-    """Force memoisation on regardless of ``REPRO_MEMO``."""
-    set_enabled(True)
-
-
-def disable() -> None:
-    """Force memoisation off regardless of ``REPRO_MEMO``."""
-    set_enabled(False)
-
-
 def checksum_enabled() -> bool:
     """Whether object-region entries carry verified checksums
     (override > ``REPRO_MEMO_CHECKSUM`` env > default on)."""
@@ -217,20 +204,6 @@ def counters() -> Dict[str, Tuple[int, int]]:
     """``{region: (hits, misses)}`` since the last :func:`clear`."""
     with _lock:
         return {name: (reg.hits, reg.misses) for name, reg in sorted(_regions.items())}
-
-
-def snapshot() -> Tuple[int, int]:
-    """Aggregate ``(hits, misses)`` across all regions."""
-    with _lock:
-        hits = sum(r.hits for r in _regions.values())
-        misses = sum(r.misses for r in _regions.values())
-    return hits, misses
-
-
-def delta(since: Tuple[int, int]) -> Tuple[int, int]:
-    """``(hits, misses)`` accrued since a prior :func:`snapshot`."""
-    now = snapshot()
-    return now[0] - since[0], now[1] - since[1]
 
 
 def hit_rate(hits: int, misses: int) -> float:

@@ -17,14 +17,15 @@ concurrently), and scale the measured per-SM fill traffic back up.
 The L1 misses of the sampled SMs additionally propagate — in batch
 order — through one shared L2, giving a sampled DRAM-side estimate.
 
-The replay engine is :class:`~repro.hardware.cache.VectorSectorCache`
-by default; a whole co-resident window's interleaved accesses are
-precomputed as one index order and fed through the cache as a single
-batch (batching is semantics-free: the caches process a batch strictly
-in order).  :func:`replay_l1_reference` keeps the original
-op-at-a-time, scalar-engine walk as the pinned reference;
-``benchmarks/bench_trace.py`` asserts the two produce identical
-:class:`TraceResult`\\ s and records the speedup.
+The replay runs on :class:`~repro.hardware.cache.VectorSectorCache`:
+a whole co-resident window's interleaved accesses are precomputed as
+one index order and fed through the cache as a single batch (batching
+is semantics-free: the caches process a batch strictly in order).
+:func:`replay_l1_reference` keeps the original op-at-a-time walk on
+the scalar :class:`~repro.hardware.cache.SectorCache` as a test
+oracle that production never calls; the tests and
+``benchmarks/bench_trace.py`` assert the two produce identical
+:class:`TraceResult`\\ s, and the benchmark records the speedup.
 
 Address map (documented once, shared by all generators):
 
@@ -46,7 +47,7 @@ from ..faults.injector import site as fault_site
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware import cache as hw_cache
-from ..hardware.cache import ENGINES, SectorCache
+from ..hardware.cache import SectorCache, VectorSectorCache
 from ..hardware.config import GPUSpec, default_spec
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -340,7 +341,6 @@ def replay_l1(
     l1_data_bytes: Optional[int] = None,
     coresident: int = 32,
     sample_sms: int = 1,
-    engine: str = "vector",
 ) -> TraceResult:
     """Replay the CTAs mapped to ``sample_sms`` SMs through one L1 each.
 
@@ -349,17 +349,13 @@ def replay_l1(
     per-vector accesses interleave round-robin.  The interleave order
     is precomputed per window and the whole window goes through the
     cache as one batch; each window's L1 misses then propagate through
-    a single shared L2.  ``engine`` picks the cache implementation
-    ("vector" is bit-identical to "scalar" and ~10-40x faster).
+    a single shared L2.
     """
     spec = spec or default_spec()
     l1_bytes = l1_data_bytes if l1_data_bytes is not None else spec.l1_bytes_per_sm
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {sorted(ENGINES)}, got {engine!r}")
-    cache_cls = ENGINES[engine]
-    l1s = [cache_cls(l1_bytes, spec.line_bytes, spec.sector_bytes, spec.l1_ways)
+    l1s = [VectorSectorCache(l1_bytes, spec.line_bytes, spec.sector_bytes, spec.l1_ways)
            for _ in range(sample_sms)]
-    l2 = cache_cls(spec.l2_bytes, spec.line_bytes, spec.sector_bytes, ways=16)
+    l2 = VectorSectorCache(spec.l2_bytes, spec.line_bytes, spec.sector_bytes, ways=16)
     fills = 0
     l2_fills = 0
     accesses = 0
@@ -382,8 +378,8 @@ def replay_l1(
         if missed.size:
             l2_fills += l2.access_sectors(missed).size * _SECTOR
 
-    with obs_tracing.span("trace.replay", engine=engine,
-                          coresident=coresident, sample_sms=sample_sms) as sp:
+    with obs_tracing.span("trace.replay", coresident=coresident,
+                          sample_sms=sample_sms) as sp:
         for cta_id, ops in cta_stream:
             total += 1
             sm = cta_id % spec.num_sms

@@ -19,11 +19,13 @@ Contracts:
 * **schedule only** — plans hold index arrays derived from topology
   and tile config, never operand values, fault payloads, or spans;
   fault-injection sites and obs spans fire at execution time;
-* **A/B switch** — ``REPRO_PLANS=0`` / :func:`set_enabled` routes all
-  paths back to the interpreted references.
+* **one production path** — every kernel runs its plan; the
+  interpreted references are test oracles that the parity tests,
+  ``cli plans --parity`` and ``benchmarks/bench_codegen.py`` call
+  directly.
 """
 
-from .core import cached_plan, enabled, plan_key, set_enabled
+from .core import cached_plan, plan_key
 from .functional import (
     FunctionalSddmmPlan,
     FunctionalSpmmPlan,
@@ -51,8 +53,6 @@ from .spmm import (
 from .validate import validate_plan
 
 __all__ = [
-    "enabled",
-    "set_enabled",
     "plan_key",
     "cached_plan",
     "GroupLayout",

@@ -1,4 +1,4 @@
-"""Plan-cache core: the ``REPRO_PLANS`` gate and content-addressed lookup.
+"""Plan-cache core: content-addressed lookup of compiled plans.
 
 A *plan* is the schedule half of a kernel execution — precomputed
 gather/scatter index arrays and fragment batch descriptors derived
@@ -21,34 +21,19 @@ digest and recompiled, never executed.  Because unpickling always
 materialises a fresh object, executors may treat cached plans as
 immutable without a defensive copy.
 
-``REPRO_PLANS=0`` (or :func:`set_enabled`\\ ``(False)``) routes every
-kernel back to its interpreted ``*_reference`` twin — the A/B switch
-the parity tests and ``benchmarks/bench_codegen.py`` rely on.
+Every kernel runs its plan; the interpreted ``*_reference`` twins are
+test oracles that production never calls.  The parity tests,
+``cli plans --parity`` and ``benchmarks/bench_codegen.py`` call them
+directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
-from .. import envgates
 from ..perfmodel import memo
 
-__all__ = ["enabled", "set_enabled", "plan_key", "cached_plan"]
-
-_enabled_override: Optional[bool] = None
-
-
-def enabled() -> bool:
-    """Whether compiled execution plans are active (override > env > on)."""
-    if _enabled_override is not None:
-        return _enabled_override
-    return envgates.flag("REPRO_PLANS")
-
-
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force plans on (True), off (False), or defer to ``REPRO_PLANS`` (None)."""
-    global _enabled_override
-    _enabled_override = flag
+__all__ = ["plan_key", "cached_plan"]
 
 
 def plan_key(op: str, kern: Any, structure: Any, *extras) -> Tuple:

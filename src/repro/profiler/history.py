@@ -1,8 +1,7 @@
 """Append-only, schema-validated run-history store.
 
-Every profiled run — kernel sweeps from ``cli profile``, serving
-summaries from ``cli serve --profile``, experiment sweeps from the
-runner's ``--profile`` — lands as one JSON line in
+Every profiled run — kernel sweeps from ``cli profile`` and serving
+summaries from ``cli serve --profile`` — lands as one JSON line in
 ``results/profile_history.jsonl``.  Records are keyed by a config
 digest plus the git state at capture time, and each carries a
 ``digest`` over its deterministic payload (the sharedmemo blake2b
@@ -45,7 +44,6 @@ SCHEMA_VERSION = 1
 KINDS: Dict[str, List[str]] = {
     "kernel-profile": ["kernels"],
     "serving": ["per_tenant", "ladder_occupancy"],
-    "experiment-sweep": ["experiments"],
 }
 
 #: envelope keys every record carries

@@ -15,7 +15,7 @@ import pytest
 
 from repro.hardware import SectorCache, VectorSectorCache
 from repro.hardware.config import VOLTA_V100
-from repro.perfmodel.trace import replay_l1
+from repro.perfmodel.trace import replay_l1, replay_l1_reference
 
 GEOM = dict(line_bytes=128, sector_bytes=32, ways=2)
 
@@ -142,17 +142,14 @@ class TestFuzzParity:
 
 
 class TestHierarchyEngineParity:
-    """``replay_l1``'s L1 -> L2 walk gives the same result on both engines."""
+    """``replay_l1``'s L1 -> L2 walk on the vector engine gives the
+    result of the scalar-engine reference replay."""
 
     def test_summary_identical_across_engines(self):
         # one CTA per window on SM 0, so cache state carries across batches
         streams = [np.arange(512), np.arange(256, 768), np.arange(512)]
         ctas = [(i * VOLTA_V100.num_sms, [ids]) for i, ids in enumerate(streams)]
         kw = dict(l1_data_bytes=4096, coresident=1)
-        ref = replay_l1(iter(ctas), engine="scalar", **kw)
-        assert ref == replay_l1(iter(ctas), engine="vector", **kw)
+        ref = replay_l1_reference(iter(ctas), **kw)
+        assert ref == replay_l1(iter(ctas), **kw)
         assert ref.sampled_ctas == 3 and ref.sampled_l2_fill_bytes > 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            replay_l1(iter([]), engine="simd")

@@ -7,7 +7,10 @@ case table :data:`repro.kernels.cases.KERNEL_CASES`, not by reading
 their source:
 
 * no kernel writes into its inputs, on the functional path and with
-  ``simulate=True``, with compiled plans on and off;
+  ``simulate=True``, through its compiled plans and through the
+  interpreted twins the test routes the same run to;
+* production never reaches a twin: with every twin patched to raise,
+  every case and every ``trace_*`` replay still runs;
 * every class the dispatch registry can build is a row of the case
   table, which tier-1 drives through the profiler, the sanitizer and
   ``plans``;
@@ -21,6 +24,7 @@ the names they had when these contracts were static lints.
 """
 
 import inspect
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -38,10 +42,13 @@ from repro.kernels.cases import (
     ell_operand,
     mask_operand,
 )
+from repro.hardware.cache import SectorCache
+from repro.kernels import functional
 from repro.kernels.cusparse import CusparseSddmmKernel
 from repro.kernels.softmax_sparse import SparseSoftmaxKernel
 from repro.kernels.spmm_fpu import FpuSpmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
+from repro.perfmodel import memo, trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -142,22 +149,81 @@ def _plan_twin_mismatches(table: Dict[str, KernelCase]) -> List[str]:
 RUNS = [(name, simulate) for name, case in KERNEL_CASES.items()
         for simulate in (False, True)
         if not simulate or "simulate" in inspect.signature(case.factory).parameters]
+RUN_IDS = [f"{name}-{'simulate' if simulate else 'functional'}" for name, simulate in RUNS]
+
+#: planned functional entry point -> its interpreted twin
+FUNCTIONAL_TWINS = {
+    functional.spmm_functional: functional.spmm_functional_reference,
+    functional.sddmm_functional: functional.sddmm_functional_reference,
+}
 
 
-@pytest.mark.parametrize("plans_on", ["1", "0"], ids=["plans", "no-plans"])
-@pytest.mark.parametrize("name, simulate", RUNS, ids=[
-    f"{name}-{'simulate' if simulate else 'functional'}" for name, simulate in RUNS])
-def test_kernels_leave_inputs_intact(name, simulate, plans_on, monkeypatch):
-    monkeypatch.setenv("REPRO_PLANS", plans_on)
+def _planned_classes() -> List[type]:
+    return sorted({c.factory for c in KERNEL_CASES.values() if c.plan is not None},
+                  key=lambda cls: cls.__name__)
+
+
+def _route_to_twins(monkeypatch) -> int:
+    """Send every planned path to its interpreted twin: each planned
+    class's ``_execute_simulated`` and every kernel module's binding of
+    a planned functional entry point.  Returns the routes patched."""
+    routes = [(cls, "_execute_simulated", cls._execute_simulated_reference)
+              for cls in _planned_classes()]
+    for mod_name, mod in sorted(sys.modules.items()):
+        if mod_name.startswith("repro.kernels.") and mod is not functional:
+            routes += [(mod, attr, FUNCTIONAL_TWINS[fn]) for attr, fn in vars(mod).items()
+                       if callable(fn) and fn in FUNCTIONAL_TWINS]
+    for target, attr, twin in routes:
+        monkeypatch.setattr(target, attr, twin)
+    return len(routes)
+
+
+@pytest.mark.parametrize("path", ["plans", "no-plans"])
+@pytest.mark.parametrize("name, simulate", RUNS, ids=RUN_IDS)
+def test_kernels_leave_inputs_intact(name, simulate, path, monkeypatch):
+    # "no-plans" runs the same case through the interpreted twins
+    if path == "no-plans":
+        _route_to_twins(monkeypatch)
     case = KERNEL_CASES[name]
     kern = case.kernel(simulate=True) if simulate else case.kernel()
     assert _mutated_inputs(kern, _operands(case)) == []
 
 
-def test_runs_cover_every_case_and_simulated_path():
+def test_runs_cover_every_case_and_simulated_path(monkeypatch):
     assert {name for name, _ in RUNS} == set(KERNEL_CASES)
     planned = sum(c.plan is not None for c in KERNEL_CASES.values())
     assert len(RUNS) == len(KERNEL_CASES) + planned == 19
+    # the twin runs reach the 4 planned classes and the functional
+    # bindings of the 6 octet/wmma/FPU kernel modules
+    assert _route_to_twins(monkeypatch) == 4 + 6
+
+
+def _raise_twin(*args, **kwargs):
+    raise AssertionError("production reached an interpreted twin")
+
+
+def test_production_never_reaches_a_twin(monkeypatch):
+    for cls in _planned_classes():
+        monkeypatch.setattr(cls, "_execute_simulated_reference", _raise_twin)
+    for twin in FUNCTIONAL_TWINS.values():
+        monkeypatch.setattr(functional, twin.__name__, _raise_twin)
+    monkeypatch.setattr(SectorCache, "access_sectors", _raise_twin)
+    for name, simulate in RUNS:
+        case = KERNEL_CASES[name]
+        kern = case.kernel(simulate=True) if simulate else case.kernel()
+        kern.run(*_operands(case))
+    rng = np.random.default_rng(0)
+    a = cvse_operand(rng.random((8, 64)) < 0.4, 4, rng)
+    mask = mask_operand(rng.random((8, 64)) < 0.4, 4)
+    memo.set_enabled(False)  # replay every stream, none served from the memo
+    try:
+        trace.trace_octet_spmm(a, 64)
+        trace.trace_blocked_ell(ell_operand((32, 64), 0.4, rng), 64)
+        trace.trace_octet_sddmm(mask, 32)
+        trace.trace_wmma_sddmm(mask, 32)
+        trace.trace_gemm(64, 32, 64)
+    finally:
+        memo.set_enabled(None)
 
 
 class _SubscriptStore(OctetSpmmKernel):

@@ -21,7 +21,7 @@ from repro.perfmodel import memo
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     memo.clear()
-    memo.enable()
+    memo.set_enabled(True)
     yield
     memo.clear()
     memo.set_enabled(None)
@@ -41,7 +41,7 @@ class TestMemoisedStats:
         kern = OctetSpmmKernel()
         first = kern.stats_for(prob.a_cvse, 64)
         hit = kern.stats_for(prob.a_cvse, 64)
-        memo.disable()
+        memo.set_enabled(False)
         fresh = kern.stats_for(prob.a_cvse, 64)
         assert memo.stats_signature(hit) == memo.stats_signature(first)
         assert memo.stats_signature(hit) == memo.stats_signature(fresh)
@@ -176,7 +176,7 @@ class TestControlSurface:
         prob = _problem()
         kern = OctetSpmmKernel()
         kern.stats_for(prob.a_cvse, 64)
-        memo.disable()
+        memo.set_enabled(False)
         kern.stats_for(prob.a_cvse, 64)
         assert memo.counters()["stats"] == (0, 1)  # untouched while off
 

@@ -10,11 +10,9 @@ contracts are pinned here:
   the pinned ``*_reference`` twin, fuzzed across vector lengths;
 * **cache discipline** — plans live in the checksummed ``plan`` memo
   region: second compile is a hit, topology or tile-config changes
-  miss, tampered blobs are detected and recompiled, and the
-  ``REPRO_PLANS`` gate routes everything back to the references;
+  miss, and tampered blobs are detected and recompiled;
 * **fault transparency** — injection sites fire at execution time on
-  the plan path (plans carry schedule only), so a fault campaign
-  detects SDCs identically with plans on or off.
+  the plan path (plans carry schedule only).
 """
 
 import numpy as np
@@ -22,7 +20,7 @@ import pytest
 
 from repro import plans
 from repro.obs import metrics, tracing
-from repro.faults import FaultInjector, run_campaign
+from repro.faults import FaultInjector
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
@@ -62,13 +60,6 @@ def _bits(x):
 
 def _counts(st):
     return (st.hmma_steps, st.mma_instructions, st.switch_steps)
-
-
-@pytest.fixture(autouse=True)
-def _plans_default():
-    plans.set_enabled(None)
-    yield
-    plans.set_enabled(None)
 
 
 # --------------------------------------------------------------------- #
@@ -143,23 +134,6 @@ class TestPlanParity:
             _bits(sddmm_functional(ad, bd, mask)),
             _bits(sddmm_functional_reference(ad, bd, mask)),
         )
-
-    def test_disabled_gate_routes_to_reference(self):
-        rng = np.random.default_rng(42)
-        a = _random_cvse(rng, 16, 48, 4)
-        b = rng.uniform(-1, 1, (a.shape[1], 32)).astype(np.float16)
-        kern = OctetSpmmKernel(simulate=True)
-        ref = kern._execute_simulated_reference(a, b)
-        plans.set_enabled(False)
-        assert not plans.enabled()
-        assert np.array_equal(_bits(kern._execute_simulated(a, b)), _bits(ref))
-
-    def test_env_flag_disables(self, monkeypatch):
-        plans.set_enabled(None)
-        monkeypatch.setenv("REPRO_PLANS", "0")
-        assert not plans.enabled()
-        monkeypatch.setenv("REPRO_PLANS", "1")
-        assert plans.enabled()
 
 
 # --------------------------------------------------------------------- #
@@ -336,13 +310,3 @@ class TestFaultTransparency:
             dirty = kern._execute_simulated(a, b)
         assert inj.fired
         assert not np.array_equal(_bits(clean), _bits(dirty))
-
-    def test_campaign_detects_identically_plan_vs_reference(self):
-        def flat(result):
-            return [(r.target, r.seed, r.detected) for r in result.records]
-
-        plans.set_enabled(True)
-        on = flat(run_campaign("smoke", seed=77))
-        plans.set_enabled(False)
-        off = flat(run_campaign("smoke", seed=77))
-        assert on == off

@@ -383,22 +383,16 @@ class TestProfileCli:
 # runner + serving threading
 # --------------------------------------------------------------------- #
 class TestThreading:
-    def test_runner_profile_artifacts_and_sweep_record(self, capsys, tmp_path):
-        runner.run_all(only=["table1"], out_dir=tmp_path, profile=True)
+    def test_runner_manifest_records_memo_scope(self, capsys, tmp_path):
+        runner.run_all(only=["table1"], out_dir=tmp_path)
         capsys.readouterr()
-        art = json.loads((tmp_path / "table1.profile.json").read_text())
-        assert art["experiment"] == "table1"
-        assert art["seconds"] >= 0
-        assert "memo_scope" in art and art["config"]
-        records = profiler.load_history(tmp_path / "profile_history.jsonl")
-        assert len(records) == 1
-        assert records[0]["kind"] == "experiment-sweep"
-        assert profiler.validate_record(records[0]) == []
-        assert "table1" in records[0]["experiments"]
-
-    def test_runner_profile_requires_out_dir(self):
-        with pytest.raises(ValueError, match="--profile needs --out"):
-            runner.run_all(only=["table1"], profile=True)
+        entry = json.loads((tmp_path / "manifest.json").read_text())["table1"]
+        assert entry["config"] and entry["seconds"] >= 0
+        scope = entry["memo_scope"]
+        assert scope and all(0 <= row["served"] <= row["lookups"]
+                             for row in scope.values())
+        assert list(tmp_path.glob("*.profile.json")) == []
+        assert not (tmp_path / "profile_history.jsonl").exists()
 
     def test_serving_profile_summary_shape(self):
         result = simulate(get_scenario("steady"), 400, seed=3)

@@ -67,6 +67,9 @@ class TestMergeEquivalence:
         # merged entries carry the *plain* hash: the merged directory is
         # resume-compatible with an unsharded sweep
         assert man_merged["fig17"]["config"] == man_full["fig17"]["config"]
+        # the shard's scoped memo counters travel with its entry
+        man_s0 = sharding.load_manifest(s0)
+        assert man_merged["fig17"]["memo_scope"] == man_s0["fig17"]["memo_scope"] != {}
         assert verify_manifest(merged) == {"fig17": True}
 
     def test_wholesale_experiments_copy_through(self, tmp_path):

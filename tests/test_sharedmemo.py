@@ -25,7 +25,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 @pytest.fixture(autouse=True)
 def _fresh_store(tmp_path):
     memo.clear()
-    memo.enable()
+    memo.set_enabled(True)
     sharedmemo.reset()
     sharedmemo.set_dir(tmp_path / "store")
     sharedmemo.set_enabled(True)

@@ -123,12 +123,12 @@ class TestReplayRegression:
         assert ref == vec
 
     def test_scalar_engine_matches_reference(self, problem):
-        # engine="scalar" isolates the interleave/batching refactor
-        # from the vectorised cache: same scalar cache, new plumbing
+        # a narrow L1 and a short co-resident window: evictions inside
+        # every batch, and many windows drained one after another
         a, _ = problem
-        ref = replay_l1_reference(octet_spmm_cta_sectors(a, N), sample_sms=1)
-        new = replay_l1(octet_spmm_cta_sectors(a, N), sample_sms=1,
-                        engine="scalar")
+        kw = dict(coresident=8, l1_data_bytes=8 * 1024, sample_sms=1)
+        ref = replay_l1_reference(octet_spmm_cta_sectors(a, N), **kw)
+        new = replay_l1(octet_spmm_cta_sectors(a, N), **kw)
         assert ref == new
 
 
