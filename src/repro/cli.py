@@ -26,8 +26,7 @@ handler raises into ``error: ...`` on stderr and exit 2.
   (:mod:`repro.serving`) over a named scenario;
 * ``profile`` runs the Nsight-Compute-analog kernel profiler
   (:mod:`repro.profiler`): roofline classification, ranked bottleneck
-  attribution, the run-history store and the perf-regression baseline;
-* ``analyze`` runs the whole-repo static analysis (:mod:`repro.analysis`).
+  attribution, the run-history store and the perf-regression baseline.
 
 Examples
 --------
@@ -55,7 +54,6 @@ Examples
     python -m repro.cli profile --config fig20-k256 -v
     python -m repro.cli profile --diff spmm-octet dense-gemm
     python -m repro.cli profile --smoke --check
-    python -m repro.cli analyze --sarif analysis.sarif
 """
 
 from __future__ import annotations
@@ -747,50 +745,6 @@ def _profile(args) -> int:
                        f"roofline agreement OK, history bit-stable")
 
 
-def _analyze_args(ap: argparse.ArgumentParser) -> None:
-    from .analysis import RULES
-
-    ap.add_argument("--rule", action="append", default=None, metavar="ID",
-                    help="run only this rule (repeatable); "
-                         f"choices: {sorted(RULES)}")
-    ap.add_argument("--repo", type=Path,
-                    default=Path(__file__).resolve().parents[2],
-                    help="repository root (default: this checkout)")
-    ap.add_argument("--json", type=str, default="", metavar="PATH",
-                    help="write the findings as JSON here")
-    ap.add_argument("--sarif", type=str, default="", metavar="PATH",
-                    help="write a SARIF 2.1.0 report here")
-    ap.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue and exit")
-
-
-def _analyze(args) -> int:
-    """``analyze`` subcommand: exit 0 clean, 1 on any finding (a
-    ``# repro: ignore[rule-id]`` suppression is the waiver)."""
-    from .analysis import RULES, run_analysis, to_json, to_sarif
-
-    if args.list_rules:
-        width = max(len(rid) for rid in RULES)
-        for rid in sorted(RULES):
-            spec = RULES[rid]
-            print(f"{rid:<{width}}  [{spec.severity}] {spec.description}")
-        return EXIT_CLEAN
-
-    if not (args.repo / "src" / "repro").is_dir():
-        raise ValueError(f"{args.repo} has no src/repro package")
-    findings = run_analysis(args.repo, args.rule)
-    for finding in findings:
-        print(finding.render())
-    if args.json:
-        Path(args.json).write_text(to_json(findings))
-    if args.sarif:
-        Path(args.sarif).write_text(to_sarif(findings))
-
-    ran = len(args.rule) if args.rule else len(RULES)
-    print(f"analyze: {ran} rule(s), {len(findings)} new finding(s)")
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-
 def _compare(cases, extent: int, dense_shape: Tuple[int, int, int],
              only) -> Tuple[List[Dict[str, object]], List[KernelProfile]]:
     """Rows + guideline reports for ``(key, label, kernel, operand)``
@@ -879,9 +833,6 @@ def _bench(args) -> int:
 
 #: ``repro-bench <name> ...`` -> (description, add_arguments, run)
 _SUBCOMMANDS = {
-    "analyze": ("Run the whole-repo static analysis (contract lints + "
-                "semantic passes); see docs/ANALYSIS.md",
-                _analyze_args, _analyze),
     "sanitize": ("Run the kernel sanitizer (memcheck/racecheck/synccheck/"
                  "ownership/statcheck) over kernel cases x problem suites",
                  _sanitize_args, _sanitize),

@@ -2,10 +2,7 @@
 
 Every environment variable the system reads is declared here exactly once,
 with its default and a docstring; readers go through :func:`flag` /
-:func:`raw` with a *literal* gate name.  The ``env-gate-registry`` analysis
-rule enforces the round trip: no direct ``os.environ`` read of a
-``REPRO_*`` name outside this module, no accessor call with an undeclared
-name, and no declared gate that nothing reads.
+:func:`raw` with a *literal* gate name.
 
 Flag semantics (shared by every boolean gate):
 
@@ -55,7 +52,8 @@ def _registry(*gates: EnvGate) -> Dict[str, EnvGate]:
 GATES: Dict[str, EnvGate] = _registry(
     EnvGate("REPRO_MEMO", "1", "flag",
             "In-process content-addressed memo regions (stats/latency/trace/"
-            "suite/plan). Default on; set 0 to force every compute fresh."),
+            "suite/plan/problem/format). Default on; set 0 to force every "
+            "compute fresh."),
     EnvGate("REPRO_MEMO_CHECKSUM", "1", "flag",
             "blake2b integrity checksums on memo blobs; corrupt entries are "
             "recomputed, never served. Default on."),

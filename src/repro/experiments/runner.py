@@ -176,10 +176,11 @@ def _run_one(task: Tuple[str, bool, bool, bool]):
     """Run one experiment (module-level so process pools can pickle it).
 
     Returns ``(name, result, seconds, obs_payload)``; the payload's
-    ``memo_scope`` counters are scoped to this run (identical across
-    serial, ``--jobs`` and ``--shard`` schedules for the same work —
-    see :func:`memo.scope_begin`), and its spans/metrics are the
-    worker's drained observability state when tracing is enabled.
+    ``memo_scope`` counters are scoped to this run (they count the
+    lookups that happen, so what earlier work left in the cache can
+    change them — see :func:`memo.scope_begin`), and its spans/metrics
+    are the worker's drained observability state when tracing is
+    enabled.
     """
     name, quick, trace, obs_on = task
     if obs_on:

@@ -1,23 +1,20 @@
 """Declared observability naming schema.
 
-Every span, counter, gauge and histogram name the system emits is declared
-here; the ``obs-naming-contract`` analysis rule statically collects the
-names at each emission site (``tracing.span``/``traced``,
-``metrics.counter_add``/``gauge_set``/``observe``) and checks both
-directions against this schema — an undeclared emission and a declared
-name nothing emits are both findings.
+Every span, counter, gauge and histogram name the system emits is
+declared here, and every declared name is one the system emits.
+``tests/test_lint_contracts.py`` checks both directions by running
+the code: it traces a run set that drives every emission site, the
+failure paths of the experiment pool included, and matches each name
+it records against these patterns.
 
 Patterns: names are dotted lowercase ``<subsystem>.<thing>``; a ``*``
 segment matches exactly one dynamic segment (an f-string hole at the
-emission site, e.g. ``memo.{region}.hits`` collects as ``memo.*.hits``).
+emission site, e.g. ``memo.{region}.hits`` matches ``memo.*.hits``).
 
-``DERIVED`` maps each derived metric computed in ``metrics.snapshot()`` to
-the counter patterns it divides — the rule requires every referenced
-counter to be declared, so a counter rename breaks the analysis instead of
-silently zeroing a hit-rate.
-
-The lists are pure literals: the analysis rule reads them with
-``ast.literal_eval`` and never imports this module.
+``DERIVED`` maps each derived metric computed in ``metrics.snapshot()``
+to the counter patterns it divides; each must be a declared counter, so
+a counter rename fails the check instead of silently zeroing a
+hit-rate.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ SPANS = [
     "memo.shared.read.*",
     "memo.shared.publish.*",
     "trace.replay",
-    "trace.replay_reference",
     "serving.run",
     "profiler.capture",
     "profiler.kernel.*",

@@ -192,10 +192,20 @@ def span(name: str, **attrs):
 
 
 def traced(name: Optional[str] = None, **attrs) -> Callable:
-    """Decorator form of :func:`span`; defaults to the function name."""
+    """Decorator form of :func:`span`; defaults to the function name.
+
+    Raises :class:`TypeError` when applied over a memoised function (one
+    carrying ``__memo_region__``): the span would time cache hits too.
+    Put ``@traced`` inside the memo decorator, where the span times the
+    compute of a miss only."""
 
     def deco(fn):
         label = name or fn.__qualname__
+        if getattr(fn, "__memo_region__", None) is not None:
+            raise TypeError(
+                f"@traced({label!r}) wraps {fn.__qualname__}, memoised in the "
+                f"{fn.__memo_region__!r} region: put the span inside the memo "
+                "decorator")
 
         def wrapper(*args, **kwargs):
             if not enabled():

@@ -224,11 +224,12 @@ def scope_begin() -> None:
 
     A scope counts, per region, total lookups and *distinct* keys; the
     difference is the number of lookups served by repetition **within
-    the scope** — the hit count a cold, solo run of the same work would
-    see.  Unlike the raw hit/miss counters it does not depend on what
-    earlier experiments (serial sweeps) or pool scheduling (``--jobs``)
-    left in the cache, so the per-experiment hit-rate line is identical
-    across run modes.
+    the scope**.  Only lookups that happen are counted, and a lookup
+    nested inside a memoised builder happens only when that builder
+    misses.  The counters therefore depend on what earlier work left in
+    the cache: an outer entry filled before the scope opened is a hit
+    that skips the inner lookups a cold run of the same work would
+    count.
     """
     global _scope
     with _lock:
@@ -651,8 +652,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                     return val
     if _tracing.enabled():
         # span inside the memo boundary: misses time the real compute,
-        # hits record nothing (enforced by the span-outside-memo rule
-        # of repro.analysis)
+        # hits record nothing (traced() refuses to wrap a memoised
+        # function, see __memo_region__)
         with _tracing.span(f"memo.miss.{region}"):
             val = compute()
     else:
@@ -671,7 +672,11 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
 
 
 def memoised(region: str, copy_result: bool = False):
-    """Decorator: memoise a pure function of signable arguments."""
+    """Decorator: memoise a pure function of signable arguments.
+
+    Each memo decorator marks its wrapper with ``__memo_region__``, so
+    :func:`repro.obs.tracing.traced` can refuse to wrap it: a span
+    outside the memo boundary would time cache hits as well."""
 
     def deco(fn):
         @functools.wraps(fn)
@@ -682,6 +687,7 @@ def memoised(region: str, copy_result: bool = False):
             return memoise(region, key, lambda: fn(*args, **kwargs), copy_result=copy_result)
 
         wrapper.__wrapped__ = fn
+        wrapper.__memo_region__ = region
         return wrapper
 
     return deco
@@ -717,6 +723,7 @@ def memoised_stats(fn):
         )
 
     wrapper.__wrapped__ = fn
+    wrapper.__memo_region__ = "stats"
     return wrapper
 
 
@@ -769,6 +776,7 @@ def memoised_rng(region: str = "problem"):
             return value
 
         wrapper.__wrapped__ = fn
+        wrapper.__memo_region__ = region
         return wrapper
 
     return deco

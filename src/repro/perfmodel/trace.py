@@ -173,7 +173,7 @@ def octet_spmm_cta_sectors(
             # because memoise() bypasses the cache entirely while an
             # injector is armed, so corrupted streams are never cached or
             # published to the shared tier.
-            yield cta, fault_site("trace.octet_spmm.ops", ops)  # repro: ignore[memo-key-soundness]
+            yield cta, fault_site("trace.octet_spmm.ops", ops)
             cta += 1
 
 
@@ -450,19 +450,17 @@ def replay_l1_reference(
                         l2_fills += l2.access_sectors(missed).size * _SECTOR
         window.clear()
 
-    with obs_tracing.span("trace.replay_reference", coresident=coresident,
-                          sample_sms=sample_sms):
-        for cta_id, ops in cta_stream:
-            total += 1
-            sm = cta_id % spec.num_sms
-            if sm >= sample_sms:
-                continue
-            sampled += 1
-            windows[sm].append(list(ops))
-            if len(windows[sm]) >= coresident:
-                drain(sm)
-        for sm in range(sample_sms):
+    for cta_id, ops in cta_stream:
+        total += 1
+        sm = cta_id % spec.num_sms
+        if sm >= sample_sms:
+            continue
+        sampled += 1
+        windows[sm].append(list(ops))
+        if len(windows[sm]) >= coresident:
             drain(sm)
+    for sm in range(sample_sms):
+        drain(sm)
     if obs_metrics.enabled():
         for cache in caches.values():
             hw_cache.record_metrics("l1", cache.stats)

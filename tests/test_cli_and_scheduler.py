@@ -1,5 +1,7 @@
 """Tests for the repro-bench CLI and the work-distributor simulation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,6 @@ SUBCOMMAND_CASES = [
     ("merge-bad", ["merge", "{tmp}/nowhere", "--out", "{tmp}/merged"], 2),
     ("serve-bad", ["serve", "--scenario", "bogus"], 2),
     ("profile-bad", ["profile", "--config", "bogus"], 2),
-    ("analyze-bad", ["analyze", "--rule", "bogus"], 2),
     ("table-bad", ["--kernel", "bogus"], 2),
     # size flags: a bad value is a usage error naming the flag
     ("table-rows-zero", ["--rows", "0"], 2),
@@ -158,6 +159,19 @@ def test_subcommand_exit_code_contract(argv, code, tmp_path, capsys, fresh_obs):
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_unknown_name_error_format_is_shared(capsys):
+    """sanitize and faults format unknown-name errors identically."""
+    codes = {
+        main(["faults", "--campaign", "bogus"]),
+        main(["sanitize", "--kernel", "bogus", "--smoke"]),
+    }
+    err = capsys.readouterr().err
+    assert codes == {2}
+    lines = [ln for ln in err.splitlines() if ln]
+    assert len(lines) == 2
+    assert all(re.match(r"^error: unknown ", ln) for ln in lines)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,10 +1,7 @@
-"""Tests for the kernel contracts: two static lints and three runtime checks.
+"""Tests for the system's contracts, each checked by running the code.
 
-``seeded-rng`` and ``span-outside-memo`` are :mod:`repro.analysis` rules;
-each test writes a minimal repo under ``tmp_path`` and runs one rule over
-it.  The other three contracts are checked by running the kernels of the
-case table :data:`repro.kernels.cases.KERNEL_CASES`, not by reading
-their source:
+The kernel contracts run the kernels of the case table
+:data:`repro.kernels.cases.KERNEL_CASES`:
 
 * no kernel writes into its inputs, on the functional path and with
   ``simulate=True``, through its compiled plans and through the
@@ -16,24 +13,60 @@ their source:
   ``plans``;
 * a case has a compiled plan exactly when its class keeps the
   interpreted ``_execute_simulated_reference`` twin, which
-  ``plans --parity`` runs bit for bit against the plan.
+  ``plans --parity`` runs bit for bit against the plan;
+* fp16 operands, fp32 accumulation: on dyadic fp16 operands every SpMM,
+  SDDMM and GEMM case, functional and simulated, equals the exact sum
+  bit for bit, where an fp16 accumulator loses the quarters next to the
+  1024s.
 
-Each runtime check is shown to catch its defect planted into a subclass
-of a real kernel.  The tests named ``*_lint_*`` and ``*_twins_*`` keep
-the names they had when these contracts were static lints.
+The contracts of the layers around the kernels run over the shared run
+set of ``tests/runset.py``:
+
+* seeded RNG: two fresh processes with different ``PYTHONHASHSEED``
+  give the same digests, and a pass leaves NumPy's global generator
+  untouched;
+* spans inside the memo boundary: ``traced()`` raises ``TypeError``
+  over a memoised function, when the module defining it is imported;
+* one registry of env gates: under a recording ``os.environ``, every
+  ``REPRO_*`` read comes from :mod:`repro.envgates`, and every declared
+  gate is read;
+* the obs naming schema: every span and metric name a traced pass emits
+  matches :mod:`repro.obs.schema`, every declared name fires, and every
+  ``DERIVED`` input is a declared counter;
+* sound memo keys: with the cache filled under the default gate state,
+  flipping each flag gate leaves memo-on results bit-identical to
+  memo-off ones (the fault-injector half of this contract is
+  ``test_memo.py::test_memoise_bypasses_cache_while_injector_armed``).
+
+Each check is shown to catch its defect planted into a real module: the
+planted function is bound over the original for one test (compiled in
+that module's namespace, or, for the fresh-process check, in the child).  The tests named ``*_lint_*`` and
+``*_twins_*`` keep the names they had when these contracts were static
+lints.
 """
 
-import inspect
+import ast
+import contextlib
+import json
+import os
+import subprocess
 import sys
+import textwrap
+import types
+from collections.abc import MutableMapping
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 import pytest
 
-from repro import cli, plans
-from repro.analysis import run_analysis
-from repro.kernels import dispatch
+from repro import cli, envgates, plans
+from repro.formats.blocked_ell import BlockedEllMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.cvse import ColumnVectorSparseMatrix
+from repro.hardware import tensor_core
+from repro.hardware.cache import SectorCache
+from repro.kernels import dispatch, functional
 from repro.kernels.cases import (
     KERNEL_CASES,
     KernelCase,
@@ -42,71 +75,38 @@ from repro.kernels.cases import (
     ell_operand,
     mask_operand,
 )
-from repro.hardware.cache import SectorCache
-from repro.kernels import functional
 from repro.kernels.cusparse import CusparseSddmmKernel
+from repro.kernels.gemm import DenseGemmKernel
 from repro.kernels.softmax_sparse import SparseSoftmaxKernel
 from repro.kernels.spmm_fpu import FpuSpmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
+from repro.obs import metrics, schema, tracing
 from repro.perfmodel import memo, trace
 
-REPO = Path(__file__).resolve().parents[1]
+from . import runset
+from .runset import RUN_IDS, RUNS, operands
 
-CONTRACT_RULES = [
-    "seeded-rng",
-    "span-outside-memo",
-]
+REPO = Path(__file__).resolve().parents[1]
 
 #: the arrays of a sparse operand that a kernel reads
 SPARSE_ARRAYS = ("values", "row_ptr", "col_idx", "col_blocks")
 
 
-def _write(root: Path, rel: str, text: str) -> None:
-    path = root / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _findings(repo: Path, rule: str) -> List[str]:
-    return [f.render() for f in run_analysis(repo, [rule])]
-
-
-def _bad_repo(tmp_path: Path) -> Path:
-    _write(tmp_path, "src/repro/__init__.py", "")
-    _write(tmp_path, "src/repro/kernels/__init__.py", "")
-    _write(tmp_path, "src/repro/kernels/bad.py", (
-        "import numpy as np\n"
-        "class UnseededKernel:\n"
-        "    def _execute(self, a, b):\n"
-        "        rng = np.random.default_rng()\n"
-        "        return np.random.rand(4) + rng.random()\n"
-    ))
-    return tmp_path
+def _plant(monkeypatch, owner, source: str, **names) -> None:
+    """Bind over ``owner`` (a module or a class) the function defined in
+    ``source``, compiled in the namespace of ``owner``'s module (plus
+    ``names``), so it runs as code written in that module."""
+    module = owner if isinstance(owner, types.ModuleType) else sys.modules[owner.__module__]
+    tree = ast.parse(textwrap.dedent(source))
+    namespace = dict(vars(module), **names)
+    exec(compile(tree, module.__file__, "exec"), namespace)
+    name = tree.body[0].name
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 # --------------------------------------------------------------------- #
-# the runtime checks
+# kernel contracts
 # --------------------------------------------------------------------- #
-def _operands(case: KernelCase) -> tuple:
-    """Seeded fp16 operands of ``case``'s ``run``: ``(32 x 64) x (64 x 32)``."""
-    rng = np.random.default_rng(0)
-    m, k, n, v, density = 32, 64, 32, 4, 0.4
-    a = rng.uniform(-1, 1, (m, k)).astype(np.float16)
-    b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
-    if case.operand == "cvse":
-        sparse = cvse_operand(rng.random((m // v, k)) < density, v, rng)
-        return (sparse,) if case.factory is SparseSoftmaxKernel else (sparse, b)
-    if case.operand == "mask":
-        return a, b, mask_operand(rng.random((m // v, n)) < density, v)
-    if case.operand == "ell":
-        return ell_operand((m, k), density, rng), b
-    if case.operand == "csr" and case.factory is CusparseSddmmKernel:
-        return a, b, csr_operand((m, n), density, rng)
-    if case.operand == "csr":
-        return csr_operand((m, k), density, rng), b
-    return a, b
-
-
 def _input_bytes(operands: tuple) -> Dict[str, bytes]:
     """The bytes of every input array: dense operands and sparse formats'."""
     out: Dict[str, bytes] = {}
@@ -145,12 +145,6 @@ def _plan_twin_mismatches(table: Dict[str, KernelCase]) -> List[str]:
             if (c.plan is not None) != hasattr(c.factory, "_execute_simulated_reference")]
 
 
-#: (case name, simulate): every case, plus ``simulate=True`` where offered
-RUNS = [(name, simulate) for name, case in KERNEL_CASES.items()
-        for simulate in (False, True)
-        if not simulate or "simulate" in inspect.signature(case.factory).parameters]
-RUN_IDS = [f"{name}-{'simulate' if simulate else 'functional'}" for name, simulate in RUNS]
-
 #: planned functional entry point -> its interpreted twin
 FUNCTIONAL_TWINS = {
     functional.spmm_functional: functional.spmm_functional_reference,
@@ -186,7 +180,7 @@ def test_kernels_leave_inputs_intact(name, simulate, path, monkeypatch):
         _route_to_twins(monkeypatch)
     case = KERNEL_CASES[name]
     kern = case.kernel(simulate=True) if simulate else case.kernel()
-    assert _mutated_inputs(kern, _operands(case)) == []
+    assert _mutated_inputs(kern, operands(case)) == []
 
 
 def test_runs_cover_every_case_and_simulated_path(monkeypatch):
@@ -211,7 +205,7 @@ def test_production_never_reaches_a_twin(monkeypatch):
     for name, simulate in RUNS:
         case = KERNEL_CASES[name]
         kern = case.kernel(simulate=True) if simulate else case.kernel()
-        kern.run(*_operands(case))
+        kern.run(*operands(case))
     rng = np.random.default_rng(0)
     a = cvse_operand(rng.random((8, 64)) < 0.4, 4, rng)
     mask = mask_operand(rng.random((8, 64)) < 0.4, 4)
@@ -256,13 +250,121 @@ class _Rebinding(OctetSpmmKernel):
 
 
 def _planted_mutations(planted: type) -> List[str]:
-    return _mutated_inputs(planted(), _operands(KERNEL_CASES["spmm-octet"]))
+    return _mutated_inputs(planted(), operands(KERNEL_CASES["spmm-octet"]))
+
+
+# the precision check: one exact sum per row, which any fp16 accumulator
+# gets wrong (1024 + 0.25 rounds back to 1024 in fp16)
+_M, _K, _N, _V = 32, 64, 32, 4
+
+
+def _dyadic_rows() -> np.ndarray:
+    """``(32 x 64)`` fp16 rows, alternating per vector group between
+    ``[1024, 0.25 x 8, 0..., -1024]`` (sum 2.0) and ``[1024, 0.25 x 62,
+    -1024]`` (sum 15.5), whose every 4-aligned partial sum is inexact in
+    fp16."""
+    short = np.zeros(_K)
+    short[1:9] = 0.25
+    long = np.full(_K, 0.25)
+    rows = np.array([short if (i // _V) % 2 == 0 else long for i in range(_M)])
+    rows[:, 0], rows[:, -1] = 1024.0, -1024.0
+    return rows.astype(np.float16)
+
+
+def _dyadic_operands(case: KernelCase) -> tuple:
+    """``case``'s operands: :func:`_dyadic_rows` as A, ones as B."""
+    a, ones = _dyadic_rows(), np.ones((_K, _N), dtype=np.float16)
+    rng = np.random.default_rng(0)
+    if case.operand == "cvse":
+        return ColumnVectorSparseMatrix.from_dense(a, _V), ones
+    if case.operand == "ell":
+        return BlockedEllMatrix.from_dense(a, 16), ones
+    if case.operand == "mask":
+        return a, ones, mask_operand(rng.random((_M // _V, _N)) < 0.4, _V)
+    if case.operand == "csr" and case.factory is CusparseSddmmKernel:
+        return a, ones, csr_operand((_M, _N), 0.4, rng)
+    if case.operand == "csr":
+        return CSRMatrix.from_dense(a), ones
+    return a, ones
+
+
+def _value_rows(out) -> np.ndarray:
+    """The output row of each output value."""
+    if isinstance(out, np.ndarray):
+        return np.broadcast_to(np.arange(out.shape[0])[:, None], out.shape)
+    counts = np.diff(out.row_ptr)
+    rows = np.repeat(np.arange(counts.size), counts)
+    if isinstance(out, ColumnVectorSparseMatrix):
+        return rows[:, None] * out.vector_length + np.arange(out.vector_length)
+    return rows
+
+
+def _precision_mismatches() -> List[str]:
+    """The SpMM/SDDMM/GEMM runs whose output on dyadic operands is not
+    the exact sum, bit for bit."""
+    sums = _dyadic_rows().astype(np.float64).sum(axis=1)
+    bad = []
+    for (name, simulate), run_id in zip(RUNS, RUN_IDS):
+        case = KERNEL_CASES[name]
+        if case.factory is SparseSoftmaxKernel:
+            continue
+        out = runset.run_case(name, simulate, _dyadic_operands(case)).output
+        got = runset.output_values(out)
+        if got.tobytes() != sums[_value_rows(out)].astype(got.dtype).tobytes():
+            bad.append(run_id)
+    return bad
 
 
 def test_real_repo_is_clean():
-    assert run_analysis(REPO, CONTRACT_RULES) == []
     assert _unlisted_dispatch_classes() == []
     assert _plan_twin_mismatches(KERNEL_CASES) == []
+    assert _precision_mismatches() == []
+
+
+def test_dyadic_rows_defeat_an_fp16_accumulator():
+    sums = _dyadic_rows().astype(np.float64).sum(axis=1)
+    assert set(sums) == {2.0, 15.5}
+    acc = np.zeros(_M, dtype=np.float16)
+    for column in _dyadic_rows().T:
+        acc += column
+    assert set(acc) == {0.0}
+
+
+#: planted precision defects: (owner, fp16 source, runs it breaks)
+PRECISION_PLANTS = {
+    "fp16-accumulator": (functional, """
+        def _sddmm_gathered_dot(a32, bt32, rows, cols, chunk):
+            a16, b16 = a32.astype(np.float16), bt32.astype(np.float16)
+            acc = np.zeros(rows.size, dtype=np.float16)
+            for j in range(a16.shape[1]):
+                acc += a16[rows, j] * b16[cols, j]
+            return acc.astype(np.float32)
+        """, {"sddmm-octet-reg-functional", "sddmm-octet-shfl-functional",
+              "sddmm-octet-arch-functional", "sddmm-wmma-functional",
+              "sddmm-fpu-functional"}),
+    "fp16-einsum": (DenseGemmKernel, """
+        def _execute(self, a, b):
+            a16, b16 = np.asarray(a, np.float16), np.asarray(b, np.float16)
+            return np.einsum("mk,kn->mn", a16, b16)
+        """, {"dense-gemm-functional"}),
+    "fp16-partial-sum": (tensor_core, """
+        def _dot_f32(a_rows, b_cols):
+            a32 = np.asarray(a_rows, dtype=_F32)
+            b32 = np.asarray(b_cols, dtype=_F32)
+            out = np.multiply(a32[..., :, 0:1], b32[..., 0:1, :])
+            for j in range(1, a32.shape[-1]):
+                out = out + a32[..., :, j : j + 1] * b32[..., j : j + 1, :]
+                out = out.astype(np.float16).astype(_F32)
+            return out
+        """, {run_id for run_id in RUN_IDS if run_id.endswith("-simulate")}),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PRECISION_PLANTS))
+def test_precision_check_catches_fp16_accumulation(plant, monkeypatch):
+    owner, source, broken = PRECISION_PLANTS[plant]
+    _plant(monkeypatch, owner, source)
+    assert set(_precision_mismatches()) == broken
 
 
 def test_parity_lint_flags_untested_kernel(monkeypatch):
@@ -282,55 +384,8 @@ def test_helper_mutating_an_input_is_caught():
     assert _planted_mutations(_HelperStore) == ["arg1"]
 
 
-def test_rng_lint_flags_unseeded_calls(tmp_path):
-    findings = _findings(_bad_repo(tmp_path), "seeded-rng")
-    assert any("default_rng() without a seed" in f for f in findings)
-    assert any("np.random.rand()" in f for f in findings)
-
-
 def test_mutation_lint_allows_rebinding():
     assert _planted_mutations(_Rebinding) == []
-
-
-def test_span_outside_memo_flags_wrapped_builder(tmp_path):
-    _write(tmp_path, "src/repro/__init__.py", "")
-    _write(tmp_path, "src/repro/perfmodel/build.py", (
-        "from ..obs.tracing import traced\n"
-        "from .memo import memoised_rng\n"
-        "@traced('build.stats')\n"
-        "@memoised_rng('stats')\n"
-        "def bad_builder(spec, rng):\n"
-        "    return spec\n"
-        "@memoised_rng('latency')\n"
-        "@traced('build.latency')\n"
-        "def inner_span_ok(spec, rng):\n"
-        "    return spec\n"
-        "@traced('plain')\n"
-        "def plain_span_ok(spec):\n"
-        "    return spec\n"
-        "@memoised_rng('suite')\n"
-        "def plain_memo_ok(spec, rng):\n"
-        "    return spec\n"
-    ))
-    findings = _findings(tmp_path, "span-outside-memo")
-    assert len(findings) == 1
-    assert "bad_builder" in findings[0]
-    assert "span-outside-memo" in findings[0]
-
-
-def test_span_outside_memo_sees_attribute_decorators(tmp_path):
-    _write(tmp_path, "src/repro/__init__.py", "")
-    _write(tmp_path, "src/repro/perfmodel/build2.py", (
-        "from repro.obs import tracing\n"
-        "from repro.perfmodel import memo\n"
-        "@tracing.traced('x')\n"
-        "@memo.memoised_rng('stats')\n"
-        "def also_bad(spec, rng):\n"
-        "    return spec\n"
-    ))
-    findings = _findings(tmp_path, "span-outside-memo")
-    assert len(findings) == 1
-    assert "also_bad" in findings[0]
 
 
 def test_plan_twins_flags_missing_reference():
@@ -368,9 +423,341 @@ def test_plan_twins_ignores_helper_imports():
     assert _plan_twin_mismatches(fpu) == []
 
 
-def test_cli_exit_codes(tmp_path, capsys):
-    argv = ["analyze", *[arg for r in CONTRACT_RULES for arg in ("--rule", r)]]
-    assert cli.main(argv + ["--repo", str(REPO)]) == cli.EXIT_CLEAN
-    assert "0 new finding(s)" in capsys.readouterr().out
-    assert cli.main(argv + ["--repo", str(_bad_repo(tmp_path))]) == cli.EXIT_FINDINGS
-    assert cli.main(argv + ["--repo", str(tmp_path / "nowhere")]) == cli.EXIT_USAGE
+# --------------------------------------------------------------------- #
+# the traced pass of the run set, under a recording os.environ
+# --------------------------------------------------------------------- #
+def _reader() -> str:
+    """The module that reads the environment: the innermost frame
+    outside ``os`` and the mapping machinery."""
+    frame = sys._getframe(2)
+    while frame.f_globals.get("__name__") in ("os", "collections.abc", "_collections_abc"):
+        frame = frame.f_back
+    return frame.f_globals.get("__name__", "?")
+
+
+class _RecordingEnviron(MutableMapping):
+    """``os.environ`` that records ``(name, reading module)`` for every
+    ``REPRO_*`` read; writes go through to the real environment."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.reads: Set[Tuple[str, str]] = set()
+
+    def __getitem__(self, name):
+        if name.startswith("REPRO_"):
+            self.reads.add((name, _reader()))
+        return self.real[name]
+
+    def __setitem__(self, name, value):
+        self.real[name] = value
+
+    def __delitem__(self, name):
+        del self.real[name]
+
+    def __iter__(self):
+        return iter(self.real)
+
+    def __len__(self):
+        return len(self.real)
+
+    def copy(self):
+        return self.real.copy()
+
+
+#: emitted-name kind -> the schema list declaring it
+SCHEMA_LISTS = {"span": "SPANS", "counter": "COUNTERS", "gauge": "GAUGES",
+                "histogram": "HISTOGRAMS"}
+
+
+def _emitted() -> Dict[str, Set[str]]:
+    """The names the tracer and the metrics registry hold, by kind."""
+    return {"span": {s["name"] for s in tracing.completed_spans()},
+            "counter": set(metrics.counters()), "gauge": set(metrics.gauges()),
+            "histogram": set(metrics.histograms())}
+
+
+@contextlib.contextmanager
+def _observing(monkeypatch):
+    """Record env reads and emitted obs names while the block runs
+    traced; yields ``(environ, names)``.  ``obs`` resets the tracer and
+    the registry before its run, so each reset first records what it
+    drops."""
+    env = _RecordingEnviron(os.environ)
+    names: Dict[str, Set[str]] = {kind: set() for kind in SCHEMA_LISTS}
+
+    def collect():
+        for kind, found in _emitted().items():
+            names[kind] |= found
+
+    tracing.set_enabled(None)  # REPRO_TRACE decides, and is read
+    tracing.reset()
+    metrics.reset()
+    for module in (tracing, metrics):
+        monkeypatch.setattr(module, "reset", lambda reset=module.reset: (collect(), reset()))
+    monkeypatch.setattr(os, "environ", env)
+    try:
+        with runset.environ(REPRO_TRACE="1"):
+            yield env, names
+        collect()
+    finally:
+        tracing.set_enabled(None)
+        tracing.reset()
+        metrics.reset()
+
+
+def _rng_state_kept(before, after) -> bool:
+    return (before[0] == after[0] and np.array_equal(before[1], after[1])
+            and before[2:] == after[2:])
+
+
+@pytest.fixture(scope="module")
+def traced_pass(tmp_path_factory) -> types.SimpleNamespace:
+    """One traced pass of the run set under a recording ``os.environ``:
+    its digests, env reads, emitted obs names, and whether it left the
+    global generator alone."""
+    state = np.random.get_state()
+    memo.clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp, _observing(mp) as (env, names):
+            digests = runset.run_set(tmp_path_factory.mktemp("runset"))
+    finally:
+        memo.clear()
+    return types.SimpleNamespace(digests=digests, reads=env.reads, names=names,
+                                 rng_kept=_rng_state_kept(state, np.random.get_state()))
+
+
+def test_cli_exit_codes(traced_pass):
+    # every command of the run set exits clean, and the crashed pool
+    # worker costs only its own experiment
+    codes = {step: code for step, code in traced_pass.digests.items() if step.endswith(" exit")}
+    assert sorted(codes) == ["faults --smoke exit", "obs --smoke exit",
+                             "profile --smoke exit", "sanitize --smoke exit",
+                             "serve --smoke exit"]
+    assert set(codes.values()) == {str(cli.EXIT_CLEAN)}
+    assert traced_pass.digests["chaos survivors"] == "table2"
+
+
+# --------------------------------------------------------------------- #
+# seeded RNG
+# --------------------------------------------------------------------- #
+#: bind a kernel that draws from an unseeded generator (run in a child)
+_UNSEEDED_PLANT = """
+from numpy.random import default_rng
+from repro.kernels.spmm_octet import OctetSpmmKernel
+_original = OctetSpmmKernel._execute
+def _execute(self, a, b):
+    return _original(self, a, b) + default_rng().random(1).astype("float16")
+OctetSpmmKernel._execute = _execute
+"""
+
+
+def _fresh_digests(run: str, prelude: str = "", hash_seeds=("0", "1")) -> List[dict]:
+    """The JSON that ``run`` (code printing it) prints in one fresh
+    process per ``PYTHONHASHSEED``, run side by side."""
+    path = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    code = f"{prelude}\nimport json\nfrom tests import runset\n{run}\n"
+    procs = [subprocess.Popen([sys.executable, "-c", code], cwd=REPO, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+             for seed in hash_seeds]
+    outs = [proc.communicate(timeout=600) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * len(procs), outs
+    return [json.loads(out) for out, _err in outs]
+
+
+def test_run_set_is_deterministic_across_hash_seeds(traced_pass):
+    first, second = _fresh_digests("runset.main()")
+    assert first == second
+    # tracing and the recording environ change no output either
+    assert traced_pass.digests == first
+
+
+def test_run_set_leaves_the_global_generator_alone(traced_pass):
+    assert traced_pass.rng_kept
+
+
+def test_rng_lint_flags_unseeded_calls(monkeypatch):
+    kernels = "print(json.dumps(runset.kernel_digests()))"
+    first, second = _fresh_digests(kernels, prelude=_UNSEEDED_PLANT)
+    assert {k for k in first if first[k] != second[k]} == {
+        "spmm-octet-functional", "spmm-octet-simulate"}
+    state = np.random.get_state()
+    _plant(monkeypatch, OctetSpmmKernel, """
+        def _execute(self, a, b):
+            return _original(self, a, b) + np.random.rand(1).astype(np.float16)
+        """, _original=OctetSpmmKernel._execute)
+    runset.kernel_digests()
+    assert not _rng_state_kept(state, np.random.get_state())
+
+
+# --------------------------------------------------------------------- #
+# spans inside the memo boundary
+# --------------------------------------------------------------------- #
+def test_span_outside_memo_flags_wrapped_builder():
+    with pytest.raises(TypeError, match="memoised in the 'stats' region"):
+        @tracing.traced("build.stats")
+        @memo.memoised("stats")
+        def build_stats(spec):
+            return spec
+
+    # the span inside the memo boundary is the sanctioned order
+    @memo.memoised("latency")
+    @tracing.traced("build.latency")
+    def build_latency(spec):
+        return spec
+
+    assert build_latency(3) == 3 and build_latency.__memo_region__ == "latency"
+
+
+def test_span_outside_memo_sees_attribute_decorators():
+    with pytest.raises(TypeError, match="'trace' region"):
+        @tracing.traced("build.trace")
+        @memo.memoised_rng("trace")
+        def build_trace(spec, rng):
+            return spec
+
+    with pytest.raises(TypeError, match="'stats' region"):
+        tracing.traced("kernel.stats")(memo.memoised_stats(OctetSpmmKernel.stats_for))
+
+
+# --------------------------------------------------------------------- #
+# one registry of env gates
+# --------------------------------------------------------------------- #
+def _gate_findings(reads: Set[Tuple[str, str]]) -> List[str]:
+    """``REPRO_*`` reads by the program outside :mod:`repro.envgates`,
+    and declared gates nothing read."""
+    found = [f"{name} read by {module}" for name, module in sorted(reads)
+             if module.split(".")[0] == "repro" and module != "repro.envgates"]
+    read = {name for name, module in reads if module == "repro.envgates"}
+    found += [f"{name} is never read" for name in sorted(set(envgates.GATES) - read)]
+    return found
+
+
+def test_env_gates_are_read_through_the_registry(traced_pass):
+    assert _gate_findings(traced_pass.reads) == []
+    assert len(envgates.GATES) == 8
+
+
+def test_env_gate_check_flags_direct_read(monkeypatch):
+    _plant(monkeypatch, OctetSpmmKernel, """
+        def _execute(self, a, b):
+            if os.environ.get("REPRO_FIXTURE_DEBUG", "0") == "1":
+                print("debug")
+            return _original(self, a, b)
+        """, _original=OctetSpmmKernel._execute, os=os)
+    with _observing(monkeypatch) as (env, _names):
+        runset.kernel_digests()
+    assert "REPRO_FIXTURE_DEBUG read by repro.kernels.spmm_octet" in _gate_findings(env.reads)
+
+
+def test_env_gate_check_flags_unread_gate(traced_pass, monkeypatch):
+    monkeypatch.setitem(envgates.GATES, "REPRO_FIXTURE_UNUSED",
+                        envgates.EnvGate("REPRO_FIXTURE_UNUSED", "0", "flag", "never read"))
+    assert _gate_findings(traced_pass.reads) == ["REPRO_FIXTURE_UNUSED is never read"]
+
+
+# --------------------------------------------------------------------- #
+# the obs naming schema
+# --------------------------------------------------------------------- #
+def _matches(pattern: str, name: str) -> bool:
+    """``*`` matches exactly one dotted segment."""
+    p, n = pattern.split("."), name.split(".")
+    return len(p) == len(n) and all(a in ("*", b) for a, b in zip(p, n))
+
+
+def _naming_findings(names: Dict[str, Set[str]]) -> List[str]:
+    """Emitted names the schema does not declare, declared names nothing
+    emitted, and ``DERIVED`` entries off the schema."""
+    found = []
+    for kind, attr in SCHEMA_LISTS.items():
+        declared = getattr(schema, attr)
+        found += [f"undeclared {kind} {name}" for name in sorted(names[kind])
+                  if not any(_matches(p, name) for p in declared)]
+        found += [f"{kind} {p} never emitted" for p in declared
+                  if not any(_matches(p, name) for name in names[kind])]
+    found += [f"derived {key} reads undeclared counter {p}"
+              for key, inputs in schema.DERIVED.items() for p in inputs
+              if p not in schema.COUNTERS]
+    if set(schema.DERIVED) != set(metrics.snapshot()["derived"]):
+        found.append(f"derived keys {sorted(metrics.snapshot()['derived'])} "
+                     f"!= schema {sorted(schema.DERIVED)}")
+    return found
+
+
+def test_obs_names_match_the_schema(traced_pass):
+    assert _naming_findings(traced_pass.names) == []
+
+
+def test_obs_check_flags_undeclared_counter(monkeypatch):
+    _plant(monkeypatch, OctetSpmmKernel, """
+        def _execute(self, a, b):
+            metrics.counter_add("fixture.undeclared.count")
+            return _original(self, a, b)
+        """, _original=OctetSpmmKernel._execute, metrics=metrics)
+    with _observing(monkeypatch) as (_env, names):
+        runset.kernel_digests()
+    assert "undeclared counter fixture.undeclared.count" in _naming_findings(names)
+
+
+def test_obs_check_flags_orphan_schema_entry(traced_pass, monkeypatch):
+    monkeypatch.setattr(schema, "COUNTERS", schema.COUNTERS + ["fixture.orphan.count"])
+    assert _naming_findings(traced_pass.names) == ["counter fixture.orphan.count never emitted"]
+
+
+# --------------------------------------------------------------------- #
+# sound memo keys
+# --------------------------------------------------------------------- #
+#: the flag gates the memo-key check flips; it toggles the memo itself
+#: with ``memo.set_enabled``, so ``REPRO_MEMO`` has nothing to add
+FLIPPED = [g for g in envgates.GATES.values() if g.kind == "flag" and g.name != "REPRO_MEMO"]
+
+
+def _memo_key_check(steps, tmp: Path) -> Tuple[Set[str], List[str]]:
+    """``(regions, mismatches)``: the memo regions ``steps`` reaches
+    when it fills the cache under the default gate state, and, for each
+    flipped flag gate, the steps whose warm memo-on digest differs from
+    a memo-off run's."""
+    mismatches = []
+    memo.clear()
+    try:
+        with runset.environ(REPRO_MEMO_SHARED_DIR=str(tmp)):
+            memo.set_enabled(True)
+            steps()
+            regions = set(memo.counters())
+            for gate in FLIPPED:
+                flipped = "0" if gate.default == "1" else "1"
+                with runset.environ(**{gate.name: flipped}):
+                    warm = steps()
+                    memo.set_enabled(False)
+                    cold = steps()
+                    memo.set_enabled(True)
+                mismatches += [f"{gate.name}={flipped}: {step}" for step in cold
+                               if warm[step] != cold[step]]
+    finally:
+        memo.set_enabled(None)
+        memo.clear()
+        tracing.reset()
+        metrics.reset()
+    return regions, mismatches
+
+
+def test_memo_keys_cover_what_the_computes_read(traced_pass, tmp_path):
+    regions, mismatches = _memo_key_check(runset.memo_steps, tmp_path)
+    reached = {name.rsplit(".", 1)[1] for name in traced_pass.names["span"]
+               if name.startswith("memo.miss.")}
+    assert reached == {"format", "latency", "plan", "stats", "trace"}
+    assert reached <= regions
+    assert mismatches == []
+
+
+def test_memo_key_check_flags_a_clock_read(monkeypatch, tmp_path):
+    _plant(monkeypatch, OctetSpmmKernel, """
+        @memo.memoised_stats
+        def stats_for(self, a, n):
+            st = _original(self, a, n)
+            st.notes["stamp"] = time.time()
+            return st
+        """, _original=OctetSpmmKernel.stats_for.__wrapped__, time=__import__("time"))
+    _regions, mismatches = _memo_key_check(runset.kernel_digests, tmp_path)
+    assert {m.split(": ")[1] for m in mismatches} == {
+        "spmm-octet-functional", "spmm-octet-simulate"}
