@@ -26,7 +26,7 @@ handler raises into ``error: ...`` on stderr and exit 2.
   (:mod:`repro.serving`) over a named scenario;
 * ``profile`` runs the Nsight-Compute-analog kernel profiler
   (:mod:`repro.profiler`): roofline classification, ranked bottleneck
-  attribution, the run-history store and the perf-regression baseline.
+  attribution, and the exact counter baseline ``--check`` gates on.
 
 Examples
 --------
@@ -251,13 +251,15 @@ def _obs(args) -> int:
 
     obs_tracing.reset()
     obs_metrics.reset()
-    obs_tracing.enable()
+    previous = obs_tracing.set_enabled(True)
     rc = EXIT_CLEAN
     t0 = _time.perf_counter()
     try:
         run_all(quick=not args.full, only=only, jobs=args.jobs)
     except SweepFailure:
         rc = EXIT_FINDINGS
+    finally:
+        obs_tracing.set_enabled(previous)
     wall = _time.perf_counter() - t0
 
     spans = obs_tracing.completed_spans()
@@ -476,14 +478,6 @@ def _serve_args(ap: argparse.ArgumentParser) -> None:
                          "digest across a re-run, zero corrupt-served, "
                          "admitted p99 within every tenant SLO, and complete "
                          "typed outcome accounting")
-    ap.add_argument("--profile", action="store_true",
-                    help="append a per-tenant SLO-attainment + "
-                         "degradation-ladder occupancy record to the "
-                         "profiler's run-history store")
-    ap.add_argument("--history", type=str,
-                    default="results/profile_history.jsonl",
-                    help="history store --profile appends to (default "
-                         "results/profile_history.jsonl)")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="also print the full JSON report document")
 
@@ -535,19 +529,6 @@ def _serve(args) -> int:
         print(f"\ntrace written to {trace_path} "
               f"({len(spans)} events; load in Perfetto / chrome://tracing)")
 
-    if args.profile:
-        from . import profiler
-        from .serving import profile_summary
-        record = profiler.make_record(
-            "serving",
-            {"scenario": scenario.name, "requests": args.requests,
-             "seed": args.seed, "load": scenario.load,
-             "workers": scenario.workers},
-            profile_summary(result))
-        profiler.append_record(Path(args.history), record)
-        print(f"\nhistory: appended serving record {record['digest'][:12]} "
-              f"to {args.history}")
-
     if not args.smoke:
         return EXIT_CLEAN
     failures = []
@@ -586,42 +567,30 @@ def _profile_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--top", type=_positive_int, default=3,
                     help="bottlenecks to attribute per kernel (default 3)")
     ap.add_argument("--json", type=str, default="",
-                    help="also write the full profile + roofline document "
-                         "here as JSON")
-    ap.add_argument("--history", type=str,
-                    default="results/profile_history.jsonl",
-                    help="append-only run-history store (default "
-                         "results/profile_history.jsonl)")
-    ap.add_argument("--no-history", action="store_true",
-                    help="do not append this run to the history store")
+                    help="also write the profile document (config and every "
+                         "kernel's counters) plus the roofline here as JSON")
     ap.add_argument("--baseline", type=str,
                     default="tools/profile_baseline.json",
-                    help="gated-counter baseline (default "
+                    help="counter baseline (default "
                          "tools/profile_baseline.json)")
     ap.add_argument("--check", action="store_true",
-                    help="fail (exit 1) when any kernel regresses past the "
-                         "baseline tolerance on a gated counter")
+                    help="fail (exit 1) when any counter, kernel or the "
+                         "config differs from the baseline")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline from this run's counters")
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
                     help="diff two kernels of this config side by side")
-    ap.add_argument("--diff-runs", nargs=2, type=int, metavar=("I", "J"),
-                    default=None,
-                    help="diff two kernel-profile history records by index "
-                         "(negative indexes count from the latest)")
     ap.add_argument("--smoke", action="store_true",
                     help="CI gate: all kernels classified, roofline "
-                         "agreement on the gated configs, bit-stable "
-                         "history digests, baseline check when present")
+                         "agreement on the gated configs, baseline check "
+                         "when present")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="also print ranked bottleneck attribution per kernel")
 
 
 def _profile(args) -> int:
-    """``profile`` subcommand: exit 0 clean, 1 on failed gates or
-    regressions."""
-    import json as _json
-
+    """``profile`` subcommand: exit 0 clean, 1 on failed gates or a
+    baseline difference."""
     from . import profiler
     from .profiler import CONFIGS, roofline_agreement, roofline_doc
     from .profiler.report import bottleneck_lines, roofline_summary
@@ -647,47 +616,17 @@ def _profile(args) -> int:
         print(f"\ndiff {a} vs {b}:\n")
         print(profiler.diff_kernels(profiles[a], profiles[b]))
 
+    document = profiler.profile_document(profiles, config)
     if args.json:
-        payload = {
-            "config": config.as_dict(),
-            "kernels": {n: p.counters() for n, p in sorted(profiles.items())},
-            "roofline": doc,
-        }
-        Path(args.json).write_text(
-            _json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        profiler.write_document(Path(args.json), {**document, "roofline": doc})
         print(f"\nprofile document written to {args.json}")
-
-    history_path = Path(args.history)
-    record = None
-    if not args.no_history and args.kernel is None:
-        record = profiler.make_record(
-            "kernel-profile", config.as_dict(),
-            {"kernels": {n: p.counters() for n, p in sorted(profiles.items())}})
-        profiler.append_record(history_path, record)
-        print(f"\nhistory: appended {record['digest'][:12]} to {history_path}")
-
-    if args.diff_runs:
-        records = profiler.query(profiler.load_history(history_path),
-                                 kind="kernel-profile")
-        i, j = args.diff_runs
-        try:
-            ra, rb = records[i], records[j]
-        except IndexError:
-            return _usage_error(f"--diff-runs {i} {j}: history has "
-                                f"{len(records)} kernel-profile record(s)")
-        print(f"\ndiff history runs {i} ({ra['digest'][:12]}) vs "
-              f"{j} ({rb['digest'][:12]}):\n")
-        print(profiler.diff_records(ra, rb))
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
         if args.kernel is not None:
             return _usage_error("--update-baseline needs a full sweep, not "
                                 "a --kernel subset")
-        profiler.write_baseline(
-            baseline_path,
-            profiler.baseline_from_profiles(profiles, config.name))
+        profiler.write_document(baseline_path, document)
         print(f"baseline written to {baseline_path}")
 
     failures: List[str] = []
@@ -696,26 +635,20 @@ def _profile(args) -> int:
             return _usage_error(f"baseline {baseline_path} does not exist "
                                 f"(create it with --update-baseline)")
         baseline = profiler.load_baseline(baseline_path)
-        regressions = profiler.check_profiles(profiles, baseline,
-                                              config=config.name)
+        changed = profiler.check_profiles(document, baseline)
         from .obs import metrics as obs_metrics
         obs_metrics.counter_add("profiler.check.regressions",
-                                len(regressions))
-        if regressions:
-            print(f"\nbaseline check FAILED "
-                  f"(tolerance {baseline.get('tolerance_pct')}%):",
+                                sum(len(rows) for rows in changed.values()))
+        if changed:
+            print(f"\nbaseline check FAILED against {baseline_path}:",
                   file=sys.stderr)
-            for r in regressions:
-                change = (f" ({r['change_pct']:+.1f}%)"
-                          if r["change_pct"] is not None else "")
-                print(f"  - {r['kernel']}: {r['counter']} "
-                      f"{r['baseline']} -> {r['current']}{change}",
-                      file=sys.stderr)
-            failures.append(f"{len(regressions)} counter regression(s) "
-                            f"against {baseline_path}")
+            for name, rows in changed.items():
+                print(f"\n{name}\n{format_table(rows)}", file=sys.stderr)
+            failures.append(f"baseline: {sorted(changed)} differ from "
+                            f"{baseline_path}")
         else:
-            print(f"\nbaseline check OK ({len(baseline['kernels'])} kernels "
-                  f"within {baseline.get('tolerance_pct')}%)")
+            print(f"\nbaseline check OK ({len(baseline['kernels'])} kernels, "
+                  f"every counter equal)")
 
     if not args.smoke:
         return EXIT_FINDINGS if failures else EXIT_CLEAN
@@ -730,19 +663,9 @@ def _profile(args) -> int:
     if mismatched:
         failures.append(f"roofline agreement: {mismatched} classified "
                         f"against the two-ceiling prediction")
-    if record is not None:
-        same = profiler.query(profiler.load_history(history_path),
-                              kind="kernel-profile",
-                              config_digest=record["config_digest"])
-        bad = profiler.validate_record(same[-1]) if same else ["missing"]
-        if bad:
-            failures.append(f"history: last record invalid: {bad}")
-        if len(same) >= 2 and same[-1]["digest"] != same[-2]["digest"]:
-            failures.append("history: consecutive same-config runs "
-                            "produced different digests (bit-stability)")
     return _smoke_gate("profile", failures,
                        f"\nprofile smoke: {len(profiles)} kernels classified, "
-                       f"roofline agreement OK, history bit-stable")
+                       f"roofline agreement OK")
 
 
 def _compare(cases, extent: int, dense_shape: Tuple[int, int, int],

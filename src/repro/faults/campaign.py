@@ -145,8 +145,7 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
     a, _b, n = _spmm_problem(seed)
     kern = OctetSpmmKernel()
     rng = np.random.default_rng(seed)
-    memo.set_enabled(True)
-    memo.set_checksum(True)
+    memo_was = memo.set_enabled(True), memo.set_checksum(True)
     memo.clear()
     try:
         clean = kern.stats_for(a, n)
@@ -160,8 +159,8 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
         never_served = memo.stats_signature(served) == ref_sig
         return caught and never_served, f"memo blob byte {flip} flipped; caught={caught}"
     finally:
-        memo.set_enabled(None)
-        memo.set_checksum(None)
+        memo.set_enabled(memo_was[0])
+        memo.set_checksum(memo_was[1])
         memo.clear()
 
 
@@ -178,12 +177,10 @@ def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
     kern = OctetSpmmKernel()
     rng = np.random.default_rng(seed)
     tmp = tempfile.mkdtemp(prefix="repro-sharedmemo-fault-")
-    memo.set_enabled(True)
-    memo.set_checksum(True)
+    memo_was = memo.set_enabled(True), memo.set_checksum(True)
+    shared_was = sharedmemo.set_enabled(True), sharedmemo.set_dir(tmp)
     memo.clear()
     sharedmemo.reset()
-    sharedmemo.set_dir(tmp)
-    sharedmemo.set_enabled(True)
     try:
         clean = kern.stats_for(a, n)
         ref_sig = memo.stats_signature(clean)
@@ -200,12 +197,12 @@ def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
         return (caught and never_served,
                 f"shared entry byte {flip} flipped; caught={caught}")
     finally:
-        memo.set_enabled(None)
-        memo.set_checksum(None)
+        memo.set_enabled(memo_was[0])
+        memo.set_checksum(memo_was[1])
         memo.clear()
         sharedmemo.reset()
-        sharedmemo.set_enabled(None)
-        sharedmemo.set_dir(None)
+        sharedmemo.set_enabled(shared_was[0])
+        sharedmemo.set_dir(shared_was[1])
         shutil.rmtree(tmp, ignore_errors=True)
 
 

@@ -77,7 +77,6 @@ COUNTERS = [
     "serving.faults.injected",
     "serving.faults.detected",
     "profiler.kernels.profiled",
-    "profiler.history.appended",
     "profiler.check.regressions",
 ]
 

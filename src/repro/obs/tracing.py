@@ -87,10 +87,12 @@ def enabled() -> bool:
     return envgates.flag("REPRO_TRACE")
 
 
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force on (True), off (False), or defer to ``REPRO_TRACE`` (None)."""
+def set_enabled(flag: Optional[bool]) -> Optional[bool]:
+    """Force on (True), off (False), or defer to ``REPRO_TRACE`` (None);
+    returns the previous override, for the caller to restore."""
     global _enabled_override
-    _enabled_override = flag
+    previous, _enabled_override = _enabled_override, flag
+    return previous
 
 
 def enable() -> None:

@@ -155,10 +155,12 @@ def enabled() -> bool:
     return envgates.flag("REPRO_MEMO")
 
 
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force on (True), off (False), or defer to ``REPRO_MEMO`` (None)."""
+def set_enabled(flag: Optional[bool]) -> Optional[bool]:
+    """Force on (True), off (False), or defer to ``REPRO_MEMO`` (None);
+    returns the previous override, for the caller to restore."""
     global _enabled_override
-    _enabled_override = flag
+    previous, _enabled_override = _enabled_override, flag
+    return previous
 
 
 def checksum_enabled() -> bool:
@@ -169,10 +171,12 @@ def checksum_enabled() -> bool:
     return envgates.flag("REPRO_MEMO_CHECKSUM")
 
 
-def set_checksum(flag: Optional[bool]) -> None:
-    """Force checksumming on/off, or defer to the env flag (None)."""
+def set_checksum(flag: Optional[bool]) -> Optional[bool]:
+    """Force checksumming on/off, or defer to the env flag (None);
+    returns the previous override, for the caller to restore."""
     global _checksum_override
-    _checksum_override = flag
+    previous, _checksum_override = _checksum_override, flag
+    return previous
 
 
 def clear() -> None:

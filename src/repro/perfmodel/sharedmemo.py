@@ -108,10 +108,12 @@ def enabled() -> bool:
     return envgates.flag("REPRO_MEMO_SHARED")
 
 
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force the tier on/off, or defer to ``REPRO_MEMO_SHARED`` (None)."""
+def set_enabled(flag: Optional[bool]) -> Optional[bool]:
+    """Force the tier on/off, or defer to ``REPRO_MEMO_SHARED`` (None);
+    returns the previous override, for the caller to restore."""
     global _enabled_override
-    _enabled_override = flag
+    previous, _enabled_override = _enabled_override, flag
+    return previous
 
 
 def store_dir() -> Path:
@@ -121,10 +123,13 @@ def store_dir() -> Path:
     return Path(envgates.raw("REPRO_MEMO_SHARED_DIR") or _DEFAULT_DIR)
 
 
-def set_dir(path: Optional[os.PathLike]) -> None:
-    """Point the tier at ``path`` (None defers to the env/default)."""
+def set_dir(path: Optional[os.PathLike]) -> Optional[Path]:
+    """Point the tier at ``path`` (None defers to the env/default);
+    returns the previous override, for the caller to restore."""
     global _dir_override
+    previous = _dir_override
     _dir_override = Path(path) if path is not None else None
+    return previous
 
 
 # --------------------------------------------------------------------- #

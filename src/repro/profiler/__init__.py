@@ -4,7 +4,7 @@ The package turns the evidence the simulator already produces — authored
 :class:`~repro.perfmodel.events.KernelStats`, interval-model latency
 estimates and trace-replay sector streams — into Nsight-vocabulary
 counters, a roofline classification with ranked bottleneck attribution,
-an append-only run-history store and a CI perf-regression gate:
+and one exact counter baseline that CI checks every run against:
 
 * :mod:`repro.profiler.counters` — per-launch counter derivation
   (:func:`derive_profile` -> :class:`KernelProfile`);
@@ -13,30 +13,15 @@ an append-only run-history store and a CI perf-regression gate:
   attribution;
 * :mod:`repro.profiler.registry` — the 13 registered kernels on seeded
   fig20-style configs (:func:`profile_all`);
-* :mod:`repro.profiler.history` — schema-validated
-  ``results/profile_history.jsonl`` append/load/query;
-* :mod:`repro.profiler.baseline` — gated-counter regression checking
-  against ``tools/profile_baseline.json``;
+* :mod:`repro.profiler.baseline` — the ``{config, kernels}`` profile
+  document and its exact check against ``tools/profile_baseline.json``;
 * :mod:`repro.profiler.report` — tables, roofline summaries and diffs.
 
 ``python -m repro.cli profile`` is the front end.
 """
 
-from .baseline import (
-    GATED_COUNTERS,
-    baseline_from_profiles,
-    check_profiles,
-    load_baseline,
-    write_baseline,
-)
+from .baseline import check_profiles, load_baseline, profile_document, write_document
 from .counters import KernelProfile, derive_profile
-from .history import (
-    append_record,
-    load_history,
-    make_record,
-    query,
-    validate_record,
-)
 from .registry import CONFIGS, DEFAULT_CONFIG, KERNEL_NAMES, ProfileConfig, profile_all
 from .roofline import (
     attribution,
@@ -45,7 +30,7 @@ from .roofline import (
     roofline_bound,
     roofline_doc,
 )
-from .report import diff_kernels, diff_records, profile_table, roofline_summary
+from .report import diff_kernels, profile_table, roofline_summary
 
 __all__ = [
     "KernelProfile",
@@ -60,18 +45,11 @@ __all__ = [
     "DEFAULT_CONFIG",
     "KERNEL_NAMES",
     "profile_all",
-    "make_record",
-    "validate_record",
-    "append_record",
-    "load_history",
-    "query",
-    "GATED_COUNTERS",
-    "baseline_from_profiles",
-    "write_baseline",
+    "profile_document",
+    "write_document",
     "load_baseline",
     "check_profiles",
     "profile_table",
     "roofline_summary",
     "diff_kernels",
-    "diff_records",
 ]

@@ -1,78 +1,57 @@
-"""Perf-regression gating against a checked-in counter baseline.
+"""The profiler's one record and its one gate: an exact counter baseline.
 
-``tools/profile_baseline.json`` pins, per kernel, the gated counters of
-the default fig20 config plus the expected roofline classification.
-``cli profile --check`` re-derives the profiles and fails (exit 1) when
-any kernel regresses more than the baseline's tolerance on a gated
-counter, changes classification, or disappears — which is what turns
-the profiler from a report into a CI gate.
+:func:`profile_document` builds the ``{schema, config, kernels}``
+document of a sweep: the config and every kernel's full
+:meth:`KernelProfile.counters`.  ``cli profile --json`` writes it (with
+the roofline document added) and ``cli profile --update-baseline``
+writes it to ``tools/profile_baseline.json``.
 
-Counters gate directionally: ``time_us`` and byte counters may not
-*grow* past tolerance, throughput/hit-rate counters may not *shrink*.
-Getting faster is never a regression; baselines are refreshed
-deliberately via ``cli profile --update-baseline`` (workflow in
-``docs/PROFILER.md``).
+``cli profile --check`` re-derives the document and fails (exit 1) on
+any difference from the baseline: a changed counter, a kernel missing
+from either side, or a different config.  There is no tolerance: the
+simulator is deterministic and :func:`derive_profile` rounds every
+float, so an unchanged tree reproduces the baseline exactly, and any
+counter that moves is named (baseline -> current, delta %) with the
+same rows ``cli profile --diff A B`` prints.  A baseline moves only by
+a deliberate regeneration, reviewed counter by counter in its git diff
+(workflow in ``docs/PROFILER.md``).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .counters import KernelProfile
+from .registry import ProfileConfig
+from .report import _counter_diff
 
 __all__ = [
     "BASELINE_SCHEMA",
-    "DEFAULT_TOLERANCE_PCT",
-    "GATED_COUNTERS",
-    "baseline_from_profiles",
-    "write_baseline",
+    "profile_document",
+    "write_document",
     "load_baseline",
     "check_profiles",
 ]
 
-BASELINE_SCHEMA = 1
-DEFAULT_TOLERANCE_PCT = 10.0
-
-#: gated counter -> direction ("lower" = growth is a regression,
-#: "higher" = shrinkage is a regression)
-GATED_COUNTERS: Dict[str, str] = {
-    "time_us": "lower",
-    "dram_bytes": "lower",
-    "l2_bytes": "lower",
-    "achieved_tflops": "higher",
-    "hmma_issue_efficiency": "higher",
-    "l1_sector_hit_rate": "higher",
-}
+BASELINE_SCHEMA = 2
 
 
-def baseline_from_profiles(profiles: Dict[str, KernelProfile],
-                           config: str,
-                           tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
-                           ) -> Dict[str, object]:
-    """Baseline document pinning the gated counters of ``profiles``."""
-    kernels: Dict[str, Dict[str, object]] = {}
-    for name in sorted(profiles):
-        counters = profiles[name].counters()
-        entry: Dict[str, object] = {
-            "classification": counters["classification"],
-        }
-        for key in sorted(GATED_COUNTERS):
-            entry[key] = counters[key]
-        kernels[name] = entry
+def profile_document(profiles: Dict[str, KernelProfile],
+                     config: ProfileConfig) -> Dict[str, object]:
+    """The ``{schema, config, kernels}`` document of one sweep."""
     return {
         "schema": BASELINE_SCHEMA,
-        "config": config,
-        "tolerance_pct": tolerance_pct,
-        "kernels": kernels,
+        "config": config.as_dict(),
+        "kernels": {n: p.counters() for n, p in sorted(profiles.items())},
     }
 
 
-def write_baseline(path: Path, baseline: Dict[str, object]) -> None:
-    """Write a baseline document (stable formatting for clean diffs)."""
+def write_document(path: Path, doc: Dict[str, object]) -> None:
+    """Write a profile document (stable formatting for clean diffs)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -81,60 +60,28 @@ def load_baseline(path: Path) -> Dict[str, object]:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if doc.get("schema") != BASELINE_SCHEMA:
         raise ValueError(f"{path}: unsupported baseline schema {doc.get('schema')!r}")
-    if not isinstance(doc.get("kernels"), dict):
-        raise ValueError(f"{path}: baseline has no kernels map")
+    if not isinstance(doc.get("config"), dict) or not isinstance(doc.get("kernels"), dict):
+        raise ValueError(f"{path}: baseline needs a config and a kernels map")
     return doc
 
 
-def _regressed(key: str, base: float, cur: float, tol_pct: float) -> bool:
-    if GATED_COUNTERS[key] == "lower":
-        return cur > base * (1.0 + tol_pct / 100.0)
-    return cur < base * (1.0 - tol_pct / 100.0)
+def check_profiles(doc: Dict[str, object],
+                   baseline: Dict[str, object]) -> Dict[str, List[Dict[str, object]]]:
+    """Every difference of profile document ``doc`` from ``baseline``
+    (empty = pass): ``{kernel: diff rows}``, one row per changed
+    counter.  A kernel on one side only diffs against an empty record,
+    so every counter shows ``n/a`` on the other side.  A config
+    mismatch is the single entry ``"config"`` listing the changed config
+    fields, since counters of different configs are not comparable."""
+    def diff(base: Dict[str, object], cur: Dict[str, object]):
+        return _counter_diff(base, cur, "baseline", "current")
 
-
-def check_profiles(profiles: Dict[str, KernelProfile],
-                   baseline: Dict[str, object],
-                   config: Optional[str] = None) -> List[Dict[str, object]]:
-    """Regressions of ``profiles`` against ``baseline`` (empty = pass).
-
-    Each row names the kernel, the counter (or ``classification`` /
-    ``missing``), the baseline and current values, and the relative
-    change in percent.  ``config`` mismatches against the baseline's
-    pinned config are reported as a single ``config`` row — comparing
-    counters across configs is meaningless.
-    """
-    regressions: List[Dict[str, object]] = []
-    if config is not None and config != baseline.get("config"):
-        return [{"kernel": "*", "counter": "config",
-                 "baseline": baseline.get("config"), "current": config,
-                 "change_pct": None}]
-    tol = float(baseline.get("tolerance_pct", DEFAULT_TOLERANCE_PCT))
-    for name in sorted(baseline["kernels"]):
-        entry = baseline["kernels"][name]
-        if name not in profiles:
-            regressions.append({"kernel": name, "counter": "missing",
-                                "baseline": "profiled", "current": "absent",
-                                "change_pct": None})
-            continue
-        counters = profiles[name].counters()
-        if counters["classification"] != entry.get("classification"):
-            regressions.append({
-                "kernel": name, "counter": "classification",
-                "baseline": entry.get("classification"),
-                "current": counters["classification"], "change_pct": None,
-            })
-        for key in sorted(GATED_COUNTERS):
-            base = entry.get(key)
-            cur = counters.get(key)
-            if base is None or cur is None:
-                continue  # counters the kernel genuinely lacks
-            if base == 0:
-                continue
-            if _regressed(key, float(base), float(cur), tol):
-                regressions.append({
-                    "kernel": name, "counter": key,
-                    "baseline": base, "current": cur,
-                    "change_pct": round(100.0 * (float(cur) - float(base))
-                                        / float(base), 2),
-                })
-    return regressions
+    if doc["config"] != baseline["config"]:
+        return {"config": diff(baseline["config"], doc["config"])}
+    base, cur = baseline["kernels"], doc["kernels"]
+    changed = {}
+    for name in sorted(set(base) | set(cur)):
+        rows = diff(base.get(name, {}), cur.get(name, {}))
+        if rows:
+            changed[name] = rows
+    return changed

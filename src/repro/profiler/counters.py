@@ -91,7 +91,7 @@ class KernelProfile:
     bottlenecks: List[Dict[str, object]] = field(default_factory=list)
 
     def counters(self) -> Dict[str, object]:
-        """Flat, JSON-ready counter record (history/baseline payload).
+        """Flat, JSON-ready counter record (the baseline's per-kernel entry).
 
         Keys are sorted by construction; floats are already rounded by
         :func:`derive_profile`, so the record is bit-stable across

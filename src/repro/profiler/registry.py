@@ -60,7 +60,7 @@ class ProfileConfig:
     seed: int
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form (the history store's config payload)."""
+        """Plain-dict form (the profile document's ``config``)."""
         return asdict(self)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "bottleneck_lines",
     "roofline_summary",
     "diff_kernels",
-    "diff_records",
 ]
 
 
@@ -124,7 +123,7 @@ def _counter_diff(a: Dict[str, object], b: Dict[str, object],
     rows = []
     for key in sorted(set(a) | set(b)):
         va, vb = a.get(key), b.get(key)
-        if va == vb:
+        if va == vb and (key in a) == (key in b):
             continue
         delta = ""
         if isinstance(va, (int, float)) and isinstance(vb, (int, float)) and va:
@@ -150,20 +149,3 @@ def diff_kernels(a: KernelProfile, b: KernelProfile) -> str:
         return "(profiles identical)"
     return format_table(rows)
 
-
-def diff_records(a: Dict[str, object], b: Dict[str, object]) -> str:
-    """Diff two kernel-profile *history records* kernel by kernel."""
-    ka = a.get("kernels", {})
-    kb = b.get("kernels", {})
-    blocks: List[str] = []
-    for name in sorted(set(ka) | set(kb)):
-        if name not in ka:
-            blocks.append(f"{name}: only in run B")
-            continue
-        if name not in kb:
-            blocks.append(f"{name}: only in run A")
-            continue
-        rows = _counter_diff(ka[name], kb[name], "run A", "run B")
-        if rows:
-            blocks.append(f"{name}\n{format_table(rows)}")
-    return "\n\n".join(blocks) if blocks else "(runs identical)"

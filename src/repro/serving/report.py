@@ -94,9 +94,7 @@ def report(result: ServingResult) -> Dict[str, Any]:
 def profile_summary(result: ServingResult) -> Dict[str, Any]:
     """Per-tenant SLO attainment + degradation-ladder occupancy.
 
-    This is the serving payload of the profiler's run-history store
-    (``results/profile_history.jsonl``): ``per_tenant`` rows carry the
-    fraction of each tenant's *offered* requests that completed within
+    ``per_tenant`` rows carry the fraction of each tenant's *offered* requests that completed within
     its SLO, and ``ladder_occupancy`` maps degradation level to the
     fraction of the run spent at that level (``level_trace`` walked to
     ``end_time_us``; the simulator always seeds level 0 at t=0).

@@ -166,7 +166,7 @@ def memo_steps() -> Dict[str, str]:
     runs, ``serve --smoke``, the profiler's trace replays and
     ``table2``."""
     digests = kernel_digests()
-    for argv in (["serve", "--smoke"], ["profile", "--smoke", "--no-history"]):
+    for argv in (["serve", "--smoke"], ["profile", "--smoke"]):
         digests[" ".join(argv[:2])] = _cli(argv)[1]
     digests["table2"] = _digest(sweep(["table2"])["table2"].encode())
     return digests
@@ -182,7 +182,7 @@ def run_set(tmp: Path) -> Dict[str, str]:
             ["sanitize", "--smoke"],
             ["faults", "--smoke"],
             ["serve", "--smoke", "--trace-out", str(tmp / "serve.json")],
-            ["profile", "--smoke", "--check", "--history", str(tmp / "history.jsonl")],
+            ["profile", "--smoke", "--check"],
         ]
         for argv in commands:
             step = " ".join(argv[:2])
@@ -197,7 +197,7 @@ def run_set(tmp: Path) -> Dict[str, str]:
         with environ(REPRO_CHAOS="crash:table1"):
             survived = sweep(["table1", "table2"], jobs=2)
         digests["chaos survivors"] = ",".join(sorted(survived))
-        # last, as obs leaves the tracer forced on
+        # last, on a cold local memo, so the shared tier serves it
         memo.clear()
         rc, _ = _cli(["obs", "--smoke"])
         digests["obs --smoke exit"] = str(rc)

@@ -112,6 +112,23 @@ class TestCampaigns:
         run_campaign("smoke", seed=5)
         assert not active()
 
+    def test_campaign_restores_the_callers_memo_overrides(self, tmp_path):
+        from repro.perfmodel import sharedmemo
+        memo.set_enabled(False)
+        memo.set_checksum(False)
+        sharedmemo.set_enabled(False)
+        sharedmemo.set_dir(tmp_path)
+        try:
+            assert run_campaign("smoke", seed=5).passed
+            assert not memo.enabled() and not memo.checksum_enabled()
+            assert not sharedmemo.enabled()
+            assert sharedmemo.store_dir() == tmp_path
+        finally:
+            memo.set_enabled(None)
+            memo.set_checksum(None)
+            sharedmemo.set_enabled(None)
+            sharedmemo.set_dir(None)
+
     def test_report_renders_coverage_table(self):
         result = run_campaign("smoke", seed=1234)
         text = result.to_text()

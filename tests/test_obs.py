@@ -302,6 +302,17 @@ class TestRunnerIntegration:
         capsys.readouterr()
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_obs_cli_restores_the_callers_tracer_state(self, capsys, monkeypatch):
+        from repro.cli import main as cli_main
+        assert cli_main(["obs", "--smoke"]) == 0
+        assert not tracing.enabled()
+        # a caller that forced tracing off under REPRO_TRACE=1 stays off
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        tracing.disable()
+        assert cli_main(["obs", "--smoke"]) == 0
+        capsys.readouterr()
+        assert not tracing.enabled()
+
 
 # --------------------------------------------------------------------- #
 # chrome-trace export edge cases + deterministic table ordering
