@@ -4,8 +4,8 @@ Builds overhead-dominated problems (many vector rows, few nonzeros per
 row — the regime where the interpreted per-row walk is pure Python
 control flow) and times each simulated kernel's compiled-plan path
 (``_execute_simulated``, plan cache warm) against its pinned
-interpreted twin (``_execute_simulated_reference``), best of
-``--repeats``.  The two paths must agree bit for bit (uint16 views of
+interpreted twin (the batched walk in ``tests.oracles.ORACLES``), best
+of ``--repeats``.  The two paths must agree bit for bit (uint16 views of
 the fp16 outputs) and issue identical tensor-core instruction counts.
 The shared functional layer's plan paths are timed the same way and
 recorded alongside (informational — the CSR product already is a
@@ -38,22 +38,23 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO / "BENCH_simulator.json"
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))  # the interpreted twins live in tests/oracles
 
 import numpy as np  # noqa: E402
 
 from repro.datasets import generate_topology  # noqa: E402
 from repro.formats import cvse_from_csr_topology  # noqa: E402
 from repro.formats.cvse import ColumnVectorSparseMatrix  # noqa: E402
-from repro.kernels.functional import (  # noqa: E402
-    sddmm_functional,
-    sddmm_functional_reference,
-    spmm_functional,
-    spmm_functional_reference,
-)
+from repro.kernels.functional import sddmm_functional, spmm_functional  # noqa: E402
 from repro.kernels.sddmm_octet import OctetSddmmKernel  # noqa: E402
 from repro.kernels.sddmm_wmma import WmmaSddmmKernel  # noqa: E402
 from repro.kernels.spmm_octet import OctetSpmmKernel  # noqa: E402
 from repro.kernels.spmm_wmma import WmmaSpmmKernel  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    ORACLES,
+    sddmm_functional_reference,
+    spmm_functional_reference,
+)
 
 
 def _best_of(fn, repeats: int):
@@ -114,28 +115,20 @@ def main(argv=None) -> int:
     sd_oct = OctetSddmmKernel(variant="reg", simulate=True)
     sd_wmma = WmmaSddmmKernel(simulate=True)
 
-    def timed_pair(name, kern, plan_fn, ref_fn):
-        plan_fn()  # warm the plan cache: codegen cost is amortised
-        t_plan, got = _best_of(plan_fn, repeats)
+    def timed_pair(name, kern, *ops):
+        oracle = ORACLES[type(kern)]
+        kern._execute_simulated(*ops)  # warm the plan cache: codegen cost is amortised
+        t_plan, got = _best_of(lambda: kern._execute_simulated(*ops), repeats)
         st_plan = _counts(kern.last_sim_stats)
-        t_ref, ref = _best_of(ref_fn, repeats)
-        st_ref = _counts(kern.last_sim_stats)
-        same = _bits_equal(got, ref) and st_plan == st_ref
+        t_ref, (ref, ref_stats) = _best_of(lambda: oracle(kern, *ops), repeats)
+        same = _bits_equal(got, ref) and st_plan == _counts(ref_stats)
         return name, t_ref, t_plan, same
 
     simulated = [
-        timed_pair("spmm-octet", sp_oct,
-                   lambda: sp_oct._execute_simulated(a, b_spmm),
-                   lambda: sp_oct._execute_simulated_reference(a, b_spmm)),
-        timed_pair("spmm-wmma", sp_wmma,
-                   lambda: sp_wmma._execute_simulated(a, b_spmm),
-                   lambda: sp_wmma._execute_simulated_reference(a, b_spmm)),
-        timed_pair("sddmm-octet-reg", sd_oct,
-                   lambda: sd_oct._execute_simulated(a_dense, b_sddmm, mask),
-                   lambda: sd_oct._execute_simulated_reference(a_dense, b_sddmm, mask)),
-        timed_pair("sddmm-wmma", sd_wmma,
-                   lambda: sd_wmma._execute_simulated(a_dense, b_sddmm, mask),
-                   lambda: sd_wmma._execute_simulated_reference(a_dense, b_sddmm, mask)),
+        timed_pair("spmm-octet", sp_oct, a, b_spmm),
+        timed_pair("spmm-wmma", sp_wmma, a, b_spmm),
+        timed_pair("sddmm-octet-reg", sd_oct, a_dense, b_sddmm, mask),
+        timed_pair("sddmm-wmma", sd_wmma, a_dense, b_sddmm, mask),
     ]
     def timed_functional(name, plan_fn, ref_fn):
         plan_fn()  # warm the plan cache

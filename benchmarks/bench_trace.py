@@ -3,7 +3,7 @@
 Builds the full-size Figure 18 problem (V=4, 2048x1024, N=256),
 materialises the octet-SpMM and Blocked-ELL sector streams once, and
 times :func:`repro.perfmodel.trace.replay_l1` (vectorised engine)
-against :func:`replay_l1_reference` (scalar cache, ``pop(0)``
+against ``tests.oracles.replay_l1_reference`` (scalar cache, ``pop(0)``
 interleave — the pinned reference), best of ``--repeats``.  The two
 replays must return identical :class:`TraceResult`\\ s; the record is
 appended to ``BENCH_simulator.json`` so the speedup trajectory is
@@ -30,6 +30,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO / "BENCH_simulator.json"
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))  # the scalar reference lives in tests/oracles
 
 import numpy as np  # noqa: E402
 
@@ -39,8 +40,8 @@ from repro.perfmodel.trace import (  # noqa: E402
     blocked_ell_cta_sectors,
     octet_spmm_cta_sectors,
     replay_l1,
-    replay_l1_reference,
 )
+from tests.oracles import replay_l1_reference  # noqa: E402
 
 
 def _best_of(fn, repeats: int):

@@ -16,8 +16,6 @@ handler raises into ``error: ...`` on stderr and exit 2.
   (:mod:`repro.faults`) measuring the sanitizer's detection coverage;
 * ``obs`` runs experiments under the observability layer
   (:mod:`repro.obs`);
-* ``plans`` compiles, validates, and parity-checks the execution plans
-  (:mod:`repro.plans`) of every simulated kernel on a seeded problem;
 * ``memo`` inspects (and verifies) the shared cross-process memo
   store (:mod:`repro.perfmodel.sharedmemo`), one file per entry;
 * ``merge`` combines ``--shard`` sweep outputs into one verified result
@@ -43,8 +41,6 @@ Examples
     python -m repro.cli faults --campaign default --seed 7 -v
     python -m repro.cli obs --only fig17 --trace-out t.json
     python -m repro.cli obs --smoke
-    python -m repro.cli plans --parity
-    python -m repro.cli plans -V 8 --rows 128 --cols 256 -N 128 -K 128
     python -m repro.cli memo --dir .repro-memo --verify
     python -m repro.cli merge out-shard0 out-shard1 --out out-merged
     python -m repro.cli serve --scenario overload --requests 8000 -v
@@ -90,6 +86,10 @@ SDDMM_BENCH_KERNELS = ("reg", "shfl", "arch", "wmma", "fpu")
 #: shared exit-code convention for every subcommand: clean, findings
 #: (or a failed gate), bad invocation
 EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE = 0, 1, 2
+
+#: the checked-in counter baseline, found from the source tree so that
+#: ``profile`` checks the same file from any working directory
+_PROFILE_BASELINE = Path(__file__).resolve().parents[2] / "tools" / "profile_baseline.json"
 
 
 def _usage_error(exc: object) -> int:
@@ -323,73 +323,6 @@ def _obs(args) -> int:
     return rc
 
 
-def _plans_args(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--rows", type=_positive_int, default=64, help="sparse operand rows")
-    ap.add_argument("--cols", type=_positive_int, default=128, help="sparse operand cols")
-    ap.add_argument("--sparsity", type=float, default=0.7, help="vector-level sparsity")
-    ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(2, 4, 8))
-    ap.add_argument("-N", type=_positive_int, default=64, help="dense columns (SpMM)")
-    ap.add_argument("-K", type=_positive_int, default=64, help="inner dimension (SDDMM)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--parity", action="store_true",
-                    help="also execute each plan and require bit-identity "
-                         "against the interpreted *_reference twin")
-
-
-def _plans(args) -> int:
-    """``plans`` subcommand: exit 0 when every plan validates (and, with
-    ``--parity``, matches its reference bit for bit), 1 otherwise."""
-    from . import plans
-    from .kernels.cases import KERNEL_CASES
-    from .perfmodel import memo
-
-    rng = np.random.default_rng(args.seed)
-    v = args.vector_length
-    csr = generate_topology((args.rows, args.cols), args.sparsity, rng)
-    a = cvse_from_csr_topology(csr, v, rng)
-    mask = ColumnVectorSparseMatrix(a.shape, v, a.row_ptr, a.col_idx, None)
-    b_spmm = rng.uniform(-1, 1, (a.shape[1], args.N)).astype(np.float16)
-    a_dense = rng.uniform(-1, 1, (a.shape[0], args.K)).astype(np.float16)
-    b_sddmm = rng.uniform(-1, 1, (args.K, a.shape[1])).astype(np.float16)
-
-    def _bits_equal(x, y) -> bool:
-        xv = np.asarray(x.values if hasattr(x, "values") else x)
-        yv = np.asarray(y.values if hasattr(y, "values") else y)
-        return np.array_equal(xv.view(np.uint16), yv.view(np.uint16))
-
-    # operand kind -> (plan structure, SDDMM inner dimension, execute args)
-    operands = {"cvse": (a, None, (a, b_spmm)),
-                "mask": (mask, args.K, (a_dense, b_sddmm, mask))}
-    before = memo.counters()
-    rows, failed = [], False
-    for case in KERNEL_CASES.values():
-        if case.plan is None:
-            continue
-        kern = case.kernel(simulate=True)
-        structure, k, run_args = operands[case.operand]
-        plan = case.compile_plan(kern, structure, k)
-        findings = plans.validate_plan(plan, structure, k=k)
-        row = {"kernel": case.name, "plan": type(plan).__name__,
-               "groups": int(plan.layout.num_groups), "findings": len(findings)}
-        if args.parity:
-            got = kern._execute_simulated(*run_args)
-            ref = kern._execute_simulated_reference(*run_args)
-            row["parity"] = "ok" if _bits_equal(got, ref) else "FAIL"
-            failed |= row["parity"] == "FAIL"
-        failed |= bool(findings)
-        rows.append(row)
-        for msg in findings:
-            print(f"  {case.name}: {msg}", file=sys.stderr)
-    after = memo.counters()
-    print(format_table(rows))
-    h0, m0 = before.get("plan", (0, 0))
-    h1, m1 = after.get("plan", (0, 0))
-    hits, misses = h1 - h0, m1 - m0
-    print(f"\nplan cache: {hits} hit(s), {misses} miss(es) "
-          f"(memo={memo.enabled()})")
-    return EXIT_FINDINGS if failed else EXIT_CLEAN
-
-
 def _memo_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--dir", type=str, default="",
                     help="store directory (default: REPRO_MEMO_SHARED_DIR "
@@ -569,9 +502,8 @@ def _profile_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--json", type=str, default="",
                     help="also write the profile document (config and every "
                          "kernel's counters) plus the roofline here as JSON")
-    ap.add_argument("--baseline", type=str,
-                    default="tools/profile_baseline.json",
-                    help="counter baseline (default "
+    ap.add_argument("--baseline", type=str, default=str(_PROFILE_BASELINE),
+                    help="counter baseline (default: the repository's "
                          "tools/profile_baseline.json)")
     ap.add_argument("--check", action="store_true",
                     help="fail (exit 1) when any counter, kernel or the "
@@ -637,7 +569,7 @@ def _profile(args) -> int:
         baseline = profiler.load_baseline(baseline_path)
         changed = profiler.check_profiles(document, baseline)
         from .obs import metrics as obs_metrics
-        obs_metrics.counter_add("profiler.check.regressions",
+        obs_metrics.counter_add("profiler.check.changes",
                                 sum(len(rows) for rows in changed.values()))
         if changed:
             print(f"\nbaseline check FAILED against {baseline_path}:",
@@ -649,6 +581,8 @@ def _profile(args) -> int:
         else:
             print(f"\nbaseline check OK ({len(baseline['kernels'])} kernels, "
                   f"every counter equal)")
+    elif args.smoke:
+        print(f"\nbaseline check skipped: {baseline_path} does not exist")
 
     if not args.smoke:
         return EXIT_FINDINGS if failures else EXIT_CLEAN
@@ -766,10 +700,6 @@ _SUBCOMMANDS = {
             "spans, a metrics snapshot, and a Chrome trace-event "
             "timeline (see docs/OBSERVABILITY.md)",
             _obs_args, _obs),
-    "plans": ("Compile the execution plans (repro.plans) of every "
-              "simulated kernel on a seeded problem, run the ownership "
-              "validation over them, and report the plan-cache traffic",
-              _plans_args, _plans),
     "memo": ("Inspect or verify the shared cross-process memo store "
              "(repro.perfmodel.sharedmemo)",
              _memo_args, _memo),

@@ -25,7 +25,7 @@ from .thread_hierarchy import (
     lane_to_octet,
     octet_lanes,
 )
-from .cache import CacheStats, SectorCache, VectorSectorCache
+from .cache import CacheStats, VectorSectorCache
 from .shared_memory import SharedMemoryStats
 from .register_file import KernelResources, Occupancy, compute_occupancy
 from .icache import ICacheModel, icache_stall_fraction
@@ -51,7 +51,6 @@ __all__ = [
     "lane_to_octet",
     "octet_lanes",
     "CacheStats",
-    "SectorCache",
     "VectorSectorCache",
     "SharedMemoryStats",
     "KernelResources",

@@ -6,23 +6,18 @@ L1 and L2 caches").  The experiments in Figures 5 and 18 report
 *missed sectors* and *bytes moved L2 -> L1*, so the simulator tracks
 both line residency and per-sector validity.
 
-Two engines implement the same contract:
-
-* :class:`SectorCache` — the scalar reference: one Python-loop
-  iteration per sector access.  Slow, obviously correct; a test
-  oracle that production never calls.  The parity tests and the trace
-  benchmark baseline (via
-  :func:`repro.perfmodel.trace.replay_l1_reference`) run against it.
-* :class:`VectorSectorCache` — the batch engine the experiments use.
-  Each ``access_sectors`` batch is partitioned by cache set (sets are
-  independent), consecutive same-line accesses within a set are
-  collapsed into *runs*, and the per-set run sequences are resolved in
-  lock-step *rounds* of NumPy array ops (at most one run per set per
-  round), so the Python iteration count is the deepest per-set run
-  sequence of the batch rather than the batch length.  Bit-identical
-  to the scalar reference — same :class:`CacheStats`, same
-  missed-sector stream, stores included — enforced by
-  ``tests/test_cache_vector.py``.
+:class:`VectorSectorCache` is the engine trace replay uses.  Each
+``access_sectors`` batch is partitioned by cache set (sets are
+independent), consecutive same-line accesses within a set are
+collapsed into *runs*, and the per-set run sequences are resolved in
+lock-step *rounds* of NumPy array ops (at most one run per set per
+round), so the Python iteration count is the deepest per-set run
+sequence of the batch rather than the batch length.  It is
+bit-identical to a scalar walk of one Python iteration per sector
+access — same :class:`CacheStats`, same missed-sector stream, same
+internal state, stores included — which is kept as a test oracle in
+``tests/oracles/cache.py`` and enforced by
+``tests/test_cache_vector.py``.
 
 Stores are write-allocate (fetch-on-write at sector granularity) and
 write-back: a store miss fetches the sector exactly like a load miss
@@ -44,7 +39,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 
-__all__ = ["CacheStats", "SectorCache", "VectorSectorCache", "record_metrics"]
+__all__ = ["CacheStats", "VectorSectorCache", "record_metrics"]
 
 
 def record_metrics(level: str, stats: "CacheStats") -> None:
@@ -100,8 +95,29 @@ class CacheStats:
         self.writeback_sectors += other.writeback_sectors
 
 
-class _SectorCacheBase:
-    """Shared geometry/state for the scalar and vectorised engines.
+class VectorSectorCache:
+    """LRU set-associative sectored cache, resolved a batch at a time.
+
+    ``access_sectors`` resolves a whole batch with NumPy array ops:
+
+    1. stable-sort the accesses by set (in-set order preserved) and
+       collapse consecutive same-line accesses into runs — a line
+       cannot be evicted between two back-to-back touches, so only a
+       run's first access can miss the line;
+    2. rank the runs within their set; round ``r`` applies every set's
+       rank-``r`` run at once (distinct sets never conflict), doing the
+       tag match, first-way hit selection, LRU-victim ``argmin``,
+       sector fill, and dirty/writeback accounting as array ops;
+    3. recover the per-access sector hits from the per-run line
+       outcome plus first-touch flags, and scatter back to the original
+       access order — so the returned missed-sector stream is ordered
+       exactly as a sector-at-a-time walk would return it.
+
+    The Python-level iteration count is the deepest per-set run
+    sequence in the batch (worst case, a single-set thrash, degrades to
+    one iteration per access; typical kernel streams spread over
+    hundreds of sets and collapse multi-sector segments into single
+    runs).
 
     Parameters
     ----------
@@ -144,20 +160,6 @@ class _SectorCacheBase:
         self.stats = CacheStats()
 
     def access_sectors(self, sector_ids: np.ndarray, is_store: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SectorCache(_SectorCacheBase):
-    """LRU set-associative sectored cache — the scalar reference engine.
-
-    One Python-loop iteration per sector access; every architectural
-    decision (first matching way on a hit, ``argmin`` LRU victim on a
-    miss, sector-granular fills, dirty-eviction writebacks) is spelled
-    out sequentially.  :class:`VectorSectorCache` must reproduce this
-    engine bit for bit.
-    """
-
-    def access_sectors(self, sector_ids: np.ndarray, is_store: bool = False) -> np.ndarray:
         """Access a batch of sector ids *in order*; return the missed ones.
 
         ``is_store`` marks the whole batch as stores: allocation and
@@ -165,74 +167,6 @@ class SectorCache(_SectorCacheBase):
         write), the touched sectors are additionally marked dirty, and
         ``stats.store_accesses`` counts the batch.
         """
-        sector_ids = np.asarray(sector_ids, dtype=np.int64).ravel()
-        missed: list[int] = []
-        tags = self._tags
-        valid = self._valid
-        dirty = self._dirty
-        lru = self._lru
-        spl = self.sectors_per_line
-        nsets = self.num_sets
-        if is_store:
-            self.stats.store_accesses += int(sector_ids.size)
-        for sid in sector_ids:
-            line = sid // spl
-            sub = sid % spl
-            s = line % nsets
-            self._clock += 1
-            self.stats.sector_accesses += 1
-            row = tags[s]
-            hit_ways = np.nonzero(row == line)[0]
-            if hit_ways.size:
-                w = int(hit_ways[0])
-                if valid[s, w, sub]:
-                    self.stats.sector_hits += 1
-                else:
-                    valid[s, w, sub] = True
-                    missed.append(sid)
-                if is_store:
-                    dirty[s, w, sub] = True
-                lru[s, w] = self._clock
-            else:
-                w = int(np.argmin(lru[s]))
-                self.stats.writeback_sectors += int(dirty[s, w].sum())
-                tags[s, w] = line
-                valid[s, w] = False
-                valid[s, w, sub] = True
-                dirty[s, w] = False
-                if is_store:
-                    dirty[s, w, sub] = True
-                lru[s, w] = self._clock
-                self.stats.line_fills += 1
-                missed.append(sid)
-        return np.asarray(missed, dtype=np.int64)
-
-
-class VectorSectorCache(_SectorCacheBase):
-    """The vectorised batch engine — bit-identical to :class:`SectorCache`.
-
-    ``access_sectors`` resolves a whole batch with NumPy array ops:
-
-    1. stable-sort the accesses by set (in-set order preserved) and
-       collapse consecutive same-line accesses into runs — a line
-       cannot be evicted between two back-to-back touches, so only a
-       run's first access can miss the line;
-    2. rank the runs within their set; round ``r`` applies every set's
-       rank-``r`` run at once (distinct sets never conflict), doing the
-       tag match, first-way hit selection, LRU-victim ``argmin``,
-       sector fill, and dirty/writeback accounting as array ops;
-    3. recover the per-access sector hits from the per-run line
-       outcome plus first-touch flags, and scatter back to the original
-       access order — so the returned missed-sector stream is ordered
-       exactly as the scalar engine's.
-
-    The Python-level iteration count is the deepest per-set run
-    sequence in the batch (worst case, a single-set thrash, degrades to
-    the scalar engine's; typical kernel streams spread over hundreds of
-    sets and collapse multi-sector segments into single runs).
-    """
-
-    def access_sectors(self, sector_ids: np.ndarray, is_store: bool = False) -> np.ndarray:
         ids = np.asarray(sector_ids, dtype=np.int64).ravel()
         n = ids.size
         if n == 0:

@@ -5,8 +5,8 @@ set of kernel designs.  :data:`KERNEL_CASES` names each of them once, in
 registry order, with the operand it consumes, the class and fixed
 constructor arguments that build it, and — for the six simulated
 kernels — the plan compiler of :mod:`repro.plans`.  The profiler, the
-sanitizer, ``repro-bench plans`` and the fault campaign take their
-kernels from this table and their seeded operands from the builders
+sanitizer, the fault campaign and the tier-1 plan parity test take
+their kernels from this table and their seeded operands from the builders
 below; what only one of them reads (the profiler's trace replay, the
 sanitizer's check bodies) stays with that consumer.
 

@@ -11,11 +11,9 @@ tolerance.
 
 Both entry points run a compiled-plan path — the topology expansion
 and CSR skeleton come from the cached plans of
-:mod:`repro.plans.functional`.  The interpreted expansion is kept as
-the ``*_reference`` twins, test oracles that production never calls.
-The plan path is bit-for-bit the reference: the CSR skeleton's stable
-permutation reproduces the COO round trip entry for entry, and the
-SDDMM gather pairs are the same arrays the reference recomputes.
+:mod:`repro.plans.functional`.  The interpreted expansion that
+recomputes them on every call is a test oracle (``tests/oracles``),
+which the plan path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -26,15 +24,11 @@ import scipy.sparse as sp
 from .. import plans as _plans
 from ..faults.injector import site as fault_site
 from ..formats.cvse import ColumnVectorSparseMatrix
-from ..plans.functional import expand_vector_rows
 from .base import Precision, as_compute
 
 __all__ = [
     "spmm_functional",
     "sddmm_functional",
-    "spmm_functional_reference",
-    "sddmm_functional_reference",
-    "expand_vector_rows",
 ]
 
 
@@ -53,8 +47,7 @@ def spmm_functional(
 ) -> np.ndarray:
     """``C = A @ B`` with fp32 accumulation; A in CVSE.
 
-    Runs the cached CSR-skeleton plan; the interpreted expansion is
-    the test oracle :func:`spmm_functional_reference`.
+    Runs the cached CSR-skeleton plan.
     """
     _check_spmm_args(a, np.asarray(b))
     b32 = as_compute(np.asarray(b), precision)
@@ -66,24 +59,6 @@ def spmm_functional(
     out = mat @ b32
     # declared fault-injection site: functional output SDC
     return fault_site("functional.spmm.out", out.astype(out_dtype))
-
-
-def spmm_functional_reference(
-    a: ColumnVectorSparseMatrix,
-    b: np.ndarray,
-    precision: Precision = "half",
-    out_dtype=np.float16,
-) -> np.ndarray:
-    """Pinned interpreted twin of :func:`spmm_functional`: expands the
-    topology on every call and builds the CSR via the COO round trip."""
-    _check_spmm_args(a, np.asarray(b))
-    b32 = as_compute(np.asarray(b), precision)
-    # scalar CSR over the expanded rows, preserving explicit zeros
-    rows, cols = expand_vector_rows(a)
-    vals = as_compute(a.values, precision).reshape(-1)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=a.shape, dtype=np.float32)
-    out = mat @ b32
-    return out.astype(out_dtype)
 
 
 def _check_sddmm_args(
@@ -125,8 +100,7 @@ def sddmm_functional(
 
     ``A`` is (M, K) row-major; ``B`` is (K, N) (the paper stores it
     column-major to stand in for B^T — a layout, not a math, choice).
-    Runs the cached expansion plan; the interpreted expansion is the
-    test oracle :func:`sddmm_functional_reference`.
+    Runs the cached expansion plan.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -138,24 +112,3 @@ def sddmm_functional(
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
     # declared fault-injection site: functional output SDC
     return mask.with_values(fault_site("functional.sddmm.out", values))
-
-
-def sddmm_functional_reference(
-    a: np.ndarray,
-    b: np.ndarray,
-    mask: ColumnVectorSparseMatrix,
-    precision: Precision = "half",
-    out_dtype=np.float16,
-    chunk: int = 1 << 18,
-) -> ColumnVectorSparseMatrix:
-    """Pinned interpreted twin of :func:`sddmm_functional`: expands the
-    gather pairs on every call."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_sddmm_args(a, b, mask)
-    a32 = as_compute(a, precision)
-    bt32 = as_compute(b, precision).T.copy()  # (N, K) rows = B columns
-    rows, cols = expand_vector_rows(mask)
-    out = _sddmm_gathered_dot(a32, bt32, rows, cols, chunk)
-    values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
-    return mask.with_values(values)

@@ -41,7 +41,6 @@ from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
 from ..hardware.instructions import InstrClass, InstructionMix
 from ..hardware.register_file import KernelResources
-from ..hardware.tensor_core import TensorCoreStats, mma_m8n8k4, mma_m8n8k4_batched
 from ..perfmodel import memo
 from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
@@ -96,7 +95,7 @@ class OctetSddmmKernel(Kernel):
         """Compiled-plan walk: the whole structure's (sub-step, k-slice)
         octet stream in one batched call, driven by a cached execution
         plan (:mod:`repro.plans`) — bit-for-bit the interpreted per-row
-        walk kept as :meth:`_execute_simulated_reference`.  The variant's
+        walk kept as a test oracle (``tests/oracles``).  The variant's
         SWITCH discipline is applied at execution time, never baked into
         the cached plan.
         """
@@ -112,120 +111,6 @@ class OctetSddmmKernel(Kernel):
         self.last_sim_stats = tc
         # declared fault-injection site: accumulator writeback SDC
         return mask.with_values(fault_site("sddmm_octet.acc", out_vals.astype(np.float16)))
-
-    def _execute_simulated_reference(
-        self, a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
-    ) -> ColumnVectorSparseMatrix:
-        """Pinned interpreted reference of the plan path: per-row walk
-        issuing real mma.m8n8k4 octet streams.
-
-        The ``arch`` variant issues SWITCH steps (which the functional
-        TCU honours); the others issue plain steps after an explicit
-        operand rearrangement — all three produce identical values, as
-        the paper's three implementations must.
-
-        The whole CTA's fragment stream — every (sub-step, k-slice)
-        octet operation of a vector row — is issued as one
-        :func:`mma_m8n8k4_batched` call, bit-identical to the per-octet
-        loop kept in :meth:`_execute_simulated_loop`.  The issued-HMMA
-        accounting of the last run is kept on ``self.last_sim_stats``.
-        """
-        a16 = np.asarray(a, dtype=np.float16)
-        b16 = np.asarray(b, dtype=np.float16)
-        m, k = a16.shape
-        v = mask.vector_length
-        tc = TensorCoreStats()
-        out_vals = np.zeros((mask.nnz_vectors, v), dtype=np.float32)
-        k_pad = ceil_div(k, 4) * 4
-        k4 = k_pad // 4
-        a_pad = np.zeros((m, k_pad), dtype=np.float16)
-        a_pad[:, :k] = a16
-        b_pad = np.zeros((k_pad, b16.shape[1]), dtype=np.float16)
-        b_pad[:k] = b16
-        sim_kwargs = (
-            dict(invert_groups=True, switch_steps=(0, 1, 2, 3))
-            if self.variant == "arch"
-            else {}
-        )
-        for vrow in range(mask.num_vector_rows):
-            cols, _ = mask.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            lo = mask.row_ptr[vrow]
-            rows = slice(vrow * v, (vrow + 1) * v)
-            substeps = ceil_div(cols.size, 8)
-            # switched-RHS fragments: one (4 x 8) per k-slice, shared by
-            # every sub-step of the row
-            frag_a = np.zeros((k4, 4, 8), dtype=np.float16)
-            frag_a[:, :, :v] = a_pad[rows].T.reshape(k4, 4, v)
-            # switched-LHS fragments: the compacted B columns, padded to
-            # a whole number of 8-column sub-steps
-            bsel = np.zeros((substeps * 8, k_pad), dtype=np.float16)
-            bsel[: cols.size] = b_pad[:, cols].T
-            # (sub-step, k-slice)-major fragment batch
-            batch_b = bsel.reshape(substeps, 8, k4, 4).transpose(0, 2, 1, 3).reshape(-1, 8, 4)
-            batch_a = np.tile(frag_a, (substeps, 1, 1))
-            partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc, **sim_kwargs)
-            partial = partial.reshape(substeps, k4, 8, 8)
-            accs = np.zeros((substeps, 8, 8), dtype=np.float32)
-            for j in range(k4):  # serial k accumulation, loop order
-                accs += partial[:, j]
-            out_vals[lo : lo + cols.size] = accs.reshape(substeps * 8, 8)[: cols.size, :v]
-        self.last_sim_stats = tc
-        return mask.with_values(out_vals.astype(np.float16))
-
-    def _execute_simulated_loop(
-        self, a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
-    ) -> ColumnVectorSparseMatrix:
-        """Reference per-octet walk (one Python-level :func:`mma_m8n8k4`
-        per sub-step and k-slice) — the batched path must match it bit
-        for bit."""
-        a16 = np.asarray(a, dtype=np.float16)
-        b16 = np.asarray(b, dtype=np.float16)
-        m, k = a16.shape
-        v = mask.vector_length
-        tc = TensorCoreStats()
-        out_vals = np.zeros((mask.nnz_vectors, v), dtype=np.float32)
-        k_pad = ceil_div(k, 4) * 4
-        a_pad = np.zeros((m, k_pad), dtype=np.float16)
-        a_pad[:, :k] = a16
-        b_pad = np.zeros((k_pad, b16.shape[1]), dtype=np.float16)
-        b_pad[:k] = b16
-        for vrow in range(mask.num_vector_rows):
-            cols, _ = mask.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            lo = mask.row_ptr[vrow]
-            rows = slice(vrow * v, (vrow + 1) * v)
-            # sub-steps of 8 compacted output columns
-            for s0 in range(0, cols.size, 8):
-                sel = cols[s0 : s0 + 8]
-                acc = np.zeros((8, 8), dtype=np.float32)  # switched: rows = out cols
-                for k0 in range(0, k_pad, 4):
-                    # switched-LHS: (8 x 4) slice of B columns
-                    frag_b = np.zeros((8, 4), dtype=np.float16)
-                    frag_b[: sel.size] = b_pad[k0 : k0 + 4, sel].T
-                    # switched-RHS: (4 x V) slice of A rows
-                    frag_a = np.zeros((4, 8), dtype=np.float16)
-                    frag_a[:, :v] = a_pad[rows, k0 : k0 + 4].T
-                    if self.variant == "arch":
-                        # High-Group-Switched operands arrive inverted;
-                        # the SWITCH flag re-pairs them inside the TCU
-                        # (identity pinned in the tensor-core tests).
-                        acc = mma_m8n8k4(
-                            frag_b, frag_a, acc,
-                            invert_groups=True, switch_steps=(0, 1, 2, 3), stats=tc,
-                        )
-                    else:
-                        # `shfl` repairs the inversion with warp
-                        # shuffles before the mma; `reg` accumulates the
-                        # inverted halves separately and merges at the
-                        # end — both are data-movement identities, so
-                        # the canonical mma reproduces their math.
-                        acc = mma_m8n8k4(frag_b, frag_a, acc, stats=tc)
-                out_vals[lo + s0 : lo + s0 + sel.size] = acc[: sel.size, :v]
-        self.last_sim_stats = tc
-        return mask.with_values(out_vals.astype(np.float16))
 
     # ------------------------------------------------------------------ #
     def _stats(

@@ -24,7 +24,6 @@ from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
 from ..hardware.instructions import InstrClass, InstructionMix
 from ..hardware.register_file import KernelResources
-from ..hardware.tensor_core import TensorCoreStats, wmma_m8n32k16
 from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
@@ -71,55 +70,12 @@ class WmmaSddmmKernel(Kernel):
         """Compiled-plan walk: the whole structure's wmma.m8n32k16
         stream in one batched call, driven by a cached execution plan
         (:mod:`repro.plans`) — bit-for-bit the interpreted per-row walk
-        kept as :meth:`_execute_simulated_reference`.
+        kept as a test oracle (``tests/oracles``).
         """
         a16 = np.asarray(a, dtype=np.float16)
         b16 = np.asarray(b, dtype=np.float16)
         plan = _plans.sddmm_wmma_plan(self, mask, a16.shape[1])
         out_vals, tc = _plans.execute_sddmm_wmma(plan, a16, b16, mask)
-        self.last_sim_stats = tc
-        return mask.with_values(out_vals.astype(np.float16))
-
-    def _execute_simulated_reference(
-        self, a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
-    ) -> ColumnVectorSparseMatrix:
-        """Pinned interpreted reference of the plan path: per-row walk
-        issuing the classic wmma.m8n32k16 stream.
-
-        Each window's nonzero vectors compact into padded 32-wide wmma
-        tiles; every tile covers the full K with ``wmma.m8n32k16``
-        k-steps (A rows in the 8-slot, V<8 rows padded — wasted
-        computation the batched primitive performs and counts).  The
-        issued-HMMA accounting lands on ``self.last_sim_stats``.
-        """
-        a16 = np.asarray(a, dtype=np.float16)
-        b16 = np.asarray(b, dtype=np.float16)
-        m, k = a16.shape
-        v = mask.vector_length
-        tc = TensorCoreStats()
-        out_vals = np.zeros((mask.nnz_vectors, v), dtype=np.float32)
-        k_pad = ceil_div(k, 16) * 16
-        a_pad = np.zeros((m, k_pad), dtype=np.float16)
-        a_pad[:, :k] = a16
-        b_pad = np.zeros((k_pad, b16.shape[1]), dtype=np.float16)
-        b_pad[:k] = b16
-        for vrow in range(mask.num_vector_rows):
-            cols, _ = mask.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            lo = mask.row_ptr[vrow]
-            rows = slice(vrow * v, (vrow + 1) * v)
-            # padded 32-wide tiles of compacted output columns
-            for s0 in range(0, cols.size, 32):
-                sel = cols[s0 : s0 + 32]
-                acc = np.zeros((8, 32), dtype=np.float32)
-                for k0 in range(0, k_pad, 16):
-                    frag_a = np.zeros((8, 16), dtype=np.float16)
-                    frag_a[:v] = a_pad[rows, k0 : k0 + 16]
-                    frag_b = np.zeros((16, 32), dtype=np.float16)
-                    frag_b[:, : sel.size] = b_pad[k0 : k0 + 16, sel]
-                    acc = wmma_m8n32k16(frag_a, frag_b, acc, stats=tc)
-                out_vals[lo + s0 : lo + s0 + sel.size] = acc[:v, : sel.size].T
         self.last_sim_stats = tc
         return mask.with_values(out_vals.astype(np.float16))
 

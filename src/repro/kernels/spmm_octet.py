@@ -38,7 +38,6 @@ from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
 from ..hardware.instructions import InstrClass, InstructionMix
 from ..hardware.register_file import KernelResources
-from ..hardware.tensor_core import TensorCoreStats, mma_m8n8k4, mma_m8n8k4_batched
 from ..perfmodel import memo
 from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
@@ -81,7 +80,7 @@ class OctetSpmmKernel(Kernel):
         """Compiled-plan walk: the whole structure's mma.m8n8k4 stream
         in one batched call per N tile, driven by a cached execution
         plan (:mod:`repro.plans`) — bit-for-bit the interpreted
-        per-row walk kept as :meth:`_execute_simulated_reference`.
+        per-row walk kept as a test oracle (``tests/oracles``).
         The issued-HMMA accounting of the last run is kept on
         ``self.last_sim_stats``.
         """
@@ -94,94 +93,6 @@ class OctetSpmmKernel(Kernel):
         self.last_sim_stats = tc_stats
         # declared fault-injection site: accumulator writeback SDC
         return fault_site("spmm_octet.acc", out.astype(np.float16))
-
-    def _execute_simulated_reference(
-        self, a: ColumnVectorSparseMatrix, b: np.ndarray
-    ) -> np.ndarray:
-        """Pinned interpreted reference of the plan path: per-row walk
-        with every CTA's octet fragments batched into one
-        :func:`mma_m8n8k4_batched` call per (vector row, N tile) —
-        itself bit-for-bit the per-octet loop
-        (:meth:`_execute_simulated_loop`, pinned by the parity tests).
-        """
-        v = a.vector_length
-        if v > 8:
-            raise ValueError("octet tiling supports V <= 8 (one TCU output tile)")
-        m, k = a.shape
-        b16 = np.asarray(b, dtype=np.float16)
-        n = b16.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        n_tiles = ceil_div(n, self.TILE_N)
-        tc_stats = TensorCoreStats()
-        for vrow in range(a.num_vector_rows):
-            cols, vals = a.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            q = ceil_div(cols.size, 4)  # k-groups of 4 nonzero vectors
-            # switched-RHS fragments, one (4 x 8) per k-group
-            vals_pad = np.zeros((q * 4, v), dtype=np.float16)
-            vals_pad[: cols.size] = vals
-            frag_a = np.zeros((q, 4, 8), dtype=np.float16)
-            frag_a[:, :, :v] = vals_pad.reshape(q, 4, v)
-            for jt in range(n_tiles):
-                n0 = jt * self.TILE_N
-                n1 = min(n, n0 + self.TILE_N)
-                # switched-LHS fragments: gather the k-groups' B rows
-                # (padding k-slots and tile columns land on zeros)
-                rhs = np.zeros((q * 4, self.TILE_N), dtype=np.float16)
-                rhs[: cols.size, : n1 - n0] = b16[cols, n0:n1]
-                frag_b = rhs.reshape(q, 4, self.TILE_N).transpose(0, 2, 1)  # (q, 64, 4)
-                # whole-CTA fragment batch: (k-group, octet)-major order,
-                # each octet owning 8 of the 64 switched-LHS rows
-                batch_b = frag_b.reshape(q * 8, 8, 4)
-                batch_a = np.repeat(frag_a, 8, axis=0)
-                partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc_stats)
-                partial = partial.reshape(q, self.TILE_N, 8)
-                acc = np.zeros((self.TILE_N, 8), dtype=np.float32)  # switched: rows = N
-                for g in range(q):  # serial k-group accumulation, loop order
-                    acc += partial[g]
-                out[vrow * v : (vrow + 1) * v, n0:n1] += acc[: n1 - n0, :v].T
-        self.last_sim_stats = tc_stats
-        return out.astype(np.float16)
-
-    def _execute_simulated_loop(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> np.ndarray:
-        """Reference per-octet walk (one Python-level :func:`mma_m8n8k4`
-        per octet) — the batched path above must match it bit for bit."""
-        v = a.vector_length
-        if v > 8:
-            raise ValueError("octet tiling supports V <= 8 (one TCU output tile)")
-        m, k = a.shape
-        b16 = np.asarray(b, dtype=np.float16)
-        n = b16.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        n_tiles = ceil_div(n, self.TILE_N)
-        tc_stats = TensorCoreStats()
-        for vrow in range(a.num_vector_rows):
-            cols, vals = a.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            for jt in range(n_tiles):
-                n0 = jt * self.TILE_N
-                n1 = min(n, n0 + self.TILE_N)
-                acc = np.zeros((self.TILE_N, 8), dtype=np.float32)  # switched: rows = N
-                # process 4 nonzero vectors per mma.m8n8k4
-                for s0 in range(0, cols.size, 4):
-                    s1 = min(cols.size, s0 + 4)
-                    # switched-LHS: the (64 x 4) B fragment (rows = output cols)
-                    frag_b = np.zeros((self.TILE_N, 4), dtype=np.float16)
-                    frag_b[: n1 - n0, : s1 - s0] = b16[cols[s0:s1], n0:n1].T
-                    # switched-RHS: the (4 x V) vector values
-                    frag_a = np.zeros((4, 8), dtype=np.float16)
-                    frag_a[: s1 - s0, :v] = vals[s0:s1]
-                    # each octet owns 8 of the 64 switched-LHS rows
-                    for octet in range(8):  # 64 rows / 8-row octet tiles
-                        r0 = octet * 8
-                        acc[r0 : r0 + 8] = mma_m8n8k4(
-                            frag_b[r0 : r0 + 8], frag_a, acc[r0 : r0 + 8], stats=tc_stats
-                        )
-                out[vrow * v : (vrow + 1) * v, n0:n1] += acc[: n1 - n0, :v].T
-        self.last_sim_stats = tc_stats
-        return out.astype(np.float16)
 
     # ------------------------------------------------------------------ #
     def _stats(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> KernelStats:

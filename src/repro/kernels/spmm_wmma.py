@@ -20,7 +20,6 @@ from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
 from ..hardware.instructions import InstrClass, InstructionMix
 from ..hardware.register_file import KernelResources
-from ..hardware.tensor_core import TensorCoreStats, wmma_m8n32k16
 from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
@@ -62,55 +61,12 @@ class WmmaSpmmKernel(Kernel):
         """Compiled-plan walk: the whole structure's wmma.m8n32k16
         stream in one batched call per N tile, driven by a cached
         execution plan (:mod:`repro.plans`) — bit-for-bit the
-        interpreted per-row walk kept as
-        :meth:`_execute_simulated_reference`.
+        interpreted per-row walk kept as a test oracle
+        (``tests/oracles``).
         """
         b16 = np.asarray(b, dtype=np.float16)
         plan = _plans.spmm_wmma_plan(self, a)
         out, tc = _plans.execute_spmm_wmma(plan, a, b16)
-        self.last_sim_stats = tc
-        return out.astype(np.float16)
-
-    def _execute_simulated_reference(
-        self, a: ColumnVectorSparseMatrix, b: np.ndarray
-    ) -> np.ndarray:
-        """Pinned interpreted reference of the plan path: per-row walk
-        issuing the classic wmma.m8n32k16 stream.
-
-        Each vector row pads its compacted nonzeros to 16-vector k-steps
-        (the ``TileK`` multiple-of-16 constraint) and runs two
-        ``wmma.m8n32k16`` per k-step across the 64-wide n-tile; the V<8
-        row slots are padded with zeros — wasted computation the batched
-        primitive performs (and counts) like the hardware would.  The
-        issued-HMMA accounting lands on ``self.last_sim_stats``.
-        """
-        b16 = np.asarray(b, dtype=np.float16)
-        m, k = a.shape
-        n = b16.shape[1]
-        v = a.vector_length
-        tc = TensorCoreStats()
-        out = np.zeros((m, n), dtype=np.float32)
-        for vrow in range(a.num_vector_rows):
-            cols, vals = a.row_slice(vrow)
-            if cols.size == 0:
-                continue
-            k_steps = ceil_div(cols.size, 16)
-            vals_pad = np.zeros((k_steps * 16, v), dtype=np.float16)
-            vals_pad[: cols.size] = vals
-            for n0 in range(0, n, self.TILE_N):
-                n1 = min(n0 + self.TILE_N, n)
-                rhs = np.zeros((k_steps * 16, self.TILE_N), dtype=np.float16)
-                rhs[: cols.size, : n1 - n0] = b16[cols, n0:n1]
-                acc_lo = np.zeros((8, 32), dtype=np.float32)
-                acc_hi = np.zeros((8, 32), dtype=np.float32)
-                for g in range(k_steps):
-                    frag_a = np.zeros((8, 16), dtype=np.float16)
-                    frag_a[:v] = vals_pad[g * 16 : (g + 1) * 16].T
-                    frag_b = rhs[g * 16 : (g + 1) * 16]
-                    acc_lo = wmma_m8n32k16(frag_a, frag_b[:, :32], acc_lo, stats=tc)
-                    acc_hi = wmma_m8n32k16(frag_a, frag_b[:, 32:], acc_hi, stats=tc)
-                acc = np.concatenate([acc_lo, acc_hi], axis=1)
-                out[vrow * v : (vrow + 1) * v, n0:n1] += acc[:v, : n1 - n0]
         self.last_sim_stats = tc
         return out.astype(np.float16)
 

@@ -77,7 +77,7 @@ COUNTERS = [
     "serving.faults.injected",
     "serving.faults.detected",
     "profiler.kernels.profiled",
-    "profiler.check.regressions",
+    "profiler.check.changes",
 ]
 
 GAUGES = [

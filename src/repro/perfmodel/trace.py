@@ -21,9 +21,8 @@ The replay runs on :class:`~repro.hardware.cache.VectorSectorCache`:
 a whole co-resident window's interleaved accesses are precomputed as
 one index order and fed through the cache as a single batch (batching
 is semantics-free: the caches process a batch strictly in order).
-:func:`replay_l1_reference` keeps the original op-at-a-time walk on
-the scalar :class:`~repro.hardware.cache.SectorCache` as a test
-oracle that production never calls; the tests and
+The original op-at-a-time walk on a scalar cache is a test oracle
+(``tests/oracles/cache.py``); the tests and
 ``benchmarks/bench_trace.py`` assert the two produce identical
 :class:`TraceResult`\\ s, and the benchmark records the speedup.
 
@@ -47,7 +46,7 @@ from ..faults.injector import site as fault_site
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware import cache as hw_cache
-from ..hardware.cache import SectorCache, VectorSectorCache
+from ..hardware.cache import VectorSectorCache
 from ..hardware.config import GPUSpec, default_spec
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -61,7 +60,6 @@ __all__ = [
     "wmma_sddmm_cta_sectors",
     "gemm_cta_sectors",
     "replay_l1",
-    "replay_l1_reference",
     "trace_octet_spmm",
     "trace_blocked_ell",
     "trace_octet_sddmm",
@@ -397,73 +395,6 @@ def replay_l1(
         obs_metrics.counter_add("trace.replay.sector_accesses", accesses)
         for l1 in l1s:
             hw_cache.record_metrics("l1", l1.stats)
-        hw_cache.record_metrics("l2", l2.stats)
-    return TraceResult(
-        sampled_ctas=sampled,
-        total_ctas=total,
-        sampled_fill_bytes=fills,
-        sector_accesses=accesses,
-        sampled_l2_fill_bytes=l2_fills,
-    )
-
-
-def replay_l1_reference(
-    cta_stream: Iterable[Tuple[int, List[np.ndarray]]],
-    spec: Optional[GPUSpec] = None,
-    l1_data_bytes: Optional[int] = None,
-    coresident: int = 32,
-    sample_sms: int = 1,
-) -> TraceResult:
-    """The pinned reference replay: scalar engine, ``pop(0)`` interleave.
-
-    Keeps the original op-at-a-time round-robin drain verbatim so the
-    batched :func:`replay_l1` has an executable specification to be
-    compared against (`tests/test_trace_validation.py`,
-    ``benchmarks/bench_trace.py``); the two must return equal
-    :class:`TraceResult`\\ s on any stream.
-    """
-    spec = spec or default_spec()
-    l1_bytes = l1_data_bytes if l1_data_bytes is not None else spec.l1_bytes_per_sm
-    caches = {s: SectorCache(l1_bytes, spec.line_bytes, spec.sector_bytes, spec.l1_ways)
-              for s in range(sample_sms)}
-    l2 = SectorCache(spec.l2_bytes, spec.line_bytes, spec.sector_bytes, ways=16)
-    fills = 0
-    l2_fills = 0
-    accesses = 0
-    sampled = 0
-    total = 0
-    windows: dict = {s: [] for s in range(sample_sms)}
-
-    def drain(sm: int) -> None:
-        nonlocal fills, l2_fills, accesses
-        cache = caches[sm]
-        window = windows[sm]
-        # interleave: round-robin one op from each resident CTA
-        while any(window):
-            for ops in window:
-                if ops:
-                    sect = ops.pop(0)
-                    missed = cache.access_sectors(sect)
-                    fills += missed.size * _SECTOR
-                    accesses += sect.size
-                    if missed.size:
-                        l2_fills += l2.access_sectors(missed).size * _SECTOR
-        window.clear()
-
-    for cta_id, ops in cta_stream:
-        total += 1
-        sm = cta_id % spec.num_sms
-        if sm >= sample_sms:
-            continue
-        sampled += 1
-        windows[sm].append(list(ops))
-        if len(windows[sm]) >= coresident:
-            drain(sm)
-    for sm in range(sample_sms):
-        drain(sm)
-    if obs_metrics.enabled():
-        for cache in caches.values():
-            hw_cache.record_metrics("l1", cache.stats)
         hw_cache.record_metrics("l2", l2.stats)
     return TraceResult(
         sampled_ctas=sampled,

@@ -13,16 +13,16 @@ Python control flow.
 Contracts:
 
 * **bit parity** — plan execution is bit-for-bit the interpreted
-  ``*_reference`` twin it replaces (outputs via uint16 views, issue
-  accounting totals), enforced by the parity tests and the sanitizer
-  ownership pass (:mod:`repro.sanitizer.plancheck`);
+  walk it replaces (outputs via uint16 views, issue accounting
+  totals), enforced by the tier-1 parity test against the test
+  oracles in ``tests/oracles`` and by the sanitizer ownership pass
+  (:mod:`repro.sanitizer.plancheck`);
 * **schedule only** — plans hold index arrays derived from topology
   and tile config, never operand values, fault payloads, or spans;
   fault-injection sites and obs spans fire at execution time;
 * **one production path** — every kernel runs its plan; the
-  interpreted references are test oracles that the parity tests,
-  ``cli plans --parity`` and ``benchmarks/bench_codegen.py`` call
-  directly.
+  interpreted walks live with the tests (``tests/oracles``), where
+  the parity tests and ``benchmarks/bench_codegen.py`` call them.
 """
 
 from .core import cached_plan, plan_key

@@ -21,10 +21,10 @@ digest and recompiled, never executed.  Because unpickling always
 materialises a fresh object, executors may treat cached plans as
 immutable without a defensive copy.
 
-Every kernel runs its plan; the interpreted ``*_reference`` twins are
-test oracles that production never calls.  The parity tests,
-``cli plans --parity`` and ``benchmarks/bench_codegen.py`` call them
-directly.
+Every kernel runs its plan; the interpreted walks the plans replaced
+are test oracles in ``tests/oracles``, which production never
+imports.  The parity tests and ``benchmarks/bench_codegen.py`` call
+them directly.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ so they compile into a cached plan:
 * :class:`FunctionalSddmmPlan` holds the expanded gather rows/cols for
   the chunked dot-product.
 
-:func:`expand_vector_rows` lives here (canonically — the kernels layer
-re-exports it) because both the plan compilers and the interpreted
-references need the same expansion.
+:func:`expand_vector_rows` lives here because both the plan compilers
+and the interpreted test oracles (``tests/oracles``) need the same
+expansion.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Compiled execution plans for the simulated SpMM kernels.
 
-Each compiler flattens the per-row interpreted walk of its kernel's
-``_execute_simulated_reference`` into index arrays once per
+Each compiler flattens the per-row interpreted walk of its kernel
+(kept as a test oracle in ``tests/oracles``) into index arrays once per
 (kernel fingerprint, structure signature); the matching executor then
 issues the whole structure as a handful of vectorised gathers, one
 batched tensor-core call per output tile, and a masked level-by-level

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.hardware import SectorCache, VectorSectorCache
+from repro.hardware import VectorSectorCache
 from repro.perfmodel.trace import replay_l1
+
+from .oracles import SectorCache
 
 ENGINES = [SectorCache, VectorSectorCache]
 

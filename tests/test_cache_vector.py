@@ -1,6 +1,6 @@
 """Scalar-vs-vectorised sector-cache parity.
 
-:class:`SectorCache` is the pinned behavioural reference;
+:class:`SectorCache` (``tests/oracles``) is the pinned behavioural reference;
 :class:`VectorSectorCache` must reproduce it *bit-for-bit* — the same
 missed-sector stream (in original access order), the same
 :class:`CacheStats`, and the same internal tag/valid/dirty/LRU state —
@@ -13,9 +13,11 @@ across batches, and empty/singleton batches.
 import numpy as np
 import pytest
 
-from repro.hardware import SectorCache, VectorSectorCache
+from repro.hardware import VectorSectorCache
 from repro.hardware.config import VOLTA_V100
-from repro.perfmodel.trace import replay_l1, replay_l1_reference
+from repro.perfmodel.trace import replay_l1
+
+from .oracles import SectorCache, replay_l1_reference
 
 GEOM = dict(line_bytes=128, sector_bytes=32, ways=2)
 

@@ -120,8 +120,6 @@ SUBCOMMAND_CASES = [
     ("faults-bad", ["faults", "--campaign", "bogus"], 2),
     ("obs-clean", ["obs", "--smoke"], 0),
     ("obs-bad", ["obs", "--only", "bogus"], 2),
-    ("plans-clean", ["plans", "--parity"], 0),
-    ("plans-bad", ["plans", "--sparsity", "1.5"], 2),
     ("memo-clean", ["memo", "--dir", "{tmp}/store"], 0),
     ("memo-bad", ["memo", "--dir", "{tmp}/file"], 2),
     ("merge-bad", ["merge", "{tmp}/nowhere", "--out", "{tmp}/merged"], 2),
@@ -133,10 +131,6 @@ SUBCOMMAND_CASES = [
     ("table-cols-zero", ["--cols", "0"], 2),
     ("table-n-zero", ["-N", "0"], 2),
     ("table-k-negative", ["--op", "sddmm", "-K", "-3"], 2),
-    ("plans-rows-zero", ["plans", "--rows", "0"], 2),
-    ("plans-cols-zero", ["plans", "--cols", "0"], 2),
-    ("plans-n-negative", ["plans", "-N", "-2"], 2),
-    ("plans-k-negative", ["plans", "-K", "-1"], 2),
     ("profile-top-negative", ["profile", "--top", "-1"], 2),
     ("profile-top-zero", ["profile", "--top", "0"], 2),
     ("obs-top-negative", ["obs", "--top", "-1"], 2),
@@ -176,7 +170,7 @@ def test_cli_unknown_name_error_format_is_shared(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["-N", "0"], "error: -N must be a positive integer, got 0\n"),
-    (["plans", "--rows", "x"], "error: --rows must be a positive integer, got x\n"),
+    (["--rows", "x"], "error: --rows must be a positive integer, got x\n"),
     (["obs", "--top", "-1"], "error: --top must be a non-negative integer, got -1\n"),
 ])
 def test_size_flag_error_names_the_flag(argv, message, capsys):

@@ -5,15 +5,17 @@ The kernel contracts run the kernels of the case table
 
 * no kernel writes into its inputs, on the functional path and with
   ``simulate=True``, through its compiled plans and through the
-  interpreted twins the test routes the same run to;
-* production never reaches a twin: with every twin patched to raise,
-  every case and every ``trace_*`` replay still runs;
+  interpreted twins in ``tests/oracles`` the test routes the same run
+  to;
+* production never reaches a twin: with every oracle in
+  ``tests/oracles`` patched to raise, every case and every ``trace_*``
+  replay still runs;
 * every class the dispatch registry can build is a row of the case
   table, which tier-1 drives through the profiler, the sanitizer and
-  ``plans``;
-* a case has a compiled plan exactly when its class keeps the
-  interpreted ``_execute_simulated_reference`` twin, which
-  ``plans --parity`` runs bit for bit against the plan;
+  the plan parity test;
+* a case has a compiled plan exactly when its class is a key of the
+  oracle registry :data:`tests.oracles.ORACLES`, whose walk
+  ``tests/test_plans.py`` runs bit for bit against the plan;
 * fp16 operands, fp32 accumulation: on dyadic fp16 operands every SpMM,
   SDDMM and GEMM case, functional and simulated, equals the exact sum
   bit for bit, where an fp16 accumulator loses the quarters next to the
@@ -65,7 +67,6 @@ from repro.formats.blocked_ell import BlockedEllMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
 from repro.hardware import tensor_core
-from repro.hardware.cache import SectorCache
 from repro.kernels import dispatch, functional
 from repro.kernels.cases import (
     KERNEL_CASES,
@@ -83,8 +84,10 @@ from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.obs import metrics, schema, tracing
 from repro.perfmodel import memo, trace
 
-from . import runset
+from . import oracles, runset
+from .oracles import ORACLES, SectorCache
 from .runset import RUN_IDS, RUNS, operands
+from .test_plans import PLANNED, plan_oracle_mismatches
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -140,16 +143,23 @@ def _unlisted_dispatch_classes() -> List[type]:
 
 
 def _plan_twin_mismatches(table: Dict[str, KernelCase]) -> List[str]:
-    """Cases with a compiled plan but no interpreted twin, or the reverse."""
+    """Cases with a compiled plan but no oracle, or an oracle but no plan."""
     return [name for name, c in table.items()
-            if (c.plan is not None) != hasattr(c.factory, "_execute_simulated_reference")]
+            if (c.plan is not None) != (c.factory in ORACLES)]
 
 
 #: planned functional entry point -> its interpreted twin
 FUNCTIONAL_TWINS = {
-    functional.spmm_functional: functional.spmm_functional_reference,
-    functional.sddmm_functional: functional.sddmm_functional_reference,
+    functional.spmm_functional: oracles.spmm_functional_reference,
+    functional.sddmm_functional: oracles.sddmm_functional_reference,
 }
+
+
+def _as_method(oracle):
+    """An ``_execute_simulated`` that returns ``oracle``'s output."""
+    def run(self, *ops):
+        return oracle(self, *ops)[0]
+    return run
 
 
 def _planned_classes() -> List[type]:
@@ -161,7 +171,7 @@ def _route_to_twins(monkeypatch) -> int:
     """Send every planned path to its interpreted twin: each planned
     class's ``_execute_simulated`` and every kernel module's binding of
     a planned functional entry point.  Returns the routes patched."""
-    routes = [(cls, "_execute_simulated", cls._execute_simulated_reference)
+    routes = [(cls, "_execute_simulated", _as_method(ORACLES[cls]))
               for cls in _planned_classes()]
     for mod_name, mod in sorted(sys.modules.items()):
         if mod_name.startswith("repro.kernels.") and mod is not functional:
@@ -198,9 +208,10 @@ def _raise_twin(*args, **kwargs):
 
 def test_production_never_reaches_a_twin(monkeypatch):
     for cls in _planned_classes():
-        monkeypatch.setattr(cls, "_execute_simulated_reference", _raise_twin)
-    for twin in FUNCTIONAL_TWINS.values():
-        monkeypatch.setattr(functional, twin.__name__, _raise_twin)
+        monkeypatch.setitem(ORACLES, cls, _raise_twin)
+    for name in oracles.__all__:
+        if callable(getattr(oracles, name)) and name != "SectorCache":
+            monkeypatch.setattr(oracles, name, _raise_twin)
     monkeypatch.setattr(SectorCache, "access_sectors", _raise_twin)
     for name, simulate in RUNS:
         case = KERNEL_CASES[name]
@@ -400,19 +411,18 @@ def test_plan_twins_flags_missing_reference():
     assert _plan_twin_mismatches(planted) == ["planned-fpu", "unplanned-octet"]
 
 
-def test_plan_twins_flags_untested_reference(monkeypatch, capsys):
-    # plans --parity runs every twin against its plan, bit for bit
-    class WrongTwinKernel(OctetSpmmKernel):
-        def _execute_simulated_reference(self, a, b):
-            return np.zeros_like(super()._execute_simulated_reference(a, b))
+def test_plan_twins_flags_untested_reference(monkeypatch):
+    # the tier-1 parity test runs every oracle against its plan, bit for bit
+    def wrong_oracle(kern, a, b):
+        out, stats = oracles.spmm_octet(kern, a, b)
+        return np.zeros_like(out), stats
 
-    argv = ["plans", "--parity", "--rows", "32", "--cols", "64", "-N", "32", "-K", "32"]
-    assert cli.main(argv) == cli.EXIT_CLEAN
-    monkeypatch.setitem(KERNEL_CASES, "spmm-octet", KernelCase(
-        "spmm-octet", "cvse", WrongTwinKernel, plan=plans.spmm_octet_plan))
-    assert cli.main(argv) == cli.EXIT_FINDINGS
-    rows = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
-    assert len(rows) == 1 and rows[0].startswith("spmm-octet ")
+    def failing():
+        return [name for name in PLANNED if plan_oracle_mismatches(KERNEL_CASES[name], 4)]
+
+    assert failing() == []
+    monkeypatch.setitem(ORACLES, OctetSpmmKernel, wrong_oracle)
+    assert failing() == ["spmm-octet"]
 
 
 def test_plan_twins_ignores_helper_imports():

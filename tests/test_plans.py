@@ -4,10 +4,11 @@ The plan compilers in :mod:`repro.plans` replace the interpreted
 per-row kernel walks with flattened gather/scatter schedules.  Three
 contracts are pinned here:
 
-* **bit parity** — every dispatch-registered simulated kernel and the
-  shared functional paths produce uint16-identical fp16 outputs (and
-  identical tensor-core issue accounting) through the plan path and
-  the pinned ``*_reference`` twin, fuzzed across vector lengths;
+* **bit parity** — every case-table row with a plan, at V = 2, 4 and
+  8, produces uint16-identical fp16 outputs and identical tensor-core
+  issue counts through the plan path and its oracle in
+  ``tests/oracles`` (:data:`~tests.oracles.ORACLES`), and the shared
+  functional paths match their interpreted expansions;
 * **cache discipline** — plans live in the checksummed ``plan`` memo
   region: second compile is a hit, topology or tile-config changes
   miss, and tampered blobs are detected and recompiled;
@@ -15,28 +16,28 @@ contracts are pinned here:
   the plan path (plans carry schedule only).
 """
 
+from typing import List
+
 import numpy as np
 import pytest
 
 from repro import plans
+from repro.datasets.dlmc import generate_topology
 from repro.obs import metrics, tracing
 from repro.faults import FaultInjector
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
 from repro.kernels.cases import KERNEL_CASES
-from repro.kernels.functional import (
-    sddmm_functional,
-    sddmm_functional_reference,
-    spmm_functional,
-    spmm_functional_reference,
-)
-from repro.kernels.sddmm_octet import SDDMM_VARIANTS, OctetSddmmKernel
+from repro.kernels.functional import sddmm_functional, spmm_functional
+from repro.kernels.sddmm_octet import OctetSddmmKernel
 from repro.kernels.sddmm_wmma import WmmaSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.kernels.spmm_wmma import WmmaSpmmKernel
 from repro.perfmodel import memo
 from repro.sanitizer import plancheck
+
+from .oracles import ORACLES, sddmm_functional_reference, spmm_functional_reference, spmm_octet
 
 VECTOR_LENGTHS = (2, 4, 8)
 
@@ -63,61 +64,60 @@ def _counts(st):
 
 
 # --------------------------------------------------------------------- #
-# fuzzed bit-for-bit parity: plan path vs interpreted reference twin
+# bit-for-bit parity: plan path vs interpreted oracle
 # --------------------------------------------------------------------- #
+#: the case-table rows that run a compiled plan
+PLANNED = [name for name, case in KERNEL_CASES.items() if case.plan is not None]
+
+
+def _parity_draws(operand: str, v: int):
+    """Seeded ``(label, operands)`` draws for one operand kind: fuzzed
+    small problems, then the 64x128 topology at sparsity 0.7 with
+    N = K = 64 drawn from seed 0."""
+    rng = np.random.default_rng(300 + v)
+    for trial in range(3):
+        if operand == "cvse":
+            a = _random_cvse(rng, 16, 40 + 8 * trial, v)
+            b = rng.uniform(-1, 1, (a.shape[1], 48)).astype(np.float16)
+            yield f"fuzz{trial}", (a, b)
+        else:
+            mask = _random_mask(rng, 12, 40 + 8 * trial, v)
+            k = 24 + 4 * trial  # 24 and 28 end on a partial 16-wide WMMA k-step
+            a = rng.uniform(-1, 1, (mask.shape[0], k)).astype(np.float16)
+            b = rng.uniform(-1, 1, (k, mask.shape[1])).astype(np.float16)
+            yield f"fuzz{trial}", (a, b, mask)
+    rng = np.random.default_rng(0)
+    a = cvse_from_csr_topology(generate_topology((64, 128), 0.7, rng), v, rng)
+    mask = ColumnVectorSparseMatrix(a.shape, v, a.row_ptr, a.col_idx, None)
+    b_spmm = rng.uniform(-1, 1, (a.shape[1], 64)).astype(np.float16)
+    a_dense = rng.uniform(-1, 1, (a.shape[0], 64)).astype(np.float16)
+    b_sddmm = rng.uniform(-1, 1, (64, a.shape[1])).astype(np.float16)
+    yield "64x128", (a, b_spmm) if operand == "cvse" else (a_dense, b_sddmm, mask)
+
+
+def plan_oracle_mismatches(case, v: int) -> List[str]:
+    """How ``case``'s compiled-plan path departs from its oracle in
+    :data:`ORACLES` over the parity draws: fp16 output bits (uint16
+    views) and ``(hmma_steps, mma_instructions, switch_steps)``."""
+    kern = case.kernel(simulate=True)
+    oracle = ORACLES[case.factory]
+    found = []
+    for label, ops in _parity_draws(case.operand, v):
+        got = kern._execute_simulated(*ops)
+        ref, ref_stats = oracle(kern, *ops)
+        if not np.array_equal(_bits(got), _bits(ref)):
+            found.append(f"{label}: output bits differ")
+        if _counts(kern.last_sim_stats) != _counts(ref_stats):
+            found.append(f"{label}: issue counts {_counts(kern.last_sim_stats)} "
+                         f"!= {_counts(ref_stats)}")
+    return found
+
+
 class TestPlanParity:
     @pytest.mark.parametrize("v", VECTOR_LENGTHS)
-    def test_spmm_octet(self, v):
-        rng = np.random.default_rng(300 + v)
-        kern = OctetSpmmKernel(simulate=True)
-        for trial in range(3):
-            a = _random_cvse(rng, 16, 40 + 8 * trial, v)
-            b = rng.uniform(-1, 1, (a.shape[1], 48)).astype(np.float16)
-            got = kern._execute_simulated(a, b)
-            st = _counts(kern.last_sim_stats)
-            ref = kern._execute_simulated_reference(a, b)
-            assert np.array_equal(_bits(got), _bits(ref))
-            assert st == _counts(kern.last_sim_stats)
-
-    @pytest.mark.parametrize("v", VECTOR_LENGTHS)
-    def test_spmm_wmma(self, v):
-        rng = np.random.default_rng(400 + v)
-        kern = WmmaSpmmKernel(simulate=True)
-        for trial in range(3):
-            a = _random_cvse(rng, 16, 40 + 8 * trial, v)
-            b = rng.uniform(-1, 1, (a.shape[1], 48)).astype(np.float16)
-            got = kern._execute_simulated(a, b)
-            st = _counts(kern.last_sim_stats)
-            ref = kern._execute_simulated_reference(a, b)
-            assert np.array_equal(_bits(got), _bits(ref))
-            assert st == _counts(kern.last_sim_stats)
-
-    @pytest.mark.parametrize("v", VECTOR_LENGTHS)
-    @pytest.mark.parametrize("variant", sorted(SDDMM_VARIANTS))
-    def test_sddmm_octet(self, v, variant):
-        rng = np.random.default_rng(500 + v)
-        kern = OctetSddmmKernel(variant=variant, simulate=True)
-        mask = _random_mask(rng, 12, 40, v)
-        a = rng.uniform(-1, 1, (mask.shape[0], 24)).astype(np.float16)
-        b = rng.uniform(-1, 1, (24, mask.shape[1])).astype(np.float16)
-        got = kern._execute_simulated(a, b, mask)
-        st = _counts(kern.last_sim_stats)
-        ref = kern._execute_simulated_reference(a, b, mask)
-        assert np.array_equal(_bits(got), _bits(ref))
-        assert st == _counts(kern.last_sim_stats)
-
-    @pytest.mark.parametrize("v", VECTOR_LENGTHS)
-    def test_sddmm_wmma(self, v):
-        rng = np.random.default_rng(600 + v)
-        kern = WmmaSddmmKernel(simulate=True)
-        mask = _random_mask(rng, 12, 40, v)
-        a = rng.uniform(-1, 1, (mask.shape[0], 32)).astype(np.float16)
-        b = rng.uniform(-1, 1, (32, mask.shape[1])).astype(np.float16)
-        got = kern._execute_simulated(a, b, mask)
-        st = _counts(kern.last_sim_stats)
-        ref = kern._execute_simulated_reference(a, b, mask)
-        assert np.array_equal(_bits(got), _bits(ref))
-        assert st == _counts(kern.last_sim_stats)
+    @pytest.mark.parametrize("name", PLANNED)
+    def test_plan_matches_oracle(self, name, v):
+        assert plan_oracle_mismatches(KERNEL_CASES[name], v) == []
 
     @pytest.mark.parametrize("v", VECTOR_LENGTHS)
     def test_functional(self, v):
@@ -201,7 +201,7 @@ class TestPlanCache:
         a = _random_cvse(rng, 16, 48, 4)
         b = rng.uniform(-1, 1, (a.shape[1], 32)).astype(np.float16)
         kern = OctetSpmmKernel(simulate=True)
-        ref = kern._execute_simulated_reference(a, b)
+        ref, _ = spmm_octet(kern, a, b)
         kern._execute_simulated(a, b)  # populate the plan region
         base = memo.integrity_failures()
         assert memo.tamper_entry("plan", index=0, flip_byte=5)

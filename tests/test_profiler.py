@@ -17,6 +17,7 @@ from repro.sanitizer import sanitize
 from repro.sanitizer.harness import KERNEL_CASES
 from repro.serving import get_scenario, profile_summary, simulate
 
+from .oracles import ORACLES
 from .test_perfmodel import simple_stats
 
 
@@ -45,10 +46,8 @@ class TestDerivation:
     def test_registry_mirrors_sanitizer_kernel_cases(self):
         assert set(profiler.KERNEL_NAMES) == set(KERNEL_CASES)
 
-    def test_every_case_table_row_reaches_every_consumer(self, smoke_profiles, capsys):
-        assert cli_main(["plans"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        planned = [line.split("|")[0].strip() for line in out[2:] if "|" in line]
+    def test_every_case_table_row_reaches_every_consumer(self, smoke_profiles):
+        planned = [name for name, case in TABLE.items() if case.factory in ORACLES]
         assert profiler.KERNEL_NAMES == tuple(TABLE)
         for name, case in TABLE.items():
             assert smoke_profiles[name].time_us > 0
@@ -303,6 +302,18 @@ class TestProfileCli:
     def test_check_without_baseline_exits_2(self, tmp_path, capsys):
         assert self._run(tmp_path, "--check") == 2
         assert "update-baseline" in capsys.readouterr().err
+
+    def test_default_baseline_is_found_from_any_directory(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["profile", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "baseline check OK (13 kernels, every counter equal)" in out
+
+    def test_smoke_names_a_missing_baseline(self, tmp_path, capsys):
+        assert self._run(tmp_path, "--smoke") == 0
+        missing = tmp_path / "baseline.json"
+        assert f"baseline check skipped: {missing} does not exist" in capsys.readouterr().out
 
     def test_check_writes_no_file_but_the_ones_asked_for(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,9 +2,9 @@
 
 The vectorised ``mma_m8n8k4_batched`` rewrites of the simulated octet
 kernels must be *bit-for-bit* identical to the per-octet Python loops
-they replaced (same fp16 outputs, same issue accounting); the WMMA
-register-level walks must agree with the functional kernels up to fp16
-rounding.
+they replaced, kept in ``tests/oracles`` (same fp16 outputs, same issue
+accounting); the WMMA register-level walks must agree with the
+functional kernels up to fp16 rounding.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ from repro.kernels.sddmm_octet import SDDMM_VARIANTS, OctetSddmmKernel
 from repro.kernels.sddmm_wmma import WmmaSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.kernels.spmm_wmma import WmmaSpmmKernel
+
+from .oracles import sddmm_octet_loop, spmm_octet_loop
 
 VECTOR_LENGTHS = (2, 4, 8)
 
@@ -43,8 +45,7 @@ class TestOctetSpmmBatchedParity:
             b = rng.uniform(-1, 1, size=(cv.shape[1], 70)).astype(np.float16)
             fast = kern._execute_simulated(cv, b)
             st_fast = kern.last_sim_stats
-            ref = kern._execute_simulated_loop(cv, b)
-            st_ref = kern.last_sim_stats
+            ref, st_ref = spmm_octet_loop(kern, cv, b)
             assert np.array_equal(fast.view(np.uint16), ref.view(np.uint16))
             assert _counts(st_fast) == _counts(st_ref)
 
@@ -63,8 +64,7 @@ class TestOctetSddmmBatchedParity:
             b = rng.uniform(-1, 1, size=(k, n)).astype(np.float16)
             fast = kern._execute_simulated(a, b, mask)
             st_fast = kern.last_sim_stats
-            ref = kern._execute_simulated_loop(a, b, mask)
-            st_ref = kern.last_sim_stats
+            ref, st_ref = sddmm_octet_loop(kern, a, b, mask)
             assert np.array_equal(
                 fast.values.view(np.uint16), ref.values.view(np.uint16)
             )

@@ -23,10 +23,11 @@ from repro.perfmodel.trace import (
     octet_sddmm_cta_sectors,
     octet_spmm_cta_sectors,
     replay_l1,
-    replay_l1_reference,
     trace_gemm,
     wmma_sddmm_cta_sectors,
 )
+
+from .oracles import replay_l1_reference
 
 RNG = np.random.default_rng(42)
 N = 256
