@@ -40,7 +40,7 @@ L, D = 512, 64
 q = rng.uniform(-1, 1, (L, D)).astype(np.float16)
 k = rng.uniform(-1, 1, (L, D)).astype(np.float16)
 mask_rows = rng.random((L // 8, L)) < 0.1
-mask = ColumnVectorSparseMatrix.mask_from_dense(np.repeat(mask_rows, 8, axis=0), 8)
+mask = ColumnVectorSparseMatrix.mask_from_groups(mask_rows, 8)
 
 scores = sddmm(q, k.T.copy(), mask, variant="arch")   # the Fig-15 TCU extension
 att = sparse_softmax(scores.output, scale=1.0 / np.sqrt(D))

@@ -20,6 +20,7 @@ from repro.transformer import (
     TrainConfig,
     TransformerClassifier,
     TransformerConfig,
+    band_random_cvse,
     band_random_mask,
     dense_attention_peak,
     evaluate,
@@ -62,9 +63,7 @@ for mode, a in acc.items():
 
 # --- modelled latency breakdown at the paper's full scale -------------------
 L, D, HEADS, BATCH = 4000, 64, 4, 8
-big_mask = mask_to_cvse(
-    band_random_mask(L, 8, 256, 0.9, np.random.default_rng(4)), 8
-)
+big_mask = band_random_cvse(L, 8, 256, 0.9, np.random.default_rng(4))
 t_sparse = SparseAttention(big_mask).estimate_batched(L, D, HEADS * BATCH)
 t_dense = DenseAttention(precision="half").estimate_batched(L, D, HEADS * BATCH)
 print(f"\nper-layer attention at l={L} (heads x batch = {HEADS * BATCH}, modelled):")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..transformer.attention import DenseAttention, SparseAttention
-from ..transformer.masks import band_random_mask, mask_to_cvse
+from ..transformer.masks import band_random_cvse
 from .common import ExperimentResult
 
 __all__ = ["run", "SETUPS"]
@@ -57,8 +57,7 @@ def run(
             # fixed 256 band alone is 12.5% density at l=2048): give
             # half the budget to the band, half to random attention.
             band = max(vector_length * 2, min(256, int(l * (1.0 - s) / 2)))
-            mask = band_random_mask(l, vector_length, band, s, rng)
-            att = SparseAttention(mask_to_cvse(mask, vector_length))
+            att = SparseAttention(band_random_cvse(l, vector_length, band, s, rng))
             t = att.estimate(l, k)
             res.rows.append(
                 {

@@ -23,7 +23,7 @@ import numpy as np
 from ..kernels.gemm import DenseGemmKernel
 from ..transformer.attention import DenseAttention, SparseAttention
 from ..transformer.lra import ByteTaskConfig, make_dataset
-from ..transformer.masks import band_random_mask, mask_to_cvse
+from ..transformer.masks import band_random_cvse
 from ..transformer.memory import dense_attention_peak, sparse_attention_peak
 from ..transformer.model import TransformerClassifier, TransformerConfig
 from ..transformer.training import TrainConfig, evaluate, train
@@ -75,8 +75,8 @@ def throughput_seq_per_s(cfg: PaperConfig, mode: str, rng=None) -> float:
     if mode == "sparse-half":
         # the mask's sequence length must divide V
         l = (cfg.seq_len // cfg.vector_length) * cfg.vector_length
-        mask = band_random_mask(l, cfg.vector_length, cfg.band, cfg.sparsity, rng)
-        att = SparseAttention(mask_to_cvse(mask, cfg.vector_length))
+        att = SparseAttention(
+            band_random_cvse(l, cfg.vector_length, cfg.band, cfg.sparsity, rng))
         per_layer = att.estimate_batched(l, cfg.head_dim, copies).total
         gemm_prec = "half"
     else:
@@ -107,8 +107,9 @@ def run(
     n_test = 256
     tok_tr, lab_tr = make_dataset(n_train, task, np.random.default_rng(1))
     tok_te, lab_te = make_dataset(n_test, task, np.random.default_rng(777))
-    mask = band_random_mask(seq, vector_length=8, band=16, sparsity=0.9,
-                            rng=np.random.default_rng(2))
+    sparse_mask = band_random_cvse(seq, vector_length=8, band=16, sparsity=0.9,
+                                   rng=np.random.default_rng(2))
+    mask = sparse_mask.mask_dense()
     model_cfg = TransformerConfig(
         seq_len=seq, d_model=32, n_heads=2, n_layers=2, d_ff=64
     )
@@ -117,7 +118,7 @@ def run(
         model, tok_tr, lab_tr, mask=mask,
         cfg=TrainConfig(epochs=6 if quick else 8, lr=2e-3, seed=5),
     )
-    sparse_att = SparseAttention(mask_to_cvse(mask, 8))
+    sparse_att = SparseAttention(sparse_mask)
     acc = {
         "Dense(float)": evaluate(model, tok_te, lab_te, mask=mask, mode="dense-float"),
         "Dense(half)": evaluate(model, tok_te, lab_te, mask=mask, mode="dense-half"),
@@ -134,11 +135,8 @@ def run(
         "Sparse(half)": throughput_seq_per_s(paper_cfg, "sparse-half"),
     }
     l = (paper_cfg.seq_len // paper_cfg.vector_length) * paper_cfg.vector_length
-    full_mask = mask_to_cvse(
-        band_random_mask(l, paper_cfg.vector_length, paper_cfg.band, paper_cfg.sparsity,
-                         np.random.default_rng(12)),
-        paper_cfg.vector_length,
-    )
+    full_mask = band_random_cvse(l, paper_cfg.vector_length, paper_cfg.band,
+                                 paper_cfg.sparsity, np.random.default_rng(12))
     mem = {
         "Dense(float)": dense_attention_peak(
             paper_cfg.seq_len, paper_cfg.d_model, paper_cfg.n_heads, paper_cfg.d_ff,

@@ -32,6 +32,10 @@ __all__ = ["ColumnVectorSparseMatrix", "RowVectorSparseMatrix"]
 #: map onto multiple loads.
 NATIVE_VECTOR_LENGTHS = (1, 2, 4, 8)
 
+#: vectors per ``rng.uniform`` draw in :meth:`ColumnVectorSparseMatrix.from_topology`:
+#: bounds its float64 temporary to ``V * 8`` bytes per vector of this chunk
+_UNIFORM_CHUNK_VECTORS = 1 << 16
+
 
 @dataclass
 class ColumnVectorSparseMatrix:
@@ -179,8 +183,14 @@ class ColumnVectorSparseMatrix:
         m = (row_ptr.size - 1) * v
         if values is None:
             rng = rng or np.random.default_rng(0)
-            # uniform in [-1, 1) scaled: keeps fp16 accumulation benign
-            values = rng.uniform(-1.0, 1.0, size=(col_idx.size, v)).astype(dtype)
+            # uniform in [-1, 1) scaled: keeps fp16 accumulation benign.
+            # Drawn chunk by chunk into the fp16 array: the stream, the
+            # rounding and the generator's post-state are those of one
+            # (nnz, V) draw, without its float64 temporary.
+            values = np.empty((col_idx.size, v), dtype=dtype)
+            for lo in range(0, col_idx.size, _UNIFORM_CHUNK_VECTORS):
+                chunk = values[lo:lo + _UNIFORM_CHUNK_VECTORS]
+                chunk[...] = rng.uniform(-1.0, 1.0, size=chunk.shape)
             # guarantee "nonzero vector": flush any all-zero rounding victim
             dead = ~np.any(values != 0, axis=1)
             if np.any(dead):
@@ -192,6 +202,20 @@ class ColumnVectorSparseMatrix:
         """Topology-only encoding of a boolean mask (SDDMM output pattern)."""
         enc = cls.from_dense(np.asarray(mask, dtype=bool), vector_length)
         return cls(enc.shape, enc.vector_length, enc.row_ptr, enc.col_idx, None)
+
+    @classmethod
+    def mask_from_groups(cls, grp: np.ndarray, vector_length: int) -> "ColumnVectorSparseMatrix":
+        """Topology-only encoding of the ``(rows, K)`` vector-group booleans
+        ``grp``: the mask of shape ``(rows * V, K)`` whose vector ``(r, c)``
+        is stored iff ``grp[r, c]``.
+
+        Equal to ``mask_from_dense(np.repeat(grp, V, axis=0), V)`` without
+        the dense ``(rows * V, K)`` mask: the groups are encoded at ``V=1``
+        and their CSR rewrapped as vector rows.
+        """
+        enc = cls.mask_from_dense(grp, 1)
+        rows, k = enc.shape
+        return cls((rows * vector_length, k), vector_length, enc.row_ptr, enc.col_idx, None)
 
     # ------------------------------------------------------------------ #
     # conversions

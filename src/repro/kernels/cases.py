@@ -100,7 +100,7 @@ def cvse_operand(keep: np.ndarray, v: int,
 
 def mask_operand(grp: np.ndarray, v: int) -> ColumnVectorSparseMatrix:
     """The CVSE mask whose vector groups are the booleans ``grp``."""
-    return ColumnVectorSparseMatrix.mask_from_dense(np.repeat(grp, v, axis=0), v)
+    return ColumnVectorSparseMatrix.mask_from_groups(grp, v)
 
 
 def ell_operand(shape: Tuple[int, int], density: float, rng: np.random.Generator,

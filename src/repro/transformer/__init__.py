@@ -12,7 +12,7 @@
 
 from .attention import AttentionTiming, DenseAttention, SparseAttention
 from .lra import ByteTaskConfig, make_dataset
-from .masks import band_random_mask, mask_to_cvse
+from .masks import band_random_cvse, band_random_mask, mask_to_cvse
 from .memory import MemoryBreakdown, dense_attention_peak, sparse_attention_peak
 from .model import TransformerClassifier, TransformerConfig
 from .training import TrainConfig, evaluate, train
@@ -23,6 +23,7 @@ __all__ = [
     "SparseAttention",
     "ByteTaskConfig",
     "make_dataset",
+    "band_random_cvse",
     "band_random_mask",
     "mask_to_cvse",
     "MemoryBreakdown",

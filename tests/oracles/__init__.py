@@ -10,7 +10,9 @@ hold the fast paths to them bit for bit:
   kernel's public state, and the :data:`ORACLES` registry;
 * :mod:`.functional` — the functional SpMM/SDDMM expansions;
 * :mod:`.cache` — the scalar :class:`SectorCache` and
-  :func:`replay_l1_reference`.
+  :func:`replay_l1_reference`;
+* :mod:`.masks` — the whole-matrix attention-mask and mask-encoding
+  builders that the vector-granular ones replaced.
 
 This package imports only NumPy, SciPy and :mod:`repro` (the
 benchmarks under ``benchmarks/`` use it without the test extras).
@@ -27,10 +29,13 @@ from .kernels import (
     spmm_octet_loop,
     spmm_wmma,
 )
+from .masks import band_random_mask_reference, mask_from_groups_reference
 
 __all__ = [
     "ORACLES",
     "SectorCache",
+    "band_random_mask_reference",
+    "mask_from_groups_reference",
     "replay_l1_reference",
     "sddmm_functional_reference",
     "sddmm_octet",

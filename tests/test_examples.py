@@ -20,4 +20,4 @@ def test_example_runs(script):
 
 def test_all_examples_enumerated():
     # an empty glob would parametrize no runs and pass silently
-    assert {e.name for e in EXAMPLES} >= {"quickstart.py", "gcn_layer.py"}
+    assert {e.name for e in EXAMPLES} >= {"quickstart.py", "gcn_layer.py", "sparse_transformer_inference.py"}
