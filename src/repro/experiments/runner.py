@@ -3,17 +3,17 @@
 ``repro-experiments [--full] [--only fig17,table2,...] [--jobs N]
 [--out DIR]`` prints each :class:`ExperimentResult` and optionally
 writes one text file per artifact.  ``--jobs N`` fans the experiments
-out over a process pool (results are printed in registry order either
-way); each line reports the wall time and the memo-cache hit rate the
-experiment saw.
+out over N worker processes (results are printed in registry order
+either way); each line reports the wall time and the memo-cache hit
+rate the experiment saw.
 
 Resilience (see ``docs/ROBUSTNESS.md``):
 
 * A failing experiment no longer aborts the sweep: the remaining
   experiments finish, every completed artifact is written, a failure
-  report is printed, and the process exits 1.  ``--retries``/
-  ``--timeout`` bound flaky or stuck experiments (timeouts need
-  ``--jobs 2`` or more — an in-process experiment cannot be killed).
+  report is printed, and the process exits 1.  With ``--jobs 2`` or
+  more each experiment runs in a worker process, so one that kills its
+  worker fails alone.
 * ``--out DIR`` persists each artifact *the moment its experiment
   finishes* (any ``--jobs``), so a crash late in the sweep cannot lose
   early finishers' files.
@@ -99,8 +99,8 @@ _QUICK_AWARE = {"fig4", "fig6", "fig17", "fig19", "table4", "sensitivity"}
 _TRACE_AWARE = {"fig5", "fig18"}
 
 #: chaos test hook (CI + tests only): ``REPRO_CHAOS=crash:fig5`` kills
-#: the worker mid-experiment with os._exit, ``raise:NAME`` raises,
-#: ``hang:NAME:SECS`` sleeps — all scoped to the named experiment.
+#: the worker mid-experiment with os._exit, ``raise:NAME`` raises — both
+#: scoped to the named experiment.
 
 
 class SweepFailure(RuntimeError):
@@ -122,16 +122,13 @@ def _chaos(name: str) -> None:
     spec = envgates.raw("REPRO_CHAOS")
     if not spec:
         return
-    parts = spec.split(":")
-    action, target = parts[0], parts[1] if len(parts) > 1 else ""
+    action, _, target = spec.partition(":")
     if target != name:
         return
     if action == "crash":
         os._exit(13)
     elif action == "raise":
         raise RuntimeError(f"chaos hook: injected failure in {name}")
-    elif action == "hang":
-        time.sleep(float(parts[2]) if len(parts) > 2 else 3600.0)
 
 
 def _obs_payload(name: str, dt: float,
@@ -173,7 +170,7 @@ def _obs_payload(name: str, dt: float,
 
 
 def _run_one(task: Tuple[str, bool, bool, bool]):
-    """Run one experiment (module-level so process pools can pickle it).
+    """Run one experiment (module-level so worker processes can unpickle it).
 
     Returns ``(name, result, seconds, obs_payload)``; the payload's
     ``memo_scope`` counters are scoped to this run (they count the
@@ -294,7 +291,6 @@ def _failure_report(failures: List[Tuple[str, TaskOutcome]]) -> str:
         {
             "Experiment": name,
             "Status": out.status,
-            "Attempts": out.attempts,
             "Error": (out.error or "-")[:60],
         }
         for name, out in failures
@@ -315,8 +311,6 @@ def run_all(
     jobs: int = 1,
     trace: bool = False,
     resume: bool = False,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     shard: Optional[object] = None,
 ) -> Dict[str, object]:
     """Run the selected experiments, print (and optionally save) each.
@@ -324,10 +318,10 @@ def run_all(
     ``only`` must name registered experiments — unknown names raise
     :class:`ValueError` (listing the valid choices) instead of being
     silently dropped; so do ``jobs < 0`` and ``--resume`` without an
-    output directory.  ``jobs > 1`` runs the experiments on a process
-    pool; outputs still appear in registry order.  ``trace`` adds the
-    trace-simulator cross-check columns to the trace-aware experiments
-    (fig5, fig18).
+    output directory.  ``jobs > 1`` runs the experiments in worker
+    processes; outputs still appear in registry order.  ``trace`` adds
+    the trace-simulator cross-check columns to the trace-aware
+    experiments (fig5, fig18).
 
     The sweep is resilient: a failing experiment is recorded, the rest
     complete and are emitted (artifacts written as each finishes), and
@@ -407,10 +401,7 @@ def run_all(
 
     with obs_tracing.span("run_all", jobs=jobs, quick=bool(quick),
                           experiments=len(tasks)):
-        outcomes = resilient_map(
-            _run_one, tasks, jobs=jobs,
-            timeout=timeout, retries=retries, on_outcome=on_outcome,
-        )
+        outcomes = resilient_map(_run_one, tasks, jobs=jobs, on_outcome=on_outcome)
 
     failures: List[Tuple[str, TaskOutcome]] = []
     interrupted = False
@@ -465,10 +456,6 @@ def main(argv=None) -> int:
     ap.add_argument("--shard", type=str, default="",
                     help="run slice I/N of the sweep (0-based; every N-th "
                          "experiment by position, each run whole); needs --out")
-    ap.add_argument("--timeout", type=float, default=None,
-                    help="per-experiment wall-clock budget in seconds (needs --jobs >= 2)")
-    ap.add_argument("--retries", type=int, default=0,
-                    help="re-run a failed experiment up to N times (deterministic backoff)")
     ap.add_argument("--trace", action="store_true",
                     help="add the cache-simulator trace cross-check columns (fig5, fig18)")
     ap.add_argument("--trace-out", type=str, default="",
@@ -481,35 +468,32 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else None
     if args.trace_out:
         obs_tracing.enable()
-    degraded = False
+    failure: Optional[SweepFailure] = None
     try:
         results = run_all(quick=not args.full, only=only, out_dir=out, jobs=args.jobs,
                           trace=args.trace, resume=args.resume,
-                          timeout=args.timeout, retries=args.retries,
                           shard=args.shard or None)
     except ValueError as exc:
         print(exc)
         return 2
     except SweepFailure as exc:
-        if exc.interrupted and not exc.failures:
-            return 130
-        degraded = True
-        results = exc.results
-    finally:
-        if args.trace_out:
-            trace_path = Path(args.trace_out)
-            obs_tracing.export_chrome_trace(trace_path)
-            obs_metrics.write_json(trace_path.with_name(
-                trace_path.stem + ".metrics.json"))
-            print(f"trace written to {trace_path} "
-                  f"(load in Perfetto / chrome://tracing)")
+        failure, results = exc, exc.results
+    if args.trace_out:
+        trace_path = Path(args.trace_out)
+        obs_tracing.export_chrome_trace(trace_path)
+        obs_metrics.write_json(trace_path.with_name(
+            trace_path.stem + ".metrics.json"))
+        print(f"trace written to {trace_path} "
+              f"(load in Perfetto / chrome://tracing)")
+    if failure is not None and failure.interrupted and not failure.failures:
+        return 130
     if args.verify:
         verdicts = verify(results)
         print("\n== paper-claim verification ==")
         print(format_table([v.as_row() for v in verdicts]))
         if any(v.verdict == "failed" for v in verdicts):
             return 1
-    return 1 if degraded else 0
+    return 1 if failure is not None else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

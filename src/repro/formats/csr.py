@@ -19,6 +19,16 @@ import scipy.sparse as sp
 __all__ = ["CSRMatrix"]
 
 
+def index_array(name: str, a) -> np.ndarray:
+    """``a`` as a contiguous int64 array; :class:`ValueError` unless it
+    holds integers (an empty array of any dtype passes), so a float index
+    is refused instead of truncated."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 @dataclass
 class CSRMatrix:
     """A CSR sparse matrix with explicit dtype control.
@@ -42,11 +52,13 @@ class CSRMatrix:
 
     def __post_init__(self) -> None:
         rows, cols = self.shape
-        self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(self.col_idx, dtype=np.int64)
+        self.row_ptr = index_array("row_ptr", self.row_ptr)
+        self.col_idx = index_array("col_idx", self.col_idx)
         self.values = np.ascontiguousarray(self.values)
         if rows < 0 or cols < 0:
             raise ValueError(f"invalid shape {self.shape}")
+        if self.values.ndim != 1:
+            raise ValueError(f"values must be 1-D, got shape {self.values.shape}")
         if self.row_ptr.shape != (rows + 1,):
             raise ValueError(f"row_ptr must have {rows + 1} entries, got {self.row_ptr.shape}")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.col_idx.size:

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, index_array
 
 __all__ = ["ColumnVectorSparseMatrix", "RowVectorSparseMatrix"]
 
@@ -70,8 +70,8 @@ class ColumnVectorSparseMatrix:
             raise ValueError(f"vector length must be positive, got {v}")
         if m % v != 0:
             raise ValueError(f"rows {m} not divisible by vector length {v}")
-        self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(self.col_idx, dtype=np.int64)
+        self.row_ptr = index_array("row_ptr", self.row_ptr)
+        self.col_idx = index_array("col_idx", self.col_idx)
         if self.row_ptr.shape != (m // v + 1,):
             raise ValueError(
                 f"row_ptr must have M/V+1 = {m // v + 1} entries, got {self.row_ptr.shape}"

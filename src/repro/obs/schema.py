@@ -50,9 +50,7 @@ COUNTERS = [
     "faults.injections",
     "faults.detected",
     "pool.tasks",
-    "pool.retries",
     "pool.errors",
-    "pool.timeouts",
     "pool.crashes",
     "memo.*.hits",
     "memo.*.misses",

@@ -10,9 +10,7 @@ and degradation trajectory.
   headroom); a request that cannot take its token count is shed with
   a typed ``shed-admission`` outcome, never silently dropped.
 * :class:`RetryPolicy` — deterministic exponential backoff,
-  ``backoff_us * 2**attempt`` with no jitter: the same convention as
-  :func:`repro.experiments.pool.retry_delay`, so the serving layer and
-  the experiment runner share one retry vocabulary.
+  ``backoff_us * 2**attempt`` with no jitter.
 * :class:`HedgePolicy` — straggler insurance: a batch still running
   past ``multiplier x`` its expected service time is re-dispatched to
   an idle worker; the first completion wins.

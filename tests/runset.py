@@ -4,9 +4,9 @@ One pass runs every :data:`~repro.kernels.cases.KERNEL_CASES` row (the
 functional path, and ``simulate=True`` where the class offers it) through
 its public entry point, the ``sanitize``/``faults``/``serve``/``profile``
 smoke commands, one quick experiment (``table2``), the experiment pool's
-failure paths as CI's chaos job drives them (an overrun, a raising
-experiment retried once, a crashing worker), and last ``obs --smoke``
-(a traced ``table1``) on a cold local memo, so the shared tier serves it.
+failure paths as CI's chaos job drives them (a raising experiment, a
+crashing worker), and last ``obs --smoke`` (a traced ``table1``) on a
+cold local memo, so the shared tier serves it.
 
 The shared memo tier is on for the whole pass, backed by a directory
 under the caller's ``tmp``.  :func:`run_set` returns one digest per step
@@ -189,11 +189,9 @@ def run_set(tmp: Path) -> Dict[str, str]:
             rc, digests[step] = _cli(argv, tmp)
             digests[f"{step} exit"] = str(rc)
         digests["table2"] = _digest(sweep(["table2"])["table2"].encode())
-        # the pool's failure paths: a serial task overruns its budget, a
-        # raising task is retried once, a pool worker crashes
-        sweep(["table1"], timeout=0.0)
+        # the pool's failure paths: a task raises, a pool worker crashes
         with environ(REPRO_CHAOS="raise:table1"):
-            sweep(["table1"], retries=1)
+            sweep(["table1"])
         with environ(REPRO_CHAOS="crash:table1"):
             survived = sweep(["table1", "table2"], jobs=2)
         digests["chaos survivors"] = ",".join(sorted(survived))

@@ -123,6 +123,14 @@ class TestValidation:
             ColumnVectorSparseMatrix((8, 4), 4, np.array([0, 1, 1]), np.array([0]),
                                      np.zeros((1, 2), np.float16))
 
+    def test_fractional_row_ptr_rejected(self):
+        with pytest.raises(ValueError, match="row_ptr must hold integers"):
+            ColumnVectorSparseMatrix((8, 4), 4, np.array([0, 0.5, 1]), np.array([0]))
+
+    def test_fractional_col_idx_rejected(self):
+        with pytest.raises(ValueError, match="col_idx must hold integers"):
+            ColumnVectorSparseMatrix((8, 4), 4, np.array([0, 1, 1]), np.array([2.7]))
+
     def test_mask_to_dense_raises(self):
         m = ColumnVectorSparseMatrix.mask_from_dense(np.ones((4, 2), bool), 4)
         with pytest.raises(ValueError):

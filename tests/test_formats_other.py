@@ -53,6 +53,22 @@ class TestCSR:
         with pytest.raises(ValueError):
             CSRMatrix((2, 2), np.array([0, 1, 1]), np.array([5]), np.array([1.0]))
 
+    def test_fractional_row_ptr_rejected(self):
+        with pytest.raises(ValueError, match="row_ptr must hold integers"):
+            CSRMatrix((2, 3), np.array([0, 1.5, 2]), np.array([0, 1]), np.ones(2))
+
+    def test_fractional_col_idx_rejected(self):
+        with pytest.raises(ValueError, match="col_idx must hold integers"):
+            CSRMatrix((1, 3), np.array([0, 1]), np.array([2.7]), np.ones(1))
+
+    def test_2d_values_rejected(self):
+        with pytest.raises(ValueError, match="values must be 1-D"):
+            CSRMatrix((1, 3), np.array([0, 2]), np.array([0, 1]), np.ones((2, 1)))
+
+    def test_empty_index_arrays_of_any_dtype_accepted(self):
+        m = CSRMatrix((2, 2), np.array([0, 0, 0]), np.array([]), np.array([]))
+        assert m.nnz == 0 and m.col_idx.dtype == np.int64
+
     def test_density(self):
         d = np.eye(4, dtype=np.float16)
         m = CSRMatrix.from_dense(d)

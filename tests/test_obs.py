@@ -279,6 +279,27 @@ class TestRunnerIntegration:
         doc = {"traceEvents": events, "displayTimeUnit": "ms"}
         assert tracing.validate_chrome_trace(doc) == []
 
+    def test_pool_workers_ship_only_their_own_obs_state(self, capsys):
+        """Forked workers start with copies of the caller's registry and
+        finished spans; none of that may travel home a second time."""
+        tracing.enable()
+        metrics.counter_add("test.before_sweep", 5)
+        with tracing.span("test.before_sweep"):
+            pass
+        only = ["fig5", "table1", "table2", "table3"]
+        runner.run_all(only=only, jobs=2)
+        capsys.readouterr()
+        counters = metrics.counters()
+        names = [s["name"] for s in tracing.completed_spans()]
+        assert (counters["pool.tasks"], counters["test.before_sweep"],
+                names.count("test.before_sweep")) == (len(only), 5, 1)
+
+    def test_rejected_command_writes_no_trace(self, capsys, tmp_path):
+        trace = tmp_path / "t.json"
+        assert runner.main(["--only", "nope", "--trace-out", str(trace)]) == 2
+        assert "trace written" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_obs_run_writes_metrics_and_manifest(self, capsys, tmp_path):
         tracing.enable()
         runner.run_all(only=["table1"], out_dir=tmp_path)

@@ -1,15 +1,18 @@
-"""Failure-path coverage for the resilient runner (PR 4).
+"""Failure-path coverage for the resilient runner.
 
 The fan-out scheduler must capture per-task failures without
-discarding finished work, enforce wall-clock budgets, survive dead
-workers, and shut down cleanly on interrupt; the runner on top must
-persist artifacts incrementally and resume from its checkpoint
-manifest.  Worker functions live at module level so the process pools
-can pickle them.
+discarding finished work, convict exactly the tasks whose workers die,
+and shut down cleanly on interrupt; the runner on top must persist
+artifacts incrementally and resume from its checkpoint manifest.
+Worker functions live at module level so they pickle under any start
+method.
 """
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -19,15 +22,11 @@ from repro.experiments.pool import (
     ERROR,
     INTERRUPTED,
     OK,
-    TIMEOUT,
     TaskOutcome,
-    effective_workers,
     resilient_map,
-    retry_delay,
 )
 from repro.experiments.runner import SweepFailure, main, run_all
 from repro.experiments.sharding import MANIFEST_NAME
-from repro.obs import metrics, tracing
 
 
 # --------------------------------------------------------------------- #
@@ -43,16 +42,14 @@ def _raise_on_three(x):
     return x + 1
 
 
-def _exit_on_two(x):
-    if x == 2:
+def _exit_on_two_and_five(x):
+    if x in (2, 5):
         os._exit(17)  # simulated OOM-kill / segfault: no exception, no cleanup
     return x
 
 
-def _sleep_on_one(x):
-    if x == 1:
-        time.sleep(60.0)
-    return x
+def _pid(_x):
+    return os.getpid()
 
 
 def _interrupt_on_one(x):
@@ -68,9 +65,28 @@ def _interrupt_late_on_one(x):
     return x
 
 
-def _sleep_briefly(x):
-    time.sleep(0.05)
-    return x * 10
+#: a 2-worker sweep that records each worker's pid in ``argv[1]``
+_NAP_SWEEP = """
+import os, sys, time
+from repro.experiments.pool import resilient_map
+
+def nap(x):
+    open(os.path.join(sys.argv[1], f"{os.getpid()}.pid"), "w").close()
+    time.sleep(1.0)
+    return x
+
+if __name__ == "__main__":
+    resilient_map(nap, range(8), jobs=2)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is alive and not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestResilientMap:
@@ -82,39 +98,25 @@ class TestResilientMap:
             bad = outs[3]
             assert "boom on 3" in bad.error
             assert "ValueError" in bad.traceback
-            assert bad.attempts == 1
-
-    def test_retries_are_bounded_and_counted(self):
-        outs = resilient_map(_raise_on_three, [3], jobs=1, retries=2, backoff=0.0)
-        assert outs[0].status == ERROR
-        assert outs[0].attempts == 3  # 1 try + 2 retries, then gave up
-
-    def test_retries_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="retries"):
-            resilient_map(_square, [1, 2], retries=-1)
 
     def test_worker_crash_spares_the_other_tasks(self):
-        """A dying worker poisons every in-flight future; triage must
-        convict only the real crasher."""
-        outs = resilient_map(_exit_on_two, range(4), jobs=2)
-        assert outs[2].status == CRASHED
-        assert [outs[i].status for i in (0, 1, 3)] == [OK, OK, OK]
-        assert [outs[i].result for i in (0, 1, 3)] == [0, 1, 3]
+        """A worker holds one task at a time, so each dying worker
+        convicts exactly its own task and fresh workers finish the rest."""
+        outs = resilient_map(_exit_on_two_and_five, range(7), jobs=2)
+        assert [o.index for o in outs if o.status == CRASHED] == [2, 5]
+        assert all(outs[i].error == "worker exited with code 17" for i in (2, 5))
+        assert [o.result for o in outs if o.ok] == [0, 1, 3, 4, 6]
 
-    def test_worker_timeout_is_enforced_in_pool_mode(self):
-        t0 = time.monotonic()
-        outs = resilient_map(_sleep_on_one, range(3), jobs=2, timeout=2.0)
-        assert time.monotonic() - t0 < 30.0  # nowhere near the 60s sleep
-        assert outs[1].status == TIMEOUT
-        assert "2.0" in outs[1].error
-        assert outs[0].status == OK and outs[2].status == OK
+    def test_tasks_run_in_jobs_long_lived_workers(self):
+        """Workers live for the whole sweep: 10 tasks at ``jobs=2`` run
+        in exactly two worker processes, neither of them the caller."""
+        pids = {o.result for o in resilient_map(_pid, range(10), jobs=2)}
+        assert len(pids) == 2 and os.getpid() not in pids
 
     def test_keyboard_interrupt_serial_returns_partial(self):
         outs = resilient_map(_interrupt_on_one, range(4), jobs=1)
         assert outs[0].status == OK
-        assert outs[1].status == INTERRUPTED
-        assert outs[2].status == INTERRUPTED and outs[2].attempts == 0
-        assert outs[3].status == INTERRUPTED and outs[3].attempts == 0
+        assert [o.status for o in outs[1:]] == [INTERRUPTED] * 3
 
     def test_keyboard_interrupt_pooled_returns_partial(self):
         """A worker-side Ctrl-C stops the sweep; finished tasks keep
@@ -126,6 +128,25 @@ class TestResilientMap:
         statuses = {o.status for o in outs}
         assert statuses <= {OK, INTERRUPTED}
         assert outs[1].status == INTERRUPTED
+        assert multiprocessing.active_children() == []  # no orphaned workers
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent runs no cleanup; its workers must still
+        exit once they find their pipe closed."""
+        script = tmp_path / "sweep.py"
+        script.write_text(_NAP_SWEEP)
+        sweep = subprocess.Popen([sys.executable, str(script), str(tmp_path)])
+        deadline = time.monotonic() + 30.0
+        while len(list(tmp_path.glob("*.pid"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        sweep.kill()
+        sweep.wait()
+        pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+        assert len(pids) == 2
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
 
     def test_keyboard_interrupt_pooled_keeps_finished_results(self):
         """Partial-results capture: tasks that completed before the
@@ -148,75 +169,6 @@ class TestResilientMap:
         assert resilient_map(_square, [], jobs=4) == []
 
 
-class TestRetrySchedule:
-    def test_retry_delay_is_pure_exponential_no_jitter(self):
-        assert [retry_delay(a, 0.05) for a in range(4)] == [0.05, 0.1, 0.2, 0.4]
-        # same inputs, same schedule — nothing random in the backoff
-        assert [retry_delay(a, 0.05) for a in range(4)] == \
-            [retry_delay(a, 0.05) for a in range(4)]
-
-    def test_serial_retry_sleeps_follow_the_schedule(self, monkeypatch):
-        """The serial path's actual sleeps are exactly
-        ``backoff * 2**attempt`` for attempts 0..retries-1."""
-        slept = []
-        monkeypatch.setattr(time, "sleep", slept.append)
-        outs = resilient_map(_raise_on_three, [3], jobs=1, retries=3,
-                             backoff=0.05)
-        assert outs[0].status == ERROR and outs[0].attempts == 4
-        assert slept == [0.05, 0.1, 0.2]
-
-
-class TestTimeoutParity:
-    """Serial and pooled runs must report comparable timeout pressure."""
-
-    def _timeout_count(self):
-        return metrics.counters().get("pool.timeouts", 0.0)
-
-    def test_serial_overrun_emits_counter_and_note(self):
-        tracing.enable()
-        metrics.reset()
-        try:
-            outs = resilient_map(_sleep_briefly, [1], jobs=1, timeout=0.01)
-            # the task cannot be killed in-process: result survives...
-            assert outs[0].status == OK and outs[0].result == 10
-            # ...but the overrun is counted and annotated
-            assert self._timeout_count() == 1.0
-            assert "overran" in outs[0].note and "0.01" in outs[0].note
-        finally:
-            tracing.set_enabled(None)
-            metrics.reset()
-
-    def test_serial_within_budget_stays_silent(self):
-        tracing.enable()
-        metrics.reset()
-        try:
-            outs = resilient_map(_sleep_briefly, [1], jobs=1, timeout=30.0)
-            assert outs[0].status == OK and outs[0].note == ""
-            assert self._timeout_count() == 0.0
-        finally:
-            tracing.set_enabled(None)
-            metrics.reset()
-
-    def test_pooled_timeout_emits_the_same_counter(self):
-        tracing.enable()
-        metrics.reset()
-        try:
-            outs = resilient_map(_sleep_on_one, range(2), jobs=2, timeout=2.0)
-            assert outs[1].status == TIMEOUT
-            assert self._timeout_count() == 1.0
-        finally:
-            tracing.set_enabled(None)
-            metrics.reset()
-
-
-class TestParallelMapCompat:
-    def test_workers_capped_at_task_count(self):
-        assert effective_workers(8, 3) == 3
-        assert effective_workers(2, 10) == 2
-        assert effective_workers(0, 5) == 1
-        assert effective_workers(4, 0) == 1
-
-
 class TestRunnerDegradation:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -227,6 +179,12 @@ class TestRunnerDegradation:
         with pytest.raises(ValueError, match="--out"):
             run_all(only=["fig5"], resume=True)
         assert main(["--only", "fig5", "--resume"]) == 2
+
+    def test_retry_and_timeout_options_are_gone(self):
+        for argv in (["--retries", "1"], ["--timeout", "5"]):
+            with pytest.raises(SystemExit) as info:
+                main(["--only", "fig5", *argv])
+            assert info.value.code == 2
 
     def test_failed_experiment_degrades_not_aborts(self, tmp_path, monkeypatch, capsys):
         """One raising experiment: the other completes, its artifact is
@@ -253,7 +211,8 @@ class TestRunnerDegradation:
         monkeypatch.setenv("REPRO_CHAOS", "crash:fig5")
         with pytest.raises(SweepFailure) as info:
             run_all(only=["fig5", "fig6"], out_dir=tmp_path, jobs=2)
-        assert [n for n, _ in info.value.failures] == ["fig5"]
+        [(name, out)] = info.value.failures
+        assert (name, out.status, out.error) == ("fig5", CRASHED, "worker exited with code 13")
         assert "fig6" in info.value.results
         assert (tmp_path / "fig6.txt").is_file()
 
@@ -302,4 +261,4 @@ class TestResume:
 
     def test_outcome_dataclass_defaults(self):
         out = TaskOutcome(index=7)
-        assert out.status == INTERRUPTED and not out.ok and out.attempts == 0
+        assert out.status == INTERRUPTED and not out.ok

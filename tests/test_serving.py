@@ -159,14 +159,9 @@ class TestFaults:
         assert res.counters["stalls_applied"] >= 1
         assert res.counters["hedges"] >= 1
 
-    def test_retry_schedule_matches_pool_convention(self):
-        from repro.experiments.pool import retry_delay
+    def test_retry_schedule_is_exponential_without_jitter(self):
         pol = RetryPolicy(backoff_us=500.0)
         assert [pol.delay_us(k) for k in (1, 2, 3)] == [500.0, 1000.0, 2000.0]
-        # same exponential shape as the experiment runner's backoff
-        # (pool backoff is in seconds, the policy's in microseconds)
-        assert [pol.delay_us(k + 1) / 1e6 for k in range(3)] == \
-            [retry_delay(k, pol.backoff_us / 1e6) for k in range(3)]
 
     def test_token_bucket_is_deterministic_and_bounded(self):
         tb = TokenBucket(rate_per_us=1.0, burst=10.0)
