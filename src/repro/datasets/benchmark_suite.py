@@ -38,7 +38,8 @@ K_SIZES: Tuple[int, ...] = (64, 128, 256)
 class SpmmProblem:
     """One Figure-17 data point: sparse A, matched Blocked-ELL, dense B.
 
-    ``a_ell`` and ``b`` are None when built with ``operands=False``.
+    Built with ``operands=False``, ``a_cvse`` is a mask (no values) and
+    ``a_ell`` and ``b`` are None.
     """
 
     entry: DlmcEntry
@@ -80,6 +81,14 @@ class SddmmProblem:
         return self.mask.shape[1]
 
 
+def _topology_cvse(entry: DlmcEntry, vector_length: int) -> ColumnVectorSparseMatrix:
+    """The mask-only CVSE matrix on ``entry.csr``'s own index arrays."""
+    csr = entry.csr
+    return ColumnVectorSparseMatrix(
+        (csr.shape[0] * vector_length, csr.shape[1]), vector_length, csr.row_ptr, csr.col_idx
+    )
+
+
 @memo.memoised_rng("problem")
 def build_spmm_problem(
     entry: DlmcEntry,
@@ -90,18 +99,20 @@ def build_spmm_problem(
 ) -> SpmmProblem:
     """§7.1.1 SpMM benchmark: CVSE + matched Blocked-ELL + dense B.
 
-    ``operands=False`` builds only the CVSE matrix (``a_ell`` and ``b``
-    are None) for analytic sweeps: the Blocked-ELL model reads nothing
-    but the matched shape (``BlockedEllMatrix.matched_shape``), and the
-    dense B is never read.  The CVSE values are still drawn, because
-    the SpMM models count their bytes.
+    ``operands=False`` draws nothing, for analytic sweeps: ``a_cvse`` is
+    the mask on ``entry.csr``'s own index arrays (``values`` is None),
+    and ``a_ell`` and ``b`` are None.  The SpMM models price a mask as
+    the fp16-valued matrix of its topology, and the Blocked-ELL model
+    reads nothing but the matched shape
+    (``BlockedEllMatrix.matched_shape``).
     """
+    if not operands:
+        return SpmmProblem(entry, vector_length, n, _topology_cvse(entry, vector_length),
+                           None, None)
     rng = rng or np.random.default_rng(7)
     a = cvse_from_csr_topology(entry.csr, vector_length, rng)
-    ell = b = None
-    if operands:
-        ell = blocked_ell_matching(a, rng)
-        b = rng.uniform(-1.0, 1.0, size=(a.shape[1], n)).astype(np.float16)
+    ell = blocked_ell_matching(a, rng)
+    b = rng.uniform(-1.0, 1.0, size=(a.shape[1], n)).astype(np.float16)
     return SpmmProblem(entry, vector_length, n, a, ell, b)
 
 
@@ -119,14 +130,11 @@ def build_sddmm_problem(
     ``operands=False`` draws nothing (``a`` and ``b`` are None) for
     analytic sweeps that only consume the output mask.
     """
-    rng = rng or np.random.default_rng(7)
-    csr = entry.csr
-    mask = ColumnVectorSparseMatrix(
-        (csr.shape[0] * vector_length, csr.shape[1]), vector_length, csr.row_ptr, csr.col_idx
-    )
+    mask = _topology_cvse(entry, vector_length)
     m, n = mask.shape
     a = b = None
     if operands:
+        rng = rng or np.random.default_rng(7)
         # the §7.1.1 construction draws a V-vector per mask position
         # before A and B; the mask drops them, the generator keeps them
         rng.uniform(-1.0, 1.0, size=(mask.nnz_vectors, vector_length))

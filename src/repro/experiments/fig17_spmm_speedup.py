@@ -9,17 +9,15 @@ at V = 1, matching the paper's figure which omits it there).
 Each cell is the geometric mean of the speedup over the suite's
 matrices, following Gale et al. (the solid lines of the figure).
 
-Each (entry, V) pair seeds its own child generator, so the same CVSE
-build recurs across the N loop and is served from the format cache.
-The Blocked-ELL baseline is priced from its matched shape alone; no
-matrix is built.
+Every kernel is priced from the entry's topology alone.  The problems
+are built with ``operands=False``: nothing is drawn, and ``a_cvse`` is
+the mask on the entry's own CSR arrays.  The Blocked-ELL baseline is
+priced from its matched shape, with no matrix built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..datasets.benchmark_suite import N_SIZES, build_spmm_problem
 from ..datasets.dlmc import SPARSITIES, DlmcEntry
@@ -35,23 +33,15 @@ __all__ = ["run"]
 VECTOR_LENGTHS = (1, 2, 4, 8)
 
 
-def _cell(
-    v: int, n: int, s: float, entries: List[Tuple[int, DlmcEntry]],
-) -> Dict[str, object]:
+def _cell(v: int, n: int, s: float, entries: List[DlmcEntry]) -> Dict[str, object]:
     """One (V, N, sparsity) grid cell."""
     hgemm = DenseGemmKernel()
     fpu = FpuSpmmKernel()
     octet = OctetSpmmKernel()
     bell = BlockedEllSpmmKernel()
     sp_f, sp_b, sp_m = [], [], []
-    for ei, entry in entries:
-        # child generator per (entry, V): N deliberately excluded so the
-        # format builds repeat — and cache — across the N loop; the
-        # analytic sweep never reads Blocked-ELL operands or dense B,
-        # so skip building them
-        prob = build_spmm_problem(
-            entry, v, n, np.random.default_rng([17, ei, v]), operands=False
-        )
+    for entry in entries:
+        prob = build_spmm_problem(entry, v, n, operands=False)
         _, k_ell, width = BlockedEllMatrix.matched_shape(prob.a_cvse.shape, v, prob.a_cvse.sparsity)
         t_dense = hgemm._model.estimate(hgemm.stats_for_shape(prob.m, prob.k, n)).time_us
         t_f = fpu._model.estimate(fpu.stats_for(prob.a_cvse, n)).time_us
@@ -87,10 +77,7 @@ def run(
         paper_artifact="Figure 17",
         description="SpMM speedup over cublasHgemm (geomean across the DLMC suite)",
     )
-    by_sparsity = {
-        s: [(ei, e) for ei, e in enumerate(suite) if abs(e.sparsity - s) < 1e-9]
-        for s in sparsities
-    }
+    by_sparsity = {s: [e for e in suite if abs(e.sparsity - s) < 1e-9] for s in sparsities}
     res.rows.extend(
         _cell(v, n, s, by_sparsity[s])
         for v in vector_lengths

@@ -466,8 +466,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     only = [s.strip() for s in args.only.split(",") if s.strip()] or None
     out = Path(args.out) if args.out else None
-    if args.trace_out:
-        obs_tracing.enable()
+    # --trace-out traces this sweep only: the caller's setting comes back
+    previous = obs_tracing.set_enabled(True) if args.trace_out else None
     failure: Optional[SweepFailure] = None
     try:
         results = run_all(quick=not args.full, only=only, out_dir=out, jobs=args.jobs,
@@ -478,6 +478,9 @@ def main(argv=None) -> int:
         return 2
     except SweepFailure as exc:
         failure, results = exc, exc.results
+    finally:
+        if args.trace_out:
+            obs_tracing.set_enabled(previous)
     if args.trace_out:
         trace_path = Path(args.trace_out)
         obs_tracing.export_chrome_trace(trace_path)

@@ -16,6 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .csr import index_array
+
 __all__ = ["BlockedEllMatrix"]
 
 
@@ -47,7 +49,7 @@ class BlockedEllMatrix:
         b = self.block_size
         if b <= 0 or m % b or k % b:
             raise ValueError(f"shape {self.shape} not divisible by block size {b}")
-        self.col_blocks = np.ascontiguousarray(self.col_blocks, dtype=np.int64)
+        self.col_blocks = index_array("col_blocks", self.col_blocks)
         self.values = np.ascontiguousarray(self.values)
         rows_b = m // b
         if self.col_blocks.ndim != 2 or self.col_blocks.shape[0] != rows_b:

@@ -298,8 +298,8 @@ class RowVectorSparseMatrix:
         v = self.vector_length
         if k % v != 0:
             raise ValueError(f"cols {k} not divisible by vector length {v}")
-        self.col_ptr = np.ascontiguousarray(self.col_ptr, dtype=np.int64)
-        self.row_idx = np.ascontiguousarray(self.row_idx, dtype=np.int64)
+        self.col_ptr = index_array("col_ptr", self.col_ptr)
+        self.row_idx = index_array("row_idx", self.row_idx)
         if self.col_ptr.shape != (k // v + 1,):
             raise ValueError("col_ptr has wrong length")
 

@@ -23,7 +23,10 @@ from ..hardware.config import GPUSpec, default_spec
 from ..perfmodel.events import KernelStats
 from ..perfmodel.latency import LatencyEstimate, LatencyModel
 
-__all__ = ["KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute", "require_values"]
+__all__ = [
+    "KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute", "require_values",
+    "sparse_a_bytes",
+]
 
 Precision = str  # "half" | "single"
 
@@ -49,14 +52,21 @@ def as_compute(x: np.ndarray, precision: Precision) -> np.ndarray:
 
 
 def require_values(a: Any, kernel: str) -> None:
-    """Reject a mask-only sparse operand where a kernel's model counts
-    the operand's value bytes (SpMM's A): a mask would be under-priced.
-    """
+    """Reject a mask-only sparse operand where a kernel computes on the
+    operand's values (SpMM's A at execution)."""
     if a.values is None:
         raise ValueError(
             f"{kernel} needs a sparse A with values; got a mask-only matrix "
             "(attach values with with_values())"
         )
+
+
+def sparse_a_bytes(a: Any) -> int:
+    """Encoded bytes of a CVSE SpMM operand A: its index arrays plus
+    ``nnz * V`` fp16 values.  The analytic models read only A's
+    topology, so a mask-only A is priced as the fp16-valued matrix of
+    the same topology."""
+    return a.row_ptr.nbytes + a.col_idx.nbytes + a.nnz * 2
 
 
 @dataclass

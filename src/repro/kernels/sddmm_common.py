@@ -5,8 +5,10 @@ ceil(N/TileN)`` CTAs (§6.4: "⌈M/V⌉ x ⌈N/32⌉ CTAs will be launched,
 each processes an V x 32 output tile"); a CTA gathers only the nonzero
 output vectors whose columns fall inside its window and exits
 immediately when the window is empty.  The per-window occupancy
-therefore drives every kernel's work, and is computed here once,
-vectorised over the whole mask.
+therefore drives every kernel's work, and is computed here once per
+(topology, window width), vectorised over the whole mask: the five
+SDDMM kernels and the K loop of an analytic sweep share it through the
+``stats`` memo region, keyed on the mask's topology digest.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..formats.cvse import ColumnVectorSparseMatrix
+from ..perfmodel import memo
 
 __all__ = ["WindowProfile", "analyze_windows"]
 
@@ -48,6 +51,7 @@ class WindowProfile:
         return float(np.ceil(self.occupied_counts / vectors_per_substep).sum())
 
 
+@memo.memoised("stats")
 def analyze_windows(mask: ColumnVectorSparseMatrix, window_cols: int) -> WindowProfile:
     """Count nonzero vectors per (vector row, column window) cell."""
     n_vr = mask.num_vector_rows

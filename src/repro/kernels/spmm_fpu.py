@@ -33,7 +33,7 @@ from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
-from .base import Kernel, Precision, elem_bytes, require_values
+from .base import Kernel, Precision, elem_bytes, require_values, sparse_a_bytes
 from .counting import sputnik_sass_lines
 from .functional import spmm_functional
 
@@ -55,6 +55,7 @@ class FpuSpmmKernel(Kernel):
 
     # ------------------------------------------------------------------ #
     def _execute(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> np.ndarray:
+        require_values(a, self.name)
         out_dtype = np.float16 if self.precision == "half" else np.float32
         return spmm_functional(a, b, self.precision, out_dtype=out_dtype)
 
@@ -64,7 +65,6 @@ class FpuSpmmKernel(Kernel):
 
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
-        require_values(a, self.name)
         spec = self.spec
         eb = elem_bytes(self.precision)
         v = a.vector_length
@@ -140,7 +140,7 @@ class FpuSpmmKernel(Kernel):
         )
         stream_bytes = nnz_total * (v * eb + 4.0) + launch.num_ctas * out_bytes_per_cta
         gm.bytes_l2_to_l1 = b_fetched + stream_bytes
-        unique = a.memory_bytes() + k * n * eb + m * n * eb
+        unique = sparse_a_bytes(a) + k * n * eb + m * n * eb
         gm.bytes_dram_to_l2 = estimate_dram_bytes(unique, gm.bytes_l2_to_l1, spec.l2_bytes)
 
         # registers: V x 2 fp32 accumulators + unrolled operand buffers

@@ -43,7 +43,7 @@ from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
 from .. import plans as _plans
-from .base import Kernel, Precision, require_values
+from .base import Kernel, Precision, require_values, sparse_a_bytes
 from .functional import spmm_functional
 
 __all__ = ["OctetSpmmKernel"]
@@ -72,6 +72,7 @@ class OctetSpmmKernel(Kernel):
 
     # ------------------------------------------------------------------ #
     def _execute(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> np.ndarray:
+        require_values(a, self.name)
         if self.simulate:
             return self._execute_simulated(a, b)
         return spmm_functional(a, b, self.precision)
@@ -102,7 +103,6 @@ class OctetSpmmKernel(Kernel):
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
         """Analytic device statistics for ``A[CVSE] @ B[K x n]``."""
-        require_values(a, self.name)
         spec = self.spec
         eb = 2  # half precision
         v = a.vector_length
@@ -176,7 +176,7 @@ class OctetSpmmKernel(Kernel):
         )
         stream_bytes = nnz_total * (v * eb + 4.0) + launch.num_ctas * out_bytes_per_cta
         gm.bytes_l2_to_l1 = b_fetched + stream_bytes
-        unique = (a.memory_bytes() + k * n * eb + m * n * eb)
+        unique = (sparse_a_bytes(a) + k * n * eb + m * n * eb)
         gm.bytes_dram_to_l2 = estimate_dram_bytes(unique, gm.bytes_l2_to_l1, spec.l2_bytes)
 
         # registers: V x 64 fp32 accumulators / 32 lanes = 2V, plus the

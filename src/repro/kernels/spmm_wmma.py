@@ -25,7 +25,7 @@ from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes, work_imbalance
 from .. import plans as _plans
-from .base import Kernel, Precision, require_values
+from .base import Kernel, Precision, require_values, sparse_a_bytes
 from .functional import spmm_functional
 
 __all__ = ["WmmaSpmmKernel"]
@@ -53,6 +53,7 @@ class WmmaSpmmKernel(Kernel):
         self.simulate = simulate
 
     def _execute(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> np.ndarray:
+        require_values(a, self.name)
         if self.simulate:
             return self._execute_simulated(a, b)
         return spmm_functional(a, b, self.precision)
@@ -75,7 +76,6 @@ class WmmaSpmmKernel(Kernel):
 
     @memo.memoised_stats
     def stats_for(self, a: ColumnVectorSparseMatrix, n: int) -> KernelStats:
-        require_values(a, self.name)
         spec = self.spec
         eb = 2
         v = a.vector_length
@@ -138,7 +138,7 @@ class WmmaSpmmKernel(Kernel):
         )
         stream = nnz_total * (v * eb + 4.0) + launch.num_ctas * out_bytes_per_cta
         gm.bytes_l2_to_l1 = b_fetched + stream
-        unique = a.memory_bytes() + k * n * eb + m * n * eb
+        unique = sparse_a_bytes(a) + k * n * eb + m * n * eb
         gm.bytes_dram_to_l2 = estimate_dram_bytes(unique, gm.bytes_l2_to_l1, spec.l2_bytes)
 
         regs = 40 + 2 * v

@@ -18,6 +18,8 @@ from repro.experiments import (
     table3_guidelines_sddmm,
 )
 from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.formats import BlockedEllMatrix, ColumnVectorSparseMatrix
+from repro.perfmodel import memo
 
 
 def rows_where(rows, **kv):
@@ -50,6 +52,27 @@ class TestFig4:
         # cusparseSDDMM supports single or higher only (§2.3)
         r = rows_where(res.rows, op="SDDMM", precision="half", sparsity=0.9)[0]
         assert r["cusparse"] is None
+
+
+class TestTopologyOnlyBuilds:
+    """fig4 and fig17 price every kernel from the topology alone, so they
+    draw no CVSE values and build no Blocked-ELL matrix."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: fig4_fine_grained.run(quick=True, sparsities=(0.9,)),
+        lambda: fig17_spmm_speedup.run(quick=True, n_sizes=(64,), sparsities=(0.9,)),
+    ], ids=["fig4", "fig17"])
+    def test_draw_no_values(self, monkeypatch, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analytic sweep built a valued operand")
+
+        monkeypatch.setattr(ColumnVectorSparseMatrix, "from_topology", refuse)
+        monkeypatch.setattr(BlockedEllMatrix, "random", refuse)
+        memo.set_enabled(False)  # nothing may be served from an earlier build
+        try:
+            assert run().rows
+        finally:
+            memo.set_enabled(None)
 
 
 class TestFig5:

@@ -131,6 +131,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="col_idx must hold integers"):
             ColumnVectorSparseMatrix((8, 4), 4, np.array([0, 1, 1]), np.array([2.7]))
 
+    def test_fractional_row_vector_col_ptr_rejected(self):
+        with pytest.raises(ValueError, match="col_ptr must hold integers"):
+            RowVectorSparseMatrix((4, 8), 4, np.array([0, 0.5, 1]), np.array([0]))
+
+    def test_fractional_row_vector_row_idx_rejected(self):
+        with pytest.raises(ValueError, match="row_idx must hold integers"):
+            RowVectorSparseMatrix((4, 8), 4, np.array([0, 1, 1]), np.array([2.7]))
+
     def test_mask_to_dense_raises(self):
         m = ColumnVectorSparseMatrix.mask_from_dense(np.ones((4, 2), bool), 4)
         with pytest.raises(ValueError):

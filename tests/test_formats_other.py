@@ -107,6 +107,12 @@ class TestBlockedEll:
         m = BlockedEllMatrix.random((32, 32), 4, 0.5, RNG)
         assert m.memory_bytes() == m.col_blocks.nbytes + m.values.nbytes
 
+    def test_fractional_col_blocks_rejected(self):
+        # [[0.7], [1.2]] used to be truncated to block columns [[0], [1]]
+        with pytest.raises(ValueError, match="col_blocks must hold integers"):
+            BlockedEllMatrix((2, 2), 1, np.array([[0.7], [1.2]]),
+                             np.ones((2, 1, 1, 1), np.float16))
+
 
 class TestConversions:
     def test_cvse_from_csr_topology(self):

@@ -1,5 +1,7 @@
 """Tests for the SpMM kernels: numerics, register-level simulation, stats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.kernels import BlockedEllSpmmKernel, CusparseCsrSpmmKernel, FpuSpmmKe
 from repro.kernels.spmm_wmma import WmmaSpmmKernel
 from repro.hardware.instructions import InstrClass
 from repro.perfmodel import memo
-from repro.perfmodel.events import estimate_dram_bytes
+from repro.perfmodel.events import KernelStats, estimate_dram_bytes
 
 RNG = np.random.default_rng(11)
 
@@ -189,17 +191,26 @@ class TestBlockedEllFromShape:
 
 
 class TestMaskOnlyOperand:
-    """A mask-only A would drop its value bytes from the SpMM cost model."""
+    """The SpMM models read A's topology alone: a mask is priced as the
+    fp16-valued matrix of the same topology, and only execution needs
+    the values."""
 
     @pytest.mark.parametrize("memo_on", [True, False])
-    @pytest.mark.parametrize("kernel", [OctetSpmmKernel, WmmaSpmmKernel, FpuSpmmKernel])
-    def test_rejected_at_stats_for(self, kernel, memo_on):
-        a, _, _ = make_problem()
+    @pytest.mark.parametrize("kernel,precision", [
+        (OctetSpmmKernel, "half"), (WmmaSpmmKernel, "half"),
+        (FpuSpmmKernel, "half"), (FpuSpmmKernel, "single"),
+    ])
+    def test_priced_as_the_fp16_matrix(self, kernel, precision, memo_on):
+        a, b, _ = make_problem()
+        assert a.values.dtype == np.float16
         mask = ColumnVectorSparseMatrix(a.shape, a.vector_length, a.row_ptr, a.col_idx)
         memo.set_enabled(memo_on)
         try:
+            masked = kernel(precision=precision).stats_for(mask, 64)
+            valued = kernel(precision=precision).stats_for(a, 64)
+            for f in dataclasses.fields(KernelStats):
+                assert getattr(masked, f.name) == getattr(valued, f.name), f.name
             with pytest.raises(ValueError, match="mask-only"):
-                kernel().stats_for(mask, 64)
-            kernel().stats_for(a, 64)  # the same topology with values is priced
+                kernel(precision=precision).run(mask, b)
         finally:
             memo.set_enabled(None)

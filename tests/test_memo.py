@@ -14,6 +14,9 @@ from repro.datasets.dlmc import dlmc_suite
 from repro.faults.injector import FaultInjector
 from repro.formats import ColumnVectorSparseMatrix
 from repro.hardware.config import GPUSpec
+from repro.kernels import sddmm_common
+from repro.kernels.cases import KERNEL_CASES
+from repro.kernels.sddmm_common import WindowProfile, analyze_windows
 from repro.kernels.spmm_fpu import FpuSpmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.perfmodel import memo
@@ -100,9 +103,20 @@ class TestMemoisedRng:
         bare = build_spmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
         assert full.b is not None and full.a_ell is not None
         assert bare.b is None and bare.a_ell is None  # not served from the operands=True entry
-        assert bare.a_cvse.values is not None  # the SpMM models count them
+        assert full.a_cvse.values is not None
+        assert bare.a_cvse.values is None  # priced as fp16 values, never drawn
         sd = build_sddmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
         assert sd.a is None and sd.b is None
+
+    def test_topology_only_builds_draw_nothing(self):
+        entry = _entry()
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        spmm = build_spmm_problem(entry, 4, 64, rng, operands=False)
+        sddmm = build_sddmm_problem(entry, 4, 64, rng, operands=False)
+        assert rng.bit_generator.state == state
+        for mask in (spmm.a_cvse, sddmm.mask):
+            assert mask.row_ptr is entry.csr.row_ptr and mask.col_idx is entry.csr.col_idx
 
     def test_no_rng_means_no_caching(self):
         entry = _entry()
@@ -170,6 +184,52 @@ class TestTopologyDigest:
         assert buf.flags.writeable  # not ours to seal
         buf[0] = (buf[0] + 1) % a.shape[1]
         assert memo.signature(view)[3] != first
+
+
+class _CountedProfile(WindowProfile):
+    """A :class:`WindowProfile` that logs the width of each one computed
+    (a memo hit unpickles the stored profile and constructs none)."""
+
+    computed: list = []
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.computed.append(self.window_cols)
+
+
+class TestWindowProfile:
+    K_SIZES = (64, 128, 256)
+
+    def _price(self, mask):
+        kernels = [c.kernel() for c in KERNEL_CASES.values() if c.operand == "mask"]
+        assert len(kernels) == 5
+        return [memo.stats_signature(kern.stats_for(mask, k))
+                for kern in kernels for k in self.K_SIZES]
+
+    def test_computed_once_per_window_width(self, monkeypatch):
+        mask = build_sddmm_problem(_entry(), 4, 64, operands=False).mask
+        monkeypatch.setattr(sddmm_common, "WindowProfile", _CountedProfile)
+        monkeypatch.setattr(_CountedProfile, "computed", [])
+        memo.set_enabled(False)
+        uncached = self._price(mask)
+        assert len(_CountedProfile.computed) == 5 * len(self.K_SIZES)
+        widths = sorted(set(_CountedProfile.computed))
+
+        _CountedProfile.computed.clear()
+        memo.set_enabled(True)
+        assert self._price(mask) == uncached
+        assert sorted(_CountedProfile.computed) == widths
+
+        for w in widths:
+            on = analyze_windows(mask, w)
+            memo.set_enabled(False)
+            off = analyze_windows(mask, w)
+            memo.set_enabled(True)
+            occupied_on, occupied_off = on.occupied_counts, off.occupied_counts
+            assert np.array_equal(occupied_on, occupied_off)
+            assert occupied_on.dtype == occupied_off.dtype
+            on.occupied_counts = off.occupied_counts = None
+            assert dataclasses.asdict(on) == dataclasses.asdict(off)
 
 
 class TestControlSurface:

@@ -300,6 +300,17 @@ class TestRunnerIntegration:
         assert "trace written" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("only,code", [("nope", 2), ("table1", 0)])
+    @pytest.mark.parametrize("preset", [None, False])
+    def test_trace_out_restores_the_callers_tracing(self, capsys, tmp_path, only, code,
+                                                    preset):
+        tracing.set_enabled(preset)
+        before = tracing.enabled()
+        assert runner.main(["--only", only, "--trace-out", str(tmp_path / "t.json")]) == code
+        capsys.readouterr()
+        assert tracing.enabled() == before
+        assert tracing.set_enabled(None) is preset
+
     def test_obs_run_writes_metrics_and_manifest(self, capsys, tmp_path):
         tracing.enable()
         runner.run_all(only=["table1"], out_dir=tmp_path)
