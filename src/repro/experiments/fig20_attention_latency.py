@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..transformer.attention import DenseAttention, SparseAttention
+from ..transformer.attention import AttentionTiming, DenseAttention, SparseAttention
 from ..transformer.masks import band_random_cvse
 from .common import ExperimentResult
 
@@ -23,6 +23,11 @@ __all__ = ["run", "SETUPS"]
 
 SETUPS: Tuple[Tuple[int, int], ...] = ((2048, 64), (4096, 64), (8192, 64), (8192, 256))
 SPARSITIES = (0.9, 0.95, 0.98)
+
+
+def _row(l: int, k: int, config: str, t: AttentionTiming, speedup: float) -> dict:
+    terms = {name: round(us, 1) for name, us in t.as_dict().items()}
+    return {"l": l, "k": k, "config": config, **terms, "speedup": speedup}
 
 
 def run(
@@ -39,18 +44,8 @@ def run(
         description="Self-attention latency breakdown (µs per head): dense vs sparse",
     )
     for l, k in setups:
-        dense = DenseAttention(precision="half")
-        # analytic estimate only: the figure discards the numerics, and
-        # estimate() produces the exact timings __call__ would
-        t_d = dense.estimate(l, k)
-        res.rows.append(
-            {
-                "l": l, "k": k, "config": "dense(half)",
-                "QK^T∘C": round(t_d.qk, 1), "Softmax": round(t_d.softmax, 1),
-                "AV": round(t_d.av, 1), "Others": round(t_d.others, 1),
-                "Total": round(t_d.total, 1), "speedup": 1.0,
-            }
-        )
+        t_d = DenseAttention(precision="half").estimate_batched(l, k)
+        res.rows.append(_row(l, k, "dense(half)", t_d, 1.0))
         for s in sparsities:
             # the band must share the density budget or the three
             # sparsity levels collapse into one mask at short l (a
@@ -58,16 +53,9 @@ def run(
             # half the budget to the band, half to random attention.
             band = max(vector_length * 2, min(256, int(l * (1.0 - s) / 2)))
             att = SparseAttention(band_random_cvse(l, vector_length, band, s, rng))
-            t = att.estimate(l, k)
+            t = att.estimate_batched(l, k)
             res.rows.append(
-                {
-                    "l": l, "k": k, "config": f"sparse {int(s * 100)}%",
-                    "QK^T∘C": round(t.qk, 1), "Softmax": round(t.softmax, 1),
-                    "AV": round(t.av, 1), "Others": round(t.others, 1),
-                    "Total": round(t.total, 1),
-                    "speedup": round(t_d.total / t.total, 2),
-                }
-            )
+                _row(l, k, f"sparse {int(s * 100)}%", t, round(t_d.total / t.total, 2)))
     res.notes["paper whole-layer speedups"] = "1.35-1.78x (90%), 1.48-2.09x (95%), 1.57-2.30x (98%)"
     res.notes["paper SDDMM"] = "slower than dense at k=64, faster at k=256"
     return res

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..kernels.gemm import DenseGemmKernel
-from ..transformer.attention import DenseAttention, SparseAttention
+from ..transformer.attention import DenseAttention, SparseAttention, launch_us
 from ..transformer.lra import ByteTaskConfig, make_dataset
 from ..transformer.masks import band_random_cvse
 from ..transformer.memory import dense_attention_peak, sparse_attention_peak
@@ -55,28 +55,27 @@ def _layer_gemms_us(cfg: PaperConfig, precision: str) -> float:
     """Projection + FFN GEMMs of one layer (batch folded into M)."""
     g = DenseGemmKernel(precision=precision)
     m = cfg.seq_len * cfg.batch
+    d, f = cfg.d_model, cfg.d_ff
     t = 0.0
-    for _ in range(4):  # Wq, Wk, Wv, Wo
-        t += g._model.estimate(g.stats_for_shape(m, cfg.d_model, cfg.d_model)).time_us
-    t += g._model.estimate(g.stats_for_shape(m, cfg.d_model, cfg.d_ff)).time_us
-    t += g._model.estimate(g.stats_for_shape(m, cfg.d_ff, cfg.d_model)).time_us
+    for k, n in [(d, d)] * 4 + [(d, f), (f, d)]:  # Wq, Wk, Wv, Wo, FFN up, FFN down
+        t += launch_us(g, g.stats_for_shape(m, k, n))
     return t
 
 
-def throughput_seq_per_s(cfg: PaperConfig, mode: str, rng=None) -> float:
+def throughput_seq_per_s(cfg: PaperConfig, mode: str) -> float:
     """Modelled inference throughput (sequences / second).
 
     Per layer the heads x batch attention problems dispatch as batched
     launches (one per stage); projections/FFN GEMMs fold the batch into
     their M dimension.
     """
-    rng = rng or np.random.default_rng(44)
     copies = cfg.n_heads * cfg.batch
     if mode == "sparse-half":
         # the mask's sequence length must divide V
         l = (cfg.seq_len // cfg.vector_length) * cfg.vector_length
         att = SparseAttention(
-            band_random_cvse(l, cfg.vector_length, cfg.band, cfg.sparsity, rng))
+            band_random_cvse(l, cfg.vector_length, cfg.band, cfg.sparsity,
+                             np.random.default_rng(44)))
         per_layer = att.estimate_batched(l, cfg.head_dim, copies).total
         gemm_prec = "half"
     else:

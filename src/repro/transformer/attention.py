@@ -5,9 +5,10 @@ Sparse attention per head::
     A = Softmax((Q K^T ∘ C) / sqrt(k))   # SDDMM (octet) -> sparse softmax
     out = A V                             # SpMM  (octet)
 
-with ``C`` a fixed CVSE mask.  Each call returns both the numeric
-output and a latency breakdown in the Figure 20 vocabulary
-(``QK^T ∘ C``, ``Softmax``, ``AV``, ``Others``).
+with ``C`` a fixed CVSE mask.  Calling a layer computes the numeric
+output only.  Its simulated time has one derivation per mode,
+``estimate_batched``, in the Figure 20 vocabulary (``QK^T ∘ C``,
+``Softmax``, ``AV``, ``Others``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware.config import GPUSpec, default_spec
-from ..kernels.base import Precision, as_compute, elem_bytes
-from ..perfmodel.events import scale_batch
+from ..kernels.base import Kernel, Precision, as_compute, elem_bytes
+from ..perfmodel.events import KernelStats, scale_batch
 from ..kernels.gemm import DenseGemmKernel
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.softmax_sparse import SparseSoftmaxKernel
@@ -31,22 +32,21 @@ __all__ = ["AttentionTiming", "DenseAttention", "SparseAttention"]
 
 @dataclass
 class AttentionTiming:
-    """Per-stage latency (µs) of one attention call, Figure 20 style."""
+    """Per-stage latency (µs) of one attention layer, Figure 20 style."""
 
-    qk: float = 0.0
-    softmax: float = 0.0
-    av: float = 0.0
-    others: float = 0.0
+    qk: float
+    softmax: float
+    av: float
+
+    @property
+    def others(self) -> float:
+        """Everything outside the three stages, a fixed 15% of the two
+        matrix products.  No bytes are counted behind it (ROADMAP item 1)."""
+        return 0.15 * (self.qk + self.av)
 
     @property
     def total(self) -> float:
         return self.qk + self.softmax + self.av + self.others
-
-    def add(self, other: "AttentionTiming") -> None:
-        self.qk += other.qk
-        self.softmax += other.softmax
-        self.av += other.av
-        self.others += other.others
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -56,6 +56,12 @@ class AttentionTiming:
             "Others": self.others,
             "Total": self.total,
         }
+
+
+def launch_us(kernel: Kernel, stats: KernelStats, copies: int = 1) -> float:
+    """Simulated time of one launch running ``copies`` batched
+    ``stats``-shaped problems (``copies=1`` prices ``stats`` as is)."""
+    return kernel._model.estimate(scale_batch(stats, copies)).time_us
 
 
 def _dense_softmax(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
@@ -81,73 +87,43 @@ class DenseAttention:
 
     def __call__(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Optional[np.ndarray] = None
-    ):
-        l, d = q.shape
+    ) -> np.ndarray:
+        d = q.shape[1]
         q32 = as_compute(q, self.precision)
         k32 = as_compute(k, self.precision)
         v32 = as_compute(v, self.precision)
         scores = (q32 @ k32.T) / np.sqrt(d)
-        att = _dense_softmax(scores, mask)
-        out = att @ v32
+        out = _dense_softmax(scores, mask) @ v32
+        return out.astype(np.float16 if self.precision == "half" else np.float32)
 
-        t = AttentionTiming()
-        t.qk = self._gemm.estimate(q32, k32.T).time_us
-        t.av = self._gemm.estimate(att, v32).time_us
-        # dense softmax: a fused kernel streams the l x l matrix twice
-        eb = elem_bytes(self.precision)
-        bytes_stream = 2.0 * l * l * eb
-        t.softmax = bytes_stream / (self.spec.dram_bandwidth_gbs * 1e3) + self.spec.launch_overhead_us
-        t.others = 0.15 * (t.qk + t.av)
-        dtype = np.float16 if self.precision == "half" else np.float32
-        return out.astype(dtype), t
-
-    def estimate(self, l: int, d: int) -> AttentionTiming:
-        """Latency breakdown without the numerics (Figure 20 sweeps) —
-        identical timings to ``__call__`` on ``(l, d)`` operands."""
-        return self.estimate_batched(l, d, 1)
-
-    def estimate_batched(self, l: int, d: int, copies: int) -> AttentionTiming:
+    def estimate_batched(self, l: int, d: int, copies: int = 1) -> AttentionTiming:
         """Per-layer timing with heads x batch folded into batched
         launches (how frameworks actually dispatch attention)."""
-        qk = self._gemm._model.estimate(
-            scale_batch(self._gemm.stats_for_shape(l, d, l), copies)
-        ).time_us
-        av = self._gemm._model.estimate(
-            scale_batch(self._gemm.stats_for_shape(l, l, d), copies)
-        ).time_us
+        qk = launch_us(self._gemm, self._gemm.stats_for_shape(l, d, l), copies)
+        av = launch_us(self._gemm, self._gemm.stats_for_shape(l, l, d), copies)
+        # a fused softmax kernel streams the l x l matrix twice
         eb = elem_bytes(self.precision)
         softmax = (
             copies * 2.0 * l * l * eb / (self.spec.dram_bandwidth_gbs * 1e3)
             + self.spec.launch_overhead_us
         )
-        return AttentionTiming(qk=qk, softmax=softmax, av=av, others=0.15 * (qk + av))
-
-    def peak_bytes(self, l: int, d: int, heads: int, batch: int) -> int:
-        """Peak activation memory of the attention matrices."""
-        eb = elem_bytes(self.precision)
-        # scores + softmax output live simultaneously per head x batch
-        return 2 * heads * batch * l * l * eb
+        return AttentionTiming(qk=qk, softmax=softmax, av=av)
 
 
 class SparseAttention:
     """§7.4 sparse attention: SDDMM -> sparse softmax -> SpMM on CVSE."""
 
-    def __init__(
-        self,
-        mask: ColumnVectorSparseMatrix,
-        spec: GPUSpec | None = None,
-        sddmm_variant: str = "reg",
-    ) -> None:
+    def __init__(self, mask: ColumnVectorSparseMatrix, spec: GPUSpec | None = None) -> None:
         if not mask.is_mask:
             mask = ColumnVectorSparseMatrix(
                 mask.shape, mask.vector_length, mask.row_ptr, mask.col_idx, None
             )
         self.mask = mask
         self.spec = spec or default_spec()
-        self._sddmm = OctetSddmmKernel(self.spec, variant=sddmm_variant)
+        self._sddmm = OctetSddmmKernel(self.spec)
         self._spmm = OctetSpmmKernel(self.spec)
 
-    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         l, d = q.shape
         if self.mask.shape != (l, l):
             raise ValueError(f"mask is {self.mask.shape}, queries give {(l, l)}")
@@ -155,51 +131,16 @@ class SparseAttention:
         # B must be (K x N): K^T has shape (d, l)
         scores = self._sddmm.run(q, np.ascontiguousarray(np.asarray(k).T), self.mask)
         att = softmax_kernel.run(scores.output)
-        out = self._spmm.run(att.output, np.asarray(v))
+        return self._spmm.run(att.output, np.asarray(v)).output
 
-        t = AttentionTiming(
-            qk=scores.time_us,
-            softmax=att.time_us,
-            av=out.time_us,
-            others=0.15 * (scores.time_us + out.time_us),
-        )
-        return out.output, t
-
-    def estimate(self, l: int, d: int) -> AttentionTiming:
-        """Latency breakdown without the numerics (Figure 20 sweeps)."""
-        softmax_kernel = SparseSoftmaxKernel(self.spec)
-        sddmm_est = self._sddmm._model.estimate(self._sddmm.stats_for(self.mask, d))
-        att_values = self.mask.with_values(
-            np.zeros((self.mask.nnz_vectors, self.mask.vector_length), dtype=np.float16)
-        )
-        sm_est = softmax_kernel._model.estimate(softmax_kernel.stats_for(att_values))
-        spmm_est = self._spmm._model.estimate(self._spmm.stats_for(att_values, d))
-        return AttentionTiming(
-            qk=sddmm_est.time_us,
-            softmax=sm_est.time_us,
-            av=spmm_est.time_us,
-            others=0.15 * (sddmm_est.time_us + spmm_est.time_us),
-        )
-
-    def estimate_batched(self, l: int, d: int, copies: int) -> AttentionTiming:
+    def estimate_batched(self, l: int, d: int, copies: int = 1) -> AttentionTiming:
         """Per-layer timing with heads x batch batched into one launch
         per stage (SDDMM, softmax, SpMM)."""
         softmax_kernel = SparseSoftmaxKernel(self.spec)
         att_values = self.mask.with_values(
             np.zeros((self.mask.nnz_vectors, self.mask.vector_length), dtype=np.float16)
         )
-        qk = self._sddmm._model.estimate(
-            scale_batch(self._sddmm.stats_for(self.mask, d), copies)
-        ).time_us
-        sm = softmax_kernel._model.estimate(
-            scale_batch(softmax_kernel.stats_for(att_values), copies)
-        ).time_us
-        av = self._spmm._model.estimate(
-            scale_batch(self._spmm.stats_for(att_values, d), copies)
-        ).time_us
-        return AttentionTiming(qk=qk, softmax=sm, av=av, others=0.15 * (qk + av))
-
-    def peak_bytes(self, l: int, d: int, heads: int, batch: int) -> int:
-        """Peak activation memory: CVSE attention matrices only."""
-        per_mat = self.mask.memory_bytes() + self.mask.nnz * 2  # values fp16
-        return 2 * heads * batch * per_mat
+        qk = launch_us(self._sddmm, self._sddmm.stats_for(self.mask, d), copies)
+        sm = launch_us(softmax_kernel, softmax_kernel.stats_for(att_values), copies)
+        av = launch_us(self._spmm, self._spmm.stats_for(att_values, d), copies)
+        return AttentionTiming(qk=qk, softmax=sm, av=av)

@@ -24,16 +24,10 @@ class MemoryBreakdown:
     attention_matrices: int
     qkv_activations: int
     ffn_activations: int
-    weights: int
 
     @property
     def total(self) -> int:
-        return (
-            self.attention_matrices
-            + self.qkv_activations
-            + self.ffn_activations
-            + self.weights
-        )
+        return self.attention_matrices + self.qkv_activations + self.ffn_activations
 
     @property
     def total_gb(self) -> float:
@@ -44,10 +38,10 @@ class MemoryBreakdown:
         return self.total / 2**20
 
 
-def _common_terms(l: int, d_model: int, d_ff: int, batch: int, eb: int, weights_bytes: int):
+def _common_terms(l: int, d_model: int, d_ff: int, batch: int, eb: int):
     qkv = 4 * batch * l * d_model * eb      # q, k, v, out per live layer
     ffn = batch * l * d_ff * eb
-    return qkv, ffn, weights_bytes
+    return qkv, ffn
 
 
 def dense_attention_peak(
@@ -57,14 +51,13 @@ def dense_attention_peak(
     d_ff: int,
     batch: int,
     precision: str = "single",
-    weights_bytes: int = 0,
 ) -> MemoryBreakdown:
     """Peak activation memory of dense attention (2 copies of l x l)."""
     eb = 2 if precision == "half" else 4
     # scores + probabilities coexist per head x batch at the softmax
     att = 2 * n_heads * batch * l * l * eb
-    qkv, ffn, w = _common_terms(l, d_model, d_ff, batch, eb, weights_bytes)
-    return MemoryBreakdown(att, qkv, ffn, w)
+    qkv, ffn = _common_terms(l, d_model, d_ff, batch, eb)
+    return MemoryBreakdown(att, qkv, ffn)
 
 
 def sparse_attention_peak(
@@ -73,7 +66,6 @@ def sparse_attention_peak(
     n_heads: int,
     d_ff: int,
     batch: int,
-    weights_bytes: int = 0,
 ) -> MemoryBreakdown:
     """Peak activation memory of the CVSE pipeline (in-place softmax)."""
     l = mask.shape[0]
@@ -83,5 +75,5 @@ def sparse_attention_peak(
     # attention matrix is live (the dense path keeps scores +
     # probabilities — hence its factor 2)
     att = n_heads * batch * per_matrix
-    qkv, ffn, w = _common_terms(l, d_model, d_ff, batch, eb, weights_bytes)
-    return MemoryBreakdown(att, qkv, ffn, w)
+    qkv, ffn = _common_terms(l, d_model, d_ff, batch, eb)
+    return MemoryBreakdown(att, qkv, ffn)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attention import AttentionTiming, SparseAttention
+from .attention import SparseAttention
 
 __all__ = [
     "TransformerConfig",
@@ -157,12 +157,11 @@ class TransformerClassifier:
         mask: Optional[np.ndarray] = None,
         mode: str = "dense-float",
         sparse_attention: Optional[SparseAttention] = None,
-        collect_timing: bool = False,
     ):
         """Run the classifier.
 
         ``mode``: "dense-float" | "dense-half" | "sparse-half".
-        Returns (logits, cache, timing).  The cache holds what
+        Returns (logits, cache).  The cache holds what
         :meth:`loss_and_grads` reads back; it is filled in every mode but
         only the dense-float one (the training path) is differentiated.
         The dense modes attend one row group of the mask at a time
@@ -198,7 +197,6 @@ class TransformerClassifier:
         # dense-float keeps float64 end to end (training/grad-check
         # path); the half modes round every operand through fp16.
         p = {k: (q16(v.astype(np.float32)) if half else v) for k, v in self.params.items()}
-        timing = AttentionTiming() if collect_timing else None
         H, hd = cfg.n_heads, cfg.head_dim
         # the mask is fixed across layers, heads and batch rows
         groups = _row_groups(mask, L, hd)
@@ -217,14 +215,12 @@ class TransformerClassifier:
                 for hh in range(H):
                     sl = slice(hh * hd, (hh + 1) * hd)
                     for b in range(B):
-                        o, t = sparse_attention(
+                        o = sparse_attention(
                             q[b, :, sl].astype(np.float16),
                             k[b, :, sl].astype(np.float16),
                             v[b, :, sl].astype(np.float16),
                         )
                         outs[b, :, sl] = o.astype(np.float32)
-                        if timing is not None:
-                            timing.add(t)
             else:
                 qh, kh, vh, oh = (_heads(a, H) for a in (q, k, v, outs))
                 # the groups partition the rows, so each row of outs is
@@ -248,7 +244,7 @@ class TransformerClassifier:
         cache["pooled"] = pooled
         if single:
             logits = logits[0]
-        return logits, cache, timing
+        return logits, cache
 
     # ------------------------------------------------------------------ #
     def loss_and_grads(
@@ -257,7 +253,7 @@ class TransformerClassifier:
         """Cross-entropy loss and full parameter gradients (dense fp32)."""
         cfg = self.cfg
         p = self.params
-        logits, cache, _ = self.forward(tokens, mask, mode="dense-float")
+        logits, cache = self.forward(tokens, mask, mode="dense-float")
         tokens = cache["tokens"]
         B, L = tokens.shape
         probs = softmax(logits if logits.ndim == 2 else logits[None])
@@ -323,7 +319,7 @@ class TransformerClassifier:
 
     # ------------------------------------------------------------------ #
     def predict(self, tokens: np.ndarray, **kwargs) -> np.ndarray:
-        logits, _, _ = self.forward(tokens, **kwargs)
+        logits, _ = self.forward(tokens, **kwargs)
         return np.argmax(logits, axis=-1)
 
     def num_parameters(self) -> int:

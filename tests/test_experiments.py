@@ -16,6 +16,7 @@ from repro.experiments import (
     table1_stalls,
     table2_guidelines_spmm,
     table3_guidelines_sddmm,
+    table4_transformer,
 )
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.formats import BlockedEllMatrix, ColumnVectorSparseMatrix
@@ -282,6 +283,27 @@ class TestFig20:
         sparse = rows_where(res.rows, l=4096, k=256, config="sparse 95%")[0]
         assert sparse["Softmax"] < dense["Softmax"]
         assert sparse["AV"] < dense["AV"]
+
+    def test_l2048_rows_pin_simulated_time(self, res):
+        # the l=2048 rows of results/full/fig20.txt: any change to the
+        # modelled attention time moves them
+        cols = ("QK^T∘C", "Softmax", "AV", "Others", "Total", "speedup")
+        got = {r["config"]: tuple(r[c] for c in cols) for r in rows_where(res.rows, l=2048)}
+        assert got == {
+            "dense(half)": (14.8, 20.8, 17.2, 4.8, 57.7, 1.0),
+            "sparse 90%": (9.1, 4.3, 5.0, 2.1, 20.5, 2.81),
+            "sparse 95%": (7.1, 3.3, 3.8, 1.6, 15.8, 3.65),
+            "sparse 98%": (4.8, 2.6, 3.3, 1.2, 11.8, 4.87),
+        }
+
+
+class TestTable4:
+    def test_throughputs_pin_simulated_time(self):
+        # results/full/table4.txt's throughputs (seq/s)
+        cfg = table4_transformer.PaperConfig()
+        got = [round(table4_transformer.throughput_seq_per_s(cfg, mode), 1)
+               for mode in ("dense-float", "dense-half", "sparse-half")]
+        assert got == [77.0, 284.6, 881.8]
 
 
 class TestRunnerRegistry:

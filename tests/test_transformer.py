@@ -20,6 +20,10 @@ from repro.transformer import (
     sparse_attention_peak,
     train,
 )
+from repro.experiments import fig20_attention_latency as fig20
+from repro.experiments.table4_transformer import PaperConfig, _layer_gemms_us
+from repro.perfmodel.latency import LatencyModel
+from repro.transformer.masks import band_random_cvse
 from repro.transformer.model import _gelu, _gelu_grad, layer_norm, softmax
 
 RNG = np.random.default_rng(23)
@@ -57,17 +61,15 @@ class TestAttention:
         q, k, v = self._qkv()
         mask = band_random_mask(64, 8, 16, 0.8, RNG)
         dense = DenseAttention(precision="half")
-        out_d, _ = dense(q, k, v, mask=mask)
-        sparse = SparseAttention(mask_to_cvse(mask, 8))
-        out_s, timing = sparse(q, k, v)
+        out_d = dense(q, k, v, mask=mask)
+        out_s = SparseAttention(mask_to_cvse(mask, 8))(q, k, v)
         assert np.allclose(
             out_s.astype(np.float32), out_d.astype(np.float32), atol=0.05
         )
-        assert timing.total > 0
 
     def test_dense_no_mask(self):
         q, k, v = self._qkv()
-        out, t = DenseAttention(precision="single")(q, k, v)
+        out = DenseAttention(precision="single")(q, k, v)
         att = np.exp((q.astype(np.float32) @ k.astype(np.float32).T) / 4.0)
         att /= att.sum(1, keepdims=True)
         assert np.allclose(out, att @ v.astype(np.float32), atol=1e-2)
@@ -81,15 +83,54 @@ class TestAttention:
 
     def test_estimate_breakdown_positive(self):
         mask = mask_to_cvse(band_random_mask(128, 8, 16, 0.9, RNG), 8)
-        t = SparseAttention(mask).estimate(128, 64)
+        t = SparseAttention(mask).estimate_batched(128, 64)
         assert t.qk > 0 and t.softmax > 0 and t.av > 0
 
     def test_batched_estimate_cheaper_than_serial(self):
         mask = mask_to_cvse(band_random_mask(512, 8, 32, 0.9, RNG), 8)
         sa = SparseAttention(mask)
-        serial = 32 * sa.estimate(512, 64).total
+        serial = 32 * sa.estimate_batched(512, 64).total
         batched = sa.estimate_batched(512, 64, 32).total
         assert batched < serial
+
+
+class TestPricedLaunches:
+    """Every launch the attention layers and Table 4 price moves at
+    least as many bytes L2 -> L1 as DRAM -> L2."""
+
+    @pytest.mark.parametrize("copies", [1, 32])
+    def test_l2_traffic_covers_dram_traffic(self, monkeypatch, copies):
+        priced = []
+        estimate = LatencyModel.estimate
+
+        def record(model, stats):
+            priced.append(stats)
+            return estimate(model, stats)
+
+        monkeypatch.setattr(LatencyModel, "estimate", record)
+        rng = np.random.default_rng(20)
+        for l, k in fig20.SETUPS:
+            DenseAttention(precision="half").estimate_batched(l, k, copies)
+            for s in fig20.SPARSITIES:
+                band = max(16, min(256, int(l * (1.0 - s) / 2)))  # as fig20 draws it
+                mask = band_random_cvse(l, 8, band, s, rng)
+                SparseAttention(mask).estimate_batched(l, k, copies)
+        cfg = PaperConfig()
+        for precision in ("single", "half"):
+            DenseAttention(precision=precision).estimate_batched(
+                cfg.seq_len, cfg.head_dim, copies)
+            _layer_gemms_us(cfg, precision)
+        l = (cfg.seq_len // cfg.vector_length) * cfg.vector_length
+        mask = band_random_cvse(l, cfg.vector_length, cfg.band, cfg.sparsity, rng)
+        SparseAttention(mask).estimate_batched(l, cfg.head_dim, copies)
+
+        # fig20: 4 setups x (2 GEMMs + 3 sparsities x 3 kernels); Table 4:
+        # 2 precisions x (2 + 6 GEMMs) + 3 sparse kernels
+        assert len(priced) == 4 * (2 + 3 * 3) + 2 * (2 + 6) + 3
+        below = [(st.name, st.global_mem.bytes_l2_to_l1, st.global_mem.bytes_dram_to_l2)
+                 for st in priced
+                 if st.global_mem.bytes_l2_to_l1 < st.global_mem.bytes_dram_to_l2]
+        assert below == []
 
 
 class TestMemoryAccounting:
@@ -212,7 +253,7 @@ class TestModelAndTraining:
         model = TransformerClassifier(self.CFG2, np.random.default_rng(10))
         tok, _ = make_dataset(6, ByteTaskConfig(seq_len=32, markers=4))
         mask = _masks()[name]
-        got, _, _ = model.forward(tok, mask=mask, mode=mode)
+        got, _ = model.forward(tok, mask=mask, mode=mode)
         ref = _tile_reference_logits(model, tok, mask, half=mode == "dense-half")
         assert np.allclose(got, ref, rtol=0, atol=atol)
 
@@ -236,8 +277,8 @@ class TestModelAndTraining:
         tok, lab = make_dataset(24, ByteTaskConfig(seq_len=32, markers=6, label_noise=0.1))
         train(model, tok, lab, mask=mask, cfg=TrainConfig(epochs=3, lr=3e-3))
         sa = SparseAttention(mask_to_cvse(mask, 8))
-        logits_h, _, _ = model.forward(tok[:8], mask=mask, mode="dense-half")
-        logits_s, _, _ = model.forward(tok[:8], mode="sparse-half", sparse_attention=sa)
+        logits_h, _ = model.forward(tok[:8], mask=mask, mode="dense-half")
+        logits_s, _ = model.forward(tok[:8], mode="sparse-half", sparse_attention=sa)
         assert np.allclose(logits_h, logits_s, atol=0.05)
 
     def test_bad_mode_rejected(self):
