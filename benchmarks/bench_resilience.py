@@ -1,13 +1,10 @@
-"""Overhead benchmark for the PR 4 resilience layer.
+"""Overhead benchmark for the memo store's checksums.
 
-Two questions, answered with fresh-subprocess best-of-N timings:
-
-* what does checksumming the memo store cost?  The fig17 quick sweep
-  (memo-heavy: every ablation re-derives stats from the same cache)
-  runs with ``REPRO_MEMO_CHECKSUM`` off and on; the budget is <5%
-  overhead and the two runs must produce identical outputs.
-* how long does a fault-injection campaign take?  ``smoke`` is the CI
-  gate so its wall clock is recorded alongside.
+What does checksumming the memo store cost?  Answered with
+fresh-subprocess best-of-N timings: the fig17 quick sweep (memo-heavy:
+every ablation re-derives stats from the same cache) runs with
+``REPRO_MEMO_CHECKSUM`` off and on; the budget is <5% overhead and the
+two runs must produce identical outputs.
 
 A record is appended to ``BENCH_simulator.json``.  Exits nonzero if
 the outputs differ or the checksum overhead blows the budget.
@@ -38,51 +35,41 @@ DEFAULT_OUT = REPO / "BENCH_simulator.json"
 OVERHEAD_BUDGET = 0.05
 
 
-def _worker(mode: str, dump_path: str) -> None:
+def _worker(dump_path: str) -> None:
     """One timed run in this process; dumps timing + outputs as JSON."""
+    from repro.experiments.runner import run_all
+
     t0 = time.perf_counter()
-    if mode == "sweep":
-        from repro.experiments.runner import run_all
-
-        with contextlib.redirect_stdout(io.StringIO()):
-            results = run_all(quick=True, only=["fig17"])
-        payload = {
-            name: {"rows": res.rows, "notes": {k: str(v) for k, v in res.notes.items()}}
-            for name, res in results.items()
-        }
-    else:  # mode == campaign name
-        from repro.faults import run_campaign
-
-        result = run_campaign(mode, seed=1234)
-        payload = {
-            "passed": result.passed,
-            "records": [[r.target, r.seed, r.detected] for r in result.records],
-        }
+    with contextlib.redirect_stdout(io.StringIO()):
+        results = run_all(quick=True, only=["fig17"])
+    payload = {
+        name: {"rows": res.rows, "notes": {k: str(v) for k, v in res.notes.items()}}
+        for name, res in results.items()
+    }
     seconds = time.perf_counter() - t0
     Path(dump_path).write_text(json.dumps({"seconds": seconds, "payload": payload}))
 
 
-def _spawn(mode: str, checksum: bool, dump_path: Path) -> dict:
+def _spawn(checksum: bool, dump_path: Path) -> dict:
     env = dict(os.environ)
     env["REPRO_MEMO"] = "1"
     env["REPRO_MEMO_CHECKSUM"] = "1" if checksum else "0"
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(dump_path),
-           "--mode", mode]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(dump_path)]
     subprocess.run(cmd, check=True, env=env, cwd=str(REPO))
     return json.loads(dump_path.read_text())
 
 
-def _measure(mode: str, checksum: bool, dump_path: Path, repeats: int) -> tuple[float, dict]:
-    runs = [_spawn(mode, checksum, dump_path) for _ in range(repeats)]
+def _measure(checksum: bool, dump_path: Path, repeats: int) -> tuple[float, dict]:
+    runs = [_spawn(checksum, dump_path) for _ in range(repeats)]
     for r in runs[1:]:
         if r["payload"] != runs[0]["payload"]:
-            raise SystemExit(f"nondeterministic outputs across repeated {mode} runs")
+            raise SystemExit("nondeterministic outputs across repeated sweep runs")
     return min(r["seconds"] for r in runs), runs[0]["payload"]
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="Benchmark the resilience layer's overhead")
+    ap = argparse.ArgumentParser(description="Benchmark the memo checksums' overhead")
     ap.add_argument("--smoke", action="store_true",
                     help="single repeat, no trajectory append (CI)")
     ap.add_argument("--repeats", type=int, default=3,
@@ -90,20 +77,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=str, default=str(DEFAULT_OUT),
                     help="trajectory JSON to append to")
     ap.add_argument("--worker", type=str, default="", help=argparse.SUPPRESS)
-    ap.add_argument("--mode", type=str, default="sweep", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(REPO / "src"))
     if args.worker:
-        _worker(args.mode, args.worker)
+        _worker(args.worker)
         return 0
 
     repeats = 1 if args.smoke else args.repeats
     tmp = REPO / "benchmarks" / ".bench_resilience.json"
 
-    plain_s, plain_out = _measure("sweep", False, tmp, repeats)
-    sum_s, sum_out = _measure("sweep", True, tmp, repeats)
-    camp_s, camp_out = _measure("smoke", True, tmp, repeats)
+    plain_s, plain_out = _measure(False, tmp, repeats)
+    sum_s, sum_out = _measure(True, tmp, repeats)
     tmp.unlink()
 
     identical = plain_out == sum_out
@@ -119,8 +104,6 @@ def main(argv=None) -> int:
         "memo_checksum_off_s": round(plain_s, 3),
         "memo_checksum_on_s": round(sum_s, 3),
         "checksum_overhead_pct": round(100.0 * overhead, 2),
-        "smoke_campaign_s": round(camp_s, 3),
-        "smoke_campaign_passed": bool(camp_out["passed"]),
         "outputs_identical": identical,
     }
     print(json.dumps(record, indent=2))
@@ -136,9 +119,6 @@ def main(argv=None) -> int:
     if overhead > OVERHEAD_BUDGET:
         print(f"ERROR: checksum overhead {100 * overhead:.1f}% exceeds "
               f"{100 * OVERHEAD_BUDGET:.0f}% budget", file=sys.stderr)
-        return 1
-    if not camp_out["passed"]:
-        print("ERROR: smoke campaign below its floors", file=sys.stderr)
         return 1
     return 0
 

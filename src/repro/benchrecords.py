@@ -57,8 +57,7 @@ KINDS: Dict[str, List[str]] = {
     ],
     "bench:resilience": [
         "memo_checksum_off_s", "memo_checksum_on_s",
-        "checksum_overhead_pct", "smoke_campaign_s",
-        "smoke_campaign_passed", "sweep", "repeats", "outputs_identical",
+        "checksum_overhead_pct", "sweep", "repeats", "outputs_identical",
     ],
     "bench:sharedmemo": [
         "cold_s", "warm_s", "shared_off_s", "warm_speedup",

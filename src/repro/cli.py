@@ -10,10 +10,6 @@ its description, the function that adds its arguments, and the handler
 that runs it.  :func:`main` parses once and turns any ``ValueError`` a
 handler raises into ``error: ...`` on stderr and exit 2.
 
-* ``sanitize`` runs the kernel sanitizer (:mod:`repro.sanitizer`) over
-  any kernel case x problem suite;
-* ``faults`` runs a seeded SDC fault-injection campaign
-  (:mod:`repro.faults`) measuring the sanitizer's detection coverage;
 * ``obs`` runs experiments under the observability layer
   (:mod:`repro.obs`);
 * ``memo`` inspects (and verifies) the shared cross-process memo
@@ -34,11 +30,6 @@ Examples
     repro-bench --rows 512 --cols 1024 --sparsity 0.9 --op sddmm -V 8 -K 256
     repro-bench --rows 512 --cols 1024 --sparsity 0.9 --op spmm -V 4 --profile
     repro-bench --op spmm --kernel octet --kernel fpu
-    python -m repro.cli sanitize --all
-    python -m repro.cli sanitize --smoke
-    python -m repro.cli sanitize --kernel spmm-octet --suite full
-    python -m repro.cli faults --smoke
-    python -m repro.cli faults --campaign default --seed 7 -v
     python -m repro.cli obs --only fig17 --trace-out t.json
     python -m repro.cli obs --smoke
     python -m repro.cli memo --dir .repro-memo --verify
@@ -162,55 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict the comparison to these kernels (repeatable); "
                          f"spmm: {SPMM_BENCH_KERNELS}, sddmm: {SDDMM_BENCH_KERNELS}")
     return ap
-
-
-def _sanitize_args(ap: argparse.ArgumentParser) -> None:
-    from .sanitizer import KERNEL_CASES, SUITES
-
-    ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
-                    help="kernel case(s) to sanitize (repeatable); "
-                         f"choices: {sorted(KERNEL_CASES)}")
-    ap.add_argument("--suite", default="default",
-                    help=f"problem suite; choices: {sorted(SUITES)}")
-    ap.add_argument("--all", action="store_true",
-                    help="every kernel case on the 'full' suite")
-    ap.add_argument("--smoke", action="store_true",
-                    help="every kernel case on the 'smoke' suite (CI)")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="print per-checker work counters")
-
-
-def _sanitize(args) -> int:
-    """``sanitize`` subcommand: exit 0 on a clean sweep, 1 on findings."""
-    from .sanitizer import format_reports, sanitize
-
-    suite = "full" if args.all else "smoke" if args.smoke else args.suite
-    reports = sanitize(args.kernel, suite=suite)
-    print(format_reports(reports, verbose=args.verbose))
-    return EXIT_CLEAN if all(r.ok for r in reports) else EXIT_FINDINGS
-
-
-def _faults_args(ap: argparse.ArgumentParser) -> None:
-    from .faults.campaign import CAMPAIGNS
-
-    ap.add_argument("--campaign", default="default",
-                    help=f"campaign to run; choices: {sorted(CAMPAIGNS)}")
-    ap.add_argument("--smoke", action="store_true",
-                    help="the guaranteed-detection campaign (CI; floor 100%%)")
-    ap.add_argument("--seed", type=int, default=1234,
-                    help="campaign seed (same seed => identical findings)")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="print every injection record")
-
-
-def _faults(args) -> int:
-    """``faults`` subcommand: exit 0 when every checker meets its
-    coverage floor, 1 otherwise."""
-    from .faults.campaign import run_campaign
-
-    result = run_campaign("smoke" if args.smoke else args.campaign, seed=args.seed)
-    print(result.to_text(verbose=args.verbose))
-    return EXIT_CLEAN if result.passed else EXIT_FINDINGS
 
 
 def _obs_args(ap: argparse.ArgumentParser) -> None:
@@ -337,17 +279,19 @@ def _memo(args) -> int:
     corruption."""
     from .perfmodel import sharedmemo
 
-    if args.dir:
-        if Path(args.dir).exists() and not Path(args.dir).is_dir():
-            raise ValueError(f"--dir {args.dir} is not a directory")
-        sharedmemo.set_dir(args.dir)
-    rc = EXIT_CLEAN
-    if args.verify:
-        ok, corrupt = sharedmemo.verify_store()
-        print(f"verify: {ok} entr{'y' if ok == 1 else 'ies'} ok, "
-              f"{corrupt} corrupt")
-        rc = EXIT_FINDINGS if corrupt else EXIT_CLEAN
-    st = sharedmemo.stats()
+    if args.dir and Path(args.dir).exists() and not Path(args.dir).is_dir():
+        raise ValueError(f"--dir {args.dir} is not a directory")
+    previous = sharedmemo.set_dir(args.dir or sharedmemo.store_dir())
+    try:
+        rc = EXIT_CLEAN
+        if args.verify:
+            ok, corrupt = sharedmemo.verify_store()
+            print(f"verify: {ok} entr{'y' if ok == 1 else 'ies'} ok, "
+                  f"{corrupt} corrupt")
+            rc = EXIT_FINDINGS if corrupt else EXIT_CLEAN
+        st = sharedmemo.stats()
+    finally:
+        sharedmemo.set_dir(previous)
     print(f"shared memo store: {st['dir']}")
     print(f"  live entries: {st['live_entries']} ({st['live_bytes']} bytes)")
     rows = [{"region": r, "entries": row["entries"], "bytes": row["bytes"]}
@@ -690,12 +634,6 @@ def _bench(args) -> int:
 
 #: ``repro-bench <name> ...`` -> (description, add_arguments, run)
 _SUBCOMMANDS = {
-    "sanitize": ("Run the kernel sanitizer (memcheck/racecheck/synccheck/"
-                 "ownership/statcheck) over kernel cases x problem suites",
-                 _sanitize_args, _sanitize),
-    "faults": ("Run a seeded SDC fault-injection campaign and score the "
-               "sanitizer's detection coverage against the documented floors",
-               _faults_args, _faults),
     "obs": ("Run experiments under the observability layer: structured "
             "spans, a metrics snapshot, and a Chrome trace-event "
             "timeline (see docs/OBSERVABILITY.md)",

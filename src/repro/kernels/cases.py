@@ -4,11 +4,11 @@ The paper's evaluation (§7: Tables 1-3, Figs 17-20) compares one fixed
 set of kernel designs.  :data:`KERNEL_CASES` names each of them once, in
 registry order, with the operand it consumes, the class and fixed
 constructor arguments that build it, and — for the six simulated
-kernels — the plan compiler of :mod:`repro.plans`.  The profiler, the
-sanitizer, the fault campaign and the tier-1 plan parity test take
-their kernels from this table and their seeded operands from the builders
-below; what only one of them reads (the profiler's trace replay, the
-sanitizer's check bodies) stays with that consumer.
+kernels — the plan compiler of :mod:`repro.plans`.  The profiler and
+the tier-1 sanitizer and plan parity tests take their kernels from
+this table and their seeded operands from the builders below; what
+only one of them reads (the profiler's trace replay, the sanitizer's
+check bodies in ``tests/sanitizer``) stays with that consumer.
 
 The builders draw from the caller's generator, so a caller that draws
 in the same order gets the same operands.

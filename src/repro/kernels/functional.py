@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import plans as _plans
-from ..faults.injector import site as fault_site
 from ..formats.cvse import ColumnVectorSparseMatrix
 from .base import Precision, as_compute
 
@@ -57,8 +56,7 @@ def spmm_functional(
         (vals[plan.perm], plan.indices, plan.indptr), shape=a.shape, dtype=np.float32
     )
     out = mat @ b32
-    # declared fault-injection site: functional output SDC
-    return fault_site("functional.spmm.out", out.astype(out_dtype))
+    return out.astype(out_dtype)
 
 
 def _check_sddmm_args(
@@ -110,5 +108,4 @@ def sddmm_functional(
     plan = _plans.functional_sddmm_plan(mask)
     out = _sddmm_gathered_dot(a32, bt32, plan.rows, plan.cols, chunk)
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
-    # declared fault-injection site: functional output SDC
-    return mask.with_values(fault_site("functional.sddmm.out", values))
+    return mask.with_values(values)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.injector import site as fault_site
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
@@ -109,8 +108,7 @@ class OctetSddmmKernel(Kernel):
         plan = _plans.sddmm_octet_plan(self, mask, a16.shape[1])
         out_vals, tc = _plans.execute_sddmm_octet(plan, a16, b16, mask, sim_kwargs)
         self.last_sim_stats = tc
-        # declared fault-injection site: accumulator writeback SDC
-        return mask.with_values(fault_site("sddmm_octet.acc", out_vals.astype(np.float16)))
+        return mask.with_values(out_vals.astype(np.float16))
 
     # ------------------------------------------------------------------ #
     def _stats(

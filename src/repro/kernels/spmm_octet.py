@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..faults.injector import site as fault_site
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware.config import GPUSpec
 from ..hardware.icache import ICacheModel
@@ -92,8 +91,7 @@ class OctetSpmmKernel(Kernel):
         plan = _plans.spmm_octet_plan(self, a)
         out, tc_stats = _plans.execute_spmm_octet(plan, a, b16)
         self.last_sim_stats = tc_stats
-        # declared fault-injection site: accumulator writeback SDC
-        return fault_site("spmm_octet.acc", out.astype(np.float16))
+        return out.astype(np.float16)
 
     # ------------------------------------------------------------------ #
     def _stats(self, a: ColumnVectorSparseMatrix, b: np.ndarray) -> KernelStats:

@@ -11,7 +11,7 @@ Two halves behind one switch (``REPRO_TRACE=1`` or
 
 Both are near-zero-overhead no-ops while disabled (the default), so
 the hot paths — kernel dispatch, the memo layer, trace replay, the
-experiment runner, the sanitizer, the fault campaigns — carry their
+experiment runner, the serving simulator, the profiler — carry their
 instrumentation permanently.  ``python -m repro.cli obs`` runs any
 experiment under the tracer and emits timeline + metrics + a slowest
 spans table; see ``docs/OBSERVABILITY.md``.

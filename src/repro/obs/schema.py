@@ -22,9 +22,6 @@ from __future__ import annotations
 SPANS = [
     "run_all",
     "experiment.*",
-    "sanitize",
-    "sanitize.*",
-    "faults.campaign",
     "kernel.spmm",
     "kernel.sddmm",
     "kernel.sparse_softmax",
@@ -45,10 +42,6 @@ COUNTERS = [
     "kernel.dispatch.dense_gemm",
     "trace.replay.runs",
     "trace.replay.sector_accesses",
-    "sanitizer.cases",
-    "sanitizer.findings",
-    "faults.injections",
-    "faults.detected",
     "pool.tasks",
     "pool.errors",
     "pool.crashes",

@@ -2,8 +2,8 @@
 
 One process-wide tracer records *spans* — named, nested intervals on
 the monotonic clock with per-span attributes — across every subsystem
-(kernel dispatch, memo misses, trace replay, experiments, sanitizer,
-fault campaigns).  The API is a context manager / decorator pair::
+(kernel dispatch, memo misses, trace replay, experiments, serving,
+the profiler).  The API is a context manager / decorator pair::
 
     from repro import obs
 

@@ -84,8 +84,9 @@ class GlobalTraffic:
 
         Kernels build their traffic incrementally, so ``__post_init__``
         only sees the construction-time values; :meth:`violations` is
-        re-run by :class:`KernelStats` (and by the sanitizer's
-        statcheck) once the final numbers are in place.
+        re-run by :class:`KernelStats` (and by the statcheck test
+        oracle in ``tests/sanitizer``) once the final numbers are in
+        place.
         """
         out: List[str] = []
         for f in fields(self):
@@ -174,8 +175,8 @@ class KernelStats:
         ``launch`` and ``resources`` enforce their own invariants in
         their ``__post_init__``; this covers the fields owned here plus
         the embedded traffic objects, which kernels keep mutating after
-        construction (re-run by the sanitizer's statcheck on the final
-        values).
+        construction (re-run by the statcheck test oracle in
+        ``tests/sanitizer`` on the final values).
         """
         out: List[str] = []
         if not math.isfinite(self.flops) or self.flops < 0:

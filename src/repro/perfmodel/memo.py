@@ -23,7 +23,7 @@ few independent *regions*:
 * ``"plan"``     — compiled execution plans of the simulated/functional
   kernel layer (:mod:`repro.plans`): flattened gather/scatter index
   schedules keyed on (kernel fingerprint, structure signature).  A
-  plan is pure schedule — no values, no fault payloads — and entries
+  plan is pure schedule — no values — and entries
   are treated as immutable by the executors.
 * ``"problem"`` / ``"format"`` — RNG-threaded benchmark constructions,
   keyed on the *incoming* generator state; a hit fast-forwards the
@@ -46,8 +46,8 @@ value as a sealed record: a BLAKE2b digest followed by the pickled
 bytes, the format the shared tier writes to disk
 (:func:`sharedmemo.seal`).  Every hit re-hashes the stored bytes
 before unpickling them, so a corrupted entry (bit rot, a buggy
-in-place mutation, or the fault injector's ``tamper_entry``) is
-*detected and recomputed, never served* — the failure lands in
+in-place mutation, or a byte a test flips on purpose) is *detected
+and recomputed, never served* — the failure lands in
 :func:`integrity_counters` and the fresh value replaces the bad entry.
 The RNG-keyed operand regions (``problem``/``format``) keep raw
 references (their values are hundreds of MB of arrays; re-hashing them
@@ -104,7 +104,6 @@ __all__ = [
     "set_checksum",
     "integrity_counters",
     "integrity_failures",
-    "tamper_entry",
 ]
 
 #: per-region entry limits (FIFO eviction); generous for the metadata
@@ -272,32 +271,6 @@ def integrity_failures() -> int:
     """Total checksum mismatches detected (every one was recomputed)."""
     with _lock:
         return sum(r.integrity for r in _regions.values())
-
-
-def tamper_entry(region: str, index: int = 0, flip_byte: int = 0) -> bool:
-    """Corrupt one stored blob in place, leaving its digest stale.
-
-    Fault-injection/test hook: flips every bit of one byte of the
-    ``index``-th entry's pickled payload.  Returns ``True`` when an
-    entry was tampered, ``False`` when the region has no blob entry at
-    that position (raw-storage regions cannot be tampered — they carry
-    no checksum to catch it, which is exactly the documented boundary).
-    """
-    with _lock:
-        reg = _regions.get(region)
-        if reg is None:
-            return False
-        for i, (key, entry) in enumerate(reg.store.items()):
-            if i != index:
-                continue
-            if not (isinstance(entry, tuple) and entry and entry[0] == "blob"):
-                return False
-            mutated = bytearray(entry[1])
-            head = _sharedmemo.DIGEST_BYTES
-            mutated[head + flip_byte % (len(mutated) - head)] ^= 0xFF
-            reg.store[key] = ("blob", bytes(mutated))
-            return True
-    return False
 
 
 # --------------------------------------------------------------------- #
@@ -579,14 +552,6 @@ def _pack(region: str, val: Any, copy_result: bool) -> tuple:
     return ("raw", copy.deepcopy(val) if copy_result else val)
 
 
-def _faults_armed() -> bool:
-    """Whether a fault injector is armed (lazy import: repro.faults pulls
-    in the campaign module, which imports this one)."""
-    from ..faults import injector as _injector
-
-    return _injector.active()
-
-
 def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool = True):
     """Look up ``key`` in ``region``; on miss run ``compute`` and store.
 
@@ -605,16 +570,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
     sibling processes skip the same compute.  The local hit/miss
     counters keep pure L1 semantics — a shared hit still counts as a
     local miss, and lands in :func:`sharedmemo.counters` as a hit.
-
-    While a fault injector is armed the cache is bypassed entirely: a
-    compute whose call graph passes through an injection site (e.g. the
-    ``trace.octet_spmm.ops`` sector stream) may return corrupted bytes,
-    and caching — worse, publishing to the shared tier — would serve the
-    corruption to every later (un-injected) call with the same key.
     """
     if not enabled():
-        return compute()
-    if _faults_armed():
         return compute()
     reg = _region(region)
     with _lock:
@@ -698,33 +655,24 @@ def memoised(region: str, copy_result: bool = False):
 
 
 def memoised_stats(fn):
-    """Decorator for kernel ``stats_for``/``stats_for_shape`` methods.
-
-    Also the ``stats.final`` fault-injection site: every stats object
-    leaves the pipeline through this wrapper, so the fault campaign
-    perturbs counters here — after the cache, on the caller's private
-    copy, never the stored entry."""
-    from ..faults.injector import site as _fault_site
+    """Decorator for kernel ``stats_for``/``stats_for_shape`` methods."""
 
     @functools.wraps(fn)
     def wrapper(self, *args):
         if not enabled():
-            return _fault_site("stats.final", fn(self, *args))
+            return fn(self, *args)
         try:
             fingerprint = kernel_fingerprint(self)
         except TypeError:
             # patched instance: don't risk the cache
-            return _fault_site("stats.final", fn(self, *args))
+            return fn(self, *args)
         key = (
             fn.__qualname__,
             fingerprint,
             signature(self.spec),
             signature(args),
         )
-        return _fault_site(
-            "stats.final",
-            memoise("stats", key, lambda: fn(self, *args), copy_result=True),
-        )
+        return memoise("stats", key, lambda: fn(self, *args), copy_result=True)
 
     wrapper.__wrapped__ = fn
     wrapper.__memo_region__ = "stats"

@@ -77,7 +77,6 @@ __all__ = [
     "integrity_failures",
     "stats",
     "verify_store",
-    "tamper_entry",
     "SHAREABLE_REGIONS",
     "DIGEST_BYTES",
 ]
@@ -299,7 +298,7 @@ def publish(region: str, key: bytes, record: bytes) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# maintenance: stats / verify / tamper
+# maintenance: stats / verify
 # --------------------------------------------------------------------- #
 def _entries(region: str) -> List[Path]:
     """The region's entry files in name order (``*.tmp`` skipped)."""
@@ -333,22 +332,3 @@ def verify_store() -> Tuple[int, int]:
                 ok += 1
     return ok, corrupt
 
-
-def tamper_entry(region: str, index: int = 0, flip_byte: int = 0) -> bool:
-    """Corrupt one stored blob *on disk*, leaving its digest stale.
-
-    Fault-injection/test hook (the shared-tier analog of
-    :func:`memo.tamper_entry`): flips every bit of one byte of the blob
-    of the ``index``-th entry of ``region`` (in file-name order).
-    Returns ``False`` when the region has no such entry.
-    """
-    entries = _entries(region)
-    if index >= len(entries):
-        return False
-    data = bytearray(_read(entries[index]) or b"")
-    if len(data) <= DIGEST_BYTES:
-        return False
-    data[DIGEST_BYTES + flip_byte % (len(data) - DIGEST_BYTES)] ^= 0xFF
-    with open(entries[index], "wb") as fh:
-        fh.write(data)
-    return True

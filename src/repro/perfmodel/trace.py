@@ -42,7 +42,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..faults.injector import site as fault_site
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware import cache as hw_cache
@@ -166,12 +165,7 @@ def octet_spmm_cta_sectors(
                 ops.append(_range_sectors(val_base + lo * a.vector_length * eb,
                                           cols.size * a.vector_length * eb))
                 ops.append(_range_sectors(idx_base + lo * 8, cols.size * 8))
-            # declared fault-injection site: sector-address generation SDC.
-            # Reachable from the memoised trace_octet_spmm() — sanctioned
-            # because memoise() bypasses the cache entirely while an
-            # injector is armed, so corrupted streams are never cached or
-            # published to the shared tier.
-            yield cta, fault_site("trace.octet_spmm.ops", ops)
+            yield cta, ops
             cta += 1
 
 

@@ -15,11 +15,11 @@ Contracts:
 * **bit parity** — plan execution is bit-for-bit the interpreted
   walk it replaces (outputs via uint16 views, issue accounting
   totals), enforced by the tier-1 parity test against the test
-  oracles in ``tests/oracles`` and by the sanitizer ownership pass
-  (:mod:`repro.sanitizer.plancheck`);
+  oracles in ``tests/oracles`` and by the sanitizer's plan ownership
+  check in ``tests/sanitizer``;
 * **schedule only** — plans hold index arrays derived from topology
-  and tile config, never operand values, fault payloads, or spans;
-  fault-injection sites and obs spans fire at execution time;
+  and tile config, never operand values or spans; obs spans fire at
+  execution time;
 * **one production path** — every kernel runs its plan; the
   interpreted walks live with the tests (``tests/oracles``), where
   the parity tests and ``benchmarks/bench_codegen.py`` call them.
@@ -50,7 +50,6 @@ from .spmm import (
     spmm_octet_plan,
     spmm_wmma_plan,
 )
-from .validate import validate_plan
 
 __all__ = [
     "plan_key",
@@ -76,5 +75,4 @@ __all__ = [
     "expand_vector_rows",
     "functional_spmm_plan",
     "functional_sddmm_plan",
-    "validate_plan",
 ]

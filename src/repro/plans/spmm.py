@@ -97,9 +97,8 @@ def execute_spmm_octet(
     """Run an octet SpMM plan; returns the FP32 output and TCU stats.
 
     One :func:`mma_m8n8k4_batched` call per N tile covers every
-    k-group of every row; the caller applies the fp16 rounding and
-    the fault-injection site (plans carry schedule only — sites fire
-    at execution time, in the kernel wrapper).
+    k-group of every row; the caller, the kernel wrapper, applies the
+    fp16 rounding (plans carry schedule only).
     """
     v = plan.vector_length
     m = plan.num_vector_rows * v

@@ -1,10 +1,10 @@
 """Profile registry: the 13 registered kernels on seeded problems.
 
 The kernels and their operand builders come from the one case table,
-:data:`repro.kernels.cases.KERNEL_CASES`, which the sanitizer shares;
-the problems here are attention shaped: a :class:`ProfileConfig`
-names a sequence length ``seq``, a head dimension ``head``, a vector
-length and a vector-level density —
+:data:`repro.kernels.cases.KERNEL_CASES`, which the tier-1 sanitizer
+tests share; the problems here are attention shaped: a
+:class:`ProfileConfig` names a sequence length ``seq``, a head
+dimension ``head``, a vector length and a vector-level density —
 the fig20 geometry where SpMM is ``(seq x seq) @ (seq x head)``, SDDMM
 produces the ``seq x seq`` score mask with inner dimension ``head``,
 and the dense baseline is the matching cuBLAS GEMM.

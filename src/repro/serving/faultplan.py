@@ -1,7 +1,7 @@
 """Seeded fault schedule for the serving simulator.
 
-The serving layer's declared fault sites (catalogued alongside the
-kernel sites in ``docs/ROBUSTNESS.md``):
+The serving layer's declared fault sites (catalogued in
+``docs/ROBUSTNESS.md``):
 
 ==========================  ==============================================
 site                        effect
@@ -18,22 +18,20 @@ site                        effect
                             (``REPRO_SERVING_VERIFY``) and never served
 ==========================  ==============================================
 
-Unlike the single-shot :class:`repro.faults.injector.FaultInjector`
-(one corruption per armed block), a serving run needs a *schedule* of
-faults across a long virtual-time horizon.  :class:`FaultPlan`
+A serving run needs a *schedule* of faults across a long
+virtual-time horizon, not a single corruption.  :class:`FaultPlan`
 pre-draws that schedule from ``np.random.default_rng`` sub-streams of
 one seed: stall events ``(t, worker)``, spike windows ``(t0, t1)``,
 and a per-execution corruption stream indexed by execution ordinal —
 so the same ``(profile, seed)`` always injects the same faults at the
-same virtual times, and the ``serving-overload`` campaign
-(:mod:`repro.faults.campaign`) can score detection and recovery
-record-for-record.
+same virtual times, and the tests in ``tests/test_serving.py`` can
+score detection and recovery record-for-record.
 
 Corruption targets only the TCU (tensor-core) kernel variant: the
 reduced-precision HMMA path is the reproduction's silent-data-
-corruption surface (the ``spmm_octet.acc``/``sddmm_octet.acc`` sites
-of the kernel campaigns); the FPU fallback variant is the clean —
-slower — harbour the degradation controller retreats to.
+corruption surface (the octet accumulator writeback that the
+sanitizer's ownership check guards); the FPU fallback variant is the
+clean — slower — harbour the degradation controller retreats to.
 """
 
 from __future__ import annotations

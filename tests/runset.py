@@ -2,10 +2,10 @@
 
 One pass runs every :data:`~repro.kernels.cases.KERNEL_CASES` row (the
 functional path, and ``simulate=True`` where the class offers it) through
-its public entry point, the ``sanitize``/``faults``/``serve``/``profile``
-smoke commands, one quick experiment (``table2``), the experiment pool's
-failure paths as CI's chaos job drives them (a raising experiment, a
-crashing worker), and last ``obs --smoke`` (a traced ``table1``) on a
+its public entry point, the ``serve``/``profile`` smoke commands, one
+quick experiment (``table2``), the experiment pool's failure paths as
+CI's chaos job drives them (a raising experiment, a crashing worker),
+and last ``obs --smoke`` (a traced ``table1``) on a
 cold local memo, so the shared tier serves it.
 
 The shared memo tier is on for the whole pass, backed by a directory
@@ -179,8 +179,6 @@ def run_set(tmp: Path) -> Dict[str, str]:
     with environ(REPRO_MEMO_SHARED="1", REPRO_MEMO_SHARED_DIR=str(tmp / "memo")):
         digests.update(kernel_digests())
         commands = [
-            ["sanitize", "--smoke"],
-            ["faults", "--smoke"],
             ["serve", "--smoke", "--trace-out", str(tmp / "serve.json")],
             ["profile", "--smoke", "--check"],
         ]

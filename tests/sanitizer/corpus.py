@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.sddmm_octet import OctetSddmmKernel
-from ..kernels.spmm_octet import OctetSpmmKernel
-from ..perfmodel import trace
+from repro.kernels.sddmm_octet import OctetSddmmKernel
+from repro.kernels.spmm_octet import OctetSpmmKernel
+from repro.perfmodel import trace
+
 from . import memcheck, racecheck, statcheck
 from .findings import Checker, SanitizerReport
 from .harness import ProblemSpec, _sddmm_problem, _spmm_problem

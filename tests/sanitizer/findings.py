@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-__all__ = ["Checker", "Finding", "SanitizerReport", "format_reports"]
+__all__ = ["Checker", "Finding", "SanitizerReport"]
 
 
 class Checker(str, enum.Enum):
@@ -94,11 +94,3 @@ class SanitizerReport:
         lines.extend(f"  {f}" for f in self.findings)
         return "\n".join(lines)
 
-
-def format_reports(reports: Iterable[SanitizerReport], verbose: bool = False) -> str:
-    """Multi-kernel summary block, one report per kernel case."""
-    reports = list(reports)
-    body = "\n".join(r.format(verbose=verbose) for r in reports)
-    total = sum(len(r.findings) for r in reports)
-    tail = f"\n{len(reports)} case(s), {total} finding(s)"
-    return body + tail

@@ -1,12 +1,12 @@
-"""Sanitizer harness: kernel cases x problem suites.
+"""The sanitizer's check bodies: kernel cases x the seeded problems.
 
 The kernels, their seeded operand builders and their plan compilers
 come from the one case table, :data:`repro.kernels.cases.KERNEL_CASES`,
 which the profiler shares.  This module pairs each kernel class with
 its check body, which materialises a seeded problem, runs the
 checkers that apply to that kernel's design, and records them in the
-kernel's :class:`~repro.sanitizer.findings.SanitizerReport`, labelled
-with the kernel's own ``.name``:
+kernel's :class:`~.findings.SanitizerReport`, labelled with the
+kernel's own ``.name``:
 
 * **statcheck** runs for every case (all kernels author ``KernelStats``);
 * **memcheck** runs where a trace generator exists
@@ -16,23 +16,25 @@ with the kernel's own ``.name``:
   single-warp CTAs are still bounds-checked);
 * **ownership** runs for the HMMA octet kernels, whose simulate paths
   expose the register-level fragment schedule, and — as
-  :mod:`repro.sanitizer.plancheck` — over every compiled execution
-  plan (:mod:`repro.plans`) of the simulated and functional paths.
+  :mod:`.plancheck` — over every compiled execution plan
+  (:mod:`repro.plans`) of the simulated and functional paths.
 
-``sanitize(names, suite)`` is the engine behind
-``python -m repro.cli sanitize``.
+:func:`check_case` runs one case over every problem of
+:data:`PROBLEMS`; ``tests/test_sanitizer.py`` runs it for every row of
+the case table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..formats.cvse import ColumnVectorSparseMatrix
-from ..hardware.thread_hierarchy import ceil_div
-from ..kernels.cases import (
+from repro.formats.cvse import ColumnVectorSparseMatrix
+from repro.hardware.thread_hierarchy import ceil_div
+from repro.kernels.cases import (
     KERNEL_CASES,
     KernelCase,
     csr_operand,
@@ -40,26 +42,25 @@ from ..kernels.cases import (
     ell_operand,
     mask_operand,
 )
-from ..kernels.cusparse import (
+from repro.kernels.cusparse import (
     BlockedEllSpmmKernel,
     CusparseCsrSpmmKernel,
     CusparseSddmmKernel,
 )
-from ..kernels.gemm import DenseGemmKernel
-from ..kernels.sddmm_fpu import FpuSddmmKernel
-from ..kernels.sddmm_octet import OctetSddmmKernel
-from ..kernels.sddmm_wmma import WmmaSddmmKernel
-from ..kernels.softmax_sparse import SparseSoftmaxKernel
-from ..kernels.spmm_fpu import FpuSpmmKernel
-from ..kernels.spmm_octet import OctetSpmmKernel
-from ..kernels.spmm_wmma import WmmaSpmmKernel
-from ..obs import metrics as obs_metrics
-from ..obs import tracing as obs_tracing
-from ..perfmodel import trace
+from repro.kernels.gemm import DenseGemmKernel
+from repro.kernels.sddmm_fpu import FpuSddmmKernel
+from repro.kernels.sddmm_octet import OctetSddmmKernel
+from repro.kernels.sddmm_wmma import WmmaSddmmKernel
+from repro.kernels.softmax_sparse import SparseSoftmaxKernel
+from repro.kernels.spmm_fpu import FpuSpmmKernel
+from repro.kernels.spmm_octet import OctetSpmmKernel
+from repro.kernels.spmm_wmma import WmmaSpmmKernel
+from repro.perfmodel import trace
+
 from . import memcheck, plancheck, racecheck, statcheck
 from .findings import Checker, SanitizerReport
 
-__all__ = ["ProblemSpec", "SUITES", "KERNEL_CASES", "sanitize"]
+__all__ = ["ProblemSpec", "PROBLEMS", "check_case"]
 
 _EB = 2  # the traced kernels are half-precision designs
 
@@ -80,25 +81,16 @@ class ProblemSpec:
         return np.random.default_rng(self.seed)
 
 
-#: Problem suites.  Geometry note: N is kept a multiple of 128 and K a
-#: multiple of 64 so the LDG.128 transaction-shape contracts of
-#: :mod:`repro.sanitizer.memcheck` are *active* (ragged shapes disable
-#: them) — the sanitizer should exercise the strict contracts, the
-#: parity tests already cover ragged geometry.
-SUITES: Dict[str, Tuple[ProblemSpec, ...]] = {
-    "smoke": (
-        ProblemSpec("smoke-s", m=32, k=64, n=128, v=4, density=0.4, seed=101),
-    ),
-    "default": (
-        ProblemSpec("default-s", m=64, k=64, n=128, v=4, density=0.3, seed=211),
-        ProblemSpec("default-v8", m=64, k=128, n=128, v=8, density=0.25, seed=223),
-    ),
-    "full": (
-        ProblemSpec("full-s", m=64, k=64, n=128, v=4, density=0.3, seed=211),
-        ProblemSpec("full-v8", m=64, k=128, n=128, v=8, density=0.25, seed=223),
-        ProblemSpec("full-m", m=128, k=192, n=256, v=4, density=0.2, seed=307),
-    ),
-}
+#: The seeded problems every case runs on.  Geometry note: N is kept a
+#: multiple of 128 and K a multiple of 64 so the LDG.128
+#: transaction-shape contracts of :mod:`.memcheck` are *active* (ragged
+#: shapes disable them) — the sanitizer should exercise the strict
+#: contracts, the parity tests already cover ragged geometry.
+PROBLEMS: Tuple[ProblemSpec, ...] = (
+    ProblemSpec("full-s", m=64, k=64, n=128, v=4, density=0.3, seed=211),
+    ProblemSpec("full-v8", m=64, k=128, n=128, v=8, density=0.25, seed=223),
+    ProblemSpec("full-m", m=128, k=192, n=256, v=4, density=0.2, seed=307),
+)
 
 
 # --------------------------------------------------------------------- #
@@ -308,38 +300,13 @@ _CHECKS: Dict[type, Callable[[KernelCase, ProblemSpec, SanitizerReport], None]] 
 }
 
 
-def sanitize(
-    names: Sequence[str] | None = None, suite: str = "default"
-) -> List[SanitizerReport]:
-    """Run the sanitizer over ``names`` (default: every case) x ``suite``.
-
-    Unknown kernel or suite names raise ``ValueError`` listing the
-    valid choices (mirroring ``run_all --only``).  One report is
-    returned per kernel, labelled with the kernel's own name; it
-    aggregates the findings over every problem of the suite.
-    """
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; valid choices: {sorted(SUITES)}")
-    if names:
-        unknown = sorted(set(names) - set(KERNEL_CASES))
-        if unknown:
-            raise ValueError(
-                f"unknown kernels: {unknown}; valid choices: {sorted(KERNEL_CASES)}"
-            )
-        selected = [KERNEL_CASES[n] for n in names]
-    else:
-        selected = list(KERNEL_CASES.values())
-
-    reports: List[SanitizerReport] = []
-    with obs_tracing.span("sanitize", suite=suite, cases=len(selected)):
-        for case in selected:
-            report = SanitizerReport(kernel=case.kernel().name)
-            with obs_tracing.span(f"sanitize.{case.name}", suite=suite) as sp:
-                for problem in SUITES[suite]:
-                    _CHECKS[case.factory](case, problem, report)
-                sp.set(findings=len(report.findings))
-            if obs_metrics.enabled():
-                obs_metrics.counter_add("sanitizer.cases")
-                obs_metrics.counter_add("sanitizer.findings", len(report.findings))
-            reports.append(report)
-    return reports
+@functools.lru_cache(maxsize=None)
+def check_case(name: str) -> SanitizerReport:
+    """Run the check body of the case-table row ``name`` over every
+    problem of :data:`PROBLEMS`: one report, labelled with the kernel's
+    own name.  Built once per process; callers only read it."""
+    case = KERNEL_CASES[name]
+    report = SanitizerReport(kernel=case.kernel().name)
+    for problem in PROBLEMS:
+        _CHECKS[case.factory](case, problem, report)
+    return report

@@ -28,8 +28,9 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..formats.blocked_ell import BlockedEllMatrix
-from ..formats.cvse import ColumnVectorSparseMatrix
+from repro.formats.blocked_ell import BlockedEllMatrix
+from repro.formats.cvse import ColumnVectorSparseMatrix
+
 from .findings import Checker, Finding
 
 __all__ = [

@@ -7,9 +7,9 @@ compiles each kernel's plan (with the compiler its
 :mod:`repro.kernels.cases` row names) for the case's problem, through
 the cache so the checked artifact is the cached artifact, and replays
 the ownership contract against the structure via
-:func:`repro.plans.validate_plan`, wrapping violations into
-:class:`~repro.sanitizer.findings.Finding` rows under the existing
-``ownership`` checker.
+:func:`.validate.validate_plan`, wrapping violations into
+:class:`~.findings.Finding` rows under the existing ``ownership``
+checker.
 
 Counters report the schedule extents (``plan.groups``,
 ``plan.slots``) so a silently-empty plan is visible in the report.
@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .. import plans
+from repro import plans
+
 from .findings import Checker, Finding
+from .validate import validate_plan
 
 __all__ = ["check_plan", "check_functional_plans"]
 
@@ -43,7 +45,7 @@ def check_plan(case, kern, structure, k: Optional[int] = None) -> _Result:
     """Validate the plan ``case`` (a :class:`~repro.kernels.cases.KernelCase`
     row) compiles for ``kern`` on ``structure`` (``k``: SDDMM only)."""
     plan = case.compile_plan(kern, structure, k)
-    msgs = plans.validate_plan(plan, structure, k=k)
+    msgs = validate_plan(plan, structure, k=k)
     return _wrap(kern.name, msgs, f"plans.{case.plan.__name__}"), _layout_counters(plan)
 
 
@@ -58,13 +60,13 @@ def check_functional_plans(kernel: str, structure) -> _Result:
     counters: Dict[str, int] = {}
     sd = plans.functional_sddmm_plan(structure)
     findings += _wrap(
-        kernel, plans.validate_plan(sd, structure), "plans.functional_sddmm_plan"
+        kernel, validate_plan(sd, structure), "plans.functional_sddmm_plan"
     )
     counters["plan.slots"] = int(sd.rows.size)
     if structure.values is not None:
         sp = plans.functional_spmm_plan(structure)
         findings += _wrap(
-            kernel, plans.validate_plan(sp, structure), "plans.functional_spmm_plan"
+            kernel, validate_plan(sp, structure), "plans.functional_spmm_plan"
         )
         counters["plan.csr_entries"] = int(sp.indices.size)
     return findings, counters

@@ -35,9 +35,10 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..formats.cvse import ColumnVectorSparseMatrix
-from ..hardware.tensor_core import TensorCoreStats, mma_m8n8k4
-from ..hardware.thread_hierarchy import ceil_div
+from repro.formats.cvse import ColumnVectorSparseMatrix
+from repro.hardware.tensor_core import TensorCoreStats, mma_m8n8k4
+from repro.hardware.thread_hierarchy import ceil_div
+
 from .findings import Checker, Finding
 
 __all__ = [

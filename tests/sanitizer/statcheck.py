@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..hardware.config import GPUSpec
-from ..hardware.instructions import InstrClass
-from ..hardware.register_file import compute_occupancy
-from ..perfmodel.events import KernelStats
+from repro.hardware.config import GPUSpec
+from repro.hardware.instructions import InstrClass
+from repro.hardware.register_file import compute_occupancy
+from repro.perfmodel.events import KernelStats
+
 from .findings import Checker, Finding
 
 __all__ = ["FLOPS_PER_INSTRUCTION", "check_stats"]

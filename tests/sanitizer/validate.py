@@ -19,7 +19,7 @@ plan against it:
   storage-order expansion.
 
 ``validate_plan`` returns human-readable finding strings;
-:mod:`repro.sanitizer.plancheck` wraps them into ownership findings.
+:mod:`.plancheck` wraps them into ownership findings.
 """
 
 from __future__ import annotations
@@ -28,10 +28,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .functional import FunctionalSddmmPlan, FunctionalSpmmPlan, expand_vector_rows
-from .layout import GroupLayout
-from .sddmm import SddmmOctetPlan, SddmmWmmaPlan
-from .spmm import SpmmOctetPlan, SpmmWmmaPlan
+from repro.plans import (
+    FunctionalSddmmPlan,
+    FunctionalSpmmPlan,
+    GroupLayout,
+    SddmmOctetPlan,
+    SddmmWmmaPlan,
+    SpmmOctetPlan,
+    SpmmWmmaPlan,
+    expand_vector_rows,
+)
 
 __all__ = ["validate_plan"]
 

@@ -10,6 +10,7 @@ from repro.datasets import generate_topology
 from repro.formats.io import write_smtx
 from repro.hardware.config import VOLTA_V100
 from repro.obs import metrics, tracing
+from repro.perfmodel import sharedmemo
 from repro.perfmodel.reuse import work_imbalance
 
 from .work_distributor import simulate_schedule
@@ -109,15 +110,22 @@ class TestCli:
         assert "mma (octet)" not in names
         assert "fpu (sputnik)" in names
 
+    def test_bench_kernel_filter_validates(self, capsys):
+        assert main(["--op", "spmm", "--kernel", "nope",
+                     "--rows", "64", "--cols", "64"]) == 2
+        assert "valid choices" in capsys.readouterr().err
+
+    def test_bench_kernel_filter_selects(self, capsys):
+        assert main(["--op", "spmm", "--kernel", "octet",
+                     "--rows", "64", "--cols", "128", "-N", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "mma (octet)" in out
+        assert "blocked-ELL" not in out
+
 
 #: every subcommand's exit-code contract: (id, argv, exit code); ``{tmp}``
 #: is a fresh directory holding one regular file, ``{tmp}/file``
 SUBCOMMAND_CASES = [
-    ("sanitize-clean", ["sanitize", "--smoke"], 0),
-    ("sanitize-verbose-short", ["sanitize", "--smoke", "-v"], 0),
-    ("sanitize-bad", ["sanitize", "--kernel", "bogus"], 2),
-    ("faults-clean", ["faults", "--smoke"], 0),
-    ("faults-bad", ["faults", "--campaign", "bogus"], 2),
     ("obs-clean", ["obs", "--smoke"], 0),
     ("obs-bad", ["obs", "--only", "bogus"], 2),
     ("memo-clean", ["memo", "--dir", "{tmp}/store"], 0),
@@ -155,11 +163,27 @@ def test_subcommand_exit_code_contract(argv, code, tmp_path, capsys, fresh_obs):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_memo_dir_leaves_the_process_store_alone(tmp_path, capsys):
+    # ``memo --dir`` inspects that store, then restores the caller's
+    before = sharedmemo.store_dir()
+    assert main(["memo", "--dir", str(tmp_path / "store")]) == 0
+    assert str(tmp_path / "store") in capsys.readouterr().out
+    assert sharedmemo.store_dir() == before
+
+
+@pytest.mark.parametrize("command", ["sanitize", "faults"])
+def test_removed_subcommands_are_unknown(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {command}" in capsys.readouterr().err
+
+
 def test_cli_unknown_name_error_format_is_shared(capsys):
-    """sanitize and faults format unknown-name errors identically."""
+    """profile and serve format unknown-name errors identically."""
     codes = {
-        main(["faults", "--campaign", "bogus"]),
-        main(["sanitize", "--kernel", "bogus", "--smoke"]),
+        main(["profile", "--config", "bogus"]),
+        main(["serve", "--scenario", "bogus"]),
     }
     err = capsys.readouterr().err
     assert codes == {2}

@@ -1,139 +1,224 @@
-"""Tests for the fault-injection layer and memo integrity checking.
+"""Planted defects: every guaranteed-detection fault class fires its check.
 
-Covers the injector mechanics (single-shot, seeded determinism, copy
-semantics, arming discipline), the SDC campaigns (replayability,
-smoke-floor guarantees), and the checksummed memo store (tampered
-entries are detected, recomputed, and never served).
+Each test plants one defect into a real code path with ``monkeypatch``
+and asserts that the check owning the corrupted artifact reports it:
+
+* a flipped bit in the octet SpMM or SDDMM accumulator writeback (the
+  plan executors' output) fails the ownership differential;
+* a high bit flipped in one sector id of the octet SpMM's sector
+  stream lands outside every operand, and memcheck flags it;
+* a negated counter or a 64x FLOP claim on a finished ``KernelStats``
+  fails statcheck;
+* a flipped byte in a stored memo entry, in-process or in the shared
+  tier on disk, is detected and recomputed, never served.
+
+Each class runs on two seeds, which choose the problem and the
+corrupted element.  The kernel and stats defects run with the memo
+off, so a planted defect is never cached.
 """
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, active, run_campaign, site
-from repro.faults.campaign import _spmm_problem
+from repro import plans
+from repro.kernels.cases import cvse_operand, mask_operand
+from repro.kernels.sddmm_octet import OctetSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
-from repro.perfmodel import memo
+from repro.perfmodel import memo, sharedmemo, trace
 from repro.perfmodel.memo import stats_signature
 
+from . import tamper
+from .sanitizer import Checker, memcheck, racecheck, statcheck
 
-class TestInjectorMechanics:
-    def test_site_is_passthrough_when_unarmed(self):
-        arr = np.ones(4, dtype=np.float16)
-        assert not active()
-        assert site("spmm_octet.acc", arr) is arr  # same object, zero cost
+SEEDS = (1234, 1235)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            FaultInjector("spmm_octet.acc", "rowhammer", seed=1)
 
-    def test_nested_arming_is_a_usage_bug(self):
-        a = FaultInjector("x", "bitflip16", seed=1)
-        b = FaultInjector("x", "bitflip16", seed=2)
-        with a.armed():
-            assert active()
-            with pytest.raises(RuntimeError, match="already armed"):
-                with b.armed():
-                    pass
-        assert not active()  # cleared even after the nested failure
+def _spmm_problem(seed: int, v: int = 4, m: int = 32, k: int = 64, n: int = 128):
+    rng = np.random.default_rng(seed)
+    keep = rng.random((m // v, k)) < 0.4
+    keep[:, 0] = True  # every vector row live: no all-zero output rows
+    a = cvse_operand(keep, v, rng)
+    return a, rng.uniform(-1, 1, (k, n)).astype(np.float16), n
 
-    def test_bitflip_is_single_shot_copy_and_deterministic(self):
-        arr = np.arange(16, dtype=np.float16)
-        ref = arr.copy()
-        flips = []
-        for _ in range(2):
-            inj = FaultInjector("spmm_octet.acc", "bitflip16", seed=99)
-            with inj.armed():
-                first = site("spmm_octet.acc", arr)
-                second = site("spmm_octet.acc", arr)
-            assert inj.fired
-            assert np.array_equal(arr, ref)          # input never mutated
-            assert not np.array_equal(first, ref)    # corruption applied...
-            assert second is arr                     # ...exactly once
-            flips.append(first)
-        assert np.array_equal(flips[0], flips[1])    # same seed, same flip
 
-    def test_bitflip_never_masks_on_zero_payload(self):
-        # sign flips of +/-0.0 are undetectable by any checker; the
-        # injector must redraw rather than burn its shot on one
-        zeros = np.zeros(8, dtype=np.float16)
-        for seed in range(32):
-            inj = FaultInjector("s", "bitflip16", seed=seed)
-            with inj.armed():
-                out = site("s", zeros)
-            assert inj.fired
-            assert not np.array_equal(out, zeros), f"masked fault at seed {seed}"
+def _sddmm_problem(seed: int, v: int = 4, m: int = 32, k: int = 64, n: int = 96):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, k)).astype(np.float16)
+    b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
+    grp = rng.random((m // v, n)) < 0.3
+    grp[:, 0] = True
+    return a, b, mask_operand(grp, v)
 
-    def test_skip_spreads_injections_across_visits(self):
-        arrs = [np.full(4, i + 1.0, dtype=np.float16) for i in range(3)]
-        inj = FaultInjector("s", "bitflip16", seed=5, skip=2)
-        with inj.armed():
-            outs = [site("s", a) for a in arrs]
-        assert outs[0] is arrs[0] and outs[1] is arrs[1]
-        assert not np.array_equal(outs[2], arrs[2])
 
-    def test_wrong_site_never_fires(self):
-        inj = FaultInjector("sddmm_octet.acc", "bitflip16", seed=1)
-        arr = np.ones(4, dtype=np.float16)
-        with inj.armed():
-            out = site("spmm_octet.acc", arr)
-        assert out is arr and not inj.fired and inj.visits == 0
+def _flip_bit(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An fp16 copy of ``values`` with one bit of one element flipped.
 
-    def test_stats_negate_always_violates_physicality(self):
-        a, _b, n = _spmm_problem(seed=3)
+    A sign flip of a zero is redrawn: no check can or should see it."""
+    out = np.array(values, dtype=np.float16)
+    bits = out.view(np.uint16).reshape(-1)
+    while True:
+        idx, bit = int(rng.integers(bits.size)), int(rng.integers(16))
+        if bit != 15 or bits[idx] not in (0, 0x8000):
+            break
+    bits[idx] ^= np.uint16(1 << bit)
+    return out
+
+
+@pytest.fixture
+def memo_off():
+    previous = memo.set_enabled(False)
+    yield
+    memo.set_enabled(previous)
+
+
+@pytest.mark.usefixtures("memo_off")
+class TestPlantedKernelDefects:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_spmm_accumulator_bitflip_fires_ownership(self, monkeypatch, seed):
+        a, b, _ = _spmm_problem(seed)
+        rng = np.random.default_rng(seed)
+        clean = plans.execute_spmm_octet
+
+        def planted(plan, a, b16):
+            out, tc = clean(plan, a, b16)
+            return _flip_bit(out, rng), tc
+
+        monkeypatch.setattr(plans, "execute_spmm_octet", planted)
+        findings, _ = racecheck.check_spmm_octet_ownership(
+            OctetSpmmKernel(simulate=True), a, b)
+        assert {f.checker for f in findings} == {Checker.OWNERSHIP}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sddmm_accumulator_bitflip_fires_ownership(self, monkeypatch, seed):
+        a, b, mask = _sddmm_problem(seed)
+        rng = np.random.default_rng(seed)
+        clean = plans.execute_sddmm_octet
+
+        def planted(*args):
+            out_vals, tc = clean(*args)
+            return _flip_bit(out_vals, rng), tc
+
+        monkeypatch.setattr(plans, "execute_sddmm_octet", planted)
+        findings, _ = racecheck.check_sddmm_octet_ownership(
+            OctetSddmmKernel(variant="reg", simulate=True), a, b, mask)
+        assert {f.checker for f in findings} == {Checker.OWNERSHIP}
+
+    @pytest.mark.parametrize("skip", (0, 1))
+    def test_out_of_extent_sector_fires_memcheck(self, monkeypatch, skip):
+        # the two runs corrupt different CTAs: the first non-empty one
+        # at or after CTA ``skip``
+        seed = SEEDS[skip]
+        a, _, n = _spmm_problem(seed)
+        rng = np.random.default_rng(seed)
+        clean = trace.octet_spmm_cta_sectors
+
+        def planted(*args):
+            fired = False
+            for cta, ops in clean(*args):
+                if not fired and cta >= skip and ops:
+                    ops = [op.copy() for op in ops]
+                    op = ops[int(rng.integers(len(ops)))]
+                    # a high bit: the sector lands megabytes outside any operand
+                    op[int(rng.integers(op.size))] ^= 1 << (16 + int(rng.integers(8)))
+                    fired = True
+                yield cta, ops
+
+        monkeypatch.setattr(trace, "octet_spmm_cta_sectors", planted)
+        findings, _ = memcheck.check_stream(trace.octet_spmm_cta_sectors(a, n),
+                                            memcheck.spmm_octet_address_map(a, n))
+        assert findings
+        assert {f.checker for f in findings} == {Checker.MEMCHECK}
+
+
+#: ``KernelStats`` counters a planted negation may hit, as (sub-object
+#: attribute or None, field)
+_STATS_PATHS = (
+    ("global_mem", "load_sectors"),
+    ("global_mem", "bytes_l2_to_l1"),
+    ("global_mem", "bytes_dram_to_l2"),
+    ("shared_mem", "load_requests"),
+    (None, "flops"),
+    (None, "ilp"),
+    (None, "work_imbalance"),
+)
+
+
+def _negate(stats, rng, path=None):
+    sub, name = path or _STATS_PATHS[int(rng.integers(len(_STATS_PATHS)))]
+    obj = getattr(stats, sub) if sub else stats
+    setattr(obj, name, -abs(float(getattr(obj, name))) - 1.0)
+    return stats
+
+
+def _inflate_flops(stats, rng):
+    assert stats.flops > 0
+    stats.flops *= 64.0
+    return stats
+
+
+@pytest.mark.usefixtures("memo_off")
+class TestPlantedStatsDefects:
+    @pytest.mark.parametrize("plant", [_negate, _inflate_flops],
+                             ids=["negated-counter", "flops-past-roofline"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_corrupted_stats_fire_statcheck(self, monkeypatch, plant, seed):
+        a, _, n = _spmm_problem(seed)
+        rng = np.random.default_rng(seed)
+        clean = OctetSpmmKernel.stats_for
+        monkeypatch.setattr(OctetSpmmKernel, "stats_for",
+                            lambda self, *args: plant(clean(self, *args), rng))
         kern = OctetSpmmKernel()
-        stats = kern.stats_for(a, n)
-        inj = FaultInjector("s", "stats-negate", seed=7)
-        with inj.armed():
-            dirty = site("s", stats)
-        assert inj.fired
-        assert stats_signature(dirty) != stats_signature(stats)
-        assert stats.flops >= 0  # original untouched (deepcopy semantics)
+        findings, _ = statcheck.check_stats(kern.stats_for(a, n), spec=kern.spec)
+        assert findings
+        assert {f.checker for f in findings} == {Checker.STATCHECK}
+
+    def test_every_negated_counter_fires_statcheck(self):
+        a, _, n = _spmm_problem(SEEDS[0])
+        kern = OctetSpmmKernel()
+        for path in _STATS_PATHS:
+            stats = _negate(kern.stats_for(a, n), None, path)
+            assert statcheck.check_stats(stats, spec=kern.spec)[0], path
 
 
-class TestCampaigns:
-    def test_unknown_campaign_rejected_with_choices(self):
-        with pytest.raises(ValueError, match="default"):
-            run_campaign("nope")
+class TestPlantedMemoDefects:
+    """A flipped byte in a stored entry is caught by its checksum; the
+    store recomputes, and the caller gets bit-identical stats."""
 
-    def test_smoke_campaign_detects_everything(self):
-        result = run_campaign("smoke", seed=1234)
-        assert result.passed
-        for checker, (det, tot) in result.coverage().items():
-            assert det == tot, f"{checker}: {det}/{tot} on guaranteed faults"
+    @pytest.fixture(autouse=True)
+    def _memo_on(self, tmp_path):
+        memo_was = memo.set_enabled(True), memo.set_checksum(True)
+        shared_was = sharedmemo.set_enabled(False), sharedmemo.set_dir(tmp_path)
+        memo.clear()
+        sharedmemo.reset()
+        yield
+        memo.set_enabled(memo_was[0])
+        memo.set_checksum(memo_was[1])
+        memo.clear()
+        sharedmemo.reset()
+        sharedmemo.set_enabled(shared_was[0])
+        sharedmemo.set_dir(shared_was[1])
 
-    def test_campaign_is_replayable_record_for_record(self):
-        a = run_campaign("smoke", seed=77)
-        b = run_campaign("smoke", seed=77)
-        assert [(r.target, r.seed, r.detected, r.detail) for r in a.records] == [
-            (r.target, r.seed, r.detected, r.detail) for r in b.records
-        ]
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_corrupt_memo_entry_detected_never_served(self, seed):
+        a, _, n = _spmm_problem(seed)
+        kern = OctetSpmmKernel()
+        clean = stats_signature(kern.stats_for(a, n))
+        before = memo.integrity_failures()
+        assert tamper.memo_entry("stats", flip_byte=int(np.random.default_rng(seed).integers(200)))
+        assert stats_signature(kern.stats_for(a, n)) == clean
+        assert memo.integrity_failures() == before + 1
 
-    def test_campaign_leaves_no_injector_armed(self):
-        run_campaign("smoke", seed=5)
-        assert not active()
-
-    def test_campaign_restores_the_callers_memo_overrides(self, tmp_path):
-        from repro.perfmodel import sharedmemo
-        memo.set_enabled(False)
-        memo.set_checksum(False)
-        sharedmemo.set_enabled(False)
-        sharedmemo.set_dir(tmp_path)
-        try:
-            assert run_campaign("smoke", seed=5).passed
-            assert not memo.enabled() and not memo.checksum_enabled()
-            assert not sharedmemo.enabled()
-            assert sharedmemo.store_dir() == tmp_path
-        finally:
-            memo.set_enabled(None)
-            memo.set_checksum(None)
-            sharedmemo.set_enabled(None)
-            sharedmemo.set_dir(None)
-
-    def test_report_renders_coverage_table(self):
-        result = run_campaign("smoke", seed=1234)
-        text = result.to_text()
-        assert "Coverage" in text and "Floor" in text
-        assert "ok" in text
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_corrupt_shared_entry_detected_never_served(self, seed):
+        sharedmemo.set_enabled(True)
+        a, _, n = _spmm_problem(seed)
+        kern = OctetSpmmKernel()
+        clean = stats_signature(kern.stats_for(a, n))
+        assert tamper.shared_entry("stats", flip_byte=int(np.random.default_rng(seed).integers(200)))
+        memo.clear()  # the next lookup must read the corrupted entry file
+        before = sharedmemo.integrity_failures()
+        assert stats_signature(kern.stats_for(a, n)) == clean
+        assert sharedmemo.integrity_failures() == before + 1
 
 
 class TestMemoIntegrity:
@@ -154,7 +239,7 @@ class TestMemoIntegrity:
     def test_tampered_entry_detected_and_recomputed_never_served(self):
         ref = self._stats_once()
         base = memo.integrity_failures()
-        assert memo.tamper_entry("stats", index=0, flip_byte=17)
+        assert tamper.memo_entry("stats", index=0, flip_byte=17)
         served = self._stats_once()
         assert memo.integrity_failures() == base + 1  # corruption was caught
         assert served == ref                          # caller got clean stats
@@ -173,5 +258,5 @@ class TestMemoIntegrity:
         assert not memo.checksum_enabled()
         ref = self._stats_once()
         # raw storage: nothing to tamper with at the byte level
-        assert not memo.tamper_entry("stats", index=0)
+        assert not tamper.memo_entry("stats", index=0)
         assert self._stats_once() == ref

@@ -11,8 +11,8 @@ The kernel contracts run the kernels of the case table
   ``tests/oracles`` patched to raise, every case and every ``trace_*``
   replay still runs;
 * every class the dispatch registry can build is a row of the case
-  table, which tier-1 drives through the profiler, the sanitizer and
-  the plan parity test;
+  table, which tier-1 drives through the profiler, the sanitizer tests
+  and the plan parity test;
 * a case has a compiled plan exactly when its class is a key of the
   oracle registry :data:`tests.oracles.ORACLES`, whose walk
   ``tests/test_plans.py`` runs bit for bit against the plan;
@@ -37,8 +37,7 @@ set of ``tests/runset.py``:
   ``DERIVED`` input is a declared counter;
 * sound memo keys: with the cache filled under the default gate state,
   flipping each flag gate leaves memo-on results bit-identical to
-  memo-off ones (the fault-injector half of this contract is
-  ``test_memo.py::test_memoise_bypasses_cache_while_injector_armed``).
+  memo-off ones.
 
 Each check is shown to catch its defect planted into a real module: the
 planted function is bound over the original for one test (compiled in
@@ -540,8 +539,7 @@ def test_cli_exit_codes(traced_pass):
     # every command of the run set exits clean, and the crashed pool
     # worker costs only its own experiment
     codes = {step: code for step, code in traced_pass.digests.items() if step.endswith(" exit")}
-    assert sorted(codes) == ["faults --smoke exit", "obs --smoke exit",
-                             "profile --smoke exit", "sanitize --smoke exit",
+    assert sorted(codes) == ["obs --smoke exit", "profile --smoke exit",
                              "serve --smoke exit"]
     assert set(codes.values()) == {str(cli.EXIT_CLEAN)}
     assert traced_pass.digests["chaos survivors"] == "table2"

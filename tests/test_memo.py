@@ -11,7 +11,6 @@ import pytest
 
 from repro.datasets.benchmark_suite import build_sddmm_problem, build_spmm_problem
 from repro.datasets.dlmc import dlmc_suite
-from repro.faults.injector import FaultInjector
 from repro.formats import ColumnVectorSparseMatrix
 from repro.hardware.config import GPUSpec
 from repro.kernels import sddmm_common
@@ -274,25 +273,3 @@ def test_scope_counts_only_the_lookups_that_happen():
     assert cold == {"latency": (0, 1), "stats": (0, 1)}
     assert warm == {"latency": (0, 1)}
 
-
-def test_memoise_bypasses_cache_while_injector_armed():
-    # a compute that passes through a fault-injection site is neither
-    # served from nor stored in the cache while an injector is armed,
-    # so a corrupted payload is never cached or published
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return len(calls)
-
-    key = ("injector-bypass",)
-    assert memo.memoise("stats", key, compute) == 1
-    assert memo.memoise("stats", key, compute) == 1  # cache hit
-
-    inj = FaultInjector("trace.octet_spmm.ops", "bitflip16", seed=7)
-    with inj.armed():
-        # armed -> compute runs fresh, result is NOT cached
-        assert memo.memoise("stats", key, compute) == 2
-
-    # disarmed -> the pre-arm cached value is served, untouched
-    assert memo.memoise("stats", key, compute) == 1

@@ -12,8 +12,9 @@ contracts are pinned here:
 * **cache discipline** — plans live in the checksummed ``plan`` memo
   region: second compile is a hit, topology or tile-config changes
   miss, and tampered blobs are detected and recompiled;
-* **fault transparency** — injection sites fire at execution time on
-  the plan path (plans carry schedule only).
+* **fault transparency** — a defect planted in a plan executor shows
+  at execution time and never reaches the cached plan (plans carry
+  schedule only).
 """
 
 from typing import List
@@ -24,7 +25,6 @@ import pytest
 from repro import plans
 from repro.datasets.dlmc import generate_topology
 from repro.obs import metrics, tracing
-from repro.faults import FaultInjector
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
@@ -35,9 +35,11 @@ from repro.kernels.sddmm_wmma import WmmaSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.kernels.spmm_wmma import WmmaSpmmKernel
 from repro.perfmodel import memo
-from repro.sanitizer import plancheck
 
+from . import tamper
 from .oracles import ORACLES, sddmm_functional_reference, spmm_functional_reference, spmm_octet
+from .sanitizer import plancheck
+from .sanitizer.validate import validate_plan
 
 VECTOR_LENGTHS = (2, 4, 8)
 
@@ -204,7 +206,7 @@ class TestPlanCache:
         ref, _ = spmm_octet(kern, a, b)
         kern._execute_simulated(a, b)  # populate the plan region
         base = memo.integrity_failures()
-        assert memo.tamper_entry("plan", index=0, flip_byte=5)
+        assert tamper.memo_entry("plan", index=0, flip_byte=5)
         got = kern._execute_simulated(a, b)  # corrupt blob never served
         assert memo.integrity_failures() == base + 1
         assert np.array_equal(_bits(got), _bits(ref))
@@ -263,26 +265,26 @@ class TestPlanMetrics:
 
 
 # --------------------------------------------------------------------- #
-# schedule validation (the sanitizer's plancheck pass uses the same API)
+# schedule validation (the sanitizer's plancheck pass wraps validate_plan)
 # --------------------------------------------------------------------- #
 class TestPlanValidation:
     def test_compiled_plans_are_clean(self):
         rng = np.random.default_rng(10)
         a = _random_cvse(rng, 16, 48, 4)
         mask = _random_mask(rng, 12, 40, 4)
-        assert plans.validate_plan(plans.spmm_octet_plan(OctetSpmmKernel(simulate=True), a), a) == []
-        assert plans.validate_plan(plans.spmm_wmma_plan(WmmaSpmmKernel(simulate=True), a), a) == []
+        assert validate_plan(plans.spmm_octet_plan(OctetSpmmKernel(simulate=True), a), a) == []
+        assert validate_plan(plans.spmm_wmma_plan(WmmaSpmmKernel(simulate=True), a), a) == []
         sd = OctetSddmmKernel(variant="reg", simulate=True)
-        assert plans.validate_plan(plans.sddmm_octet_plan(sd, mask, 24), mask, k=24) == []
+        assert validate_plan(plans.sddmm_octet_plan(sd, mask, 24), mask, k=24) == []
         wd = WmmaSddmmKernel(simulate=True)
-        assert plans.validate_plan(plans.sddmm_wmma_plan(wd, mask, 24), mask, k=24) == []
+        assert validate_plan(plans.sddmm_wmma_plan(wd, mask, 24), mask, k=24) == []
 
     def test_corrupted_schedule_is_flagged(self):
         rng = np.random.default_rng(11)
         a = _random_cvse(rng, 16, 48, 4)
         plan = plans.spmm_octet_plan(OctetSpmmKernel(simulate=True), a)
         plan.layout.slots[0] += 1  # mis-attribute one fragment slot
-        assert plans.validate_plan(plan, a)
+        assert validate_plan(plan, a)
 
     def test_plancheck_wraps_findings_and_counters(self):
         rng = np.random.default_rng(12)
@@ -296,17 +298,23 @@ class TestPlanValidation:
 
 
 # --------------------------------------------------------------------- #
-# fault transparency: sites fire at execution time, never inside plans
+# fault transparency: defects show at execution time, never inside plans
 # --------------------------------------------------------------------- #
 class TestFaultTransparency:
-    def test_armed_injector_fires_on_plan_path(self):
+    def test_planted_defect_fires_on_plan_path(self, monkeypatch):
         rng = np.random.default_rng(20)
         a = _random_cvse(rng, 16, 48, 4)
         b = rng.uniform(-1, 1, (a.shape[1], 32)).astype(np.float16)
         kern = OctetSpmmKernel(simulate=True)
-        clean = kern._execute_simulated(a, b)
-        inj = FaultInjector("spmm_octet.acc", "bitflip16", seed=7)
-        with inj.armed():
-            dirty = kern._execute_simulated(a, b)
-        assert inj.fired
+        clean = kern._execute_simulated(a, b)  # compiles and caches the plan
+        execute = plans.execute_spmm_octet
+
+        def planted(*args):
+            out, tc = execute(*args)
+            return out + np.float32(1.0), tc
+
+        monkeypatch.setattr(plans, "execute_spmm_octet", planted)
+        dirty = kern._execute_simulated(a, b)
+        monkeypatch.undo()
         assert not np.array_equal(_bits(clean), _bits(dirty))
+        assert np.array_equal(_bits(clean), _bits(kern._execute_simulated(a, b)))

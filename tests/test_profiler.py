@@ -13,11 +13,10 @@ from repro.kernels.cases import KERNEL_CASES as TABLE
 from repro.obs import metrics, tracing
 from repro.profiler.registry import CONFIGS
 from repro.profiler.roofline import MATH_PIPES, ROOFLINE_APPLICABLE, classify
-from repro.sanitizer import sanitize
-from repro.sanitizer.harness import KERNEL_CASES
 from repro.serving import get_scenario, profile_summary, simulate
 
 from .oracles import ORACLES
+from .sanitizer import check_case
 from .test_perfmodel import simple_stats
 
 
@@ -43,15 +42,12 @@ def smoke_profiles():
 # counter derivation
 # --------------------------------------------------------------------- #
 class TestDerivation:
-    def test_registry_mirrors_sanitizer_kernel_cases(self):
-        assert set(profiler.KERNEL_NAMES) == set(KERNEL_CASES)
-
     def test_every_case_table_row_reaches_every_consumer(self, smoke_profiles):
         planned = [name for name, case in TABLE.items() if case.factory in ORACLES]
         assert profiler.KERNEL_NAMES == tuple(TABLE)
         for name, case in TABLE.items():
             assert smoke_profiles[name].time_us > 0
-            [report] = sanitize([name], suite="smoke")
+            report = check_case(name)
             assert report.ok and report.checks_run
             assert (name in planned) == (case.plan is not None)
         assert len(planned) == 6

@@ -1,15 +1,21 @@
-"""Tests for the kernel sanitizer: corpus, clean sweep, validation hooks, CLI."""
+"""Tests for the kernel sanitizer (``tests/sanitizer``): every case runs
+clean, the corpus, the validation hooks.
+
+Run the sanitizer alone with::
+
+    PYTHONPATH=src python -m pytest tests/test_sanitizer.py
+"""
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.hardware.register_file import KernelResources
 from repro.hardware.thread_hierarchy import LaunchConfig
+from repro.kernels.cases import KERNEL_CASES
 from repro.perfmodel.events import GlobalTraffic, KernelStats
-from repro.sanitizer import Checker, KERNEL_CASES, SUITES, sanitize
-from repro.sanitizer import corpus, memcheck, racecheck, statcheck
-from repro.sanitizer.findings import Finding, SanitizerReport, format_reports
+
+from .sanitizer import Checker, check_case, corpus, memcheck, racecheck, statcheck
+from .sanitizer.findings import Finding, SanitizerReport
 
 
 class TestInjectedViolationCorpus:
@@ -40,37 +46,52 @@ class TestInjectedViolationCorpus:
             assert {f.checker for f in report.findings} == {checker}
 
 
-class TestCleanSweep:
-    """Every shipped kernel passes every applicable checker."""
+#: the checker families each case's check body runs
+EXPECTED_CHECKS = {
+    "spmm-octet": {"statcheck", "memcheck", "ownership", "racecheck", "synccheck"},
+    "spmm-wmma": {"statcheck", "ownership", "racecheck", "synccheck"},
+    "spmm-fpu": {"statcheck", "ownership", "racecheck", "synccheck"},
+    "spmm-blocked-ell": {"statcheck", "memcheck", "racecheck", "synccheck"},
+    "dense-gemm": {"statcheck", "memcheck", "racecheck", "synccheck"},
+    "sddmm-octet-reg": {"statcheck", "memcheck", "ownership"},
+    "sddmm-octet-shfl": {"statcheck", "memcheck", "ownership"},
+    "sddmm-octet-arch": {"statcheck", "memcheck", "ownership"},
+    "sddmm-wmma": {"statcheck", "memcheck", "ownership", "racecheck", "synccheck"},
+    "sddmm-fpu": {"statcheck", "ownership"},
+    "softmax": {"statcheck"},
+    "cusparse-csr-spmm": {"statcheck"},
+    "cusparse-sddmm": {"statcheck"},
+}
 
-    def test_smoke_suite_zero_findings(self):
-        reports = sanitize(suite="smoke")
-        assert len(reports) == len(KERNEL_CASES)
-        bad = [str(f) for r in reports for f in r.findings]
-        assert not bad, "\n".join(bad)
+#: checker -> the work counters that show it checked something
+WORK = {
+    "statcheck": ("stat_checks",),
+    "memcheck": ("sectors",),
+    "racecheck": ("shared_accesses",),
+    "synccheck": ("barriers",),
+    "ownership": ("octet_mmas", "plan.slots"),
+}
+
+
+class TestCleanSweep:
+    """Every registered kernel passes every applicable checker."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_case_is_clean(self, name):
+        report = check_case(name)
+        assert report.ok, report.format()
         # zero findings must mean the checkers actually ran
-        for r in reports:
-            assert "statcheck" in r.checks_run
-            assert sum(r.counters.values()) > 0
+        assert set(report.checks_run) == EXPECTED_CHECKS[name]
+        for checker in report.checks_run:
+            assert any(report.counters.get(key, 0) > 0 for key in WORK[checker]), checker
 
     def test_reports_are_labelled_with_kernel_names(self):
-        reports = sanitize(suite="smoke")
-        assert [r.kernel for r in reports] == [
+        assert [check_case(name).kernel for name in KERNEL_CASES] == [
             case.kernel().name for case in KERNEL_CASES.values()]
 
     def test_octet_kernels_get_ownership_checked(self):
-        reports = {r.kernel: r for r in sanitize(
-            ["spmm-octet", "sddmm-octet-arch"], suite="smoke")}
-        for rep in reports.values():
-            assert "ownership" in rep.checks_run
-            assert rep.counters.get("octet_mmas", 0) > 0
-
-    def test_unknown_kernel_and_suite_rejected(self):
-        with pytest.raises(ValueError, match="valid choices"):
-            sanitize(["no-such-kernel"])
-        with pytest.raises(ValueError, match="valid choices"):
-            sanitize(suite="no-such-suite")
-        assert set(SUITES) == {"smoke", "default", "full"}
+        for name in ("spmm-octet", "sddmm-octet-reg", "sddmm-octet-shfl", "sddmm-octet-arch"):
+            assert check_case(name).counters["octet_mmas"] > 0
 
 
 class TestValidatingPostInit:
@@ -171,33 +192,6 @@ class TestFindingsModel:
         assert rep.ok
         rep.extend([Finding(Checker.MEMCHECK, "k", "boom", "cta 0")])
         assert not rep.ok
-        text = format_reports([rep], verbose=True)
+        text = rep.format(verbose=True)
         assert "[memcheck] k @ cta 0: boom" in text
-        assert "1 finding(s)" in text
-
-
-class TestSanitizeCli:
-    def test_smoke_run_exits_zero(self, capsys):
-        assert main(["sanitize", "--kernel", "softmax", "--suite", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "softmax-cvse: OK" in out
-
-    def test_unknown_kernel_exits_two(self, capsys):
-        assert main(["sanitize", "--kernel", "no-such-kernel"]) == 2
-        assert "valid choices" in capsys.readouterr().err
-
-    def test_unknown_suite_exits_two(self, capsys):
-        assert main(["sanitize", "--suite", "no-such-suite"]) == 2
-        assert "valid choices" in capsys.readouterr().err
-
-    def test_bench_kernel_filter_validates(self, capsys):
-        assert main(["--op", "spmm", "--kernel", "nope",
-                     "--rows", "64", "--cols", "64"]) == 2
-        assert "valid choices" in capsys.readouterr().err
-
-    def test_bench_kernel_filter_selects(self, capsys):
-        assert main(["--op", "spmm", "--kernel", "octet",
-                     "--rows", "64", "--cols", "128", "-N", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "mma (octet)" in out
-        assert "blocked-ELL" not in out
+        assert "k: 1 finding(s)" in text

@@ -19,6 +19,8 @@ from repro.datasets.dlmc import dlmc_suite
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.perfmodel import memo, sharedmemo
 
+from . import tamper
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -129,7 +131,7 @@ class TestCorruption:
         prob = _problem()
         kern = OctetSpmmKernel()
         clean_sig = memo.stats_signature(kern.stats_for(prob.a_cvse, 64))
-        assert sharedmemo.tamper_entry("stats", index=0, flip_byte=3)
+        assert tamper.shared_entry("stats", index=0, flip_byte=3)
         memo.clear()  # force the lookup through the tampered entry file
         before = sharedmemo.integrity_failures()
         served = kern.stats_for(prob.a_cvse, 64)
