@@ -7,7 +7,10 @@ against ``tests.oracles.replay_l1_reference`` (scalar cache, ``pop(0)``
 interleave — the pinned reference), best of ``--repeats``.  The two
 replays must return identical :class:`TraceResult`\\ s; the record is
 appended to ``BENCH_simulator.json`` so the speedup trajectory is
-tracked next to the analytic-layer benchmark.
+tracked next to the analytic-layer benchmark.  It also checks that each
+memoised ``trace_*`` entry point, which builds only the sampled SMs'
+CTAs, equals ``replay_l1`` over the full generator stream
+(``tests.oracles.TRACE_TWINS``) on the same problem.
 
 Usage::
 
@@ -41,7 +44,7 @@ from repro.perfmodel.trace import (  # noqa: E402
     octet_spmm_cta_sectors,
     replay_l1,
 )
-from tests.oracles import replay_l1_reference  # noqa: E402
+from tests.oracles import TRACE_TWINS, replay_l1_reference, trace_args  # noqa: E402
 
 
 def _best_of(fn, repeats: int):
@@ -105,6 +108,9 @@ def main(argv=None) -> int:
             "identical": same,
         }
 
+    # each sampled entry point against its full-stream twin
+    sampled = {entry.__name__: entry.__wrapped__(*args) == TRACE_TWINS[entry](*args)
+               for entry, args in trace_args(a, ell, n).items()}
     record = {
         "benchmark": "trace_replay",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -120,11 +126,16 @@ def main(argv=None) -> int:
         "vector_engine_s": round(vector_s, 4),
         "speedup": round(scalar_s / vector_s, 1) if vector_s else float("inf"),
         "outputs_identical": identical,
+        "sampled_entries_identical": sampled,
     }
     print(json.dumps(record, indent=2))
 
     if not identical:
         print("ERROR: vectorised replay diverged from the scalar reference",
+              file=sys.stderr)
+        return 1
+    if not all(sampled.values()):
+        print("ERROR: a sampled trace entry point diverged from its full-stream replay",
               file=sys.stderr)
         return 1
     if not args.smoke:

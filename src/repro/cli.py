@@ -7,8 +7,10 @@ analog — the per-matrix version of Figures 17/19.
 
 The subcommands live in one table, ``_SUBCOMMANDS``: each name maps to
 its description, the function that adds its arguments, and the handler
-that runs it.  :func:`main` parses once and turns any ``ValueError`` a
-handler raises into ``error: ...`` on stderr and exit 2.
+that runs it.  :func:`main` parses once and turns every bad invocation
+(an unknown subcommand, an argument argparse rejects, or a
+``ValueError`` a handler raises) into ``error: ...`` on stderr and
+exit 2.
 
 * ``obs`` runs experiments under the observability layer
   (:mod:`repro.obs`);
@@ -90,6 +92,17 @@ def _usage_error(exc: object) -> int:
     return EXIT_USAGE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that never exits on a bad invocation: its errors reach
+    :func:`main`'s one usage path as :class:`argparse.ArgumentError`."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(exit_on_error=False, **kwargs)
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _validate_names(names, valid, what: str) -> None:
     """Reject unknown names listing the valid choices (the ``run_all
     --only`` convention)."""
@@ -131,10 +144,9 @@ def _smoke_gate(name: str, failures: List[str], ok_line: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for ``repro-bench``."""
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="repro-bench",
         description="Compare the paper's kernels on one sparse matrix (simulated V100)",
-        exit_on_error=False,
     )
     src = ap.add_argument_group("matrix source")
     src.add_argument("--smtx", type=str, default="", help="DLMC .smtx topology file")
@@ -660,25 +672,24 @@ _SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     """``repro-bench`` entry point: a subcommand name parses the rest with
-    that subcommand's arguments and runs its handler, anything else runs
-    the kernel table.  A ``ValueError`` from any handler is a usage error."""
+    that subcommand's arguments and runs its handler, options alone run
+    the kernel table.  Any other leading word, an argument argparse
+    rejects, and a ``ValueError`` from any handler are usage errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        description, add_arguments, run = _SUBCOMMANDS[argv[0]]
-        ap = argparse.ArgumentParser(prog=f"repro-bench {argv[0]}",
-                                     description=description, exit_on_error=False)
-        add_arguments(ap)
-        argv = argv[1:]
-    else:
-        ap, run = build_parser(), _bench
     try:
-        args = ap.parse_args(argv)
+        if argv and not argv[0].startswith("-"):
+            _validate_names(argv[:1], _SUBCOMMANDS, "subcommand")
+            description, add_arguments, run = _SUBCOMMANDS[argv[0]]
+            ap = _ArgumentParser(prog=f"repro-bench {argv[0]}", description=description)
+            add_arguments(ap)
+            argv = argv[1:]
+        else:
+            ap, run = build_parser(), _bench
+        return run(ap.parse_args(argv))
     except argparse.ArgumentError as exc:
-        if not isinstance(exc.__context__, argparse.ArgumentTypeError):
-            ap.error(str(exc))  # argparse's own report for every other bad value
-        return _usage_error(f"{exc.argument_name} {exc.message}")
-    try:
-        return run(args)
+        if isinstance(exc.__context__, argparse.ArgumentTypeError):
+            return _usage_error(f"{exc.argument_name} {exc.message}")
+        return _usage_error(exc)
     except ValueError as exc:
         return _usage_error(exc)
 

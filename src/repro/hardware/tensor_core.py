@@ -257,7 +257,8 @@ def mma_m8n8k4_batched(
     :func:`mma_m8n8k4` on every batch item: the same four-step
     quadrant schedule, the same SWITCH/invert-groups register
     re-pairing, the same FP32 accumulation order (both paths contract
-    k=4 through the einsum in :func:`_dot_f32`), so the result is
+    k=4 through :func:`_dot_f32`'s serial left-to-right multiply-add
+    chain, which no batch shape can reorder), so the result is
     bit-identical to the per-octet loop — the batched-parity tests pin
     this.  ``stats`` aggregates across the batch: ``batch`` mma
     instructions, ``batch x len(steps)`` HMMA steps.

@@ -37,6 +37,7 @@ from ..hardware.thread_hierarchy import LaunchConfig, ceil_div
 from ..perfmodel import memo
 from ..perfmodel.events import GlobalTraffic, KernelStats, estimate_dram_bytes
 from ..perfmodel.reuse import coresident_reuse_bytes
+from . import functional as _functional
 from .base import Kernel, Precision, as_compute, elem_bytes
 
 __all__ = ["BlockedEllSpmmKernel", "CusparseCsrSpmmKernel", "CusparseSddmmKernel"]
@@ -273,10 +274,10 @@ class CusparseSddmmKernel(Kernel):
 
     def _execute(self, a: np.ndarray, b: np.ndarray, mask: CSRMatrix) -> CSRMatrix:
         a32 = as_compute(np.asarray(a), self.precision)
-        b32 = as_compute(np.asarray(b), self.precision)
+        bt32 = as_compute(np.asarray(b), self.precision).T.copy()  # rows = B columns
         rows = np.repeat(np.arange(mask.shape[0]), mask.row_nnz())
-        vals = np.einsum("ck,ck->c", a32[rows], b32.T[mask.col_idx], optimize=True)
-        return CSRMatrix(mask.shape, mask.row_ptr, mask.col_idx, vals.astype(np.float32))
+        vals = _functional._sddmm_gathered_dot(a32, bt32, rows, mask.col_idx)
+        return CSRMatrix(mask.shape, mask.row_ptr, mask.col_idx, vals)
 
     def _stats(self, a: np.ndarray, b: np.ndarray, mask: CSRMatrix) -> KernelStats:
         return self.stats_for(mask, np.asarray(a).shape[1])

@@ -70,13 +70,19 @@ def _check_sddmm_args(
         raise ValueError(f"mask shape {mask.shape} != output shape {(m, n)}")
 
 
+#: bytes of one gathered fp32 operand chunk (``rows x k``): bounds the
+#: two gathered copies whatever the problem size
+_GATHER_BYTES = 4 << 20
+
+
 def _sddmm_gathered_dot(
     a32: np.ndarray,
     bt32: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    chunk: int,
 ) -> np.ndarray:
+    """``out[i] = a32[rows[i]] . bt32[cols[i]]``, gathered chunk by chunk."""
+    chunk = max(1, _GATHER_BYTES // (a32.itemsize * max(1, a32.shape[1])))
     out = np.empty(rows.size, dtype=np.float32)
     for lo in range(0, rows.size, chunk):
         hi = min(rows.size, lo + chunk)
@@ -92,7 +98,6 @@ def sddmm_functional(
     mask: ColumnVectorSparseMatrix,
     precision: Precision = "half",
     out_dtype=np.float16,
-    chunk: int = 1 << 18,
 ) -> ColumnVectorSparseMatrix:
     """``C = (A @ B) .* D`` with D a CVSE mask; returns CVSE with values.
 
@@ -106,6 +111,6 @@ def sddmm_functional(
     a32 = as_compute(a, precision)
     bt32 = as_compute(b, precision).T.copy()  # (N, K) rows = B columns
     plan = _plans.functional_sddmm_plan(mask)
-    out = _sddmm_gathered_dot(a32, bt32, plan.rows, plan.cols, chunk)
+    out = _sddmm_gathered_dot(a32, bt32, plan.rows, plan.cols)
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
     return mask.with_values(values)

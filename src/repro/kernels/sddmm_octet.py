@@ -91,8 +91,8 @@ class OctetSddmmKernel(Kernel):
     def _execute_simulated(
         self, a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
     ) -> ColumnVectorSparseMatrix:
-        """Compiled-plan walk: the whole structure's (sub-step, k-slice)
-        octet stream in one batched call, driven by a cached execution
+        """Compiled-plan walk: the whole structure's octet sub-steps in
+        one batched call per k-group, driven by a cached execution
         plan (:mod:`repro.plans`) — bit-for-bit the interpreted per-row
         walk kept as a test oracle (``tests/oracles``).  The variant's
         SWITCH discipline is applied at execution time, never baked into

@@ -68,7 +68,7 @@ class WmmaSddmmKernel(Kernel):
         self, a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
     ) -> ColumnVectorSparseMatrix:
         """Compiled-plan walk: the whole structure's wmma.m8n32k16
-        stream in one batched call, driven by a cached execution plan
+        tiles in one batched call per k-step, driven by a cached execution plan
         (:mod:`repro.plans`) — bit-for-bit the interpreted per-row walk
         kept as a test oracle (``tests/oracles``).
         """

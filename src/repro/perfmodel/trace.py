@@ -14,6 +14,9 @@ on SM ``i % num_sms``), so one SM's L1 sees every ``num_sms``-th CTA.
 We replay the streams of the CTAs mapped to a sample of SMs,
 interleaving the co-resident CTAs' accesses round-robin (they execute
 concurrently), and scale the measured per-SM fill traffic back up.
+Only the sampled CTAs are built: given the sample, a generator yields
+every other CTA with no ops, so it is counted but its sector arrays
+are never made.
 The L1 misses of the sampled SMs additionally propagate — in batch
 order — through one shared L2, giving a sampled DRAM-side estimate.
 
@@ -38,7 +41,7 @@ Address map (documented once, shared by all generators):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +70,9 @@ __all__ = [
 ]
 
 _SECTOR = 32
+
+#: ``(sample_sms, num_sms)``: the CTAs a sampled replay keeps
+Sample = Optional[Tuple[int, int]]
 
 
 @dataclass
@@ -130,11 +136,32 @@ def _segment_sectors(starts: np.ndarray, seg_bytes: int) -> np.ndarray:
     return grid[keep]
 
 
+def _cta_stream(
+    outer: int,
+    inner: int,
+    build: Callable[[int, int], List[np.ndarray]],
+    sample: Sample,
+) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """``(cta_id, ops)`` over an ``outer x inner`` CTA grid, inner index fastest.
+
+    ``build(o, i)`` makes one CTA's sector arrays.  With ``sample`` set,
+    only the CTAs :func:`replay_l1` keeps (``cta % num_sms <
+    sample_sms``) are built; the rest are yielded with no ops, so the CTA
+    count stays whole.  ``sample=None`` builds every CTA.
+    """
+    for cta in range(outer * inner):
+        if sample is not None and cta % sample[1] >= sample[0]:
+            yield cta, []
+        else:
+            yield cta, build(*divmod(cta, inner))
+
+
 def octet_spmm_cta_sectors(
     a: ColumnVectorSparseMatrix,
     n: int,
     tile_n: int = 64,
     elem_bytes: int = 2,
+    sample: Sample = None,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Yield ``(cta_id, [sector-id arrays])`` for the octet SpMM.
 
@@ -142,31 +169,33 @@ def octet_spmm_cta_sectors(
     its nonzeros (one 128B line per vector, via LDG.128), plus the
     values/indices stream.  ``elem_bytes`` is 2 for the half-precision
     kernels; the Figure 5 single-precision cross-check passes 4.
+    ``sample`` builds only the sampled CTAs (see :func:`_cta_stream`),
+    in every generator here.
     """
     eb = elem_bytes
     m, k = a.shape
-    n_tiles = -(-n // tile_n)
     b_bytes = k * n * eb
     val_base = b_bytes
     idx_base = val_base + a.col_idx.size * a.vector_length * eb
-    cta = 0
-    for jt in range(n_tiles):
+
+    def build(jt: int, r: int) -> List[np.ndarray]:
+        lo, hi = a.row_ptr[r], a.row_ptr[r + 1]
+        cols = a.col_idx[lo:hi]
+        if not cols.size:
+            return []
         col_byte = jt * tile_n * eb
         seg_bytes = min(tile_n, n - jt * tile_n) * eb
-        for r in range(a.num_vector_rows):
-            lo, hi = a.row_ptr[r], a.row_ptr[r + 1]
-            cols = a.col_idx[lo:hi]
-            ops: List[np.ndarray] = []
-            if cols.size:
-                # one contiguous segment per nonzero's B row
-                starts = cols.astype(np.int64) * (n * eb) + col_byte
-                ops.append(_segment_sectors(starts, seg_bytes))
-                # values stream (contiguous for the row slice)
-                ops.append(_range_sectors(val_base + lo * a.vector_length * eb,
-                                          cols.size * a.vector_length * eb))
-                ops.append(_range_sectors(idx_base + lo * 8, cols.size * 8))
-            yield cta, ops
-            cta += 1
+        # one contiguous segment per nonzero's B row
+        starts = cols.astype(np.int64) * (n * eb) + col_byte
+        return [
+            _segment_sectors(starts, seg_bytes),
+            # values stream (contiguous for the row slice)
+            _range_sectors(val_base + lo * a.vector_length * eb,
+                           cols.size * a.vector_length * eb),
+            _range_sectors(idx_base + lo * 8, cols.size * 8),
+        ]
+
+    return _cta_stream(-(-n // tile_n), a.num_vector_rows, build, sample)
 
 
 def blocked_ell_cta_sectors(
@@ -174,32 +203,32 @@ def blocked_ell_cta_sectors(
     n: int,
     tile_n: int = 128,
     elem_bytes: int = 2,
+    sample: Sample = None,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Same for the Blocked-ELL kernel (block-row x 128-column tiles)."""
     eb = elem_bytes
     m, k = ell.shape
     b = ell.block_size
-    n_tiles = -(-n // tile_n)
     b_bytes = k * n * eb
     val_base = b_bytes
-    cta = 0
-    for jt in range(n_tiles):
+
+    def build(jt: int, br: int) -> List[np.ndarray]:
+        cols = ell.col_blocks[br]
+        cols = cols[cols >= 0]
+        if not cols.size:
+            return []
         col_byte = jt * tile_n * eb
         seg_bytes = min(tile_n, n - jt * tile_n) * eb
-        for br in range(ell.num_block_rows):
-            cols = ell.col_blocks[br]
-            cols = cols[cols >= 0]
-            ops: List[np.ndarray] = []
-            if cols.size:
-                # each block selects b consecutive B rows
-                rows = (cols.astype(np.int64)[:, None] * b + np.arange(b)[None, :]).ravel()
-                starts = rows * (n * eb) + col_byte
-                ops.append(_segment_sectors(starts, seg_bytes))
-                slot = br * ell.ell_width
-                ops.append(_range_sectors(val_base + slot * b * b * eb,
-                                          cols.size * b * b * eb))
-            yield cta, ops
-            cta += 1
+        # each block selects b consecutive B rows
+        rows = (cols.astype(np.int64)[:, None] * b + np.arange(b)[None, :]).ravel()
+        starts = rows * (n * eb) + col_byte
+        slot = br * ell.ell_width
+        return [
+            _segment_sectors(starts, seg_bytes),
+            _range_sectors(val_base + slot * b * b * eb, cols.size * b * b * eb),
+        ]
+
+    return _cta_stream(-(-n // tile_n), ell.num_block_rows, build, sample)
 
 
 def _sddmm_cta_sectors(
@@ -207,6 +236,7 @@ def _sddmm_cta_sectors(
     k: int,
     tile_n: int,
     elem_bytes: int,
+    sample: Sample,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Shared SDDMM stream: per CTA (vector row, 32-column window).
 
@@ -222,23 +252,22 @@ def _sddmm_cta_sectors(
     a_base = 0
     b_base = m * k * eb
     meta_base = b_base + k * n_out * eb
-    n_windows = -(-n_out // tile_n)
-    cta = 0
-    for w in range(n_windows):
-        col_lo, col_hi = w * tile_n, min(n_out, (w + 1) * tile_n)
-        for r in range(mask.num_vector_rows):
-            lo, hi = mask.row_ptr[r], mask.row_ptr[r + 1]
-            cols_all = mask.col_idx[lo:hi]
-            w0, w1 = np.searchsorted(cols_all, (col_lo, col_hi))
-            cols = cols_all[w0:w1]
-            ops: List[np.ndarray] = []
-            if cols.size:
-                starts = b_base + cols.astype(np.int64) * (k * eb)
-                ops.append(_segment_sectors(starts, k * eb))
-                ops.append(_range_sectors(a_base + r * v * k * eb, v * k * eb))
-                ops.append(_range_sectors(meta_base + (lo + w0) * 8, cols.size * 8))
-            yield cta, ops
-            cta += 1
+
+    def build(w: int, r: int) -> List[np.ndarray]:
+        lo, hi = mask.row_ptr[r], mask.row_ptr[r + 1]
+        cols_all = mask.col_idx[lo:hi]
+        w0, w1 = np.searchsorted(cols_all, (w * tile_n, min(n_out, (w + 1) * tile_n)))
+        cols = cols_all[w0:w1]
+        if not cols.size:
+            return []
+        starts = b_base + cols.astype(np.int64) * (k * eb)
+        return [
+            _segment_sectors(starts, k * eb),
+            _range_sectors(a_base + r * v * k * eb, v * k * eb),
+            _range_sectors(meta_base + (lo + w0) * 8, cols.size * 8),
+        ]
+
+    return _cta_stream(-(-n_out // tile_n), mask.num_vector_rows, build, sample)
 
 
 def octet_sddmm_cta_sectors(
@@ -246,13 +275,14 @@ def octet_sddmm_cta_sectors(
     k: int,
     tile_n: int = 32,
     elem_bytes: int = 2,
+    sample: Sample = None,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Sector stream of the octet SDDMM (§6.3-6.4, TileN = 32).
 
     Registers-only staging: replay with the full L1 and the deep
     co-resident window (the defaults of :func:`replay_l1`).
     """
-    return _sddmm_cta_sectors(mask, k, tile_n, elem_bytes)
+    return _sddmm_cta_sectors(mask, k, tile_n, elem_bytes, sample)
 
 
 def wmma_sddmm_cta_sectors(
@@ -260,6 +290,7 @@ def wmma_sddmm_cta_sectors(
     k: int,
     tile_n: int = 32,
     elem_bytes: int = 2,
+    sample: Sample = None,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Sector stream of the warp-tiling WMMA SDDMM (§6.2).
 
@@ -271,7 +302,7 @@ def wmma_sddmm_cta_sectors(
     ``coresident`` window to express the shared-memory staging, as the
     analytic model does.
     """
-    return _sddmm_cta_sectors(mask, k, tile_n, elem_bytes)
+    return _sddmm_cta_sectors(mask, k, tile_n, elem_bytes, sample)
 
 
 def gemm_cta_sectors(
@@ -281,6 +312,7 @@ def gemm_cta_sectors(
     tile_m: int = 128,
     tile_n: int = 128,
     elem_bytes: int = 2,
+    sample: Sample = None,
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """Sector stream of the tiled dense GEMM (the Figure 5 baseline).
 
@@ -291,24 +323,21 @@ def gemm_cta_sectors(
     eb = elem_bytes
     a_base = 0
     b_base = m * k * eb
-    mt = -(-m // tile_m)
-    nt = -(-n // tile_n)
-    cta = 0
-    for jt in range(nt):
+
+    def build(jt: int, it: int) -> List[np.ndarray]:
         col_byte = jt * tile_n * eb
         seg_bytes = min(tile_n, n - jt * tile_n) * eb
         # B lives after A in the address map; omitting b_base would
         # alias the B stream onto A's range and fake inter-operand reuse
         b_starts = b_base + np.arange(k, dtype=np.int64) * (n * eb) + col_byte
-        for it in range(mt):
-            row_lo = it * tile_m
-            rows = min(tile_m, m - row_lo)
-            ops = [
-                _range_sectors(a_base + row_lo * k * eb, rows * k * eb),
-                _segment_sectors(b_starts, seg_bytes),
-            ]
-            yield cta, ops
-            cta += 1
+        row_lo = it * tile_m
+        rows = min(tile_m, m - row_lo)
+        return [
+            _range_sectors(a_base + row_lo * k * eb, rows * k * eb),
+            _segment_sectors(b_starts, seg_bytes),
+        ]
+
+    return _cta_stream(-(-n // tile_n), -(-m // tile_m), build, sample)
 
 
 def _interleave(window: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
@@ -402,6 +431,11 @@ def replay_l1(
 # --------------------------------------------------------------------- #
 # memoised experiment-facing entry points (the ``trace`` memo region)
 # --------------------------------------------------------------------- #
+def _sample(sample_sms: int) -> Tuple[int, int]:
+    """The CTA sample :func:`replay_l1` keeps on the default spec."""
+    return sample_sms, default_spec().num_sms
+
+
 @memo.memoised("trace", copy_result=False)
 def trace_octet_spmm(
     a: ColumnVectorSparseMatrix,
@@ -412,7 +446,8 @@ def trace_octet_spmm(
 ) -> TraceResult:
     """Replay the octet SpMM stream (results treated as immutable)."""
     return replay_l1(
-        octet_spmm_cta_sectors(a, n, tile_n=tile_n, elem_bytes=elem_bytes),
+        octet_spmm_cta_sectors(a, n, tile_n=tile_n, elem_bytes=elem_bytes,
+                               sample=_sample(sample_sms)),
         sample_sms=sample_sms,
     )
 
@@ -425,7 +460,7 @@ def trace_blocked_ell(
 ) -> TraceResult:
     """Replay the Blocked-ELL stream (shared-staging L1 carveout)."""
     return replay_l1(
-        blocked_ell_cta_sectors(ell, n),
+        blocked_ell_cta_sectors(ell, n, sample=_sample(sample_sms)),
         coresident=4,
         l1_data_bytes=32 * 1024,
         sample_sms=sample_sms,
@@ -439,7 +474,8 @@ def trace_octet_sddmm(
     sample_sms: int = 2,
 ) -> TraceResult:
     """Replay the octet SDDMM stream."""
-    return replay_l1(octet_sddmm_cta_sectors(mask, k), sample_sms=sample_sms)
+    return replay_l1(octet_sddmm_cta_sectors(mask, k, sample=_sample(sample_sms)),
+                     sample_sms=sample_sms)
 
 
 @memo.memoised("trace", copy_result=False)
@@ -449,7 +485,8 @@ def trace_wmma_sddmm(
     sample_sms: int = 2,
 ) -> TraceResult:
     """Replay the wmma SDDMM stream (the profiler's hit-rate source)."""
-    return replay_l1(wmma_sddmm_cta_sectors(mask, k), sample_sms=sample_sms)
+    return replay_l1(wmma_sddmm_cta_sectors(mask, k, sample=_sample(sample_sms)),
+                     sample_sms=sample_sms)
 
 
 @memo.memoised("trace", copy_result=False)
@@ -469,6 +506,7 @@ def trace_gemm(
     """
     tile_m = 128 if elem_bytes <= 2 else 64
     return replay_l1(
-        gemm_cta_sectors(m, k, n, tile_m=tile_m, tile_n=128, elem_bytes=elem_bytes),
+        gemm_cta_sectors(m, k, n, tile_m=tile_m, tile_n=128, elem_bytes=elem_bytes,
+                         sample=_sample(sample_sms)),
         sample_sms=sample_sms,
     )

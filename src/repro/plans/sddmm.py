@@ -1,9 +1,11 @@
 """Compiled execution plans for the simulated SDDMM kernels.
 
 Same split as :mod:`repro.plans.spmm`: the compiler flattens the
-interpreted per-row walk into slot/gather arrays once, the executor
-issues a single batched tensor-core call for the whole structure and
-scatters the padded accumulators back through the slot map.  SDDMM
+interpreted per-row walk into slot/gather arrays once.  The executor
+streams over K as the kernels do (§6.2-6.4): one batched tensor-core
+call per k-step covers every output tile, and its result goes straight
+into the tiles' FP32 accumulators, so only one k-step's fragments are
+ever gathered.  The accumulators scatter back through the slot map.  SDDMM
 outputs are *assigned* (the references write ``out_vals[lo:hi] = ...``
 into a zero buffer), so the plan path scatters with ``=`` — unlike
 the SpMM side, where ``+=`` is load-bearing for signed-zero parity.
@@ -129,16 +131,15 @@ def execute_sddmm_octet(
     a3 = a_pad.reshape(plan.num_vector_rows, v, plan.k_pad)[lay.rows_act]
     frag_a = np.zeros((R, k4, 4, 8), dtype=np.float16)
     frag_a[..., :v] = a3.transpose(0, 2, 1).reshape(R, k4, 4, v)
-    # switched-LHS fragments: compacted B columns through the slot map
-    b_sel = np.zeros((T * 8, plan.k_pad), dtype=np.float16)
-    b_sel[lay.slots] = b_pad[:, mask.col_idx].T
-    batch_b = b_sel.reshape(T, 8, k4, 4).transpose(0, 2, 1, 3).reshape(-1, 8, 4)
-    batch_a = frag_a[plan.row_of_substep].reshape(T * k4, 4, 8)
-    partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc, **sim_kwargs)
-    partial = partial.reshape(T, k4, 8, 8)
+    # switched-LHS fragments of one k-group: compacted B columns through
+    # the slot map (the pad slots are never written, so they stay zero)
+    b_grp = np.zeros((T * 8, 4), dtype=np.float16)
     accs = np.zeros((T, 8, 8), dtype=np.float32)
     for j in range(k4):  # serial k accumulation, reference loop order
-        accs += partial[:, j]
+        b_grp[lay.slots] = b_pad[4 * j : 4 * j + 4, mask.col_idx].T
+        accs += mma_m8n8k4_batched(
+            b_grp.reshape(T, 8, 4), frag_a[plan.row_of_substep, j], stats=tc, **sim_kwargs
+        )
     out_vals[:] = accs.reshape(T * 8, 8)[lay.slots][:, :v]
     return out_vals, tc
 
@@ -162,18 +163,18 @@ def execute_sddmm_wmma(
     a_steps = np.zeros((R, k16, 8, 16), dtype=np.float16)
     a_steps[:, :, :v, :] = a3.reshape(R, v, k16, 16).transpose(0, 2, 1, 3)
     a_frags = a_steps.reshape(R, k16, 8, 4, 4).transpose(0, 1, 3, 2, 4)
-    batch_a = np.tile(a_frags[plan.row_of_tile], (1, 1, 4, 1, 1)).reshape(-1, 8, 4)
-    # Mat_b fragments: compacted columns through the slot map, ordered
-    # (tile, k-step, octet, k-slice) to match the wmma decomposition
-    b_sel = np.zeros((T * 32, plan.k_pad), dtype=np.float16)
-    b_sel[lay.slots] = b_pad[:, mask.col_idx].T
-    bt = b_sel.reshape(T, 4, 8, k16, 4, 4)
-    batch_b = bt.transpose(0, 3, 1, 4, 5, 2).reshape(-1, 4, 8)
-    partial = mma_m8n8k4_batched(batch_a, batch_b, stats=tc)
-    partial = partial.reshape(T, k16, 4, 4, 8, 8)      # [t, k-step, octet, j]
+    # Mat_b fragments of one k-step: compacted columns through the slot
+    # map (pad slots stay zero), ordered (tile, octet, k-slice) to match
+    # the wmma decomposition
+    b_step = np.zeros((T * 32, 16), dtype=np.float16)
     acc = np.zeros((T, 4, 8, 8), dtype=np.float32)     # [t, octet, 8-row, 8-col]
     for kk in range(k16):  # serial wmma calls, then k-slices within
+        batch_a = np.tile(a_frags[plan.row_of_tile, kk], (1, 4, 1, 1)).reshape(-1, 8, 4)
+        b_step[lay.slots] = b_pad[16 * kk : 16 * kk + 16, mask.col_idx].T
+        batch_b = b_step.reshape(T, 4, 8, 4, 4).transpose(0, 1, 3, 4, 2).reshape(-1, 4, 8)
+        partial = mma_m8n8k4_batched(batch_a, batch_b, stats=tc)
+        partial = partial.reshape(T, 4, 4, 8, 8)       # [t, octet, j]
         for j in range(4):
-            acc += partial[:, kk, :, j]
+            acc += partial[:, :, j]
     out_vals[:] = acc.transpose(0, 1, 3, 2).reshape(T * 32, 8)[lay.slots][:, :v]
     return out_vals, tc

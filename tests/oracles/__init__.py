@@ -11,6 +11,8 @@ hold the fast paths to them bit for bit:
 * :mod:`.functional` — the functional SpMM/SDDMM expansions;
 * :mod:`.cache` — the scalar :class:`SectorCache` and
   :func:`replay_l1_reference`;
+* :mod:`.trace` — the full-stream replays the sampled ``trace_*``
+  entry points must equal (:data:`TRACE_TWINS`);
 * :mod:`.masks` — the whole-matrix attention-mask and mask-encoding
   builders that the vector-granular ones replaced.
 
@@ -30,10 +32,12 @@ from .kernels import (
     spmm_wmma,
 )
 from .masks import band_random_mask_reference, mask_from_groups_reference
+from .trace import TRACE_TWINS, trace_args
 
 __all__ = [
     "ORACLES",
     "SectorCache",
+    "TRACE_TWINS",
     "band_random_mask_reference",
     "mask_from_groups_reference",
     "replay_l1_reference",
@@ -45,4 +49,5 @@ __all__ = [
     "spmm_octet",
     "spmm_octet_loop",
     "spmm_wmma",
+    "trace_args",
 ]

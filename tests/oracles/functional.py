@@ -45,7 +45,6 @@ def sddmm_functional_reference(
     mask: ColumnVectorSparseMatrix,
     precision: Precision = "half",
     out_dtype=np.float16,
-    chunk: int = 1 << 18,
 ) -> ColumnVectorSparseMatrix:
     """Twin of ``sddmm_functional``: expands the gather pairs on every
     call."""
@@ -55,6 +54,6 @@ def sddmm_functional_reference(
     a32 = as_compute(a, precision)
     bt32 = as_compute(b, precision).T.copy()  # (N, K) rows = B columns
     rows, cols = expand_vector_rows(mask)
-    out = _sddmm_gathered_dot(a32, bt32, rows, cols, chunk)
+    out = _sddmm_gathered_dot(a32, bt32, rows, cols)
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
     return mask.with_values(values)

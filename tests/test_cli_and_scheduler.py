@@ -173,10 +173,20 @@ def test_memo_dir_leaves_the_process_store_alone(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["sanitize", "faults"])
 def test_removed_subcommands_are_unknown(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {command}" in capsys.readouterr().err
+    assert main([command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown subcommand: ['{command}']; valid choices: ")
+    assert all(name in err for name in ("obs", "memo", "merge", "serve", "profile"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["memo", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    (["--op", "spmm", "extra"], "error: unrecognized arguments: extra\n"),
+    (["merge"], "error: the following arguments are required: SHARD_DIR, --out\n"),
+])
+def test_bad_arguments_return_usage_exit(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_cli_unknown_name_error_format_is_shared(capsys):

@@ -14,6 +14,7 @@ from repro.kernels import (
     sddmm,
 )
 from repro.hardware.instructions import InstrClass
+from repro.kernels import functional
 
 RNG = np.random.default_rng(13)
 
@@ -69,6 +70,22 @@ class TestFunctionalCorrectness:
         csr_mask = CSRMatrix.from_dense(mask.mask_dense().astype(np.float32), dtype=np.float32)
         out = CusparseSddmmKernel().run(a, b, csr_mask).output
         assert np.allclose(out.to_dense(np.float64), ref, atol=0.05)
+
+    @pytest.mark.parametrize("k", [16, 37, 256])
+    @pytest.mark.parametrize("gather_bytes", [None, 1000])
+    def test_gathered_dot_bits_ignore_chunking(self, monkeypatch, k, gather_bytes):
+        # chunks bound the gathered copies; each output is its own row
+        # dot, so the bits equal one whole-matrix einsum however the
+        # rows are chunked (1000 bytes: a few rows, ending mid-chunk)
+        rng = np.random.default_rng(k)
+        a32 = rng.uniform(-1, 1, (50, k)).astype(np.float32)
+        bt32 = rng.uniform(-1, 1, (60, k)).astype(np.float32)
+        rows, cols = rng.integers(0, 50, 503), rng.integers(0, 60, 503)
+        whole = np.einsum("ck,ck->c", a32[rows], bt32[cols], optimize=True)
+        if gather_bytes is not None:
+            monkeypatch.setattr(functional, "_GATHER_BYTES", gather_bytes)
+        got = functional._sddmm_gathered_dot(a32, bt32, rows, cols)
+        assert np.array_equal(got.view(np.uint32), whole.view(np.uint32))
 
 
 class TestVariantsSimulated:

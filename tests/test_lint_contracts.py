@@ -343,7 +343,7 @@ def test_dyadic_rows_defeat_an_fp16_accumulator():
 #: planted precision defects: (owner, fp16 source, runs it breaks)
 PRECISION_PLANTS = {
     "fp16-accumulator": (functional, """
-        def _sddmm_gathered_dot(a32, bt32, rows, cols, chunk):
+        def _sddmm_gathered_dot(a32, bt32, rows, cols):
             a16, b16 = a32.astype(np.float16), bt32.astype(np.float16)
             acc = np.zeros(rows.size, dtype=np.float16)
             for j in range(a16.shape[1]):
@@ -351,7 +351,7 @@ PRECISION_PLANTS = {
             return acc.astype(np.float32)
         """, {"sddmm-octet-reg-functional", "sddmm-octet-shfl-functional",
               "sddmm-octet-arch-functional", "sddmm-wmma-functional",
-              "sddmm-fpu-functional"}),
+              "sddmm-fpu-functional", "cusparse-sddmm-functional"}),
     "fp16-einsum": (DenseGemmKernel, """
         def _execute(self, a, b):
             a16, b16 = np.asarray(a, np.float16), np.asarray(b, np.float16)

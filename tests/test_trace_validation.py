@@ -14,8 +14,10 @@ import pytest
 
 from repro.datasets import generate_topology
 from repro.formats import blocked_ell_matching, cvse_from_csr_topology
+from repro.hardware.config import default_spec
 from repro.kernels import BlockedEllSpmmKernel, OctetSpmmKernel
 from repro.kernels.sddmm_octet import OctetSddmmKernel
+from repro.perfmodel import trace
 from repro.perfmodel.trace import (
     TraceResult,
     blocked_ell_cta_sectors,
@@ -27,7 +29,7 @@ from repro.perfmodel.trace import (
     wmma_sddmm_cta_sectors,
 )
 
-from .oracles import replay_l1_reference
+from .oracles import TRACE_TWINS, replay_l1_reference, trace_args
 
 RNG = np.random.default_rng(42)
 N = 256
@@ -192,6 +194,50 @@ class TestGemmTrace:
         half = trace_gemm(2048, 1024, 256, elem_bytes=2)
         reduction = 1 - half.l1_missed_sectors / single.l1_missed_sectors
         assert 0.5 < reduction < 0.8
+
+
+def _random_case(seed: int):
+    """A random CVSE topology (V in {2, 4, 8}, sparsity 0.5-0.98), its
+    matched Blocked-ELL twin and an output width."""
+    rng = np.random.default_rng(seed)
+    v = int(rng.choice([2, 4, 8]))
+    sparsity = float(rng.uniform(0.5, 0.98))
+    rows = int(rng.integers(16, 96))
+    cols = int(rng.choice([128, 256, 384]))
+    a = cvse_from_csr_topology(generate_topology((rows, cols), sparsity, rng), v, rng)
+    n = int(rng.choice([64, 96, 256]))
+    return a, blocked_ell_matching(a, rng), n
+
+
+class TestSampledReplay:
+    """The entry points build only the sampled SMs' CTAs; they must
+    equal ``replay_l1`` over the full generator stream."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sample_sms", [1, 2, 3])
+    def test_entry_points_equal_full_stream(self, seed, sample_sms):
+        a, ell, n = _random_case(seed)
+        sms = default_spec().num_sms
+        for entry, args in trace_args(a, ell, n).items():
+            got = entry.__wrapped__(*args, sample_sms=sample_sms)
+            want = TRACE_TWINS[entry](*args, sample_sms=sample_sms)
+            assert got == want, entry.__name__
+            kept = sum(1 for cta in range(got.total_ctas) if cta % sms < sample_sms)
+            assert got.sampled_ctas == kept, entry.__name__
+
+    def test_every_entry_point_has_a_twin(self):
+        entries = {name for name in trace.__all__ if name.startswith("trace_")}
+        assert {entry.__name__ for entry in TRACE_TWINS} == entries
+
+    def test_sample_builds_only_the_sampled_ctas(self, problem):
+        a, _ = problem
+        full = list(octet_sddmm_cta_sectors(a, 64))
+        sms = default_spec().num_sms
+        sampled = list(octet_sddmm_cta_sectors(a, 64, sample=(2, sms)))
+        assert [c for c, _ in sampled] == [c for c, _ in full]
+        for (cta, ops), (_, full_ops) in zip(sampled, full):
+            kept = [s.tolist() for s in full_ops] if cta % sms < 2 else []
+            assert [s.tolist() for s in ops] == kept
 
 
 class TestTraceMachinery:
