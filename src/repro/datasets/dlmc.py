@@ -121,7 +121,7 @@ def dlmc_suite(
     shapes: Sequence[Tuple[int, int]] = RESNET50_SHAPES,
     sparsities: Sequence[float] = SPARSITIES,
     seed: int = 2021,
-) -> List[DlmcEntry]:
+) -> Tuple[DlmcEntry, ...]:
     """The full benchmark suite: every shape at every sparsity."""
     out: List[DlmcEntry] = []
     rng = np.random.default_rng(seed)
@@ -136,8 +136,9 @@ def dlmc_suite(
                     csr=csr,
                 )
             )
-    # hash each topology before the suite region pickles the list, so
-    # every copy it hands out carries the digest instead of rehashing
+    # hash each topology before the suite region stores the suite, so
+    # the entries (and a shared-tier copy) carry the digest instead of
+    # rehashing
     for entry in out:
         memo.signature(entry.csr)
-    return out
+    return tuple(out)

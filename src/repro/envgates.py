@@ -54,9 +54,6 @@ GATES: Dict[str, EnvGate] = _registry(
             "In-process content-addressed memo regions (stats/latency/trace/"
             "suite/plan/problem/format). Default on; set 0 to force every "
             "compute fresh."),
-    EnvGate("REPRO_MEMO_CHECKSUM", "1", "flag",
-            "blake2b integrity checksums on memo blobs; corrupt entries are "
-            "recomputed, never served. Default on."),
     EnvGate("REPRO_MEMO_SHARED", "0", "flag",
             "Cross-process shared memo tier (one checksummed file per "
             "entry, layered as L2 under the in-process regions). Default off."),

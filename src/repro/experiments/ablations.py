@@ -18,6 +18,7 @@ ablation here isolates one of them on the §7.2.2 reference benchmark
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ def _spmm_time(a, n, tile_k=None, ilp=None):
         kern.TILE_K = tile_k
     st = kern.stats_for(a, n)
     if ilp is not None:
-        st.ilp = ilp
+        st = dataclasses.replace(st, ilp=ilp)
     return kern._model.estimate(st).time_us
 
 

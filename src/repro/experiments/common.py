@@ -62,7 +62,7 @@ def suite_for(
     quick: bool,
     sparsities: Sequence[float] = SPARSITIES,
     seed: int = 2021,
-) -> List[DlmcEntry]:
+) -> Tuple[DlmcEntry, ...]:
     """Benchmark suite: reduced shapes when ``quick``, else §7.1's."""
     shapes = QUICK_SHAPES if quick else RESNET50_SHAPES
     return dlmc_suite(shapes=shapes, sparsities=sparsities, seed=seed)

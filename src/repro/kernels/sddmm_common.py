@@ -23,7 +23,7 @@ from ..perfmodel import memo
 __all__ = ["WindowProfile", "analyze_windows"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowProfile:
     """Occupancy of the (vector-row x column-window) grid."""
 

@@ -11,20 +11,19 @@ few independent *regions*:
 
 * ``"stats"``    — kernel ``stats_for`` results, keyed on (kernel
   class + tile constants, :class:`GPUSpec` fingerprint, argument
-  topology signatures).  Hits return a deep copy: callers mutate the
-  returned object (e.g. the ablation sweep rewrites ``st.ilp``).
+  topology signatures).  Hits return a fresh copy, so a caller's
+  write never reaches the next hit.
 * ``"latency"``  — :class:`LatencyModel` estimates, keyed on (spec,
   efficiency, overlap slack, full ``KernelStats`` fingerprint).
 * ``"suite"``    — DLMC benchmark suites (pure function of
-  shapes/sparsities/seed; entries are treated as immutable).
+  shapes/sparsities/seed).
 * ``"trace"``    — :class:`~repro.perfmodel.trace.TraceResult` replays
   of the kernels' sector streams (pure function of the topology and
-  the replay parameters; results are treated as immutable).
+  the replay parameters).
 * ``"plan"``     — compiled execution plans of the simulated/functional
   kernel layer (:mod:`repro.plans`): flattened gather/scatter index
   schedules keyed on (kernel fingerprint, structure signature).  A
-  plan is pure schedule — no values — and entries
-  are treated as immutable by the executors.
+  plan is pure schedule — no values.
 * ``"problem"`` / ``"format"`` — RNG-threaded benchmark constructions,
   keyed on the *incoming* generator state; a hit fast-forwards the
   generator to the recorded post-state, so caching is bit-transparent
@@ -40,35 +39,32 @@ useful for subprocess benchmarks), and :func:`counters` and the
 per-experiment scope (:func:`scope_begin`/:func:`scope_end`) for
 hit-rate reporting.
 
-Integrity: the object-valued regions (``stats``/``latency``/``trace``/
-``suite``/``plan``, :data:`sharedmemo.SHAREABLE_REGIONS`) store each
-value as a sealed record: a BLAKE2b digest followed by the pickled
-bytes, the format the shared tier writes to disk
-(:func:`sharedmemo.seal`).  Every hit re-hashes the stored bytes
-before unpickling them, so a corrupted entry (bit rot, a buggy
-in-place mutation, or a byte a test flips on purpose) is *detected
-and recomputed, never served* — the failure lands in
-:func:`integrity_counters` and the fresh value replaces the bad entry.
-The RNG-keyed operand regions (``problem``/``format``) keep raw
-references (their values are hundreds of MB of arrays; re-hashing them
-per hit would erase the point of the cache) — that boundary is
-documented in ``docs/ROBUSTNESS.md``.  ``REPRO_MEMO_CHECKSUM=0`` reverts the object
-regions to raw storage for A/B benchmarking.
+Immutability: a ``copy_result=False`` value (``suite``/``trace``/
+``plan``, and :func:`~repro.kernels.sddmm_common.analyze_windows` in
+``stats``) is frozen once, when stored — every ndarray it reaches is
+set read-only, and its records are frozen dataclasses and tuples — and
+is handed out by reference.  A ``copy_result=True`` value
+(``stats``/``latency``) is stored as a private pickle and every hit
+unpickles a fresh copy.  Neither form is hashed: a stored entry cannot
+be written through what a caller holds, so there is nothing for a
+checksum to catch in process.  The RNG-keyed operand regions
+(``problem``/``format``) keep raw references to values that are
+hundreds of MB of arrays — that boundary is documented in
+``docs/ROBUSTNESS.md``.
 
-Shared tier: when ``REPRO_MEMO_SHARED=1`` the blob regions are layered
+Shared tier: when ``REPRO_MEMO_SHARED=1`` the object regions are layered
 over :mod:`~repro.perfmodel.sharedmemo` — a file-backed, cross-process
 L2.  A local miss falls through to the shared store (the blob is
-verified, unpickled, and its record adopted locally); a computed miss
-publishes its record to both tiers, so hit rates survive process
-boundaries (``--jobs`` workers, ``--shard`` invocations, repeated
-runs).  The operand regions (:data:`ARRAY_REGIONS`) never reach the
+verified, unpickled, and the value adopted locally); a computed miss
+is sealed (:func:`sharedmemo.seal`) and published, so hit rates
+survive process boundaries (``--jobs`` workers, ``--shard``
+invocations, repeated runs).  The operand regions (:data:`ARRAY_REGIONS`) never reach the
 shared tier, and :func:`trim`/FIFO eviction only ever drop *local*
 entries.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -100,10 +96,6 @@ __all__ = [
     "signature",
     "kernel_fingerprint",
     "stats_signature",
-    "checksum_enabled",
-    "set_checksum",
-    "integrity_counters",
-    "integrity_failures",
 ]
 
 #: per-region entry limits (FIFO eviction); generous for the metadata
@@ -121,20 +113,18 @@ _DEFAULT_LIMIT = 4096
 
 
 class _Region:
-    __slots__ = ("store", "hits", "misses", "integrity", "limit")
+    __slots__ = ("store", "hits", "misses", "limit")
 
     def __init__(self, limit: int) -> None:
         self.store: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.integrity = 0  # checksum mismatches caught (and recomputed)
         self.limit = limit
 
 
 _regions: Dict[str, _Region] = {}
 _lock = threading.Lock()
 _enabled_override: Optional[bool] = None
-_checksum_override: Optional[bool] = None
 
 
 def _region(name: str) -> _Region:
@@ -159,22 +149,6 @@ def set_enabled(flag: Optional[bool]) -> Optional[bool]:
     returns the previous override, for the caller to restore."""
     global _enabled_override
     previous, _enabled_override = _enabled_override, flag
-    return previous
-
-
-def checksum_enabled() -> bool:
-    """Whether object-region entries carry verified checksums
-    (override > ``REPRO_MEMO_CHECKSUM`` env > default on)."""
-    if _checksum_override is not None:
-        return _checksum_override
-    return envgates.flag("REPRO_MEMO_CHECKSUM")
-
-
-def set_checksum(flag: Optional[bool]) -> Optional[bool]:
-    """Force checksumming on/off, or defer to the env flag (None);
-    returns the previous override, for the caller to restore."""
-    global _checksum_override
-    previous, _checksum_override = _checksum_override, flag
     return previous
 
 
@@ -259,18 +233,6 @@ def _scope_note(region: str, key: Any) -> None:
         ent = _scope[region] = [0, set()]
     ent[0] += 1
     ent[1].add(key)
-
-
-def integrity_counters() -> Dict[str, int]:
-    """``{region: checksum mismatches detected}`` since :func:`clear`."""
-    with _lock:
-        return {name: reg.integrity for name, reg in sorted(_regions.items())}
-
-
-def integrity_failures() -> int:
-    """Total checksum mismatches detected (every one was recomputed)."""
-    with _lock:
-        return sum(r.integrity for r in _regions.values())
 
 
 # --------------------------------------------------------------------- #
@@ -367,8 +329,8 @@ def _topology_digest(obj: Any, *arrays) -> str:
     digest is carried two ways:
 
     * pinned to the object (:class:`_Pin`), so it rides in the object's
-      pickled state (the ``suite`` region hands out unpickled copies,
-      whose arrays load read-only);
+      pickled state (a shared-tier hit unpickles the suite, whose
+      arrays load read-only);
     * keyed on the arrays' memory, so any object built on the same
       arrays, or on read-only views of them, reuses it.
     """
@@ -541,32 +503,60 @@ def _sealed(val: Any) -> Optional[bytes]:
         return None
 
 
-def _pack(region: str, val: Any, copy_result: bool) -> tuple:
-    """Build the stored entry: a sealed record for the object regions,
-    a raw (possibly deep-copied) reference otherwise or when ``val``
-    cannot be pickled."""
-    if region in _sharedmemo.SHAREABLE_REGIONS and checksum_enabled():
-        record = _sealed(val)
-        if record is not None:
-            return ("blob", record)
-    return ("raw", copy.deepcopy(val) if copy_result else val)
+def _set_read_only(obj: Any, seen: set) -> None:
+    """Mark every ndarray reachable from ``obj`` read-only (through
+    containers and instance attributes; ``seen`` breaks cycles)."""
+    if obj is None or isinstance(obj, (bool, int, float, str, bytes)) or id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        children = obj
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+        children += [getattr(obj, name) for name in getattr(type(obj), "__slots__", ())
+                     if hasattr(obj, name)]
+    for child in children:
+        _set_read_only(child, seen)
+
+
+def _pack(val: Any, copy_result: bool) -> Any:
+    """The stored entry of ``val``: a private pickle to copy out on every
+    hit, or ``val`` itself, frozen, to hand out by reference."""
+    if copy_result:
+        return pickle.dumps(val, protocol=pickle.HIGHEST_PROTOCOL)
+    _set_read_only(val, set())
+    return val
+
+
+def _store(reg: _Region, key: Any, entry: Any) -> None:
+    with _lock:
+        reg.store[key] = entry
+        while len(reg.store) > reg.limit:
+            reg.store.popitem(last=False)
+
+
+_MISSING = object()
 
 
 def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool = True):
     """Look up ``key`` in ``region``; on miss run ``compute`` and store.
 
-    ``copy_result=True`` keeps a private deep copy and hands out deep
-    copies, so callers may freely mutate what they receive; use
-    ``False`` only for values treated as immutable by every caller.
-    (Blob-stored entries satisfy both: unpickling always materialises a
-    fresh object.)  A blob entry whose bytes no longer match their
-    recorded digest is dropped, counted in :func:`integrity_counters`,
-    and recomputed — a corrupt entry is never served.
+    ``copy_result=True`` stores a private pickle of the value and hands
+    out a fresh unpickled copy on every hit, so callers may freely
+    mutate what they receive (the value must pickle).  ``False`` freezes
+    the value when it is stored — every ndarray it reaches becomes
+    read-only — and hands out that one object: use it only for values
+    whose records no caller rebinds (frozen dataclasses, tuples).
 
-    When the shared tier is enabled, a local miss in a blob region
+    When the shared tier is enabled, a local miss in a shareable region
     falls through to :func:`sharedmemo.lookup` before computing (the
     verified blob is unpickled and adopted locally), and a computed
-    value's blob is published back via :func:`sharedmemo.publish` so
+    value is sealed and published via :func:`sharedmemo.publish` so
     sibling processes skip the same compute.  The local hit/miss
     counters keep pure L1 semantics — a shared hit still counts as a
     local miss, and lands in :func:`sharedmemo.counters` as a hit.
@@ -577,22 +567,13 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
     with _lock:
         if _scope is not None:
             _scope_note(region, key)
-        entry = reg.store.get(key)
-        if entry is not None:
-            if entry[0] == "blob":
-                blob = _sharedmemo.unseal(entry[1])
-                if blob is not None:
-                    reg.hits += 1
-                    return pickle.loads(blob)
-                reg.integrity += 1
-                reg.misses += 1
-                del reg.store[key]
-            else:
-                reg.hits += 1
-                val = entry[1]
-                return copy.deepcopy(val) if copy_result else val
-        else:
+        entry = reg.store.get(key, _MISSING)
+        if entry is _MISSING:
             reg.misses += 1
+        else:
+            reg.hits += 1
+    if entry is not _MISSING:
+        return pickle.loads(entry) if copy_result else entry
     # local miss: fall through to the shared (cross-process) tier
     shared_key = None
     if region in _sharedmemo.SHAREABLE_REGIONS and _sharedmemo.enabled():
@@ -605,11 +586,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                 except Exception:
                     pass  # undecodable despite checksum: recompute
                 else:
-                    with _lock:
-                        # adopt the verified record as read: no second hash
-                        reg.store[key] = ("blob", blob.obj)
-                        while len(reg.store) > reg.limit:
-                            reg.store.popitem(last=False)
+                    # the verified pickle is the copy source as read
+                    _store(reg, key, blob if copy_result else _pack(val, False))
                     return val
     if _tracing.enabled():
         # span inside the memo boundary: misses time the real compute,
@@ -619,14 +597,9 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
             val = compute()
     else:
         val = compute()
-    with _lock:
-        entry = _pack(region, val, copy_result)
-        reg.store[key] = entry
-        while len(reg.store) > reg.limit:
-            reg.store.popitem(last=False)
+    _store(reg, key, _pack(val, copy_result))
     if shared_key is not None:
-        # a raw local entry (checksum off) still publishes a sealed record
-        record = entry[1] if entry[0] == "blob" else _sealed(val)
+        record = _sealed(val)
         if record is not None:
             _sharedmemo.publish(region, shared_key, record)
     return val

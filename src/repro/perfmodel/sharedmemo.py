@@ -1,14 +1,16 @@
 """Shared cross-process memo tier: a file-backed L2 under :mod:`memo`.
 
 The in-process memo regions die with their process.  This tier keeps
-the blob regions' entries on disk, so ``--jobs`` workers, ``--shard``
+the object regions' entries on disk, so ``--jobs`` workers, ``--shard``
 invocations and repeated runs hit what a sibling already computed:
 lookups fall through process-local -> shared, and misses publish the
 computed record to both.
 
-Both tiers hold the same **sealed record**: the 16-byte BLAKE2b digest
-of a pickled value followed by the pickle (:func:`seal` builds one,
-:func:`unseal` verifies one).  The store keeps one file per entry::
+The tier holds **sealed records**: the 16-byte BLAKE2b digest of a
+pickled value followed by the pickle (:func:`seal` builds one,
+:func:`unseal` verifies one).  The in-process tier holds values, not
+records, so :mod:`memo` seals a value only when it publishes a miss
+here.  The store keeps one file per entry::
 
     <dir>/<region>/<key digest hex>      digest ‖ pickled blob
 
@@ -40,7 +42,7 @@ Control surface: ``REPRO_MEMO_SHARED`` (default **off**; ``1`` enables),
 directory), :func:`set_enabled` / :func:`set_dir` overrides, and
 ``python -m repro.cli memo`` for inspection and verification.  Outputs
 are bit-identical with the tier on or off: the shared tier serves only
-pickled blobs of values the local tier would have recomputed.
+pickled values the local tier would have recomputed.
 """
 
 from __future__ import annotations
@@ -87,9 +89,8 @@ _DEFAULT_DIR = ".repro-memo"
 #: therefore the digest) must not depend on the interpreter's default
 _KEY_PROTOCOL = 4
 
-#: the regions stored as sealed records, in-process and shared (the
-#: RNG-keyed operand regions are excluded by design — see module
-#: docstring and docs/ROBUSTNESS.md)
+#: the regions that reach this tier (the RNG-keyed operand regions are
+#: excluded by design — see module docstring and docs/ROBUSTNESS.md)
 SHAREABLE_REGIONS = frozenset({"stats", "latency", "trace", "suite", "plan"})
 
 #: length of the BLAKE2b digest that opens every sealed record

@@ -75,7 +75,7 @@ _SECTOR = 32
 Sample = Optional[Tuple[int, int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceResult:
     """Outcome of replaying a kernel's access trace through an L1."""
 

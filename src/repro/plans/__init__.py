@@ -6,7 +6,7 @@ re-derive their tiling schedule (vector-row walk, k-group/octet
 fragment gather, output-tile scatter) in interpreted Python on every
 call.  This package compiles that schedule once per (kernel
 fingerprint, structure signature) into flattened NumPy index arrays —
-a *plan* — cached in the checksummed ``plan`` memo region, and
+a *plan* — cached, frozen, in the ``plan`` memo region, and
 executes it with a handful of vectorised array ops and zero per-octet
 Python control flow.
 

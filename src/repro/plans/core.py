@@ -5,7 +5,7 @@ gather/scatter index arrays and fragment batch descriptors derived
 from a sparsity structure and a kernel's tile configuration, never
 from operand values.  Compiling one costs a per-row Python walk (the
 thing the plan exists to amortise), so plans are cached in the
-checksummed ``plan`` region of :mod:`repro.perfmodel.memo`, keyed on
+``plan`` region of :mod:`repro.perfmodel.memo`, keyed on
 
 * an operation tag (``"spmm-octet"``, ``"functional-sddmm"``, ...),
 * :func:`~repro.perfmodel.memo.kernel_fingerprint` of the kernel
@@ -15,11 +15,10 @@ checksummed ``plan`` region of :mod:`repro.perfmodel.memo`, keyed on
   (shape, vector length, topology digest — values excluded), plus any
   runtime extras (e.g. the SDDMM inner dimension).
 
-The blob storage gives plans the same corruption semantics as the
-stats/latency regions: a tampered entry is detected by its BLAKE2b
-digest and recompiled, never executed.  Because unpickling always
-materialises a fresh object, executors may treat cached plans as
-immutable without a defensive copy.
+The region freezes a plan when it stores it (the plan classes are
+frozen dataclasses and every index array is set read-only) and hands
+out that one object, so an executor can neither rebind nor write a
+cached schedule.
 
 Every kernel runs its plan; the interpreted walks the plans replaced
 are test oracles in ``tests/oracles``, which production never
@@ -53,8 +52,7 @@ def cached_plan(op: str, kern: Any, structure: Any, extras: Tuple, compute: Call
     """Fetch (or compile and store) a plan through the ``plan`` region.
 
     Misses run ``compute`` inside the memo layer's ``memo.miss.plan``
-    tracing span; hits re-verify the stored blob's digest before
-    unpickling.  Falls back to a fresh compile when memoisation is
+    tracing span; hits return the stored, frozen plan.  Falls back to a fresh compile when memoisation is
     disabled or the key cannot be formed.
     """
     if not memo.enabled():

@@ -2,12 +2,15 @@
 
 Each compiler flattens the per-row interpreted walk of its kernel
 (kept as a test oracle in ``tests/oracles``) into index arrays once per
-(kernel fingerprint, structure signature); the matching executor then
-issues the whole structure as a handful of vectorised gathers, one
-batched tensor-core call per output tile, and a masked level-by-level
-accumulation that replays the reference's serial FP32 order — the
+(kernel fingerprint, structure signature).  The matching executor
+streams over K as the kernels do: per output tile it gathers the B
+fragments once, then walks the accumulation levels — level ``d`` holds
+the ``d``-th k-group of every row that has one — with one batched
+tensor-core call per level, added straight into the rows' FP32
+accumulators.  That replays the reference's serial FP32 order, so the
 outputs and issue accounting are bit-for-bit those of the reference
-(pinned by the parity tests).
+(pinned by the parity tests), and only one level's fragments are ever
+in flight.
 
 Scatter discipline: SpMM outputs accumulate with ``+=`` into a
 zero-initialised buffer, exactly like the references — assignment
@@ -96,9 +99,9 @@ def execute_spmm_octet(
 ) -> Tuple[np.ndarray, TensorCoreStats]:
     """Run an octet SpMM plan; returns the FP32 output and TCU stats.
 
-    One :func:`mma_m8n8k4_batched` call per N tile covers every
-    k-group of every row; the caller, the kernel wrapper, applies the
-    fp16 rounding (plans carry schedule only).
+    One :func:`mma_m8n8k4_batched` call per (N tile, accumulation
+    level) covers that level's k-groups; the caller, the kernel
+    wrapper, applies the fp16 rounding (plans carry schedule only).
     """
     v = plan.vector_length
     m = plan.num_vector_rows * v
@@ -112,7 +115,8 @@ def execute_spmm_octet(
     # switched-RHS fragments: values gathered once, reused per tile
     a_flat = np.zeros((G * 4, 8), dtype=np.float16)
     a_flat[lay.slots, :v] = a.values
-    batch_a = np.repeat(a_flat.reshape(G, 4, 8), 8, axis=0)
+    a_groups = a_flat.reshape(G, 4, 8)
+    octets = plan.tile_n // 8
     out3 = out.reshape(plan.num_vector_rows, v, n)
     R = lay.rows_act.size
     for n0 in range(0, n, plan.tile_n):
@@ -120,12 +124,13 @@ def execute_spmm_octet(
         # switched-LHS fragments: every k-group's B rows in one gather
         b_flat = np.zeros((G * 4, plan.tile_n), dtype=np.float16)
         b_flat[lay.slots, : n1 - n0] = b16[a.col_idx, n0:n1]
-        batch_b = b_flat.reshape(G, 4, plan.tile_n).transpose(0, 2, 1).reshape(G * 8, 8, 4)
-        partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc)
-        partial = partial.reshape(G, plan.tile_n, 8)
+        b_groups = b_flat.reshape(G, 4, plan.tile_n).transpose(0, 2, 1)
         acc = np.zeros((R, plan.tile_n, 8), dtype=np.float32)
         for sel, gidx in plan.levels:  # serial k-group accumulation
-            acc[sel] += partial[gidx]
+            batch_b = b_groups[gidx].reshape(-1, 8, 4)
+            batch_a = np.repeat(a_groups[gidx], octets, axis=0)
+            partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc)
+            acc[sel] += partial.reshape(-1, plan.tile_n, 8)
         out3[lay.rows_act, :, n0:n1] += acc[:, : n1 - n0, :v].transpose(0, 2, 1)
     return out, tc
 
@@ -135,11 +140,12 @@ def execute_spmm_wmma(
 ) -> Tuple[np.ndarray, TensorCoreStats]:
     """Run a wmma SpMM plan; returns the FP32 output and TCU stats.
 
-    The wmma.m8n32k16 decomposition is replayed flat: per N-tile half,
-    one batched call issues every (k-step, octet, k-slice) fragment in
-    the order :func:`~repro.hardware.tensor_core.wmma_m8n32k16` uses
-    internally, and the (k-step, k-slice)-ordered masked accumulation
-    reproduces its serial per-octet adds.
+    The wmma.m8n32k16 decomposition is replayed flat: per N-tile half
+    and accumulation level, one batched call issues that level's
+    (k-step, octet, k-slice) fragments in the order
+    :func:`~repro.hardware.tensor_core.wmma_m8n32k16` uses internally,
+    and the (k-step, k-slice)-ordered accumulation reproduces its
+    serial per-octet adds.
     """
     v = plan.vector_length
     m = plan.num_vector_rows * v
@@ -155,7 +161,7 @@ def execute_spmm_wmma(
     v_flat[lay.slots, :v] = a.values
     a_steps = v_flat.reshape(G, 16, 8).transpose(0, 2, 1)              # (G, 8, 16)
     a_frags = a_steps.reshape(G, 8, 4, 4).transpose(0, 2, 1, 3)        # (G, 4, 8, 4)
-    batch_a = np.tile(a_frags, (1, 4, 1, 1)).reshape(-1, 8, 4)         # (G*16, 8, 4)
+    a_tiled = np.tile(a_frags, (1, 4, 1, 1))                           # (G, 16, 8, 4)
     out3 = out.reshape(plan.num_vector_rows, v, n)
     R = lay.rows_act.size
     for n0 in range(0, n, plan.tile_n):
@@ -169,14 +175,14 @@ def execute_spmm_wmma(
         for half in range(halves):
             sub = b3[:, :, half * 32 : (half + 1) * 32]
             # Mat_b fragments in the wmma-internal (octet, k-slice) order
-            batch_b = (
-                sub.reshape(G, 4, 4, 4, 8).transpose(0, 3, 1, 2, 4).reshape(-1, 4, 8)
-            )
-            partial = mma_m8n8k4_batched(batch_a, batch_b, stats=tc)
-            partial = partial.reshape(G, 4, 4, 8, 8)                   # [g, octet, j, ...]
+            b_frags = sub.reshape(G, 4, 4, 4, 8).transpose(0, 3, 1, 2, 4)
             for sel, gidx in plan.levels:  # serial k-steps, then k-slices
+                partial = mma_m8n8k4_batched(
+                    a_tiled[gidx].reshape(-1, 8, 4), b_frags[gidx].reshape(-1, 4, 8), stats=tc
+                )
+                partial = partial.reshape(-1, 4, 4, 8, 8)              # [g, octet, j, ...]
                 for j in range(4):
-                    acc[sel, half] += partial[gidx][:, :, j]
+                    acc[sel, half] += partial[:, :, j]
         acc_full = acc.transpose(0, 3, 1, 2, 4).reshape(R, 8, plan.tile_n)
         out3[lay.rows_act, :, n0:n1] += acc_full[:, :v, : n1 - n0]
     return out, tc

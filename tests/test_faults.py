@@ -9,18 +9,24 @@ and asserts that the check owning the corrupted artifact reports it:
   stream lands outside every operand, and memcheck flags it;
 * a negated counter or a 64x FLOP claim on a finished ``KernelStats``
   fails statcheck;
-* a flipped byte in a stored memo entry, in-process or in the shared
-  tier on disk, is detected and recomputed, never served.
+* a flipped byte in a shared-tier memo entry on disk is detected and
+  recomputed, never served; a caller's write into an in-process memo
+  result never reaches the next hit (frozen values refuse it, copied
+  values take it privately).
 
 Each class runs on two seeds, which choose the problem and the
 corrupted element.  The kernel and stats defects run with the memo
 off, so a planted defect is never cached.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import plans
+from repro.datasets.dlmc import dlmc_suite
+from repro.kernels import analyze_windows
 from repro.kernels.cases import cvse_operand, mask_operand
 from repro.kernels.sddmm_octet import OctetSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
@@ -181,32 +187,34 @@ class TestPlantedStatsDefects:
 
 
 class TestPlantedMemoDefects:
-    """A flipped byte in a stored entry is caught by its checksum; the
-    store recomputes, and the caller gets bit-identical stats."""
+    """A planted corruption of a memo result (a written counter, a
+    flipped byte in the shared tier's file) never reaches the next
+    lookup: the caller gets bit-identical stats."""
 
     @pytest.fixture(autouse=True)
     def _memo_on(self, tmp_path):
-        memo_was = memo.set_enabled(True), memo.set_checksum(True)
+        memo_was = memo.set_enabled(True)
         shared_was = sharedmemo.set_enabled(False), sharedmemo.set_dir(tmp_path)
         memo.clear()
         sharedmemo.reset()
         yield
-        memo.set_enabled(memo_was[0])
-        memo.set_checksum(memo_was[1])
+        memo.set_enabled(memo_was)
         memo.clear()
         sharedmemo.reset()
         sharedmemo.set_enabled(shared_was[0])
         sharedmemo.set_dir(shared_was[1])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_corrupt_memo_entry_detected_never_served(self, seed):
+    def test_written_memo_result_never_served(self, seed):
         a, _, n = _spmm_problem(seed)
         kern = OctetSpmmKernel()
-        clean = stats_signature(kern.stats_for(a, n))
-        before = memo.integrity_failures()
-        assert tamper.memo_entry("stats", flip_byte=int(np.random.default_rng(seed).integers(200)))
+        rng = np.random.default_rng(seed)
+        miss = kern.stats_for(a, n)
+        clean = stats_signature(miss)
+        _negate(miss, rng)                # the object a miss handed out
+        _negate(kern.stats_for(a, n), rng)  # the copy a hit handed out
         assert stats_signature(kern.stats_for(a, n)) == clean
-        assert memo.integrity_failures() == before + 1
+        assert memo.counters()["stats"] == (2, 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_corrupt_shared_entry_detected_never_served(self, seed):
@@ -221,42 +229,69 @@ class TestPlantedMemoDefects:
         assert sharedmemo.integrity_failures() == before + 1
 
 
-class TestMemoIntegrity:
+class TestMemoImmutability:
+    """Frozen memo values refuse writes, copied ones are fresh per hit,
+    and freezing never reaches a caller's operands."""
+
     @pytest.fixture(autouse=True)
     def _memo_on(self):
-        memo.set_enabled(True)
-        memo.set_checksum(True)
+        was = memo.set_enabled(True)
         memo.clear()
         yield
-        memo.set_enabled(None)
-        memo.set_checksum(None)
+        memo.set_enabled(was)
         memo.clear()
 
-    def _stats_once(self):
-        a, _b, n = _spmm_problem(seed=11)
-        return stats_signature(OctetSpmmKernel().stats_for(a, n))
+    def test_frozen_hits_refuse_writes(self):
+        a, _, n = _spmm_problem(seed=11)
+        _, _, mask = _sddmm_problem(seed=11)
+        kern = OctetSpmmKernel(simulate=True)
+        suite = lambda: dlmc_suite(shapes=((64, 128),), sparsities=(0.9,))  # noqa: E731
+        plan, tr, win, entry = (plans.spmm_octet_plan(kern, a), trace.trace_octet_spmm(a, n),
+                                analyze_windows(mask, 32), suite()[0])
+        before = (plan.layout.slots.copy(), tr.sampled_fill_bytes,
+                  win.occupied_counts.copy(), entry.csr.values.copy())
+        for arr in (plan.layout.slots, plan.levels[0][1], win.occupied_counts,
+                    entry.csr.values, entry.csr.col_idx):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.sampled_fill_bytes = 0
+        with pytest.raises(AttributeError):
+            suite().append(entry)
+        # the next hits are the same, unchanged objects
+        assert plans.spmm_octet_plan(kern, a) is plan
+        assert trace.trace_octet_spmm(a, n) is tr
+        assert analyze_windows(mask, 32) is win
+        assert suite()[0] is entry
+        after = (plan.layout.slots, tr.sampled_fill_bytes, win.occupied_counts, entry.csr.values)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert {r: memo.counters()[r] for r in ("plan", "trace", "suite")} == {
+            "plan": (1, 1), "trace": (1, 1), "suite": (2, 1)}
 
-    def test_tampered_entry_detected_and_recomputed_never_served(self):
-        ref = self._stats_once()
-        base = memo.integrity_failures()
-        assert tamper.memo_entry("stats", index=0, flip_byte=17)
-        served = self._stats_once()
-        assert memo.integrity_failures() == base + 1  # corruption was caught
-        assert served == ref                          # caller got clean stats
-        # the recomputed entry was re-stored healthy: next hit is clean too
-        assert self._stats_once() == ref
-        assert memo.integrity_failures() == base + 1
+    def test_copied_stats_hit_is_fresh(self):
+        a, _, n = _spmm_problem(seed=11)
+        kern = OctetSpmmKernel()
+        ref = stats_signature(kern.stats_for(a, n))
+        st = kern.stats_for(a, n)
+        st.ilp = 9
+        st.global_mem.load_sectors += 1
+        again = kern.stats_for(a, n)
+        assert again is not st
+        assert stats_signature(again) == ref
+        est = kern._model.estimate(again)
+        est.time_us = -1.0
+        assert kern._model.estimate(again).time_us > 0
 
-    def test_clean_entries_verify_without_failures(self):
-        ref = self._stats_once()
-        for _ in range(3):
-            assert self._stats_once() == ref
-        assert memo.integrity_failures() == 0
-
-    def test_checksum_can_be_disabled(self):
-        memo.set_checksum(False)
-        assert not memo.checksum_enabled()
-        ref = self._stats_once()
-        # raw storage: nothing to tamper with at the byte level
-        assert not tamper.memo_entry("stats", index=0)
-        assert self._stats_once() == ref
+    def test_operands_stay_writable(self):
+        a, b, n = _spmm_problem(seed=12)
+        q, kt, mask = _sddmm_problem(seed=12)
+        for _ in range(2):  # a miss, then a hit
+            OctetSpmmKernel(simulate=True).run(a, b)
+            trace.trace_octet_spmm(a, n)
+            OctetSddmmKernel(simulate=True).run(q, kt, mask)
+            analyze_windows(mask, 32)
+        assert memo.counters()["plan"][0] > 0
+        # topology index arrays are sealed by their digest
+        # (memo.signature); values and dense operands are never frozen
+        for arr in (a.values, b, q, kt):
+            assert arr.flags.writeable

@@ -643,7 +643,7 @@ def _gate_findings(reads: Set[Tuple[str, str]]) -> List[str]:
 
 def test_env_gates_are_read_through_the_registry(traced_pass):
     assert _gate_findings(traced_pass.reads) == []
-    assert len(envgates.GATES) == 8
+    assert len(envgates.GATES) == 7
 
 
 def test_env_gate_check_flags_direct_read(monkeypatch):

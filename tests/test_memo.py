@@ -227,8 +227,9 @@ class TestWindowProfile:
             occupied_on, occupied_off = on.occupied_counts, off.occupied_counts
             assert np.array_equal(occupied_on, occupied_off)
             assert occupied_on.dtype == occupied_off.dtype
-            on.occupied_counts = off.occupied_counts = None
-            assert dataclasses.asdict(on) == dataclasses.asdict(off)
+            rest_on, rest_off = dataclasses.asdict(on), dataclasses.asdict(off)
+            del rest_on["occupied_counts"], rest_off["occupied_counts"]
+            assert rest_on == rest_off
 
 
 class TestControlSurface:
