@@ -9,10 +9,10 @@ at V = 1, matching the paper's figure which omits it there).
 Each cell is the geometric mean of the speedup over the suite's
 matrices, following Gale et al. (the solid lines of the figure).
 
-Every kernel is priced from the entry's topology alone.  The problems
-are built with ``operands=False``: nothing is drawn, and ``a_cvse`` is
-the mask on the entry's own CSR arrays.  The Blocked-ELL baseline is
-priced from its matched shape, with no matrix built.
+Every kernel is priced from the entry's topology alone: nothing is
+drawn, and ``a_cvse`` is the mask on the entry's own CSR arrays.  The
+Blocked-ELL baseline is priced from its matched shape, with no matrix
+built.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _cell(v: int, n: int, s: float, entries: List[DlmcEntry]) -> Dict[str, objec
     bell = BlockedEllSpmmKernel()
     sp_f, sp_b, sp_m = [], [], []
     for entry in entries:
-        prob = build_spmm_problem(entry, v, n, operands=False)
+        prob = build_spmm_problem(entry, v, n)
         _, k_ell, width = BlockedEllMatrix.matched_shape(prob.a_cvse.shape, v, prob.a_cvse.sparsity)
         t_dense = hgemm._model.estimate(hgemm.stats_for_shape(prob.m, prob.k, n)).time_us
         t_f = fpu._model.estimate(fpu.stats_for(prob.a_cvse, n)).time_us

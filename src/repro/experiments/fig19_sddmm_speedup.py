@@ -7,8 +7,7 @@ kernels degenerate (the paper's figure shows fpu/wmma-dominated
 behaviour there) but remain runnable.
 
 As in fig17, every kernel is priced from the entry's topology alone:
-the problems are built with ``operands=False``, so nothing is drawn and
-the mask sits on the entry's own CSR arrays.
+nothing is drawn, and the mask sits on the entry's own CSR arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _cell(v: int, k: int, s: float, entries: List[DlmcEntry]) -> Dict[str, objec
     kernels = _kernels()
     speedups: Dict[str, list] = {name: [] for name in kernels}
     for entry in entries:
-        prob = build_sddmm_problem(entry, v, k, operands=False)
+        prob = build_sddmm_problem(entry, v, k)
         t_dense = hgemm._model.estimate(hgemm.stats_for_shape(prob.m, k, prob.n)).time_us
         for name, kern in kernels.items():
             t = kern._model.estimate(kern.stats_for(prob.mask, k)).time_us

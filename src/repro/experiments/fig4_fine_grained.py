@@ -10,8 +10,8 @@ reproduce:
   and cuSPARSE is lower still;
 * SDDMM half: the modified Sputnik stays below cublasHgemm.
 
-Every kernel is priced from the entry's topology alone, so the problems
-are built with ``operands=False``: nothing is drawn.
+Every kernel is priced from the entry's topology alone: nothing is
+drawn.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def run(
                 sp_sput, sp_cu = [], []
                 for entry in (e for e in suite if abs(e.sparsity - s) < 1e-9):
                     if op == "SpMM":
-                        prob = build_spmm_problem(entry, 1, n, operands=False)
+                        prob = build_spmm_problem(entry, 1, n)
                         t_d = gemm[prec]._model.estimate(
                             gemm[prec].stats_for_shape(prob.m, prob.k, n)
                         ).time_us
@@ -67,7 +67,7 @@ def run(
                         ).time_us
                         sp_cu.append(t_d / t_c)
                     else:
-                        prob = build_sddmm_problem(entry, 1, k, operands=False)
+                        prob = build_sddmm_problem(entry, 1, k)
                         t_d = gemm[prec]._model.estimate(
                             gemm[prec].stats_for_shape(prob.m, k, prob.n)
                         ).time_us

@@ -197,9 +197,6 @@ def _run_one(task: Tuple[str, bool, bool, bool]):
         res = fn(**kwargs)
     dt = time.perf_counter() - t0
     payload = _obs_payload(name, dt, memo.scope_end(), before, before_shared)
-    # drop the operand-carrying cache entries so a long sweep's heap
-    # stays bounded by one experiment's working set
-    memo.trim()
     return name, res, dt, payload
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .blocked_ell import BlockedEllMatrix
 from .csr import CSRMatrix
 from .cvse import ColumnVectorSparseMatrix
-from ..perfmodel import memo
 
 __all__ = [
     "cvse_from_csr_topology",
@@ -35,7 +34,6 @@ def pad_rows(dense: np.ndarray, multiple: int) -> np.ndarray:
     return np.vstack([dense, np.zeros((pad, dense.shape[1]), dtype=dense.dtype)])
 
 
-@memo.memoised_rng("format")
 def cvse_from_csr_topology(
     csr: CSRMatrix,
     vector_length: int,
@@ -55,7 +53,6 @@ def cvse_from_csr_topology(
     )
 
 
-@memo.memoised_rng("format")
 def blocked_ell_matching(
     cvse: ColumnVectorSparseMatrix,
     rng: Optional[np.random.Generator] = None,

@@ -15,7 +15,7 @@ hardware with a functional + performance model:
   including the proposed SWITCH extension (paper Fig. 15).
 """
 
-from .config import AMPERE_A100, GPUSpec, VOLTA_V100, default_spec
+from .config import GPUSpec, VOLTA_V100, default_spec
 from .thread_hierarchy import (
     LaunchConfig,
     ceil_div,
@@ -39,7 +39,6 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "AMPERE_A100",
     "GPUSpec",
     "VOLTA_V100",
     "default_spec",

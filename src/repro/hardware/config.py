@@ -145,29 +145,6 @@ class GPUSpec:
 #: Default device used throughout the library.
 VOLTA_V100 = GPUSpec()
 
-#: Ampere extrapolation (A100-SXM4-40GB).  The paper targets Volta; this
-#: spec lets the model answer the natural follow-up — on Ampere the
-#: dense tensor pipes and bandwidth both roughly double, so the sparse
-#: crossovers shift (see examples/design_space_sweep.py and the
-#: portability discussion in docs/PERFMODEL.md).  The HMMA abstraction
-#: (one warp instruction = 256 MACs) is kept; Ampere's mma.m16n8k16
-#: issues fewer, bigger instructions, which the doubled tensor rate
-#: absorbs to first order.
-AMPERE_A100 = GPUSpec(
-    name="A100-SXM4-40GB",
-    num_sms=108,
-    clock_ghz=1.41,
-    dram_bytes=40 * 2**30,
-    dram_bandwidth_gbs=1555.0,
-    l2_bytes=40 * 2**20,
-    l2_bandwidth_gbs=4500.0,
-    l1_bytes_per_sm=192 * 2**10,
-    max_shared_per_sm=164 * 2**10,
-    tensor_hmma_rate=4.0,       # 312 TFLOPS fp16 dense
-    l0_icache_bytes=16 * 2**10,
-    launch_overhead_us=2.0,
-)
-
 
 def default_spec() -> GPUSpec:
     """The GPU the paper evaluates on (V100)."""

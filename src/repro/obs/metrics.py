@@ -170,7 +170,7 @@ def merge(payload: Optional[Dict[str, Any]]) -> None:
 # derived views
 # --------------------------------------------------------------------- #
 #: memo regions always reported, even when untouched
-_MEMO_REGIONS = ("stats", "latency", "trace", "suite", "problem", "format", "plan")
+_MEMO_REGIONS = ("stats", "latency", "trace", "suite", "plan")
 #: cache levels always reported, even when no replay ran
 _CACHE_LEVELS = ("l1", "l2")
 

@@ -3,8 +3,7 @@
 The analytic stack is referentially transparent almost everywhere:
 ``stats_for`` depends only on the sparse topology (never the values),
 ``LatencyModel.estimate`` only on the :class:`KernelStats` fingerprint
-plus the spec/efficiency/slack constants, and the benchmark builders
-only on the DLMC entry and the RNG state they are handed.  The sweeps
+plus the spec/efficiency/slack constants.  The sweeps
 (fig17/fig19/table2/table3/sensitivity) re-evaluate the same configs
 over and over, so this module provides one process-wide cache with a
 few independent *regions*:
@@ -24,14 +23,9 @@ few independent *regions*:
   kernel layer (:mod:`repro.plans`): flattened gather/scatter index
   schedules keyed on (kernel fingerprint, structure signature).  A
   plan is pure schedule — no values.
-* ``"problem"`` / ``"format"`` — RNG-threaded benchmark constructions,
-  keyed on the *incoming* generator state; a hit fast-forwards the
-  generator to the recorded post-state, so caching is bit-transparent
-  to every downstream draw.
 
-Keys never include floating-point *values* of matrices — only shapes,
-dtypes and topology digests — except through the RNG state, which pins
-them exactly.
+Keys never include floating-point *values* of sparse matrices — only
+shapes, dtypes and topology digests.
 
 Control surface: :func:`set_enabled`/:func:`clear`, the
 ``REPRO_MEMO`` environment variable (``0``/``off``/``false`` disables,
@@ -47,19 +41,15 @@ is handed out by reference.  A ``copy_result=True`` value
 (``stats``/``latency``) is stored as a private pickle and every hit
 unpickles a fresh copy.  Neither form is hashed: a stored entry cannot
 be written through what a caller holds, so there is nothing for a
-checksum to catch in process.  The RNG-keyed operand regions
-(``problem``/``format``) keep raw references to values that are
-hundreds of MB of arrays — that boundary is documented in
-``docs/ROBUSTNESS.md``.
+checksum to catch in process.
 
-Shared tier: when ``REPRO_MEMO_SHARED=1`` the object regions are layered
+Shared tier: when ``REPRO_MEMO_SHARED=1`` the regions are layered
 over :mod:`~repro.perfmodel.sharedmemo` — a file-backed, cross-process
 L2.  A local miss falls through to the shared store (the blob is
 verified, unpickled, and the value adopted locally); a computed miss
 is sealed (:func:`sharedmemo.seal`) and published, so hit rates
 survive process boundaries (``--jobs`` workers, ``--shard``
-invocations, repeated runs).  The operand regions (:data:`ARRAY_REGIONS`) never reach the
-shared tier, and :func:`trim`/FIFO eviction only ever drop *local*
+invocations, repeated runs).  FIFO eviction only ever drops *local*
 entries.
 """
 
@@ -84,7 +74,6 @@ __all__ = [
     "enabled",
     "set_enabled",
     "clear",
-    "trim",
     "counters",
     "scope_begin",
     "scope_end",
@@ -92,20 +81,17 @@ __all__ = [
     "memoise",
     "memoised",
     "memoised_stats",
-    "memoised_rng",
     "signature",
     "kernel_fingerprint",
     "stats_signature",
 ]
 
 #: per-region entry limits (FIFO eviction); generous for the metadata
-#: regions, tight for the ones that hold real operand arrays.
+#: regions, tight for the suites, which hold whole DLMC topology sets.
 _REGION_LIMITS = {
     "stats": 8192,
     "latency": 8192,
     "suite": 8,
-    "problem": 512,
-    "format": 1024,
     "trace": 512,
     "plan": 1024,
 }
@@ -156,25 +142,6 @@ def clear() -> None:
     """Drop every cached entry and zero the hit/miss counters."""
     with _lock:
         _regions.clear()
-
-
-#: the regions whose entries hold real operand arrays (hundreds of MB
-#: across a full sweep) rather than scalar metadata.
-ARRAY_REGIONS = ("problem", "format")
-
-
-def trim(regions=ARRAY_REGIONS) -> None:
-    """Drop cached entries, keeping the hit/miss counters.
-
-    By default only the operand-carrying regions are dropped; the
-    runner calls this between experiments so the cache's heap footprint
-    stays bounded by one experiment's working set (``None`` trims every
-    region).  Trimming (and the per-region FIFO eviction) is strictly
-    local: shared-tier entries are never touched here."""
-    with _lock:
-        for name, reg in _regions.items():
-            if regions is None or name in regions:
-                reg.store.clear()
 
 
 def counters() -> Dict[str, Tuple[int, int]]:
@@ -246,10 +213,6 @@ def _digest(*buffers) -> str:
         h.update(arr.dtype.str.encode())
         h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def _array_signature(a: np.ndarray) -> tuple:
-    return ("nd", a.shape, a.dtype.str, _digest(a))
 
 
 #: buffer key of sealed index arrays -> (weak references to the arrays
@@ -412,7 +375,7 @@ def signature(obj: Any) -> Any:
     if isinstance(obj, GPUSpec):
         return ("spec",) + tuple(vars(obj).values())  # flat scalar fields
     if isinstance(obj, np.ndarray):
-        return _array_signature(obj)
+        return ("nd", obj.shape, obj.dtype.str, _digest(obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # e.g. DlmcEntry: qualname + field signatures
         return (type(obj).__qualname__,) + tuple(
@@ -476,20 +439,6 @@ def stats_signature(st: Any) -> tuple:
         float(st.work_imbalance),
         tuple(sorted((str(k), float(v)) for k, v in st.notes.items())),
     )
-
-
-def _freeze(obj: Any) -> Any:
-    """Recursively convert dicts/lists (e.g. a bit-generator state) to
-    hashable tuples."""
-    if isinstance(obj, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return tuple(_freeze(x) for x in obj)
-    if isinstance(obj, np.ndarray):
-        return _array_signature(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 # --------------------------------------------------------------------- #
@@ -651,57 +600,3 @@ def memoised_stats(fn):
     wrapper.__memo_region__ = "stats"
     return wrapper
 
-
-def memoised_rng(region: str = "problem"):
-    """Decorator for RNG-threaded builders ``fn(*args, rng=Generator)``.
-
-    The key includes the generator's *incoming* bit-generator state; on
-    a hit the generator is advanced to the recorded post-state, so the
-    downstream draw sequence is identical whether or not the cache
-    fired.  Calls without a generator (``rng=None`` means the builder
-    makes a throwaway local default) bypass the cache.
-    """
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            rng = kwargs.pop("rng", None)
-            pos = args
-            if rng is None and pos and isinstance(pos[-1], np.random.Generator):
-                rng, pos = pos[-1], pos[:-1]
-            if rng is None or not enabled():
-                return fn(*pos, rng=rng, **kwargs)
-            key = (
-                fn.__module__,
-                fn.__qualname__,
-                signature(pos),
-                signature(kwargs),
-                _freeze(rng.bit_generator.state),
-            )
-            reg = _region(region)
-            with _lock:
-                if _scope is not None:
-                    _scope_note(region, key)
-                cached = reg.store.get(key)
-                if cached is not None:
-                    reg.hits += 1
-                    value, post_state = cached
-                    rng.bit_generator.state = post_state
-                    return value
-                reg.misses += 1
-            if _tracing.enabled():
-                with _tracing.span(f"memo.miss.{region}"):
-                    value = fn(*pos, rng=rng, **kwargs)
-            else:
-                value = fn(*pos, rng=rng, **kwargs)
-            with _lock:
-                reg.store[key] = (value, rng.bit_generator.state)
-                while len(reg.store) > reg.limit:
-                    reg.store.popitem(last=False)
-            return value
-
-        wrapper.__wrapped__ = fn
-        wrapper.__memo_region__ = region
-        return wrapper
-
-    return deco

@@ -28,14 +28,11 @@ here.  The store keeps one file per entry::
   pickles it with a *pinned* protocol, so the same problem hashes
   identically in every worker regardless of interpreter defaults.
 
-The operand-array regions (``memo.ARRAY_REGIONS`` — ``problem`` /
-``format``) never reach this tier: their values are hundreds of MB and
-their keys embed RNG state, so sharing them would trade a cheap local
-rebuild for massive disk churn.  :func:`memo.trim` and the local FIFO
-eviction only touch the in-process stores; nothing deletes shared
-entries (remove the directory to reclaim it).  Leftover ``*.tmp`` files
-of a killed writer are ignored, and so are the ``segments/`` and
-``index/`` directories of the earlier segment-store layout.
+The local FIFO eviction only touches the in-process stores; nothing
+deletes shared entries (remove the directory to reclaim it).  Leftover
+``*.tmp`` files of a killed writer are ignored, and so are the
+``segments/`` and ``index/`` directories of the earlier segment-store
+layout.
 
 Control surface: ``REPRO_MEMO_SHARED`` (default **off**; ``1`` enables),
 ``REPRO_MEMO_SHARED_DIR`` (default ``.repro-memo`` under the working
@@ -89,8 +86,7 @@ _DEFAULT_DIR = ".repro-memo"
 #: therefore the digest) must not depend on the interpreter's default
 _KEY_PROTOCOL = 4
 
-#: the regions that reach this tier (the RNG-keyed operand regions are
-#: excluded by design — see module docstring and docs/ROBUSTNESS.md)
+#: the regions that reach this tier
 SHAREABLE_REGIONS = frozenset({"stats", "latency", "trace", "suite", "plan"})
 
 #: length of the BLAKE2b digest that opens every sealed record

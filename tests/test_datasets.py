@@ -12,6 +12,8 @@ from repro.datasets import (
     generate_topology,
     magnitude_prune,
 )
+from repro.formats import ColumnVectorSparseMatrix
+from repro.formats.conversions import blocked_ell_matching, cvse_from_csr_topology
 
 
 class TestMagnitudePrune:
@@ -72,33 +74,36 @@ class TestBenchmarkConstruction:
         return dlmc_suite(shapes=[(64, 128)], sparsities=[0.9])[0]
 
     def test_spmm_problem(self):
-        prob = build_spmm_problem(self._entry(), 4, 64)
-        assert prob.a_cvse.shape == (256, 128)      # rows x V
-        assert prob.b.shape == (128, 64)
-        assert prob.a_ell.block_size == 4
-        # matched sparsity between the two formats (§7.1.1)
-        assert prob.a_ell.sparsity == pytest.approx(prob.a_cvse.sparsity, abs=0.06)
-
-    def test_spmm_topology_reused(self):
-        e = self._entry()
-        prob = build_spmm_problem(e, 2, 64)
-        assert np.array_equal(prob.a_cvse.col_idx, e.csr.col_idx)
-
-    def test_sddmm_without_operands_draws_nothing(self):
         entry = self._entry()
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        bare = build_sddmm_problem(entry, 4, 64, rng, operands=False)
-        assert rng.bit_generator.state == state
-        assert bare.a is None and bare.b is None
-        full = build_sddmm_problem(entry, 4, 64, np.random.default_rng(3))
-        assert bare.mask.shape == full.mask.shape
-        assert np.array_equal(bare.mask.row_ptr, full.mask.row_ptr)
-        assert np.array_equal(bare.mask.col_idx, full.mask.col_idx)
+        prob = build_spmm_problem(entry, 4, 64)
+        assert prob.a_cvse.shape == (256, 128)      # rows x V
+        assert prob.a_cvse.is_mask                  # topology only: no values drawn
+        assert prob.a_cvse.row_ptr is entry.csr.row_ptr
+        assert prob.a_cvse.col_idx is entry.csr.col_idx
 
     def test_sddmm_problem(self):
-        prob = build_sddmm_problem(self._entry(), 8, 64)
+        entry = self._entry()
+        prob = build_sddmm_problem(entry, 8, 64)
         assert prob.mask.is_mask
-        assert prob.a.shape == (prob.m, 64)
-        assert prob.b.shape == (64, prob.n)
-        assert prob.mask.shape == (prob.m, prob.n)
+        assert prob.mask.shape == (prob.m, prob.n) == (512, 128)
+        assert prob.mask.row_ptr is entry.csr.row_ptr
+        assert prob.mask.col_idx is entry.csr.col_idx
+
+    def test_spmm_topology_reused(self):
+        """§7.1.1's CVSE benchmark: the DLMC indices, one V-vector drawn per index."""
+        csr = self._entry().csr
+        rng = np.random.default_rng(3)
+        a = cvse_from_csr_topology(csr, 2, rng)
+        assert a.shape == (csr.shape[0] * 2, csr.shape[1])
+        assert np.array_equal(a.col_idx, csr.col_idx)
+        direct_rng = np.random.default_rng(3)
+        direct = ColumnVectorSparseMatrix.from_topology(
+            csr.row_ptr, csr.col_idx, 2, csr.shape[1], rng=direct_rng)
+        assert np.array_equal(a.values, direct.values)
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
+
+    def test_blocked_ell_matches_cvse_sparsity(self):
+        a = cvse_from_csr_topology(self._entry().csr, 4, np.random.default_rng(3))
+        ell = blocked_ell_matching(a, np.random.default_rng(4))
+        assert ell.block_size == 4
+        assert ell.sparsity == pytest.approx(a.sparsity, abs=0.06)

@@ -33,13 +33,15 @@ class TestFig4:
         return fig4_fine_grained.run(quick=True, sparsities=(0.7, 0.9, 0.98))
 
     def test_single_precision_crosses(self, res):
+        assert len(res.rows) == 2 * 2 * 3  # op x precision x sparsity
         r = rows_where(res.rows, op="SpMM", precision="single", sparsity=0.98)[0]
         assert r["sputnik"] > 1.0
 
     def test_half_precision_needs_extreme_sparsity(self, res):
         # §3.1: Sputnik only beats cublasHgemm at extreme sparsity
-        mid = rows_where(res.rows, op="SpMM", precision="half", sparsity=0.9)[0]
-        assert mid["sputnik"] < 1.0
+        for s in (0.7, 0.9):
+            mid = rows_where(res.rows, op="SpMM", precision="half", sparsity=s)[0]
+            assert mid["sputnik"] < 1.0
 
     def test_cusparse_below_sputnik_spmm(self, res):
         for r in rows_where(res.rows, op="SpMM"):
@@ -85,6 +87,8 @@ class TestFig5:
         return rows_where(res.rows, kernel=kind, precision=prec)[0]["L1 missed sectors"]
 
     def test_gemm_reduction_superlinear(self, res):
+        assert len(res.rows) == 4  # {GEMM, SpMM} x {single, half}
+        assert "GEMM L1-missed-sector reduction" in res.notes
         red = 1 - self._sectors(res, "GEMM", "half") / self._sectors(res, "GEMM", "single")
         assert 0.65 < red < 0.85  # paper: 77%
 
@@ -121,9 +125,10 @@ class TestFig6:
         assert rows_where(res.rows, block=16, sparsity=0.9)[0]["blocked-ELL"] > 1.0
 
     def test_speedup_grows_with_block_size(self, res):
+        assert all(len(rows_where(res.rows, block=b)) == 3 for b in (4, 8, 16))
         for s in (0.8, 0.9, 0.98):
             vals = [rows_where(res.rows, block=b, sparsity=s)[0]["blocked-ELL"] for b in (4, 8, 16)]
-            assert vals == sorted(vals)
+            assert vals == sorted(vals) and vals[0] < vals[-1]
 
 
 class TestTable1:
@@ -145,6 +150,8 @@ class TestFig17:
         )
 
     def test_mma_beats_baselines(self, res):
+        assert len(res.rows) == 3 * 1 * 5  # V x N x sparsity
+        assert max(r["mma"] for r in res.rows) > 2.0  # practical speedup is reached
         for r in res.rows:
             assert r["mma"] > r["fpu"]
             if r["V"] <= 4:
@@ -206,6 +213,7 @@ class TestTable2:
         assert mma > 10 and cuda < 6  # the guideline-V contrast
 
     def test_grid_sizes_match_paper(self, res):
+        assert len(res.rows) == 6  # 3 kernels x 2 vector lengths
         assert self._row(res, "MMA (V=4)")["# Thread Block"] == 2048
         assert self._row(res, "Blocked-ELL (V=4)")["# Thread Block"] == 1024
 
@@ -229,6 +237,7 @@ class TestTable3:
         assert c > m                  # paper: 28.1 vs 10.7
 
     def test_grids_match_paper(self, res):
+        assert len(res.rows) == 6  # 3 kernels x 2 vector lengths
         assert self._row(res, "MMA (V=4)")["# Thread Block"] == 16384
         assert self._row(res, "MMA (V=8)")["# Thread Block"] == 8192
 
@@ -242,6 +251,7 @@ class TestFig19:
         )
 
     def test_mma_beats_wmma_mostly(self, res):
+        assert len(res.rows) == 2 * 2 * 3  # V x K x sparsity
         ratios = [r["mma (reg)"] / r["wmma"] for r in res.rows]
         assert geomean(ratios) > 1.0  # paper geomean range 0.93-1.44
 
@@ -268,6 +278,7 @@ class TestFig20:
         return fig20_attention_latency.run(setups=((2048, 64), (4096, 256)))
 
     def test_sparse_beats_dense_at_k64(self, res):
+        assert len(rows_where(res.rows, config="dense(half)")) == 2  # one per setup
         r = rows_where(res.rows, l=2048, k=64, config="sparse 90%")[0]
         assert r["speedup"] > 1.0
 

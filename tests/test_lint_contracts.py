@@ -620,8 +620,8 @@ def test_span_outside_memo_flags_wrapped_builder():
 def test_span_outside_memo_sees_attribute_decorators():
     with pytest.raises(TypeError, match="'trace' region"):
         @tracing.traced("build.trace")
-        @memo.memoised_rng("trace")
-        def build_trace(spec, rng):
+        @memo.memoised("trace")
+        def build_trace(spec):
             return spec
 
     with pytest.raises(TypeError, match="'stats' region"):
@@ -753,7 +753,7 @@ def test_memo_keys_cover_what_the_computes_read(traced_pass, tmp_path):
     regions, mismatches = _memo_key_check(runset.memo_steps, tmp_path)
     reached = {name.rsplit(".", 1)[1] for name in traced_pass.names["span"]
                if name.startswith("memo.miss.")}
-    assert reached == {"format", "latency", "plan", "stats", "trace"}
+    assert reached == {"latency", "plan", "stats", "trace"}
     assert reached <= regions
     assert mismatches == []
 

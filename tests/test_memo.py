@@ -1,7 +1,6 @@
 """The memoised analytic layer must be *transparent*: cached results
 equal recomputed ones, any input that could change a result busts the
-key, and the rng-keyed builders leave generator state exactly as an
-uncached call would."""
+key."""
 
 import dataclasses
 import pickle
@@ -9,9 +8,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.datasets.benchmark_suite import build_sddmm_problem, build_spmm_problem
+from repro.datasets.benchmark_suite import build_sddmm_problem
 from repro.datasets.dlmc import dlmc_suite
 from repro.formats import ColumnVectorSparseMatrix
+from repro.formats.conversions import cvse_from_csr_topology
 from repro.hardware.config import GPUSpec
 from repro.kernels import sddmm_common
 from repro.kernels.cases import KERNEL_CASES
@@ -34,93 +34,54 @@ def _entry():
     return dlmc_suite(shapes=((64, 128),), sparsities=(0.9,))[0]
 
 
-def _problem():
-    return build_spmm_problem(_entry(), 4, 64, np.random.default_rng(1))
+def _operand():
+    return cvse_from_csr_topology(_entry().csr, 4, np.random.default_rng(1))
 
 
 class TestMemoisedStats:
     def test_cached_equals_recomputed(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        first = kern.stats_for(prob.a_cvse, 64)
-        hit = kern.stats_for(prob.a_cvse, 64)
+        first = kern.stats_for(a, 64)
+        hit = kern.stats_for(a, 64)
         memo.set_enabled(False)
-        fresh = kern.stats_for(prob.a_cvse, 64)
+        fresh = kern.stats_for(a, 64)
         assert memo.stats_signature(hit) == memo.stats_signature(first)
         assert memo.stats_signature(hit) == memo.stats_signature(fresh)
 
     def test_second_call_is_a_hit(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         before = memo.counters()["stats"]
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         after = memo.counters()["stats"]
         assert after == (before[0] + 1, before[1])
 
     def test_gpuspec_change_busts_cache(self):
-        prob = _problem()
-        OctetSpmmKernel().stats_for(prob.a_cvse, 64)
+        a = _operand()
+        OctetSpmmKernel().stats_for(a, 64)
         _, misses = memo.counters()["stats"]
         half_sms = dataclasses.replace(GPUSpec(), num_sms=40)
-        OctetSpmmKernel(spec=half_sms).stats_for(prob.a_cvse, 64)
+        OctetSpmmKernel(spec=half_sms).stats_for(a, 64)
         assert memo.counters()["stats"][1] == misses + 1
 
     def test_patched_instance_bypasses_cache(self):
         # a monkeypatched method is invisible to the fingerprint, so the
         # wrapper must not serve (or store) results for such an instance
-        prob = _problem()
+        a = _operand()
         kern = FpuSpmmKernel()
         kern._tile_n = lambda v: 32
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         assert "stats" not in memo.counters()
 
     def test_returns_defensive_copy(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        st = kern.stats_for(prob.a_cvse, 64)
+        st = kern.stats_for(a, 64)
         st.flops = -1.0
-        again = kern.stats_for(prob.a_cvse, 64)
+        again = kern.stats_for(a, 64)
         assert again.flops != -1.0
-
-
-class TestMemoisedRng:
-    def test_hit_restores_generator_state(self):
-        entry = _entry()
-        rng_miss = np.random.default_rng(5)
-        miss = build_spmm_problem(entry, 4, 64, rng_miss)
-        rng_hit = np.random.default_rng(5)
-        hit = build_spmm_problem(entry, 4, 64, rng_hit)
-        assert memo.counters()["problem"][0] >= 1
-        # downstream draws are identical on the hit and miss paths
-        assert np.array_equal(rng_miss.random(8), rng_hit.random(8))
-        assert np.array_equal(miss.b, hit.b)
-
-    def test_operand_flag_is_part_of_the_key(self):
-        entry = _entry()
-        full = build_spmm_problem(entry, 4, 64, np.random.default_rng(5))
-        bare = build_spmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
-        assert full.b is not None and full.a_ell is not None
-        assert bare.b is None and bare.a_ell is None  # not served from the operands=True entry
-        assert full.a_cvse.values is not None
-        assert bare.a_cvse.values is None  # priced as fp16 values, never drawn
-        sd = build_sddmm_problem(entry, 4, 64, np.random.default_rng(5), operands=False)
-        assert sd.a is None and sd.b is None
-
-    def test_topology_only_builds_draw_nothing(self):
-        entry = _entry()
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        spmm = build_spmm_problem(entry, 4, 64, rng, operands=False)
-        sddmm = build_sddmm_problem(entry, 4, 64, rng, operands=False)
-        assert rng.bit_generator.state == state
-        for mask in (spmm.a_cvse, sddmm.mask):
-            assert mask.row_ptr is entry.csr.row_ptr and mask.col_idx is entry.csr.col_idx
-
-    def test_no_rng_means_no_caching(self):
-        entry = _entry()
-        build_spmm_problem(entry, 4, 64)
-        assert "problem" not in memo.counters()
 
 
 class TestTopologyDigest:
@@ -143,7 +104,6 @@ class TestTopologyDigest:
         for _ in range(2):
             fig17_spmm_speedup.run(quick=True, vector_lengths=(2, 4), n_sizes=(64,),
                                    sparsities=(0.9,))
-            memo.trim()  # as the runner does: the rerun rebuilds on unpickled suite copies
         assert computed and len(computed) == len(set(computed))
 
     def test_shared_by_objects_on_the_same_arrays(self, monkeypatch):
@@ -206,7 +166,7 @@ class TestWindowProfile:
                 for kern in kernels for k in self.K_SIZES]
 
     def test_computed_once_per_window_width(self, monkeypatch):
-        mask = build_sddmm_problem(_entry(), 4, 64, operands=False).mask
+        mask = build_sddmm_problem(_entry(), 4, 64).mask
         monkeypatch.setattr(sddmm_common, "WindowProfile", _CountedProfile)
         monkeypatch.setattr(_CountedProfile, "computed", [])
         memo.set_enabled(False)
@@ -234,21 +194,21 @@ class TestWindowProfile:
 
 class TestControlSurface:
     def test_disable_forces_recompute(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         memo.set_enabled(False)
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         assert memo.counters()["stats"] == (0, 1)  # untouched while off
 
     def test_clear_resets_counters_and_store(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        kern.stats_for(prob.a_cvse, 64)
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
+        kern.stats_for(a, 64)
         memo.clear()
         assert memo.counters() == {}
-        kern.stats_for(prob.a_cvse, 64)
+        kern.stats_for(a, 64)
         assert memo.counters()["stats"] == (0, 1)  # a fresh miss
 
     def test_hit_rate(self):

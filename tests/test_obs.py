@@ -196,8 +196,7 @@ class TestMetrics:
 
     def test_memo_and_cache_tables_always_complete(self):
         snap = metrics.snapshot()
-        assert set(snap["memo"]) >= {"stats", "latency", "trace",
-                                     "suite", "problem", "format"}
+        assert set(snap["memo"]) >= {"stats", "latency", "trace", "suite", "plan"}
         assert set(snap["cache"]) == {"l1", "l2"}
         for row in snap["cache"].values():
             assert row["hit_rate"] == 0.0

@@ -2,7 +2,7 @@
 fast: concurrent writers never corrupt each other's entries, a
 corrupt or truncated entry is detected and recomputed (never served),
 a killed writer's temp file is ignored, keys digest identically in
-every process, and the local store's trimming never touches a shared
+every process, and dropping local entries never touches a shared
 entry."""
 
 import os
@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.datasets.benchmark_suite import build_spmm_problem
 from repro.datasets.dlmc import dlmc_suite
+from repro.formats.conversions import cvse_from_csr_topology
 from repro.kernels.spmm_octet import OctetSpmmKernel
 from repro.perfmodel import memo, sharedmemo
 
@@ -49,9 +49,9 @@ def _child_env():
     return env
 
 
-def _problem():
+def _operand():
     entry = dlmc_suite(shapes=((64, 128),), sparsities=(0.9,))[0]
-    return build_spmm_problem(entry, 4, 64, np.random.default_rng(1))
+    return cvse_from_csr_topology(entry.csr, 4, np.random.default_rng(1))
 
 
 # --------------------------------------------------------------------- #
@@ -72,31 +72,31 @@ class TestTier:
         assert pickle.loads(sharedmemo.lookup("stats", key)) == b"blob"
         assert sharedmemo.counters()["stats"] == (1, 1)
 
-    def test_array_regions_opt_out(self):
-        # rng-keyed operand regions never reach the shared tier: no
-        # publish, no lookup, regardless of what the caller passes
-        for region in memo.ARRAY_REGIONS:
-            assert not sharedmemo.publish(region, b"\x00" * 16, b"blob")
-            assert sharedmemo.lookup(region, b"\x00" * 16) is None
-        _problem()  # exercises the memoised problem/format builders
-        assert set(sharedmemo.stats()["regions"]) <= sharedmemo.SHAREABLE_REGIONS
+    def test_unshareable_region_opts_out(self):
+        # a region outside SHAREABLE_REGIONS never reaches the shared
+        # tier: no publish, no lookup, regardless of what the caller passes
+        assert "scratch" not in sharedmemo.SHAREABLE_REGIONS
+        assert not sharedmemo.publish("scratch", b"\x00" * 16, b"blob")
+        assert sharedmemo.lookup("scratch", b"\x00" * 16) is None
+        memo.memoise("scratch", ("opt-out", 1), lambda: 1)
+        assert not (_store() / "scratch").exists()
 
     def test_memoised_stats_flow_through_both_tiers(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        first = kern.stats_for(prob.a_cvse, 64)
+        first = kern.stats_for(a, 64)
         # a fresh local store forces the next call through the shared
         # tier — the same value must come back, counted as a shared hit
         memo.clear()
         before = sharedmemo.snapshot()
-        again = kern.stats_for(prob.a_cvse, 64)
+        again = kern.stats_for(a, 64)
         assert memo.stats_signature(again) == memo.stats_signature(first)
         assert sharedmemo.delta(before)[0] >= 1
 
     def test_disabled_tier_is_inert(self):
         sharedmemo.set_enabled(False)
-        prob = _problem()
-        OctetSpmmKernel().stats_for(prob.a_cvse, 64)
+        a = _operand()
+        OctetSpmmKernel().stats_for(a, 64)
         assert not _store().exists()
 
 
@@ -128,21 +128,21 @@ class TestKeyCanonicalisation:
 # --------------------------------------------------------------------- #
 class TestCorruption:
     def test_tampered_entry_never_served(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        clean_sig = memo.stats_signature(kern.stats_for(prob.a_cvse, 64))
+        clean_sig = memo.stats_signature(kern.stats_for(a, 64))
         assert tamper.shared_entry("stats", index=0, flip_byte=3)
         memo.clear()  # force the lookup through the tampered entry file
         before = sharedmemo.integrity_failures()
-        served = kern.stats_for(prob.a_cvse, 64)
+        served = kern.stats_for(a, 64)
         assert sharedmemo.integrity_failures() == before + 1
         assert memo.stats_signature(served) == clean_sig
         assert sharedmemo.integrity_counters() == {"stats": 1}
 
     def test_truncated_entry_is_recomputed_and_republished(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        clean_sig = memo.stats_signature(kern.stats_for(prob.a_cvse, 64))
+        clean_sig = memo.stats_signature(kern.stats_for(a, 64))
         files = list((_store() / "stats").iterdir())
         assert files
         for path in files:
@@ -151,14 +151,14 @@ class TestCorruption:
         # detected and counted, never served: the value is recomputed
         memo.clear()
         before = sharedmemo.integrity_failures()
-        served = kern.stats_for(prob.a_cvse, 64)
+        served = kern.stats_for(a, 64)
         assert sharedmemo.integrity_failures() == before + len(files)
         assert memo.stats_signature(served) == clean_sig
         # ... and the recompute's publish replaced the truncated file
         assert sharedmemo.verify_store()[1] == 0
         memo.clear()
         hits = sharedmemo.snapshot()[0]
-        again = kern.stats_for(prob.a_cvse, 64)
+        again = kern.stats_for(a, 64)
         assert sharedmemo.snapshot()[0] == hits + len(files)
         assert memo.stats_signature(again) == clean_sig
 
@@ -177,24 +177,22 @@ class TestCorruption:
 
 
 # --------------------------------------------------------------------- #
-# local trimming never touches shared entries
+# dropping local entries never touches shared entries
 # --------------------------------------------------------------------- #
 class TestTrimIsolation:
     def test_trim_and_eviction_leave_entries_intact(self):
-        prob = _problem()
+        a = _operand()
         kern = OctetSpmmKernel()
-        first = kern.stats_for(prob.a_cvse, 64)
+        first = kern.stats_for(a, 64)
         before = sharedmemo.stats()
         assert before["live_entries"] > 0
-        # local reclamation: operand trim plus a full blob-region purge
-        memo.trim()
-        memo.trim(regions=("stats", "latency", "suite"))
+        # local reclamation: drop every in-process entry
         memo.clear()
         after = sharedmemo.stats()
         assert after["live_entries"] == before["live_entries"]
         assert sharedmemo.verify_store()[1] == 0
         # and the evicted value is still served from the shared tier
-        again = kern.stats_for(prob.a_cvse, 64)
+        again = kern.stats_for(a, 64)
         assert memo.stats_signature(again) == memo.stats_signature(first)
 
 
