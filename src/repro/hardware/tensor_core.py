@@ -253,14 +253,20 @@ def mma_m8n8k4_batched(
     all eight octets of a k-group the same switched-RHS fragment) —
     and ``c`` is ``(batch, 8, 8)`` FP32 or ``None`` for zeros.
 
+    Any strides are accepted and the result keeps the caller's memory
+    layout: operands stored batch-last (``(8, 4, batch)`` storage seen
+    through a transposed view, as the compiled-plan executors pass
+    them) give a batch-last result, so every elementwise pass runs the
+    batch as its unit-stride inner loop instead of an 8-wide one.
+
     Semantics are element-for-element those of running
     :func:`mma_m8n8k4` on every batch item: the same four-step
     quadrant schedule, the same SWITCH/invert-groups register
     re-pairing, the same FP32 accumulation order (both paths contract
     k=4 through :func:`_dot_f32`'s serial left-to-right multiply-add
-    chain, which no batch shape can reorder), so the result is
-    bit-identical to the per-octet loop — the batched-parity tests pin
-    this.  ``stats`` aggregates across the batch: ``batch`` mma
+    chain, which no batch shape or stride can reorder), so the result
+    is bit-identical to the per-octet loop — the batched-parity tests
+    pin this.  ``stats`` aggregates across the batch: ``batch`` mma
     instructions, ``batch x len(steps)`` HMMA steps.
     """
     a = np.asarray(a, dtype=_F16)
@@ -273,17 +279,19 @@ def mma_m8n8k4_batched(
         b = np.broadcast_to(b, (batch, 4, 8))
     if b.shape != (batch, 4, 8):
         raise ValueError(f"batched Mat_b must be ({batch}, 4, 8), got {b.shape}")
+    # promote once, keeping the caller's layout (order="K"): fp16 ->
+    # fp32 is exact, so converting before the half/step slicing is
+    # bit-identical to converting inside each step
+    a = a.astype(_F32, order="K")
+    b = b.astype(_F32, order="K")
     if c is None:
-        acc = np.zeros((batch, 8, 8), dtype=_F32)
+        # a zero accumulator, so every output is ``0.0 + x`` exactly as
+        # in the per-octet path (signed zeros included)
+        acc = np.zeros_like(a, shape=(batch, 8, 8))
     else:
-        acc = np.asarray(c, dtype=_F32).copy()
+        acc = np.array(c, dtype=_F32, order="K")
         if acc.shape != (batch, 8, 8):
             raise ValueError(f"batched accumulator must be ({batch}, 8, 8), got {acc.shape}")
-
-    # promote once: fp16 -> fp32 is exact, so converting before the
-    # half/step slicing is bit-identical to converting inside each step
-    a = np.ascontiguousarray(a, dtype=_F32)
-    b = np.ascontiguousarray(b, dtype=_F32)
 
     # Fast path: the four quadrant steps partition the 8x8 output, each
     # element computed by exactly one step through the same serial k=4
@@ -291,11 +299,12 @@ def mma_m8n8k4_batched(
     # That also covers invert_groups + all-SWITCH (the arch identity:
     # the double swap restores the canonical pairing element for
     # element).  Partial schedules and mixed SWITCH patterns keep the
-    # explicit per-step walk below.  Only large batches take it: the
-    # whole-tile pass trades four quadrant kernels for seven full-width
-    # broadcast passes, which pays off once the batch amortises the
-    # wider temporaries (the compiled-plan executors issue thousands of
-    # tiles per call; per-row walks issue 8-16).
+    # explicit per-step walk below.  Batches under 32 keep the walk even
+    # though the whole tile is faster for them too: the compiled-plan
+    # executors issue almost none, while the interpreted oracles in
+    # tests/oracles issue 8-16-item batches per row, so there the fast
+    # path would mostly speed up the baseline benchmarks/bench_codegen.py
+    # holds the plans to (its --smoke floor then fails on octet SpMM).
     full = tuple(steps) == (0, 1, 2, 3)
     sw = set(switch_steps) & {0, 1, 2, 3}
     if (

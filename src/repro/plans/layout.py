@@ -9,6 +9,14 @@ a flat batch.  :func:`group_layout` flattens that walk once: it
 assigns every stored vector its *slot* in the padded group space and
 records the per-row group extents, from which the per-kernel
 compilers derive their gather/scatter indices.
+
+The executors keep their fragments and FP32 accumulators *batch-last*
+— the batch (group or row) axis innermost in memory — and hand
+:func:`~repro.hardware.tensor_core.mma_m8n8k4_batched` transposed
+views of that storage, so its elementwise passes run the batch at unit
+stride.  Batch-last gathers use ``np.take(..., axis=-1)``, which
+allocates its result C-ordered; fancy indexing on a trailing axis
+would lay the gathered axis outermost instead.
 """
 
 from __future__ import annotations
@@ -68,23 +76,26 @@ def group_layout(row_nnz: np.ndarray, group: int) -> GroupLayout:
     )
 
 
-def accumulation_levels(layout: GroupLayout) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """Per-depth gather indices for serial group accumulation.
+def accumulation_levels(layout: GroupLayout) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Row order and per-depth group gathers for serial accumulation.
 
-    Level ``d`` pairs ``(sel, gidx)``: the active-row positions whose
-    row has more than ``d`` groups, and the flat index of each such
-    row's ``d``-th group.  Accumulating ``acc[sel] += partial[gidx]``
-    level by level reproduces the interpreted walk's serial in-row
-    FP32 accumulation order exactly (including which rows add nothing
-    at deeper levels — padding never contributes a spurious ``+0.0``,
-    which would flip a ``-0.0`` accumulator and break bit parity).
+    ``row_order`` lists the active-row positions by group count,
+    descending (stable, so ties keep ascending row order).  Level ``d``
+    is the flat index of the ``d``-th group of each of the first
+    ``n_d`` rows in that order, ``n_d`` being the number of rows with
+    more than ``d`` groups — so the rows a level touches are always a
+    prefix of the order, and an accumulator kept in that order adds
+    level ``d`` into ``acc[..., :n_d]``.  Level by level this
+    reproduces the interpreted walk's serial in-row FP32 accumulation
+    order exactly (including which rows add nothing at deeper levels —
+    padding never contributes a spurious ``+0.0``, which would flip a
+    ``-0.0`` accumulator and break bit parity).
     """
-    depth = int(layout.groups.max()) if layout.groups.size else 0
-    levels = []
-    for d in range(depth):
-        sel = np.flatnonzero(layout.groups > d)
-        levels.append((sel, layout.offsets[sel] + d))
-    return tuple(levels)
+    row_order = np.argsort(-layout.groups, kind="stable")
+    first = layout.offsets[row_order]
+    # rows with more than d groups, for d = 0 .. depth-1
+    sizes = layout.groups.size - np.cumsum(np.bincount(layout.groups))[:-1]
+    return row_order, tuple(first[:n] + d for d, n in enumerate(sizes.tolist()))
 
 
 def row_of_group(layout: GroupLayout) -> np.ndarray:

@@ -13,6 +13,15 @@ the SpMM side, where ``+=`` is load-bearing for signed-zero parity.
 The k dimension is uniform across rows (every row pads K the same
 way), so the k-slice accumulation needs no masking — only the
 column-group dimension is ragged and goes through the slot map.
+
+Layout: fragments and accumulators are batch-last, the sub-step (or
+wmma tile) axis innermost in memory, and reach
+:func:`mma_m8n8k4_batched` as transposed ``(batch, 8, 4)``/``(batch,
+4, 8)`` views, so every elementwise pass of the MMA runs the batch at
+unit stride.  Slot ``g * group + c`` of the flat fragment space sits at
+``c * num_groups + g`` in that storage; one k-step's B fragments are a
+single column gather through that map, its pad slots reading a zero
+column appended to B.
 """
 
 from __future__ import annotations
@@ -96,12 +105,26 @@ def sddmm_wmma_plan(kern, mask, k: int) -> SddmmWmmaPlan:
 
 
 def _padded_operands(a16, b16, k_pad: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Operands zero-padded to ``k_pad``; B gains one zero column, the
+    column every pad slot of :func:`_slot_columns` reads."""
     m, k = a16.shape
     a_pad = np.zeros((m, k_pad), dtype=np.float16)
     a_pad[:, :k] = a16
-    b_pad = np.zeros((k_pad, b16.shape[1]), dtype=np.float16)
-    b_pad[:k] = b16
+    b_pad = np.zeros((k_pad, b16.shape[1] + 1), dtype=np.float16)
+    b_pad[:k, :-1] = b16
     return a_pad, b_pad
+
+
+def _transposed_slots(lay: GroupLayout) -> np.ndarray:
+    """Batch-last position ``c * num_groups + g`` of each slot ``g * group + c``."""
+    return (lay.slots % lay.group) * lay.num_groups + lay.slots // lay.group
+
+
+def _slot_columns(lay: GroupLayout, col_idx: np.ndarray, pad_col: int) -> np.ndarray:
+    """B column feeding each batch-last slot; pad slots read ``pad_col``."""
+    cols = np.full(lay.num_groups * lay.group, pad_col, dtype=np.int64)
+    cols[_transposed_slots(lay)] = col_idx
+    return cols
 
 
 def execute_sddmm_octet(
@@ -127,20 +150,22 @@ def execute_sddmm_octet(
     k4 = plan.k_pad // 4
     a_pad, b_pad = _padded_operands(a16, b16, plan.k_pad)
     R = lay.rows_act.size
-    # switched-RHS fragments per active row: (R, k4, 4, 8)
+    # switched-RHS fragments per k-group and active row: [k-group, k, v, row]
     a3 = a_pad.reshape(plan.num_vector_rows, v, plan.k_pad)[lay.rows_act]
-    frag_a = np.zeros((R, k4, 4, 8), dtype=np.float16)
-    frag_a[..., :v] = a3.transpose(0, 2, 1).reshape(R, k4, 4, v)
-    # switched-LHS fragments of one k-group: compacted B columns through
-    # the slot map (the pad slots are never written, so they stay zero)
-    b_grp = np.zeros((T * 8, 4), dtype=np.float16)
-    accs = np.zeros((T, 8, 8), dtype=np.float32)
+    frag_a = np.zeros((k4, 4, 8, R), dtype=np.float16)
+    frag_a[:, :, :v] = a3.reshape(R, v, k4, 4).transpose(2, 3, 1, 0)
+    # switched-LHS fragments of one k-group [k, column, sub-step]: one
+    # gather of compacted B columns (pad slots read the zero column)
+    cols = _slot_columns(lay, mask.col_idx, b16.shape[1])
+    accs = np.zeros((8, 8, T), dtype=np.float32)           # [v, column, sub-step]
+    acc_view = accs.T                                      # (sub-step, column, v)
     for j in range(k4):  # serial k accumulation, reference loop order
-        b_grp[lay.slots] = b_pad[4 * j : 4 * j + 4, mask.col_idx].T
-        accs += mma_m8n8k4_batched(
-            b_grp.reshape(T, 8, 4), frag_a[plan.row_of_substep, j], stats=tc, **sim_kwargs
+        b_grp = np.take(b_pad[4 * j : 4 * j + 4], cols, axis=1)
+        batch_a = np.take(frag_a[j], plan.row_of_substep, axis=2)
+        acc_view += mma_m8n8k4_batched(
+            b_grp.reshape(4, 8, T).T, batch_a.transpose(2, 0, 1), stats=tc, **sim_kwargs
         )
-    out_vals[:] = accs.reshape(T * 8, 8)[lay.slots][:, :v]
+    out_vals[:] = accs.reshape(8, 8 * T)[:v, _transposed_slots(lay)].T
     return out_vals, tc
 
 
@@ -158,23 +183,27 @@ def execute_sddmm_wmma(
     k16 = plan.k_pad // 16
     a_pad, b_pad = _padded_operands(a16, b16, plan.k_pad)
     R = lay.rows_act.size
-    # Mat_a fragments per active row and k-step: (R, k16, j, 8, 4)
+    # Mat_a fragments per k-step and active row: [k-step, v, k, k-slice, row]
     a3 = a_pad.reshape(plan.num_vector_rows, v, plan.k_pad)[lay.rows_act]
-    a_steps = np.zeros((R, k16, 8, 16), dtype=np.float16)
-    a_steps[:, :, :v, :] = a3.reshape(R, v, k16, 16).transpose(0, 2, 1, 3)
-    a_frags = a_steps.reshape(R, k16, 8, 4, 4).transpose(0, 1, 3, 2, 4)
-    # Mat_b fragments of one k-step: compacted columns through the slot
-    # map (pad slots stay zero), ordered (tile, octet, k-slice) to match
-    # the wmma decomposition
-    b_step = np.zeros((T * 32, 16), dtype=np.float16)
-    acc = np.zeros((T, 4, 8, 8), dtype=np.float32)     # [t, octet, 8-row, 8-col]
+    a_frags = np.zeros((k16, 8, 4, 4, R), dtype=np.float16)
+    a_frags[:, :v] = a3.reshape(R, v, k16, 4, 4).transpose(2, 1, 4, 3, 0)
+    # Mat_b fragments of one k-step: one gather of compacted columns
+    # (pad slots read the zero column), [k-slice, k, octet, column,
+    # tile], then relaid [k, column, k-slice, octet, tile]
+    cols = _slot_columns(lay, mask.col_idx, b16.shape[1])
+    acc = np.zeros((8, 4, 8, T), dtype=np.float32)          # [v, octet, column, tile]
     for kk in range(k16):  # serial wmma calls, then k-slices within
-        batch_a = np.tile(a_frags[plan.row_of_tile, kk], (1, 4, 1, 1)).reshape(-1, 8, 4)
-        b_step[lay.slots] = b_pad[16 * kk : 16 * kk + 16, mask.col_idx].T
-        batch_b = b_step.reshape(T, 4, 8, 4, 4).transpose(0, 1, 3, 4, 2).reshape(-1, 4, 8)
-        partial = mma_m8n8k4_batched(batch_a, batch_b, stats=tc)
-        partial = partial.reshape(T, 4, 4, 8, 8)       # [t, octet, j]
-        for j in range(4):
-            acc += partial[:, :, j]
-    out_vals[:] = acc.transpose(0, 1, 3, 2).reshape(T * 32, 8)[lay.slots][:, :v]
+        # batch (k-slice, octet, tile), tile innermost
+        batch_a = np.repeat(np.take(a_frags[kk], plan.row_of_tile, axis=3), 4, axis=2)
+        b_step = np.take(b_pad[16 * kk : 16 * kk + 16], cols, axis=1)
+        batch_b = np.ascontiguousarray(b_step.reshape(4, 4, 4, 8, T).transpose(1, 3, 0, 2, 4))
+        partial = mma_m8n8k4_batched(
+            batch_a.reshape(8, 4, -1).transpose(2, 0, 1),
+            batch_b.reshape(4, 8, -1).transpose(2, 0, 1),
+            stats=tc,
+        )
+        partial = partial.reshape(4, 4, T, 8, 8).transpose(0, 3, 1, 4, 2)
+        for j in range(4):  # [k-slice][v, octet, column, tile]
+            acc += partial[j]
+    out_vals[:] = acc.reshape(8, 32 * T)[:v, _transposed_slots(lay)].T
     return out_vals, tc

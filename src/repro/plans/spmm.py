@@ -12,6 +12,19 @@ outputs and issue accounting are bit-for-bit those of the reference
 (pinned by the parity tests), and only one level's fragments are ever
 in flight.
 
+Layout: the plan orders the active rows by group count, descending,
+so the rows level ``d`` touches are always the first ``n_d`` of that
+order.  The executor keeps each tile's FP32 accumulators in row order
+with the row axis innermost, ``[.., row]``, and adds level ``d`` into
+the prefix ``acc[..., :n_d]``; the output scatters back through the
+order at the end of the tile.  It also lays the k-groups out level by
+level, so one level's fragments are a contiguous run of groups, which
+it relays batch-last — ``(8, 4, batch)`` storage passed to
+:func:`mma_m8n8k4_batched` as a transposed ``(batch, 8, 4)`` view, the
+row innermost in the batch — so every elementwise pass of the MMA runs
+the batch at unit stride.  Each row still adds its own k-groups in
+serial order, so the bits are those of the row-major walk.
+
 Scatter discipline: SpMM outputs accumulate with ``+=`` into a
 zero-initialised buffer, exactly like the references — assignment
 would lose the ``+0.0 + (-0.0) = +0.0`` rounding of the add and break
@@ -47,8 +60,10 @@ class SpmmOctetPlan:
     num_vector_rows: int
     tile_n: int
     layout: GroupLayout
-    #: per-depth (sel, gidx) gathers for serial k-group accumulation
-    levels: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    #: active-row positions by group count, descending
+    row_order: np.ndarray
+    #: per-depth flat group indices; level ``d`` covers ``row_order[:n_d]``
+    levels: Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -59,39 +74,44 @@ class SpmmWmmaPlan:
     num_vector_rows: int
     tile_n: int
     layout: GroupLayout
-    levels: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    row_order: np.ndarray
+    levels: Tuple[np.ndarray, ...]
 
 
-def _compile_spmm_octet(kern, a) -> SpmmOctetPlan:
-    layout = group_layout(a.vector_row_nnz(), 4)
-    return SpmmOctetPlan(
+def _compile_spmm(kern, a, group: int, plan_cls):
+    layout = group_layout(a.vector_row_nnz(), group)
+    row_order, levels = accumulation_levels(layout)
+    return plan_cls(
         vector_length=a.vector_length,
         num_vector_rows=a.num_vector_rows,
         tile_n=int(kern.TILE_N),
         layout=layout,
-        levels=accumulation_levels(layout),
+        row_order=row_order,
+        levels=levels,
     )
 
 
 def spmm_octet_plan(kern, a) -> SpmmOctetPlan:
     """Cached octet SpMM plan for ``kern`` on structure ``a``."""
-    return cached_plan("spmm-octet", kern, a, (), lambda: _compile_spmm_octet(kern, a))
-
-
-def _compile_spmm_wmma(kern, a) -> SpmmWmmaPlan:
-    layout = group_layout(a.vector_row_nnz(), 16)
-    return SpmmWmmaPlan(
-        vector_length=a.vector_length,
-        num_vector_rows=a.num_vector_rows,
-        tile_n=int(kern.TILE_N),
-        layout=layout,
-        levels=accumulation_levels(layout),
-    )
+    return cached_plan("spmm-octet", kern, a, (), lambda: _compile_spmm(kern, a, 4, SpmmOctetPlan))
 
 
 def spmm_wmma_plan(kern, a) -> SpmmWmmaPlan:
     """Cached wmma SpMM plan for ``kern`` on structure ``a``."""
-    return cached_plan("spmm-wmma", kern, a, (), lambda: _compile_spmm_wmma(kern, a))
+    return cached_plan("spmm-wmma", kern, a, (), lambda: _compile_spmm(kern, a, 16, SpmmWmmaPlan))
+
+
+def _level_major_slots(plan) -> np.ndarray:
+    """Slot of every stored vector with the groups laid out level by level.
+
+    Concatenating the levels orders the groups by depth, then by
+    ``row_order``, so level ``d`` is a contiguous run of groups; a
+    stored vector's slot moves with its group.
+    """
+    lay = plan.layout
+    group_pos = np.empty(lay.num_groups, dtype=np.int64)
+    group_pos[np.concatenate(plan.levels)] = np.arange(lay.num_groups)
+    return group_pos[lay.slots // lay.group] * lay.group + lay.slots % lay.group
 
 
 def execute_spmm_octet(
@@ -100,38 +120,49 @@ def execute_spmm_octet(
     """Run an octet SpMM plan; returns the FP32 output and TCU stats.
 
     One :func:`mma_m8n8k4_batched` call per (N tile, accumulation
-    level) covers that level's k-groups; the caller, the kernel
-    wrapper, applies the fp16 rounding (plans carry schedule only).
+    level) covers that level's k-groups, batched (octet, row) with the
+    row innermost; the caller, the kernel wrapper, applies the fp16
+    rounding (plans carry schedule only).
     """
     v = plan.vector_length
     m = plan.num_vector_rows * v
     n = b16.shape[1]
     tc = TensorCoreStats()
     out = np.zeros((m, n), dtype=np.float32)
-    lay = plan.layout
-    G = lay.num_groups
+    G = plan.layout.num_groups
     if G == 0 or n == 0:
         return out, tc
-    # switched-RHS fragments: values gathered once, reused per tile
-    a_flat = np.zeros((G * 4, 8), dtype=np.float16)
-    a_flat[lay.slots, :v] = a.values
-    a_groups = a_flat.reshape(G, 4, 8)
+    slots = _level_major_slots(plan)
+    # switched-RHS fragments [group, k, v], level-major: gathered once, reused per tile
+    a_lm = np.zeros((G * 4, 8), dtype=np.float16)
+    a_lm[slots, :v] = a.values
+    a_lm = a_lm.reshape(G, 4, 8)
     octets = plan.tile_n // 8
     out3 = out.reshape(plan.num_vector_rows, v, n)
-    R = lay.rows_act.size
+    rows = plan.layout.rows_act[plan.row_order]
     for n0 in range(0, n, plan.tile_n):
         n1 = min(n, n0 + plan.tile_n)
-        # switched-LHS fragments: every k-group's B rows in one gather
-        b_flat = np.zeros((G * 4, plan.tile_n), dtype=np.float16)
-        b_flat[lay.slots, : n1 - n0] = b16[a.col_idx, n0:n1]
-        b_groups = b_flat.reshape(G, 4, plan.tile_n).transpose(0, 2, 1)
-        acc = np.zeros((R, plan.tile_n, 8), dtype=np.float32)
-        for sel, gidx in plan.levels:  # serial k-group accumulation
-            batch_b = b_groups[gidx].reshape(-1, 8, 4)
-            batch_a = np.repeat(a_groups[gidx], octets, axis=0)
-            partial = mma_m8n8k4_batched(batch_b, batch_a, stats=tc)
-            acc[sel] += partial.reshape(-1, plan.tile_n, 8)
-        out3[lay.rows_act, :, n0:n1] += acc[:, : n1 - n0, :v].transpose(0, 2, 1)
+        # switched-LHS fragments [group, k, octet, n in octet], level-major
+        b_lm = np.zeros((G * 4, plan.tile_n), dtype=np.float16)
+        b_lm[slots, : n1 - n0] = b16[a.col_idx, n0:n1]
+        b_tile = b_lm.reshape(G, 4, octets, 8)
+        acc = np.zeros((8, 8, octets, rows.size), dtype=np.float32)  # [n, v, octet, row]
+        g0 = 0
+        for gidx in plan.levels:  # serial k-group accumulation
+            nd = gidx.size
+            g1 = g0 + nd
+            # batch (octet, row), row innermost
+            batch_b = np.ascontiguousarray(b_tile[g0:g1].transpose(3, 1, 2, 0))
+            batch_a = a_lm[g0:g1].transpose(1, 2, 0)[:, :, None].repeat(octets, axis=2)
+            partial = mma_m8n8k4_batched(
+                batch_b.reshape(8, 4, -1).transpose(2, 0, 1),
+                batch_a.reshape(4, 8, -1).transpose(2, 0, 1),
+                stats=tc,
+            )
+            acc[..., :nd] += partial.reshape(octets, nd, 8, 8).transpose(2, 3, 0, 1)
+            g0 = g1
+        tile = acc[:, :v].transpose(3, 1, 2, 0).reshape(rows.size, v, plan.tile_n)
+        out3[rows, :, n0:n1] += tile[:, :, : n1 - n0]
     return out, tc
 
 
@@ -140,49 +171,52 @@ def execute_spmm_wmma(
 ) -> Tuple[np.ndarray, TensorCoreStats]:
     """Run a wmma SpMM plan; returns the FP32 output and TCU stats.
 
-    The wmma.m8n32k16 decomposition is replayed flat: per N-tile half
-    and accumulation level, one batched call issues that level's
-    (k-step, octet, k-slice) fragments in the order
-    :func:`~repro.hardware.tensor_core.wmma_m8n32k16` uses internally,
-    and the (k-step, k-slice)-ordered accumulation reproduces its
-    serial per-octet adds.
+    The wmma.m8n32k16 decomposition is replayed flat: per N tile,
+    accumulation level and 32-column half, one batched call issues
+    that level's (k-slice, octet, row) fragments, row innermost, and
+    the serial per-level, per-k-slice accumulation reproduces the
+    per-octet adds of :func:`~repro.hardware.tensor_core.wmma_m8n32k16`.
     """
     v = plan.vector_length
     m = plan.num_vector_rows * v
     n = b16.shape[1]
     tc = TensorCoreStats()
     out = np.zeros((m, n), dtype=np.float32)
-    lay = plan.layout
-    G = lay.num_groups
+    G = plan.layout.num_groups
     if G == 0 or n == 0:
         return out, tc
-    # Mat_a fragments: (G, j) -> (8, 4), j indexing the 4-deep k-slices
-    v_flat = np.zeros((G * 16, 8), dtype=np.float16)
-    v_flat[lay.slots, :v] = a.values
-    a_steps = v_flat.reshape(G, 16, 8).transpose(0, 2, 1)              # (G, 8, 16)
-    a_frags = a_steps.reshape(G, 8, 4, 4).transpose(0, 2, 1, 3)        # (G, 4, 8, 4)
-    a_tiled = np.tile(a_frags, (1, 4, 1, 1))                           # (G, 16, 8, 4)
+    slots = _level_major_slots(plan)
+    # Mat_a fragments [group, k-slice, k, v], level-major
+    a_lm = np.zeros((G * 16, 8), dtype=np.float16)
+    a_lm[slots, :v] = a.values
+    a_lm = a_lm.reshape(G, 4, 4, 8)
+    halves = plan.tile_n // 32
     out3 = out.reshape(plan.num_vector_rows, v, n)
-    R = lay.rows_act.size
+    rows = plan.layout.rows_act[plan.row_order]
     for n0 in range(0, n, plan.tile_n):
         n1 = min(n, n0 + plan.tile_n)
-        b_flat = np.zeros((G * 16, plan.tile_n), dtype=np.float16)
-        b_flat[lay.slots, : n1 - n0] = b16[a.col_idx, n0:n1]
-        b3 = b_flat.reshape(G, 16, plan.tile_n)
-        # accumulator indexed [row, half, octet, 8-row, 8-col]
-        halves = plan.tile_n // 32
-        acc = np.zeros((R, halves, 4, 8, 8), dtype=np.float32)
-        for half in range(halves):
-            sub = b3[:, :, half * 32 : (half + 1) * 32]
-            # Mat_b fragments in the wmma-internal (octet, k-slice) order
-            b_frags = sub.reshape(G, 4, 4, 4, 8).transpose(0, 3, 1, 2, 4)
-            for sel, gidx in plan.levels:  # serial k-steps, then k-slices
+        # Mat_b fragments [group, k-slice, k, half, octet, n in octet], level-major
+        b_lm = np.zeros((G * 16, plan.tile_n), dtype=np.float16)
+        b_lm[slots, : n1 - n0] = b16[a.col_idx, n0:n1]
+        b_tile = b_lm.reshape(G, 4, 4, halves, 4, 8)
+        acc = np.zeros((8, 8, halves, 4, rows.size), dtype=np.float32)  # [v, n, half, octet, row]
+        g0 = 0
+        for gidx in plan.levels:  # serial k-steps, then k-slices
+            nd = gidx.size
+            g1 = g0 + nd
+            # batch (k-slice, octet, row), row innermost
+            batch_a = a_lm[g0:g1].transpose(3, 2, 1, 0)[:, :, :, None].repeat(4, axis=3)
+            for half in range(halves):
+                batch_b = np.ascontiguousarray(b_tile[g0:g1, :, :, half].transpose(2, 4, 1, 3, 0))
                 partial = mma_m8n8k4_batched(
-                    a_tiled[gidx].reshape(-1, 8, 4), b_frags[gidx].reshape(-1, 4, 8), stats=tc
+                    batch_a.reshape(8, 4, -1).transpose(2, 0, 1),
+                    batch_b.reshape(4, 8, -1).transpose(2, 0, 1),
+                    stats=tc,
                 )
-                partial = partial.reshape(-1, 4, 4, 8, 8)              # [g, octet, j, ...]
-                for j in range(4):
-                    acc[sel, half] += partial[:, :, j]
-        acc_full = acc.transpose(0, 3, 1, 2, 4).reshape(R, 8, plan.tile_n)
-        out3[lay.rows_act, :, n0:n1] += acc_full[:, :v, : n1 - n0]
+                partial = partial.reshape(4, 4, nd, 8, 8).transpose(0, 3, 4, 1, 2)
+                for j in range(4):  # [k-slice][v, n, octet, row]
+                    acc[:, :, half, :, :nd] += partial[j]
+            g0 = g1
+        tile = acc[:v].transpose(4, 0, 2, 3, 1).reshape(rows.size, v, plan.tile_n)
+        out3[rows, :, n0:n1] += tile[:, :, : n1 - n0]
     return out, tc

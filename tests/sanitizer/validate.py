@@ -13,7 +13,9 @@ plan against it:
   packs each row's stored vectors contiguously from its first group
   slot (every pad slot is owned by *no* entry — the executor's
   zero-fill contract);
-* the accumulation levels visit every group exactly once (SpMM), and
+* the accumulation levels visit every group exactly once, and level
+  ``d`` holds exactly the rows' depth-``d`` groups over a prefix of a
+  row order sorted by group count (SpMM), and
   the flat group->row map matches the group extents (SDDMM);
 * the functional plans' permutation / expansion arrays reproduce the
   storage-order expansion.
@@ -75,23 +77,23 @@ def _layout_findings(lay: GroupLayout, row_nnz: np.ndarray, group: int) -> List[
     return out
 
 
-def _level_findings(levels, lay: GroupLayout) -> List[str]:
+def _level_findings(row_order, levels, lay: GroupLayout) -> List[str]:
     out: List[str] = []
-    gidx_all = (
-        np.concatenate([g for _, g in levels])
-        if levels
-        else np.empty(0, dtype=np.int64)
-    )
+    gidx_all = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
     if not np.array_equal(np.sort(gidx_all), np.arange(lay.num_groups)):
         out.append("accumulation levels do not visit every k-group exactly once")
-    for depth, (sel, gidx) in enumerate(levels):
-        if sel.size != gidx.size:
-            out.append(f"level {depth}: sel/gidx length mismatch")
+    if not np.array_equal(np.sort(row_order), np.arange(lay.rows_act.size)):
+        out.append("row order is not a permutation of the active rows")
+        return out
+    if np.any(np.diff(lay.groups[row_order]) > 0):
+        out.append("row order is not by group count, descending")
+    for depth, gidx in enumerate(levels):
+        # level d's prefix of the order must be exactly the rows that
+        # own a depth-d group, each contributing that group
+        if gidx.size != np.count_nonzero(lay.groups > depth):
+            out.append(f"level {depth}: row prefix is not the rows with a depth-{depth} group")
             break
-        if sel.size and (sel.min() < 0 or sel.max() >= lay.rows_act.size):
-            out.append(f"level {depth}: row selector out of range")
-            break
-        if not np.array_equal(gidx, lay.offsets[sel] + depth):
+        if not np.array_equal(gidx, lay.offsets[row_order[: gidx.size]] + depth):
             out.append(f"level {depth}: gathered groups are not the rows' depth-{depth} groups")
             break
     return out
@@ -125,13 +127,13 @@ def validate_plan(plan, structure, k: Optional[int] = None) -> List[str]:
         return (
             _scalar_findings(plan, structure)
             + _layout_findings(plan.layout, row_nnz, 4)
-            + _level_findings(plan.levels, plan.layout)
+            + _level_findings(plan.row_order, plan.levels, plan.layout)
         )
     if isinstance(plan, SpmmWmmaPlan):
         return (
             _scalar_findings(plan, structure)
             + _layout_findings(plan.layout, row_nnz, 16)
-            + _level_findings(plan.levels, plan.layout)
+            + _level_findings(plan.row_order, plan.levels, plan.layout)
         )
     if isinstance(plan, (SddmmOctetPlan, SddmmWmmaPlan)):
         group, step = (8, 4) if isinstance(plan, SddmmOctetPlan) else (32, 16)

@@ -250,7 +250,7 @@ class TestMemoImmutability:
                                 analyze_windows(mask, 32), suite()[0])
         before = (plan.layout.slots.copy(), tr.sampled_fill_bytes,
                   win.occupied_counts.copy(), entry.csr.values.copy())
-        for arr in (plan.layout.slots, plan.levels[0][1], win.occupied_counts,
+        for arr in (plan.layout.slots, plan.levels[0], win.occupied_counts,
                     entry.csr.values, entry.csr.col_idx):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] += 1
